@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import AssemblyError, SpatialMesh
-from .evolution import AgeGrid, DensityField, EvolutionError, build_evolution, propagate
+from .evolution import AgeGrid, DensityField, EvolutionError, EvolutionOperator, build_evolution, propagate
 from .linearized import LinearizedOperators, build_linearized, reformulation_residual
 from .model import ModelSpec
 from .reproduction import assemble_Q, birth_functional, spectral_radius
@@ -121,12 +121,18 @@ def _picard_field(
     u_start: DensityField | None,
     tol: float,
     max_sweeps: int = 200,
+    *,
+    ev_start: EvolutionOperator | None = None,
 ) -> DensityField:
-    """Self-consistent field for a fixed birth vector (frozen-coefficient sweeps)."""
+    """Self-consistent field for a fixed birth vector (frozen-coefficient sweeps).
+
+    ev_start, when given, must be build_evolution of u_start; the first
+    sweep uses it instead of building the same evolution again.
+    """
     u = u_start
     diff = np.inf
-    for _ in range(max_sweeps):
-        ev = build_evolution(model, mesh, grid, u)
+    for sweep in range(max_sweeps):
+        ev = ev_start if sweep == 0 and ev_start is not None else build_evolution(model, mesh, grid, u)
         u_new = propagate(ev, B)
         if u is not None:
             diff = float(np.max(np.abs(u_new.values - u.values)))
@@ -172,8 +178,11 @@ def correct(
     n_cur = float(n)
     u_warm = u_guess
 
-    def evaluate(Bv: np.ndarray, nv: float, warm: DensityField):
-        u_f = _picard_field(model, mesh, grid, Bv, warm, _scaled_tol(tol * tol_picard_factor, Bv))
+    def evaluate(Bv: np.ndarray, nv: float, warm: DensityField, ev_warm=None):
+        u_f = _picard_field(
+            model, mesh, grid, Bv, warm, _scaled_tol(tol * tol_picard_factor, Bv),
+            ev_start=ev_warm,
+        )
         res = Bv - nv * birth_functional(model, grid, u_f.values)
         if free_n:
             res = np.append(res, constraint.value(Bv, nv, u_f))
@@ -188,17 +197,20 @@ def correct(
         if not np.isfinite(res_norm) or float(np.max(np.abs(B))) > 1e8:
             raise ContinuationError("corrector diverged")
 
+        # every Jacobian column and line-search trial starts its Picard
+        # sweeps from u_warm, so their first evolution is built once here
+        ev_warm = build_evolution(model, mesh, grid, u_warm)
         hb = FD_STEP * (1.0 + float(np.max(np.abs(B))))
         ncols = nx + 1 if free_n else nx
         jac = np.empty((res_vec.shape[0], ncols))
         for j in range(nx):
             Bp = B.copy()
             Bp[j] += hb
-            rp, _ = evaluate(Bp, n_cur, u_warm)
+            rp, _ = evaluate(Bp, n_cur, u_warm, ev_warm)
             jac[:, j] = (rp - res_vec) / hb
         if free_n:
             hn = FD_STEP * (1.0 + abs(n_cur))
-            rp, _ = evaluate(B, n_cur + hn, u_warm)
+            rp, _ = evaluate(B, n_cur + hn, u_warm, ev_warm)
             jac[:, nx] = (rp - res_vec) / hn
 
         try:
@@ -211,7 +223,7 @@ def correct(
             B_try = B + scale * delta[:nx]
             n_try = n_cur + scale * delta[nx] if free_n else n_cur
             try:
-                res_try, u_try = evaluate(B_try, n_try, u_warm)
+                res_try, u_try = evaluate(B_try, n_try, u_warm, ev_warm)
             except (ContinuationError, AssemblyError, EvolutionError):
                 continue
             if float(np.max(np.abs(res_try))) < res_norm or float(np.max(np.abs(res_try))) <= _scaled_tol(tol, B_try):

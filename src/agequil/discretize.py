@@ -18,7 +18,7 @@ import numpy as np
 
 from .expr import evaluate_on
 from .model import ModelSpec
-from .tridiag import factor_tridiag, tridiag_matvec
+from .tridiag import tridiag_matvec
 
 
 class AssemblyError(ValueError):
@@ -137,23 +137,3 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
         raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
     return OperatorMatrix(lower=lower, diag=diag, upper=upper, age=float(a), linear_part=u_slice is None)
 
-
-def smallest_eigenvalue(matrix: OperatorMatrix, tol: float = 1e-12, max_iter: int = 50000) -> float:
-    """Smallest real eigenvalue by inverse power iteration with shift 0.
-
-    A test oracle helper: convergence checks of the spatial operator use
-    it against closed-form eigenvalues.
-    """
-    fac = factor_tridiag(matrix.lower, matrix.diag, matrix.upper)
-    v = np.ones(matrix.nx)
-    v /= np.linalg.norm(v)
-    lam = float("nan")
-    for _ in range(max_iter):
-        w = fac.solve(v)
-        w /= np.linalg.norm(w)
-        aw = matrix.matvec(w)
-        lam = float(w @ aw)
-        if np.linalg.norm(aw - lam * w) <= tol * max(abs(lam), 1e-30):
-            return lam
-        v = w
-    raise RuntimeError(f"inverse power iteration did not converge within {max_iter} iterations")

@@ -98,9 +98,10 @@ def assemble_Q(
 def _power_iteration(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[bool, float, np.ndarray]:
     # for a nonnegative matrix and a positive iterate the radius sits in
     # the bracket of extreme ratios (Mv)_i / v_i; a dominant cluster that
-    # is numerically tied keeps that bracket pinned at the tie spread, so
-    # a stagnant-but-tight bracket falls back to a dense solve checked
-    # against the rigorous bracket instead of grinding ~1/gap iterations
+    # is nearly tied keeps that bracket from shrinking for ~1/gap
+    # iterations, so a bracket that has not halved in 50 iterations falls
+    # back to a dense solve checked against the rigorous bracket; the
+    # iterate has not converged there, so the vector comes from it too
     nonneg = bool(np.all(matrix >= 0.0))
     v = np.ones(matrix.shape[0])
     lam = 0.0
@@ -117,10 +118,13 @@ def _power_iteration(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[boo
             if width <= tol * hi:
                 return True, hi, w / lam
             if it % 50 == 49:
-                if width > 0.5 * width_prev and width <= 1e-6 * hi:
-                    r = float(np.max(np.abs(np.linalg.eigvals(matrix))))
+                if width > 0.5 * width_prev:
+                    eigs, vecs = np.linalg.eig(matrix)
+                    k = int(np.argmax(np.abs(eigs)))
+                    r = float(np.abs(eigs[k]))
                     if lo - width <= r <= hi + width:
-                        return True, r, w / lam
+                        perron = np.abs(vecs[:, k].real)
+                        return True, r, perron / np.max(perron)
                 width_prev = width
         if float(np.max(np.abs(w - lam * v))) <= tol * lam:
             return True, lam, w / lam

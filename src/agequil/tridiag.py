@@ -44,7 +44,10 @@ def _factor(lower, diag, upper):
 
 
 @njit(cache=True)
-def _solve_one(mult, piv, upper, rhs, out):
+def _solve(mult, piv, upper, rhs, out):
+    # rhs and out are 1-D or 2-D; on 2-D each step is one row operation
+    # across all columns, and every entry sees the same IEEE operations
+    # as a 1-D solve of its column, so the bits match column by column
     n = piv.shape[0]
     out[0] = rhs[0]
     for i in range(1, n):
@@ -52,22 +55,6 @@ def _solve_one(mult, piv, upper, rhs, out):
     out[n - 1] = out[n - 1] / piv[n - 1]
     for i in range(n - 2, -1, -1):
         out[i] = (out[i] - upper[i] * out[i + 1]) / piv[i]
-
-
-@njit(cache=True)
-def _solve_many(mult, piv, upper, rhs, out):
-    n = piv.shape[0]
-    m = rhs.shape[1]
-    for j in range(m):
-        out[0, j] = rhs[0, j]
-    for i in range(1, n):
-        for j in range(m):
-            out[i, j] = rhs[i, j] - mult[i] * out[i - 1, j]
-    for j in range(m):
-        out[n - 1, j] = out[n - 1, j] / piv[n - 1]
-    for i in range(n - 2, -1, -1):
-        for j in range(m):
-            out[i, j] = (out[i, j] - upper[i] * out[i + 1, j]) / piv[i]
 
 
 @dataclass(frozen=True)
@@ -81,12 +68,9 @@ class FactoredTridiag:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         out = np.empty_like(rhs)
-        if rhs.ndim == 1:
-            _solve_one(self.mult, self.piv, self.upper, rhs, out)
-        elif rhs.ndim == 2:
-            _solve_many(self.mult, self.piv, self.upper, rhs, out)
-        else:
+        if rhs.ndim not in (1, 2):
             raise ValueError("rhs must be one- or two-dimensional")
+        _solve(self.mult, self.piv, self.upper, rhs, out)
         return out
 
 

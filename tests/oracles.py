@@ -14,6 +14,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
+from agequil.discretize import OperatorMatrix
+from agequil.tridiag import factor_tridiag
+
 # continuum values for the unit-mortality model on a_max = 1
 CONTINUUM_R0 = 1.0 - np.exp(-1.0)
 CONTINUUM_CB = 1.0 / (1.0 - np.exp(-1.0))
@@ -105,3 +108,25 @@ def dense_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues sorted by descending magnitude."""
     eigs = np.linalg.eigvals(matrix)
     return eigs[np.argsort(-np.abs(eigs))]
+
+
+def smallest_eigenvalue(matrix: OperatorMatrix, tol: float = 1e-12, max_iter: int = 50000) -> float:
+    """Smallest real eigenvalue by inverse power iteration with shift 0.
+
+    Convergence checks of the spatial operator compare it with
+    closed-form eigenvalues.  Unlike the recursions above it reuses the
+    package's Thomas factorization; the closed forms stay independent.
+    """
+    fac = factor_tridiag(matrix.lower, matrix.diag, matrix.upper)
+    v = np.ones(matrix.nx)
+    v /= np.linalg.norm(v)
+    lam = float("nan")
+    for _ in range(max_iter):
+        w = fac.solve(v)
+        w /= np.linalg.norm(w)
+        aw = matrix.matvec(w)
+        lam = float(w @ aw)
+        if np.linalg.norm(aw - lam * w) <= tol * max(abs(lam), 1e-30):
+            return lam
+        v = w
+    raise RuntimeError(f"inverse power iteration did not converge within {max_iter} iterations")

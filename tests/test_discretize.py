@@ -6,12 +6,11 @@ from agequil.discretize import (
     SpatialMesh,
     assemble,
     gradient_of_slice,
-    smallest_eigenvalue,
 )
 from agequil.expr import Num, Var, parse_expr
 from agequil.model import ModelSpec
 
-from oracles import dense_eigenvalues
+from oracles import dense_eigenvalues, smallest_eigenvalue
 
 
 def make_model(D="1", g="0", h="0", mu="1", nu0=0.0, pure_decay=False) -> ModelSpec:

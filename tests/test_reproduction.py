@@ -166,6 +166,20 @@ class TestSpectralRadiusEdges:
         with pytest.raises(PowerIterationError):
             spectral_radius(rep, max_iter=200)
 
+    def test_near_tie_converges_quickly(self):
+        # the shape of a large-density shell probe at nx 48: near-diagonal,
+        # top two entries 6e-5 apart relative, so plain power iteration
+        # needs ~1/gap iterations; the stagnant bracket must hand over to
+        # the dense check long before that
+        diag = np.linspace(0.02, 0.13, 48)
+        diag[-2:] = 0.138452, 0.138461
+        coupling = 1e-7 * (np.eye(48, k=1) + np.eye(48, k=-1))
+        rep = ReproductionOperator(matrix=np.diag(diag) + coupling, from_zero=False)
+        r, v = spectral_radius(rep, max_iter=1000)
+        assert r == pytest.approx(dense_radius(rep.matrix), rel=1e-12)
+        assert np.max(v) == 1.0 and np.all(v >= 0.0)
+        np.testing.assert_allclose(rep.matrix @ v, r * v, rtol=0, atol=1e-14)
+
     def test_non_finite_rejected(self):
         rep = ReproductionOperator(matrix=np.array([[np.nan]]), from_zero=True)
         with pytest.raises(ReproductionError, match="finite"):

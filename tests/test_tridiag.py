@@ -54,17 +54,21 @@ class TestFactorSolve:
             expected = np.linalg.solve(dense(lower, diag, upper), rhs)
             np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
 
-    def test_two_dimensional_rhs(self):
+    # the multi-column solve must give the bits of per-column solves; the
+    # identity basis of size 48 is what assemble_Q pushes through each step
+    @pytest.mark.parametrize("n, ncols, identity", [
+        (1, 3, False), (2, 4, False), (12, 5, False), (48, 48, True),
+    ])
+    def test_two_dimensional_rhs(self, n, ncols, identity):
         rng = np.random.default_rng(8)
-        n = 12
         lower = -rng.uniform(0, 1, n)
         upper = -rng.uniform(0, 1, n)
         lower[0] = upper[-1] = 0.0
         diag = np.abs(lower) + np.abs(upper) + 1.0
         fac = factor_tridiag(lower, diag, upper)
-        rhs = rng.normal(size=(n, 5))
+        rhs = np.eye(n) if identity else rng.normal(size=(n, ncols))
         out = fac.solve(rhs)
-        for j in range(5):
+        for j in range(ncols):
             np.testing.assert_allclose(out[:, j], fac.solve(rhs[:, j]), rtol=0, atol=0)
         with pytest.raises(ValueError):
             fac.solve(rhs[:, :, None])
