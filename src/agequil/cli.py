@@ -327,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-cap", type=float, default=4.0, help="stop beyond this n")
     p.add_argument("--norm-cap", type=float, default=2.0, help="stop beyond this amplitude")
     p.add_argument("--tol", type=float, default=1e-9, help="corrector tolerance")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("fixedpoint", help="damped fixed-point run with shell checks")

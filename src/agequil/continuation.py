@@ -21,6 +21,7 @@ branch (amplitudes around 1e-3) are resolved as sharply as later ones.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,8 +96,12 @@ class BranchPoint:
 
 @dataclass
 class Branch:
+    """Accepted points in order, why the trace stopped, and every rejected
+    corrector attempt as (step size, exception class name, message)."""
+
     points: list[BranchPoint] = field(default_factory=list)
     terminated: str = ""
+    rejected: list[tuple[float, str, str]] = field(default_factory=list)
 
     def nontrivial(self) -> list[BranchPoint]:
         return [p for p in self.points if not p.trivial]
@@ -142,6 +147,44 @@ def _picard_field(
     raise ContinuationError(f"inner Picard stagnation (last change {diff:.3e}, tol {tol:.3e})")
 
 
+def _picard_columns(
+    model: ModelSpec,
+    mesh: SpatialMesh,
+    grid: AgeGrid,
+    Bs: np.ndarray,
+    u_start: DensityField,
+    ev_start: EvolutionOperator,
+    tols: np.ndarray,
+    max_sweeps: int = 200,
+) -> Iterator[tuple[int, DensityField]]:
+    """_picard_field for every column of Bs at once, with the same bits.
+
+    Column j is solved to tolerance tols[j] from u_start, whose evolution
+    ev_start serves the shared first sweep; later sweeps build one batched
+    evolution for the columns still active.  A column leaves the batch at
+    the sweep where its own change falls to its tolerance, so it sees
+    exactly the sweeps a single solve would.  Yields (j, field) as each
+    column converges, the field contiguous.
+    """
+    active = np.arange(Bs.shape[1])
+    prev = u_start.values[:, :, None]
+    for sweep in range(max_sweeps):
+        ev = ev_start if sweep == 0 else build_evolution(model, mesh, grid, DensityField(prev, grid))
+        values = propagate(ev, Bs[:, active]).values
+        del ev  # at most one batched evolution is alive at a time
+        diff = np.max(np.abs(values - prev), axis=(0, 1))
+        done = diff <= tols[active]
+        for i in np.flatnonzero(done):
+            yield int(active[i]), DensityField(np.ascontiguousarray(values[:, :, i]), grid)
+        active, diff = active[~done], diff[~done]
+        if active.size == 0:
+            return
+        prev = values.compress(~done, axis=2) if done.any() else values
+    raise ContinuationError(
+        f"inner Picard stagnation (last change {diff[0]:.3e}, tol {tols[active[0]]:.3e})"
+    )
+
+
 def _scaled_tol(tol: float, B: np.ndarray) -> float:
     return tol * max(float(np.max(np.abs(B))), 1e-12)
 
@@ -178,15 +221,18 @@ def correct(
     n_cur = float(n)
     u_warm = u_guess
 
+    def residual(Bv: np.ndarray, nv: float, u_f: DensityField) -> np.ndarray:
+        res = Bv - nv * birth_functional(model, grid, u_f.values)
+        if free_n:
+            res = np.append(res, constraint.value(Bv, nv, u_f))
+        return res
+
     def evaluate(Bv: np.ndarray, nv: float, warm: DensityField, ev_warm=None):
         u_f = _picard_field(
             model, mesh, grid, Bv, warm, _scaled_tol(tol * tol_picard_factor, Bv),
             ev_start=ev_warm,
         )
-        res = Bv - nv * birth_functional(model, grid, u_f.values)
-        if free_n:
-            res = np.append(res, constraint.value(Bv, nv, u_f))
-        return res, u_f
+        return residual(Bv, nv, u_f), u_f
 
     res_vec, u_warm = evaluate(B, n_cur, u_warm)
     iters = 0
@@ -202,16 +248,17 @@ def correct(
         ev_warm = build_evolution(model, mesh, grid, u_warm)
         hb = FD_STEP * (1.0 + float(np.max(np.abs(B))))
         ncols = nx + 1 if free_n else nx
+        # column j perturbs B[j]; the free-n column keeps B and moves n
+        Bs = np.repeat(B[:, None], ncols, axis=1)
+        Bs[np.arange(nx), np.arange(nx)] += hb
+        tols = np.array([_scaled_tol(tol * tol_picard_factor, col) for col in Bs.T])
+        hn = FD_STEP * (1.0 + abs(n_cur))
         jac = np.empty((res_vec.shape[0], ncols))
-        for j in range(nx):
-            Bp = B.copy()
-            Bp[j] += hb
-            rp, _ = evaluate(Bp, n_cur, u_warm, ev_warm)
-            jac[:, j] = (rp - res_vec) / hb
-        if free_n:
-            hn = FD_STEP * (1.0 + abs(n_cur))
-            rp, _ = evaluate(B, n_cur + hn, u_warm, ev_warm)
-            jac[:, nx] = (rp - res_vec) / hn
+        for j, u_f in _picard_columns(model, mesh, grid, Bs, u_warm, ev_warm, tols):
+            if j < nx:
+                jac[:, j] = (residual(Bs[:, j].copy(), n_cur, u_f) - res_vec) / hb
+            else:
+                jac[:, j] = (residual(B, n_cur + hn, u_f) - res_vec) / hn
 
         try:
             delta = np.linalg.solve(jac, -res_vec)
@@ -381,7 +428,8 @@ def trace_branch(
             point = correct(model, mesh, grid, pred_n, u_pred, plane, tol=tol, lin=lin)
             if not point.trivial:
                 _require_invariants(point)
-        except (ContinuationError, AssemblyError, EvolutionError):
+        except (ContinuationError, AssemblyError, EvolutionError) as exc:
+            branch.rejected.append((step_cur, type(exc).__name__, str(exc)))
             if step_cur <= step_min:
                 fails_at_min += 1
                 if fails_at_min >= 2:

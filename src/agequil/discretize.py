@@ -77,8 +77,17 @@ class OperatorMatrix:
 
 
 def gradient_of_slice(u: np.ndarray, dx: float) -> np.ndarray:
-    """Centered differences, one-sided at the ends of the supplied slice."""
-    return np.gradient(u, dx)
+    """Centered differences along x, one-sided at the ends of the supplied slice.
+
+    The arithmetic of np.gradient(u, dx, axis=0) without its per-call
+    set-up, which took a third of a pure-decay assembly; u is (nx,) or
+    (nx, k).
+    """
+    p = np.empty_like(u)
+    p[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
+    p[0] = (u[1] - u[0]) / dx
+    p[-1] = (u[-1] - u[-2]) / dx
+    return p
 
 
 def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray | None = None) -> OperatorMatrix:
@@ -86,7 +95,9 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
 
     With u_slice absent the result is the linear part, whose zero-order
     term is theta(a); supplying an explicit zero slice gives the same
-    matrix entry for entry.
+    matrix entry for entry.  A slice of shape (nx, k) gives k matrices
+    side by side, as (nx, k) bands whose column j is, bit for bit, the
+    matrix of column j alone.
     """
     nx, dx = mesh.nx, mesh.dx
     if u_slice is None:
@@ -94,20 +105,23 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
         p = np.zeros(nx)
     else:
         u = np.asarray(u_slice, dtype=float)
-        if u.shape != (nx,):
-            raise AssemblyError(f"u_slice has shape {u.shape}, expected ({nx},)")
+        if u.ndim not in (1, 2) or u.shape[0] != nx:
+            raise AssemblyError(f"u_slice has shape {u.shape}, expected ({nx},) or ({nx}, k)")
         p = gradient_of_slice(u, dx)
+    shape = u.shape
 
-    lower = np.zeros(nx)
-    diag = np.zeros(nx)
-    upper = np.zeros(nx)
+    lower = np.zeros(shape)
+    diag = np.zeros(shape)
+    upper = np.zeros(shape)
 
     if not model.pure_decay:
         # conservative diffusion flux, D averaged to half nodes; the value
-        # beyond x = 1 is clamped to D(a, 1)
-        d_nodes = evaluate_on(model.D, nx + 1, a=float(a), x=mesh.nodes_with_origin)
+        # beyond x = 1 is clamped to D(a, 1); D reads only a and x, so a
+        # batch shares it as one column
+        d_nodes = evaluate_on(model.D, (nx + 1,), a=float(a), x=mesh.nodes_with_origin)
+        d_nodes = d_nodes.reshape((nx + 1,) + (1,) * (u.ndim - 1))
         d_west = 0.5 * (d_nodes[:-1] + d_nodes[1:])
-        d_east = np.empty(nx)
+        d_east = np.empty_like(d_west)
         d_east[:-1] = d_west[1:]
         d_east[-1] = d_nodes[-1]
         inv_dx2 = 1.0 / (dx * dx)
@@ -116,7 +130,7 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
         upper[:-1] -= d_east[:-1] * inv_dx2
 
         # drift, upwinded per node by the sign of g
-        g_vals = evaluate_on(model.g, nx, u=u, p=p)
+        g_vals = evaluate_on(model.g, shape, u=u, p=p)
         g_pos = np.maximum(g_vals, 0.0)
         g_neg = np.minimum(g_vals, 0.0)
         diag += (g_pos - g_neg) / dx
@@ -128,12 +142,12 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
         lower[-1] += east_end
         diag[-1] -= 2.0 * dx * model.nu0 * east_end
 
-    h_vals = evaluate_on(model.h, nx, u=u, p=p)
-    mu_vals = evaluate_on(model.mu, nx, u=u, a=float(a))
+    h_vals = evaluate_on(model.h, shape, u=u, p=p)
+    mu_vals = evaluate_on(model.mu, shape, u=u, a=float(a))
     diag += h_vals + mu_vals
 
     if np.any(lower[1:] > 0) or np.any(upper[:-1] > 0):
-        bad = int(np.argmax(np.concatenate([lower, upper])))
+        bands = np.concatenate([lower, upper]).reshape(2 * nx, -1)
+        bad = int(np.argmax(bands.max(axis=1)))
         raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
     return OperatorMatrix(lower=lower, diag=diag, upper=upper, age=float(a), linear_part=u_slice is None)
-

@@ -60,6 +60,8 @@ class AgeGrid:
 class DensityField:
     """Density on the age-space grid; row k is the slice at age a_k.
 
+    Values are (na+1, nx), or (na+1, nx, k) for k fields side by side
+    along a trailing batch axis; the norm is defined on a single field.
     nonnegative is a certificate set by the propagation routines, not a
     request: fields built from arbitrary arrays leave it False.
     """
@@ -70,7 +72,7 @@ class DensityField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2 or self.values.shape[0] != self.grid.na + 1:
+        if self.values.ndim not in (2, 3) or self.values.shape[0] != self.grid.na + 1:
             raise EvolutionError(
                 f"field shape {self.values.shape} does not match na = {self.grid.na}"
             )
@@ -125,8 +127,12 @@ class EvolutionOperator:
 def build_evolution(
     model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: DensityField | None = None
 ) -> EvolutionOperator:
-    """Assemble and factor the implicit Euler steps for one frozen field."""
-    if u is not None and u.values.shape != (grid.na + 1, mesh.nx):
+    """Assemble and factor the implicit Euler steps for one frozen field.
+
+    A batched field, (na+1, nx, k), gives steps that each hold k matrices,
+    one per column; propagate them with a birth array of shape (nx, k).
+    """
+    if u is not None and u.values.shape[:2] != (grid.na + 1, mesh.nx):
         raise EvolutionError("frozen field does not match the grids")
     da = grid.da
     steps: list[FactoredTridiag] = []
@@ -144,13 +150,18 @@ def build_evolution(
 
 
 def propagate(ev: EvolutionOperator, B: np.ndarray) -> DensityField:
-    """Field with rows Pi(a_k, 0) B; exactly nonnegative when B is."""
+    """Field with rows Pi(a_k, 0) B; exactly nonnegative when B is.
+
+    B is one birth vector (nx,), or (nx, k) for k of them side by side,
+    each column propagated with the bits of its own 1-D propagation.
+    """
     B = np.asarray(B, dtype=float)
-    if B.shape != (ev.mesh.nx,):
-        raise EvolutionError(f"birth vector has shape {B.shape}, expected ({ev.mesh.nx},)")
+    nx = ev.mesh.nx
+    if B.ndim not in (1, 2) or B.shape[0] != nx:
+        raise EvolutionError(f"birth vector has shape {B.shape}, expected ({nx},) or ({nx}, k)")
     if not np.all(np.isfinite(B)):
         raise EvolutionError("birth vector has non-finite entries")
-    values = np.empty((ev.grid.na + 1, ev.mesh.nx))
+    values = np.empty((ev.grid.na + 1,) + B.shape)
     values[0] = B
     for k, step in enumerate(ev.steps):
         values[k + 1] = step.solve(values[k])

@@ -274,9 +274,9 @@ def evaluate(node: Expr, env: dict[str, object]):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate_on(node: Expr, size: int, **env) -> np.ndarray:
-    """Evaluate and broadcast the result to a float array of length size."""
+def evaluate_on(node: Expr, shape: tuple[int, ...], **env) -> np.ndarray:
+    """Evaluate and broadcast the result to a float array of the given shape."""
     out = np.asarray(evaluate(node, env), dtype=float)
-    if out.shape == (size,):
+    if out.shape == shape:
         return out
-    return np.broadcast_to(out, (size,)).copy()
+    return np.broadcast_to(out, shape).copy()

@@ -246,15 +246,6 @@ def validate_model(spec: ModelSpec) -> None:
         raise ModelError("b must be positive on sampled nonnegative densities")
 
 
-def eval_theta(spec: ModelSpec, a: float) -> float:
-    """Linear zero-order decay rate theta(a) = mu(0,a) + h(0,0)."""
-    val = float(evaluate(spec.mu, {"u": 0.0, "a": float(a)}))
-    val += float(evaluate(spec.h, {"u": 0.0, "p": 0.0}))
-    if not (math.isfinite(val) and val > 0):
-        raise ModelError(f"theta({a}) = {val} is not positive")
-    return val
-
-
 def with_cb(spec: ModelSpec, cb: float) -> ModelSpec:
     """Copy of the model with a different fertility scale."""
     return dataclasses.replace(spec, cb=cb)

@@ -42,9 +42,17 @@ class ReproductionOperator:
 
 
 def birth_density(model: ModelSpec, values: np.ndarray) -> np.ndarray:
-    """Pointwise fertility weights cb * b(u) on a field's values."""
+    """Pointwise fertility weights cb * b(u) on a field's values.
+
+    validate_model only samples b, so a field past the sampled densities
+    can reach a negative b; that raises ReproductionError here.
+    """
     out = np.asarray(evaluate(model.b, {"u": values}), dtype=float)
-    return model.cb * np.broadcast_to(out, values.shape)
+    dens = model.cb * np.broadcast_to(out, values.shape)
+    if np.any(dens < 0):
+        u_bad = float(values[dens < 0][0])
+        raise ReproductionError(f"fertility b is negative at density u = {u_bad!r}")
+    return dens
 
 
 def birth_functional(model: ModelSpec, grid: AgeGrid, values: np.ndarray) -> np.ndarray:

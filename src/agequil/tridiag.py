@@ -32,9 +32,11 @@ class SingularTridiagError(ArithmeticError):
 
 @njit(cache=True)
 def _factor(lower, diag, upper):
+    # the bands are 1-D or 2-D; on 2-D each column is its own matrix and
+    # each step is one row operation, with the bits of a 1-D factor
     n = diag.shape[0]
-    mult = np.zeros(n)
-    piv = np.empty(n)
+    mult = np.zeros(diag.shape)
+    piv = np.empty(diag.shape)
     piv[0] = diag[0]
     for i in range(1, n):
         m = lower[i] / piv[i - 1]
@@ -59,7 +61,11 @@ def _solve(mult, piv, upper, rhs, out):
 
 @dataclass(frozen=True)
 class FactoredTridiag:
-    """LU factors of a tridiagonal matrix, reusable across solves."""
+    """LU factors of a tridiagonal matrix, reusable across solves.
+
+    The factors are 1-D, or 2-D with one matrix per column; 2-D factors
+    solve only a right-hand side of their own shape.
+    """
 
     mult: np.ndarray
     piv: np.ndarray
@@ -70,6 +76,8 @@ class FactoredTridiag:
         out = np.empty_like(rhs)
         if rhs.ndim not in (1, 2):
             raise ValueError("rhs must be one- or two-dimensional")
+        if rhs.shape[: self.piv.ndim] != self.piv.shape:
+            raise ValueError(f"rhs has shape {rhs.shape}, factors have shape {self.piv.shape}")
         _solve(self.mult, self.piv, self.upper, rhs, out)
         return out
 
@@ -81,8 +89,8 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
     upper = np.ascontiguousarray(upper, dtype=float)
     mult, piv = _factor(lower, diag, upper)
     if not np.all(np.isfinite(piv)) or np.any(piv <= 0):
-        bad = int(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)))
-        raise SingularTridiagError(f"nonpositive pivot {piv[bad]!r} at row {bad}")
+        bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
+        raise SingularTridiagError(f"nonpositive pivot {piv[bad]!r} at row {bad[0]}")
     return FactoredTridiag(mult, piv, upper)
 
 

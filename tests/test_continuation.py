@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
+from agequil import continuation
 from agequil.continuation import (
     ContinuationError,
     NormTarget,
     Plane,
+    _picard_columns,
+    _picard_field,
+    _scaled_tol,
     branch_stats,
     correct,
     first_step,
     solve_at_norm,
     trace_branch,
 )
-from agequil.evolution import DensityField, build_evolution, propagate
+from agequil.discretize import SpatialMesh
+from agequil.evolution import AgeGrid, DensityField, build_evolution, propagate
 from agequil.linearized import build_linearized
 
 from oracles import logistic_B_of_amplitude, logistic_n_of_B
@@ -155,6 +160,35 @@ class TestCorrect:
             correct(model, mesh, grid, p.n, u_guess, max_iter=1, lin=decay_lin)
 
 
+class TestBatchedPicard:
+    def test_columns_match_single_solves_bitwise(self, diffusion_problem, monkeypatch):
+        model, _, _ = diffusion_problem
+        mesh, grid = SpatialMesh(nx=8), AgeGrid(na=12, a_max=model.a_max)
+        warm = propagate(build_evolution(model, mesh, grid), np.full(mesh.nx, 0.3))
+        ev_warm = build_evolution(model, mesh, grid, warm)
+        # columns far from the warm field need more sweeps than the
+        # Jacobian-like pair near it, so the batch shrinks along the way
+        Bs = np.outer(np.linspace(1.0, 0.5, mesh.nx), [0.3, 0.3 + 1e-6, 0.6, 1.2, 0.05])
+        tols = np.array([_scaled_tol(1e-10, col) for col in Bs.T])
+        batches = []
+
+        def counting_build(model, mesh, grid, u=None):
+            batches.append(u.values.shape[2:])
+            return build_evolution(model, mesh, grid, u)
+
+        monkeypatch.setattr(continuation, "build_evolution", counting_build)
+        fields = dict(_picard_columns(model, mesh, grid, Bs, warm, ev_warm, tols))
+        monkeypatch.undo()
+        assert len(set(batches)) > 1 and batches == sorted(batches, reverse=True)
+        assert sorted(fields) == list(range(Bs.shape[1]))
+        for j, got in fields.items():
+            want = _picard_field(model, mesh, grid, Bs[:, j].copy(), warm, tols[j], ev_start=ev_warm)
+            assert got.values.flags.c_contiguous
+            assert got.values.tobytes() == want.values.tobytes()
+        with pytest.raises(ContinuationError, match="stagnation"):
+            list(_picard_columns(model, mesh, grid, Bs, warm, ev_warm, tols, max_sweeps=2))
+
+
 class TestSolveAtNorm:
     def test_amplitude_pinned_and_matches_oracle(self, decay_normalized, decay_lin):
         model, mesh, grid, _ = decay_normalized
@@ -183,6 +217,26 @@ class TestTraceDiffusion:
         stats = branch_stats(diffusion_branch)
         assert stats.cross_si_Ni <= 1e-6
         assert stats.cross_ss_Ns <= 1e-6
+
+
+class TestRejectedSteps:
+    def test_corrector_failure_is_recorded(self, decay_normalized, decay_lin, monkeypatch):
+        model, mesh, grid, _ = decay_normalized
+        real = continuation.correct
+        calls = []
+
+        def fail_first_trace_step(*args, **kwargs):
+            calls.append(args)
+            # call 1 is the first step's correction, call 2 the first
+            # pseudo-arclength step
+            if len(calls) == 2:
+                raise ContinuationError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "correct", fail_first_trace_step)
+        branch = trace_branch(model, mesh, grid, max_points=2, lin=decay_lin)
+        assert branch.rejected == [(0.05, "ContinuationError", "injected failure")]
+        assert len(branch.nontrivial()) == 2
 
 
 class TestCaps:

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, DensityField, build_evolution, propagate
 from agequil.expr import Num, parse_expr
-from agequil.model import ModelSpec, parse_model, serialize_model, with_cb
+from agequil.model import ModelSpec, parse_model, serialize_model, validate_model, with_cb
 from agequil.reproduction import (
     PowerIterationError,
     ReproductionError,
@@ -82,6 +84,14 @@ class TestBirthFunctionals:
         np.testing.assert_allclose(
             birth_density(doubled, values), 2 * birth_density(model, values), rtol=1e-15
         )
+
+    def test_negative_fertility_raises(self, shell_problem):
+        # the sampled check in validate_model accepts b = 5 - u
+        model, mesh, grid = shell_problem
+        model = dataclasses.replace(model, b=parse_expr("5 - u"))
+        validate_model(model)
+        with pytest.raises(ReproductionError, match="fertility b is negative"):
+            birth_density(model, np.full((grid.na + 1, mesh.nx), 6.0))
 
 
 class TestAssembleQu:

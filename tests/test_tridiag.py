@@ -55,23 +55,31 @@ class TestFactorSolve:
             np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
 
     # the multi-column solve must give the bits of per-column solves; the
-    # identity basis of size 48 is what assemble_Q pushes through each step
-    @pytest.mark.parametrize("n, ncols, identity", [
-        (1, 3, False), (2, 4, False), (12, 5, False), (48, 48, True),
+    # identity basis of size 48 is what assemble_Q pushes through each
+    # step, and per-column factors (2-D bands, one matrix per column) are
+    # what a batched evolution step holds
+    @pytest.mark.parametrize("n, ncols, identity, per_column", [
+        (1, 3, False, False), (2, 4, False, False), (12, 5, False, False),
+        (48, 48, True, False), (1, 3, False, True), (12, 5, False, True),
     ])
-    def test_two_dimensional_rhs(self, n, ncols, identity):
+    def test_two_dimensional_rhs(self, n, ncols, identity, per_column):
         rng = np.random.default_rng(8)
-        lower = -rng.uniform(0, 1, n)
-        upper = -rng.uniform(0, 1, n)
+        shape = (n, ncols) if per_column else (n,)
+        lower = -rng.uniform(0, 1, shape)
+        upper = -rng.uniform(0, 1, shape)
         lower[0] = upper[-1] = 0.0
         diag = np.abs(lower) + np.abs(upper) + 1.0
         fac = factor_tridiag(lower, diag, upper)
         rhs = np.eye(n) if identity else rng.normal(size=(n, ncols))
         out = fac.solve(rhs)
         for j in range(ncols):
-            np.testing.assert_allclose(out[:, j], fac.solve(rhs[:, j]), rtol=0, atol=0)
+            fac_j = factor_tridiag(lower[:, j], diag[:, j], upper[:, j]) if per_column else fac
+            np.testing.assert_allclose(out[:, j], fac_j.solve(rhs[:, j]), rtol=0, atol=0)
         with pytest.raises(ValueError):
             fac.solve(rhs[:, :, None])
+        if per_column:
+            with pytest.raises(ValueError, match="shape"):
+                fac.solve(rhs[:, 0])
 
     def test_reusable_factorization(self):
         fac = factor_tridiag(np.zeros(3), np.full(3, 2.0), np.zeros(3))
