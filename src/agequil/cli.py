@@ -122,7 +122,7 @@ def _read_field_csv(path: Path, a_max: float) -> tuple[DensityField, SpatialMesh
     if not np.allclose(body[:, 0], grid.ages, rtol=0, atol=1e-10 * max(1.0, a_max)):
         raise ValueError(f"{path} has an unexpected age grid")
     values = np.ascontiguousarray(body[:, 1:])
-    return DensityField(values=values, grid=grid, nonnegative=bool(np.all(values >= 0))), mesh
+    return DensityField(values=values, grid=grid), mesh
 
 
 def _stem(out: str) -> Path:

@@ -118,59 +118,41 @@ class BranchStats:
     cross_ss_Ns: float
 
 
-def _picard_field(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
-    B: np.ndarray,
-    u_start: DensityField | None,
-    tol: float,
-    max_sweeps: int = 200,
-    *,
-    ev_start: EvolutionOperator | None = None,
-) -> DensityField:
-    """Self-consistent field for a fixed birth vector (frozen-coefficient sweeps).
-
-    ev_start, when given, must be build_evolution of u_start; the first
-    sweep uses it instead of building the same evolution again.
-    """
-    u = u_start
-    diff = np.inf
-    for sweep in range(max_sweeps):
-        ev = ev_start if sweep == 0 and ev_start is not None else build_evolution(model, mesh, grid, u)
-        u_new = propagate(ev, B)
-        if u is not None:
-            diff = float(np.max(np.abs(u_new.values - u.values)))
-        u = u_new
-        if diff <= tol:
-            return u
-    raise ContinuationError(f"inner Picard stagnation (last change {diff:.3e}, tol {tol:.3e})")
-
-
 def _picard_columns(
     model: ModelSpec,
     mesh: SpatialMesh,
     grid: AgeGrid,
     Bs: np.ndarray,
     u_start: DensityField,
-    ev_start: EvolutionOperator,
     tols: np.ndarray,
     max_sweeps: int = 200,
+    *,
+    ev_start: EvolutionOperator | None = None,
 ) -> Iterator[tuple[int, DensityField]]:
-    """_picard_field for every column of Bs at once, with the same bits.
+    """Self-consistent fields for the birth vectors in the columns of Bs
+    (frozen-coefficient Picard sweeps), each with the bits of its own solve.
 
-    Column j is solved to tolerance tols[j] from u_start, whose evolution
-    ev_start serves the shared first sweep; later sweeps build one batched
-    evolution for the columns still active.  A column leaves the batch at
-    the sweep where its own change falls to its tolerance, so it sees
-    exactly the sweeps a single solve would.  Yields (j, field) as each
-    column converges, the field contiguous.
+    Column j is solved to tolerance tols[j] from u_start; ev_start, when
+    given, must be build_evolution of u_start and serves the shared first
+    sweep.  Later sweeps build one batched evolution for the columns still
+    active.  A column leaves the batch at the sweep where its own change
+    falls to its tolerance, so it sees exactly the sweeps a single solve
+    would.  Yields (j, field) as each column converges, the field
+    contiguous.
     """
     active = np.arange(Bs.shape[1])
     prev = u_start.values[:, :, None]
     for sweep in range(max_sweeps):
-        ev = ev_start if sweep == 0 else build_evolution(model, mesh, grid, DensityField(prev, grid))
-        values = propagate(ev, Bs[:, active]).values
+        # a single field or column drops the trailing axis: at width one
+        # a batched sweep costs 2-3x more, and the [..., 0] view is
+        # contiguous with the same bits
+        if sweep == 0 and ev_start is not None:
+            ev = ev_start
+        else:
+            frozen = prev[:, :, 0] if prev.shape[2] == 1 else prev
+            ev = build_evolution(model, mesh, grid, DensityField(frozen, grid))
+        rhs = Bs[:, active[0]] if active.size == 1 else Bs[:, active]
+        values = np.atleast_3d(propagate(ev, rhs).values)
         del ev  # at most one batched evolution is alive at a time
         diff = np.max(np.abs(values - prev), axis=(0, 1))
         done = diff <= tols[active]
@@ -211,6 +193,9 @@ def correct(
     finite-difference Jacobian uses step 1e-6 * (1 + |B|_inf) per
     column.  Raises ContinuationError on divergence, a singular Jacobian,
     Picard stagnation, or a converged point with negative density.
+    ReproductionError, AssemblyError and EvolutionError from the first
+    evaluation or a Jacobian column pass through; a line-search trial
+    that raises AssemblyError or EvolutionError counts as a failed trial.
     """
     nx = mesh.nx
     free_n = not (isinstance(mode, str) and mode == "fixed-n")
@@ -228,10 +213,8 @@ def correct(
         return res
 
     def evaluate(Bv: np.ndarray, nv: float, warm: DensityField, ev_warm=None):
-        u_f = _picard_field(
-            model, mesh, grid, Bv, warm, _scaled_tol(tol * tol_picard_factor, Bv),
-            ev_start=ev_warm,
-        )
+        tols = np.array([_scaled_tol(tol * tol_picard_factor, Bv)])
+        _, u_f = next(_picard_columns(model, mesh, grid, Bv[:, None], warm, tols, ev_start=ev_warm))
         return residual(Bv, nv, u_f), u_f
 
     res_vec, u_warm = evaluate(B, n_cur, u_warm)
@@ -254,7 +237,7 @@ def correct(
         tols = np.array([_scaled_tol(tol * tol_picard_factor, col) for col in Bs.T])
         hn = FD_STEP * (1.0 + abs(n_cur))
         jac = np.empty((res_vec.shape[0], ncols))
-        for j, u_f in _picard_columns(model, mesh, grid, Bs, u_warm, ev_warm, tols):
+        for j, u_f in _picard_columns(model, mesh, grid, Bs, u_warm, tols, ev_start=ev_warm):
             if j < nx:
                 jac[:, j] = (residual(Bs[:, j].copy(), n_cur, u_f) - res_vec) / hb
             else:
@@ -308,7 +291,8 @@ def _finalize(
         )
     # polish the self-consistency one order beyond the corrector, then
     # store the field as the exact propagation of its own evolution
-    u = _picard_field(model, mesh, grid, B, u_last, _scaled_tol(tol * 0.01, B))
+    polish_tol = np.array([_scaled_tol(tol * 0.01, B)])
+    _, u = next(_picard_columns(model, mesh, grid, B[:, None], u_last, polish_tol))
     ev = build_evolution(model, mesh, grid, u)
     u = propagate(ev, B)
     ev = build_evolution(model, mesh, grid, u)
@@ -394,8 +378,15 @@ def trace_branch(
     corrector failure (two consecutive failures at the minimal step
     abort) and grown gently after easy corrections.  A corrector collapse
     onto the trivial solution away from n = 1 terminates the trace: the
-    branch ran into another characteristic value.
+    branch ran into another characteristic value.  An infinite cap turns
+    that cap off.
     """
+    if not (np.isfinite(step) and step > 0):
+        raise ContinuationError(f"step must be positive and finite, got {step!r}")
+    if max_points < 1:
+        raise ContinuationError(f"max_points must be at least 1, got {max_points!r}")
+    if np.isnan(n_cap) or np.isnan(norm_cap):
+        raise ContinuationError("n_cap and norm_cap must not be NaN")
     if lin is None:
         lin = build_linearized(model, mesh, grid)
     branch = Branch()

@@ -18,7 +18,6 @@ import numpy as np
 
 from .expr import evaluate_on
 from .model import ModelSpec
-from .tridiag import tridiag_matvec
 
 
 class AssemblyError(ValueError):
@@ -50,30 +49,11 @@ class SpatialMesh:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Tridiagonal A(u, a) after boundary elimination.
-
-    linear_part is True when the matrix was assembled without a density
-    slice, i.e. it is the u-independent part A0(a) of the operator.
-    """
+    """Tridiagonal A(u, a) after boundary elimination."""
 
     lower: np.ndarray
     diag: np.ndarray
     upper: np.ndarray
-    age: float
-    linear_part: bool
-
-    @property
-    def nx(self) -> int:
-        return self.diag.shape[0]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return tridiag_matvec(self.lower, self.diag, self.upper, np.asarray(v, dtype=float))
-
-    def to_dense(self) -> np.ndarray:
-        out = np.diag(self.diag)
-        out += np.diag(self.lower[1:], k=-1)
-        out += np.diag(self.upper[:-1], k=1)
-        return out
 
 
 def gradient_of_slice(u: np.ndarray, dx: float) -> np.ndarray:
@@ -150,4 +130,4 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
         bands = np.concatenate([lower, upper]).reshape(2 * nx, -1)
         bad = int(np.argmax(bands.max(axis=1)))
         raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
-    return OperatorMatrix(lower=lower, diag=diag, upper=upper, age=float(a), linear_part=u_slice is None)
+    return OperatorMatrix(lower=lower, diag=diag, upper=upper)

@@ -62,13 +62,10 @@ class DensityField:
 
     Values are (na+1, nx), or (na+1, nx, k) for k fields side by side
     along a trailing batch axis; the norm is defined on a single field.
-    nonnegative is a certificate set by the propagation routines, not a
-    request: fields built from arbitrary arrays leave it False.
     """
 
     values: np.ndarray
     grid: AgeGrid
-    nonnegative: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -90,11 +87,11 @@ class DensityField:
         return float(self.grid.weights @ np.max(np.abs(self.values), axis=1))
 
     def copy(self) -> "DensityField":
-        return DensityField(self.values.copy(), self.grid, self.nonnegative)
+        return DensityField(self.values.copy(), self.grid)
 
     @classmethod
     def zeros(cls, grid: AgeGrid, nx: int) -> "DensityField":
-        return cls(np.zeros((grid.na + 1, nx)), grid, nonnegative=True)
+        return cls(np.zeros((grid.na + 1, nx)), grid)
 
     def __add__(self, other: "DensityField") -> "DensityField":
         return DensityField(self.values + other.values, self.grid)
@@ -165,7 +162,7 @@ def propagate(ev: EvolutionOperator, B: np.ndarray) -> DensityField:
     values[0] = B
     for k, step in enumerate(ev.steps):
         values[k + 1] = step.solve(values[k])
-    return DensityField(values, ev.grid, nonnegative=bool(np.all(B >= 0)))
+    return DensityField(values, ev.grid)
 
 
 def apply_K0(ev: EvolutionOperator, f: DensityField) -> DensityField:

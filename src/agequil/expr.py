@@ -245,11 +245,6 @@ def variables(node: Expr) -> frozenset[str]:
     return variables(node.left) | variables(node.right)
 
 
-def depends_on_density(node: Expr) -> bool:
-    """Whether the expression reads u or its gradient p."""
-    return bool(variables(node) & {"u", "p"})
-
-
 def evaluate(node: Expr, env: dict[str, object]):
     """Evaluate on scalars or numpy arrays; missing variables are an error."""
     if isinstance(node, Num):

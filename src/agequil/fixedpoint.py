@@ -228,11 +228,11 @@ def check_shell_conditions(
     n_small = n_large = 0
     eye = np.eye(mesh.nx)
     for i, raw in enumerate(fields):
-        base = DensityField(values=raw, grid=grid, nonnegative=True)
+        base = DensityField(values=raw, grid=grid)
         scale_small = small_norms[i % len(small_norms)] / base.norm()
         scale_large = large_norms[i % len(large_norms)] / base.norm()
         for scale, band in ((scale_small, "small"), (scale_large, "large")):
-            u = DensityField(values=raw * scale, grid=grid, nonnegative=True)
+            u = DensityField(values=raw * scale, grid=grid)
             ev = build_evolution(model, mesh, grid, u)
             rep = assemble_Q(model, ev, u)
             if band == "small":

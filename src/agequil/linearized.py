@@ -134,47 +134,3 @@ def reformulation_residual(lin: LinearizedOperators, n: float, u: DensityField) 
     h_field = apply_perturbation(lin, lam, u)
     res = u.values - lam * lu_field.values - h_field.values
     return DensityField(res, u.grid).norm()
-
-
-def linear_residuals(
-    lin: LinearizedOperators,
-    sol: DensityField,
-    birth_data: np.ndarray,
-    source: DensityField | None = None,
-) -> tuple[float, float]:
-    """Max-norm residuals of the two stepped equations for a solve output."""
-    da = lin.grid.da
-    res_step = 0.0
-    for k in range(lin.grid.na):
-        a0 = lin.a0_parts[k]
-        lhs = (sol.values[k + 1] - sol.values[k]) / da + a0.matvec(sol.values[k + 1])
-        f_k = source.values[k] if source is not None else 0.0
-        res_step = max(res_step, float(np.max(np.abs(lhs - f_k))))
-    res_birth = float(
-        np.max(np.abs(sol.values[0] - 0.5 * _ell0(lin, sol.values) - np.asarray(birth_data, dtype=float)))
-    )
-    return res_step, res_birth
-
-
-def birth_feedback_eigenvalue(
-    lin: LinearizedOperators, tol: float = 1e-10, max_iter: int = 5000
-) -> float:
-    """Dominant eigenvalue of L by power iteration on fields.
-
-    For a normalized model this equals 2: mu is a characteristic value of
-    L exactly when mu + 1/2 is one of Q0, and the leading characteristic
-    value of Q0 is 1.
-    """
-    start = np.ones((lin.grid.na + 1, lin.mesh.nx))
-    v = DensityField(start / np.linalg.norm(start), lin.grid)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = apply_birth_feedback(lin, v)
-        norm_w = float(np.linalg.norm(w.values))
-        if norm_w == 0.0:
-            return 0.0
-        lam = float(np.sum(w.values * v.values))
-        if float(np.linalg.norm(w.values - lam * v.values)) <= tol * abs(lam):
-            return lam
-        v = DensityField(w.values / norm_w, lin.grid)
-    raise LinearizedError(f"power iteration on L did not converge within {max_iter} iterations")

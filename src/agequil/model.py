@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, ExprError, depends_on_density, evaluate, parse_expr, to_text, variables
+from .expr import Expr, ExprError, evaluate, parse_expr, to_text, variables
 
 
 class ModelError(ValueError):
@@ -88,11 +88,6 @@ class ModelSpec:
     nu0: float = 0.0
     cb: float = 1.0
     pure_decay: bool = False
-
-    @property
-    def quasilinear(self) -> bool:
-        """True when any coefficient reads the density or its gradient."""
-        return any(depends_on_density(e) for e in (self.g, self.h, self.mu, self.b))
 
 
 def _read_config(text: str) -> configparser.ConfigParser:

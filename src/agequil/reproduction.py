@@ -8,14 +8,13 @@ all-ones vector; dense eigendecompositions appear only as test oracles.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .discretize import SpatialMesh
 from .evolution import AgeGrid, DensityField, EvolutionOperator, build_evolution
-from .expr import evaluate, evaluate_on
+from .expr import evaluate
 from .model import ModelSpec, with_cb
 
 
@@ -32,13 +31,8 @@ class ReproductionOperator:
     """Dense nonnegative matrix of Q(u) with cached dominant pair."""
 
     matrix: np.ndarray
-    from_zero: bool
     _radius: float | None = field(default=None, repr=False)
     _perron: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def nx(self) -> int:
-        return self.matrix.shape[0]
 
 
 def birth_density(model: ModelSpec, values: np.ndarray) -> np.ndarray:
@@ -100,7 +94,7 @@ def assemble_Q(
     for k in range(ev.grid.na):
         basis = ev.steps[k].solve(basis)
         q += w[k + 1] * (bvals[k + 1][:, None] * basis)
-    return ReproductionOperator(matrix=q, from_zero=u is None)
+    return ReproductionOperator(matrix=q)
 
 
 def _power_iteration(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[bool, float, np.ndarray]:
@@ -188,40 +182,3 @@ def normalize(
         if abs(r - 1.0) <= tol:
             return current, r_before
     raise ReproductionError(f"normalization stalled at r = {r!r}")
-
-
-def characteristic_values(rep: ReproductionOperator, k: int, tol: float = 1e-11, max_iter: int = 50000) -> list[float]:
-    """Reciprocals of the k leading real eigenvalues, deflating one by one.
-
-    Hotelling deflation with left/right dominant pairs from power
-    iteration.  A dominant complex pair shows up as non-convergence; the
-    sweep stops there with a warning and returns the values found.
-    """
-    if not 1 <= k <= rep.nx:
-        raise ReproductionError(f"k = {k} outside 1..{rep.nx}")
-    work = rep.matrix.copy()
-    out: list[float] = []
-    for _ in range(k):
-        ok_r, lam, v = _power_iteration(work, tol, max_iter)
-        ok_l, lam_l, w = _power_iteration(work.T, tol, max_iter)
-        if not (ok_r and ok_l) or abs(lam) < 1e-14:
-            warnings.warn(
-                "deflation stopped early: dominant pair did not converge "
-                "(likely a complex pair or a zero block)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            break
-        denom = float(w @ v)
-        if abs(denom) < 1e-12 * np.linalg.norm(v) * np.linalg.norm(w):
-            warnings.warn("deflation breakdown: left/right vectors nearly orthogonal", RuntimeWarning, stacklevel=2)
-            break
-        # two-sided Rayleigh quotient sharpens the power-iteration estimate
-        lam_acc = float(w @ (work @ v)) / denom
-        if abs(lam_acc) < 1e-14:
-            break
-        out.append(1.0 / lam_acc)
-        work = work - lam_acc * np.outer(v, w) / denom
-    if not out:
-        raise ReproductionError("no real leading eigenvalue could be extracted")
-    return out

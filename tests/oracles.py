@@ -1,4 +1,4 @@
-"""Scalar oracles for the spatially uniform models.
+"""Scalar oracles for the spatially uniform models, and test-only solvers.
 
 When the derivative terms are dropped, every x node evolves by the same
 one-dimensional recursion, so birth functionals, reproduction radii and
@@ -7,15 +7,25 @@ below mirror the solver's stepping (implicit decay, coefficients frozen
 at the previous age slice, trapezoid quadrature) but share none of its
 code, which makes tight agreement tolerances meaningful.  Continuum
 constants are kept separately for convergence-rate checks.
+
+The solvers from operator_matvec on serve only the tests and, unlike
+the recursions, reuse the package's building blocks: the Thomas solve,
+power iteration, the linear birth functional and solve, and the
+evolution build and propagation.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 from scipy.optimize import brentq
 
 from agequil.discretize import OperatorMatrix
-from agequil.tridiag import factor_tridiag
+from agequil.evolution import DensityField, build_evolution, propagate
+from agequil.linearized import LinearizedOperators, apply_birth_feedback
+from agequil.reproduction import ReproductionError, ReproductionOperator, _power_iteration, birth_linear
+from agequil.tridiag import factor_tridiag, tridiag_matvec
 
 # continuum values for the unit-mortality model on a_max = 1
 CONTINUUM_R0 = 1.0 - np.exp(-1.0)
@@ -110,6 +120,17 @@ def dense_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return eigs[np.argsort(-np.abs(eigs))]
 
 
+def operator_matvec(matrix: OperatorMatrix, v: np.ndarray) -> np.ndarray:
+    return tridiag_matvec(matrix.lower, matrix.diag, matrix.upper, np.asarray(v, dtype=float))
+
+
+def operator_dense(matrix: OperatorMatrix) -> np.ndarray:
+    out = np.diag(matrix.diag)
+    out += np.diag(matrix.lower[1:], k=-1)
+    out += np.diag(matrix.upper[:-1], k=1)
+    return out
+
+
 def smallest_eigenvalue(matrix: OperatorMatrix, tol: float = 1e-12, max_iter: int = 50000) -> float:
     """Smallest real eigenvalue by inverse power iteration with shift 0.
 
@@ -118,15 +139,112 @@ def smallest_eigenvalue(matrix: OperatorMatrix, tol: float = 1e-12, max_iter: in
     package's Thomas factorization; the closed forms stay independent.
     """
     fac = factor_tridiag(matrix.lower, matrix.diag, matrix.upper)
-    v = np.ones(matrix.nx)
+    v = np.ones(matrix.diag.shape[0])
     v /= np.linalg.norm(v)
     lam = float("nan")
     for _ in range(max_iter):
         w = fac.solve(v)
         w /= np.linalg.norm(w)
-        aw = matrix.matvec(w)
+        aw = operator_matvec(matrix, w)
         lam = float(w @ aw)
         if np.linalg.norm(aw - lam * w) <= tol * max(abs(lam), 1e-30):
             return lam
         v = w
     raise RuntimeError(f"inverse power iteration did not converge within {max_iter} iterations")
+
+
+def picard_field(model, mesh, grid, B: np.ndarray, u_start, tol: float, max_sweeps: int = 200):
+    """Self-consistent field for one birth vector by 1-D frozen-coefficient
+    Picard sweeps from u_start: the reference for the solver's batched loop.
+
+    Each sweep builds the evolution of the current field and propagates B
+    through it, until the field changes by at most tol in max norm.
+    """
+    u = u_start
+    for _ in range(max_sweeps):
+        u_new = propagate(build_evolution(model, mesh, grid, u), B)
+        diff = float(np.max(np.abs(u_new.values - u.values)))
+        u = u_new
+        if diff <= tol:
+            return u
+    raise RuntimeError(f"Picard sweeps did not converge within {max_sweeps} sweeps")
+
+
+def characteristic_values(rep: ReproductionOperator, k: int, tol: float = 1e-11, max_iter: int = 50000) -> list[float]:
+    """Reciprocals of the k leading real eigenvalues, deflating one by one.
+
+    Hotelling deflation with left/right dominant pairs from the package's
+    power iteration.  A dominant complex pair shows up as non-convergence;
+    the sweep stops there with a warning and returns the values found.
+    """
+    if not 1 <= k <= rep.matrix.shape[0]:
+        raise ReproductionError(f"k = {k} outside 1..{rep.matrix.shape[0]}")
+    work = rep.matrix.copy()
+    out: list[float] = []
+    for _ in range(k):
+        ok_r, lam, v = _power_iteration(work, tol, max_iter)
+        ok_l, lam_l, w = _power_iteration(work.T, tol, max_iter)
+        if not (ok_r and ok_l) or abs(lam) < 1e-14:
+            warnings.warn(
+                "deflation stopped early: dominant pair did not converge "
+                "(likely a complex pair or a zero block)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            break
+        denom = float(w @ v)
+        if abs(denom) < 1e-12 * np.linalg.norm(v) * np.linalg.norm(w):
+            warnings.warn("deflation breakdown: left/right vectors nearly orthogonal", RuntimeWarning, stacklevel=2)
+            break
+        # two-sided Rayleigh quotient sharpens the power-iteration estimate
+        lam_acc = float(w @ (work @ v)) / denom
+        if abs(lam_acc) < 1e-14:
+            break
+        out.append(1.0 / lam_acc)
+        work = work - lam_acc * np.outer(v, w) / denom
+    if not out:
+        raise ReproductionError("no real leading eigenvalue could be extracted")
+    return out
+
+
+def linear_residuals(
+    lin: LinearizedOperators,
+    sol: DensityField,
+    birth_data: np.ndarray,
+    source: DensityField | None = None,
+) -> tuple[float, float]:
+    """Max-norm residuals of the two stepped equations for a solve output."""
+    da = lin.grid.da
+    res_step = 0.0
+    for k in range(lin.grid.na):
+        a0 = lin.a0_parts[k]
+        lhs = (sol.values[k + 1] - sol.values[k]) / da + operator_matvec(a0, sol.values[k + 1])
+        f_k = source.values[k] if source is not None else 0.0
+        res_step = max(res_step, float(np.max(np.abs(lhs - f_k))))
+    ell0 = birth_linear(lin.model, lin.grid, sol.values)
+    res_birth = float(np.max(np.abs(sol.values[0] - 0.5 * ell0 - np.asarray(birth_data, dtype=float))))
+    return res_step, res_birth
+
+
+def birth_feedback_eigenvalue(
+    lin: LinearizedOperators, tol: float = 1e-10, max_iter: int = 5000
+) -> float:
+    """Dominant eigenvalue of L by power iteration on fields.
+
+    For a normalized model this equals 2: mu is a characteristic value of
+    L exactly when mu + 1/2 is one of Q0, and the leading characteristic
+    value of Q0 is 1.
+    """
+    start = np.ones((lin.grid.na + 1, lin.mesh.nx))
+    v = DensityField(start / np.linalg.norm(start), lin.grid)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = apply_birth_feedback(lin, v)
+        norm_w = float(np.linalg.norm(w.values))
+        if norm_w == 0.0:
+            return 0.0
+        lam = float(np.sum(w.values * v.values))
+        if float(np.linalg.norm(w.values - lam * v.values)) <= tol * abs(lam):
+            return lam
+        v = DensityField(w.values / norm_w, lin.grid)
+    raise RuntimeError(f"power iteration on L did not converge within {max_iter} iterations")

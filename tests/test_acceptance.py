@@ -16,12 +16,12 @@ from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, DensityField, apply_K0, build_evolution, propagate
 from agequil.expr import Num
 from agequil.fixedpoint import solve_fixedpoint
-from agequil.linearized import birth_feedback_eigenvalue, build_linearized, linear_residuals, solve_linear
+from agequil.linearized import build_linearized, solve_linear
 from agequil.model import ModelSpec, parse_grid, parse_model
 from agequil.reproduction import assemble_Q, normalize, spectral_radius
 
 from conftest import ACCEPTANCE_LINES, MODELS
-from oracles import CONTINUUM_R0, discrete_r0, shell_root
+from oracles import CONTINUUM_R0, birth_feedback_eigenvalue, discrete_r0, linear_residuals, shell_root
 
 
 def _record(num: int, name: str, ok: bool, detail: str) -> None:

@@ -157,6 +157,17 @@ class TestErrorsAndEntryPoints:
         cfg.write_text("not a config [[[")
         assert main(["normalize", "--model", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--step", "0"], ["--step", "-0.05"], ["--step", "inf"], ["--step", "nan"],
+        ["--max-points", "0"], ["--n-cap", "nan"], ["--norm-cap", "nan"],
+    ])
+    def test_bad_trace_inputs_exit_1(self, flags, tmp_path, capsys):
+        argv = ["trace", "--model", DECAY, "--nx", "4", "--na", "12", "--max-points", "2"]
+        assert main([*argv, *flags, "--out", str(tmp_path / "branch.csv")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "agequil", "--help"],

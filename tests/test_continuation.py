@@ -7,7 +7,6 @@ from agequil.continuation import (
     NormTarget,
     Plane,
     _picard_columns,
-    _picard_field,
     _scaled_tol,
     branch_stats,
     correct,
@@ -19,7 +18,7 @@ from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, DensityField, build_evolution, propagate
 from agequil.linearized import build_linearized
 
-from oracles import logistic_B_of_amplitude, logistic_n_of_B
+from oracles import logistic_B_of_amplitude, logistic_n_of_B, picard_field
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +166,8 @@ class TestBatchedPicard:
         warm = propagate(build_evolution(model, mesh, grid), np.full(mesh.nx, 0.3))
         ev_warm = build_evolution(model, mesh, grid, warm)
         # columns far from the warm field need more sweeps than the
-        # Jacobian-like pair near it, so the batch shrinks along the way
+        # Jacobian-like pair near it, so the batch shrinks along the way;
+        # the far column 3 is also solved on its own, without ev_start
         Bs = np.outer(np.linspace(1.0, 0.5, mesh.nx), [0.3, 0.3 + 1e-6, 0.6, 1.2, 0.05])
         tols = np.array([_scaled_tol(1e-10, col) for col in Bs.T])
         batches = []
@@ -177,16 +177,23 @@ class TestBatchedPicard:
             return build_evolution(model, mesh, grid, u)
 
         monkeypatch.setattr(continuation, "build_evolution", counting_build)
-        fields = dict(_picard_columns(model, mesh, grid, Bs, warm, ev_warm, tols))
+        fields = dict(_picard_columns(model, mesh, grid, Bs, warm, tols, ev_start=ev_warm))
+        n_batched = len(batches)
+        _, lone = next(_picard_columns(model, mesh, grid, Bs[:, 3:4], warm, tols[3:4]))
         monkeypatch.undo()
-        assert len(set(batches)) > 1 and batches == sorted(batches, reverse=True)
+        # a batch of width one costs 2-3x per sweep, so once one column
+        # is left every build sees a plain (na+1, nx) field
+        assert len(set(batches[:n_batched])) > 2
+        assert batches[:n_batched] == sorted(batches[:n_batched], reverse=True)
+        assert (1,) not in batches and batches[n_batched - 1] == ()
+        assert n_batched < len(batches) and set(batches[n_batched:]) == {()}
         assert sorted(fields) == list(range(Bs.shape[1]))
-        for j, got in fields.items():
-            want = _picard_field(model, mesh, grid, Bs[:, j].copy(), warm, tols[j], ev_start=ev_warm)
+        for j, got in [*fields.items(), (3, lone)]:
+            want = picard_field(model, mesh, grid, Bs[:, j].copy(), warm, tols[j])
             assert got.values.flags.c_contiguous
             assert got.values.tobytes() == want.values.tobytes()
         with pytest.raises(ContinuationError, match="stagnation"):
-            list(_picard_columns(model, mesh, grid, Bs, warm, ev_warm, tols, max_sweeps=2))
+            list(_picard_columns(model, mesh, grid, Bs, warm, tols, max_sweeps=2, ev_start=ev_warm))
 
 
 class TestSolveAtNorm:

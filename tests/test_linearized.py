@@ -8,9 +8,7 @@ from agequil.linearized import (
     LinearizedError,
     apply_birth_feedback,
     apply_perturbation,
-    birth_feedback_eigenvalue,
     build_linearized,
-    linear_residuals,
     perturbation_source,
     reformulation_residual,
     solve_linear,
@@ -18,7 +16,7 @@ from agequil.linearized import (
 from agequil.model import ModelSpec
 from agequil.reproduction import normalize
 
-from oracles import decay_rows, discrete_r0, shell_root
+from oracles import birth_feedback_eigenvalue, decay_rows, discrete_r0, linear_residuals, shell_root
 
 
 @pytest.fixture(scope="module")

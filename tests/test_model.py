@@ -14,7 +14,6 @@ from agequil.expr import (
     Sub,
     Var,
     VARIABLES,
-    depends_on_density,
     evaluate,
     evaluate_on,
     parse_expr,
@@ -86,11 +85,10 @@ class TestExprParsing:
         with pytest.raises(ExprError):
             parse_expr(bad)
 
-    def test_variables_and_density_flag(self):
+    def test_variables(self):
         node = parse_expr("a * x + exp(u) * p^2")
         assert variables(node) == frozenset({"a", "x", "u", "p"})
-        assert depends_on_density(node)
-        assert not depends_on_density(parse_expr("1 + a"))
+        assert variables(parse_expr("1 + a")) == frozenset({"a"})
 
     def test_evaluate_scalar(self):
         node = parse_expr("1 + 2 * u - p^2")
@@ -149,7 +147,6 @@ class TestParseModel:
         assert spec.a_max == 1.0
         assert spec.nu0 == 0.0 and spec.cb == 1.0
         assert not spec.pure_decay
-        assert spec.quasilinear
         assert spec.mu == Add(Num(1.0), Var("u"))
 
     def test_grid_keys(self):

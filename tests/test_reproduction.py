@@ -16,12 +16,11 @@ from agequil.reproduction import (
     birth_functional,
     birth_linear,
     birth_star,
-    characteristic_values,
     normalize,
     spectral_radius,
 )
 
-from oracles import dense_eigenvalues, dense_radius, discrete_r0
+from oracles import characteristic_values, dense_eigenvalues, dense_radius, discrete_r0
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +100,6 @@ class TestAssembleQu:
         u = DensityField(rng.uniform(0, 1.5, (grid.na + 1, mesh.nx)), grid)
         ev = build_evolution(model, mesh, grid, u)
         rep = assemble_Q(model, ev, u)
-        assert not rep.from_zero
         B = rng.uniform(0, 1, mesh.nx)
         field = propagate(ev, B)
         manual = grid.weights @ (birth_density(model, u.values) * field.values)
@@ -165,14 +163,12 @@ class TestNormalize:
 
 class TestSpectralRadiusEdges:
     def test_zero_matrix(self):
-        rep = ReproductionOperator(matrix=np.zeros((3, 3)), from_zero=True)
+        rep = ReproductionOperator(matrix=np.zeros((3, 3)))
         r, _ = spectral_radius(rep)
         assert r == 0.0
 
     def test_rotation_does_not_converge(self):
-        rep = ReproductionOperator(
-            matrix=np.array([[0.0, -1.0], [1.0, 0.0]]), from_zero=True
-        )
+        rep = ReproductionOperator(matrix=np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(PowerIterationError):
             spectral_radius(rep, max_iter=200)
 
@@ -184,14 +180,14 @@ class TestSpectralRadiusEdges:
         diag = np.linspace(0.02, 0.13, 48)
         diag[-2:] = 0.138452, 0.138461
         coupling = 1e-7 * (np.eye(48, k=1) + np.eye(48, k=-1))
-        rep = ReproductionOperator(matrix=np.diag(diag) + coupling, from_zero=False)
+        rep = ReproductionOperator(matrix=np.diag(diag) + coupling)
         r, v = spectral_radius(rep, max_iter=1000)
         assert r == pytest.approx(dense_radius(rep.matrix), rel=1e-12)
         assert np.max(v) == 1.0 and np.all(v >= 0.0)
         np.testing.assert_allclose(rep.matrix @ v, r * v, rtol=0, atol=1e-14)
 
     def test_non_finite_rejected(self):
-        rep = ReproductionOperator(matrix=np.array([[np.nan]]), from_zero=True)
+        rep = ReproductionOperator(matrix=np.array([[np.nan]]))
         with pytest.raises(ReproductionError, match="finite"):
             spectral_radius(rep)
 
@@ -226,4 +222,4 @@ class TestCharacteristicValues:
         with pytest.raises(ReproductionError):
             characteristic_values(rep, 0)
         with pytest.raises(ReproductionError):
-            characteristic_values(rep, rep.nx + 1)
+            characteristic_values(rep, rep.matrix.shape[0] + 1)
