@@ -252,8 +252,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # profile replay: rebuild the reproduction operator from each stored
     # field and recheck the identity and the reformulation residual
     model, _ = normalize(problem.model, problem.mesh, problem.grid)
+    lin = build_linearized(model, problem.mesh, problem.grid)
     stem = _stem(args.branch)
-    lin = None
     recompute_worst = 0.0
     reform_worst = 0.0
     for idx, row in enumerate(table):
@@ -262,11 +262,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         field, mesh = _read_field_csv(Path(f"{stem}_profile_{idx:03d}.csv"), model.a_max)
         if mesh.nx != problem.mesh.nx or field.grid.na != problem.grid.na:
             raise ValueError(f"profile {idx:03d} grid does not match the model grid")
-        if lin is None:
-            lin = build_linearized(model, mesh, field.grid)
         ev = build_evolution(model, mesh, field.grid, field)
-        rep = assemble_Q(model, ev, field)
-        r, _vec = spectral_radius(rep)
+        r, _ = spectral_radius(assemble_Q(model, ev))
         recompute_worst = max(recompute_worst, abs(row["n"] * r - 1.0))
         reform_worst = max(reform_worst, reformulation_residual(lin, row["n"], field))
     if nontrivial:
@@ -281,7 +278,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # local expansion replay: the offset n - 1 must shrink in proportion
     # to the first-step amplitude (degenerate branches excepted)
-    lin = lin or build_linearized(model, problem.mesh, problem.grid)
     d1 = first_step(model, problem.mesh, problem.grid, 1e-2, lin=lin).n - 1.0
     d2 = first_step(model, problem.mesh, problem.grid, 5e-3, lin=lin).n - 1.0
     if abs(d1) < 1e-8 and abs(d2) < 1e-8:

@@ -12,8 +12,9 @@ every n; the nontrivial branch leaves it at n = 1 (after normalization)
 along the Perron direction of Q0.  The first step pins the amplitude
 along that direction and frees n; subsequent steps are classic
 pseudo-arclength: secant predictor, Newton corrector on (B, n) augmented
-with the plane through the predictor.  Correction at fixed n and at fixed
-amplitude reuse the same Newton core.
+with the plane through the predictor.  Correction at fixed n reuses the
+same Newton core without the plane; solve_at_norm pins the amplitude with
+an outer scalar iteration over such corrections.
 
 Tolerances are relative to the birth vector scale, so points early on the
 branch (amplitudes around 1e-3) are resolved as sharply as later ones.
@@ -51,24 +52,8 @@ class Plane:
     anchor_B: np.ndarray
     anchor_n: float
 
-    def value(self, B: np.ndarray, n: float, u: DensityField) -> float:
+    def value(self, B: np.ndarray, n: float) -> float:
         return float(self.normal_B @ (B - self.anchor_B) + self.normal_n * (n - self.anchor_n))
-
-
-@dataclass(frozen=True)
-class NormTarget:
-    """Constraint pinning the field amplitude; n stays free.
-
-    The amplitude takes a max across space, so the corrector's per-column
-    finite differences are only reliable when the maximizing column is
-    unique.  Under ties (spatially constant problems) use solve_at_norm,
-    which drives the same residual with an outer scalar iteration.
-    """
-
-    target: float
-
-    def value(self, B: np.ndarray, n: float, u: DensityField) -> float:
-        return u.norm() - self.target
 
 
 @dataclass
@@ -177,7 +162,7 @@ def correct(
     grid: AgeGrid,
     n: float,
     u_guess: DensityField,
-    mode="fixed-n",
+    plane: Plane | None = None,
     *,
     tol: float = 1e-9,
     max_iter: int = 30,
@@ -185,21 +170,18 @@ def correct(
 ) -> BranchPoint:
     """Newton corrector from a predictor field.
 
-    mode is either the string "fixed-n" (solve for B at the given n) or a
-    constraint object with a value(B, n, u) method (solve for (B, n) with
-    that scalar equation appended; pseudo-arclength passes a Plane).  The
-    constraint must respond smoothly to single-column changes of B; see
-    NormTarget for the caveat on max-based constraints.  The
-    finite-difference Jacobian uses step 1e-6 * (1 + |B|_inf) per
-    column.  Raises ContinuationError on divergence, a singular Jacobian,
-    Picard stagnation, or a converged point with negative density.
+    Without a plane, solves for B at the given n; with one, solves for
+    (B, n) with the plane's equation appended (n is the starting value).
+    The finite-difference Jacobian uses step 1e-6 * (1 + |B|_inf) per
+    column of B, and with a plane step 1e-6 * (1 + |n|) for n.  Raises
+    ContinuationError on divergence, a singular Jacobian, Picard
+    stagnation, or a converged point with negative density.
     ReproductionError, AssemblyError and EvolutionError from the first
     evaluation or a Jacobian column pass through; a line-search trial
     that raises AssemblyError or EvolutionError counts as a failed trial.
     """
     nx = mesh.nx
-    free_n = not (isinstance(mode, str) and mode == "fixed-n")
-    constraint = mode if free_n else None
+    free_n = plane is not None
     tol_picard_factor = 0.1  # one order tighter than the Newton tolerance
 
     B = np.asarray(u_guess.birth, dtype=float).copy()
@@ -209,7 +191,7 @@ def correct(
     def residual(Bv: np.ndarray, nv: float, u_f: DensityField) -> np.ndarray:
         res = Bv - nv * birth_functional(model, grid, u_f.values)
         if free_n:
-            res = np.append(res, constraint.value(Bv, nv, u_f))
+            res = np.append(res, plane.value(Bv, nv))
         return res
 
     def evaluate(Bv: np.ndarray, nv: float, warm: DensityField, ev_warm=None):
@@ -282,11 +264,10 @@ def _finalize(
     iters: int,
 ) -> BranchPoint:
     if float(np.max(np.abs(B))) < TRIVIAL_THRESHOLD:
-        r0, _ = spectral_radius(lin.rep0)
         zero = DensityField.zeros(grid, mesh.nx)
         return BranchPoint(
-            n=n, u=zero, B=np.zeros(mesh.nx), eps=0.0, r_Qu=r0,
-            identity_residual=abs(n * r0 - 1.0), residual_direct=0.0,
+            n=n, u=zero, B=np.zeros(mesh.nx), eps=0.0, r_Qu=lin.r0,
+            identity_residual=abs(n * lin.r0 - 1.0), residual_direct=0.0,
             reform_residual=0.0, min_u=0.0, trivial=True, newton_iters=iters,
         )
     # polish the self-consistency one order beyond the corrector, then
@@ -300,8 +281,7 @@ def _finalize(
     scale = max(float(np.max(np.abs(B))), 1e-300)
     field_res = float(np.max(np.abs(u_check.values - u.values))) / scale
     birth_res = float(np.max(np.abs(B - n * birth_functional(model, grid, u.values)))) / scale
-    rep = assemble_Q(model, ev, u)
-    r, _ = spectral_radius(rep)
+    r, _ = spectral_radius(assemble_Q(model, ev))
     point = BranchPoint(
         n=n,
         u=u,
@@ -340,15 +320,14 @@ def first_step(
         raise ContinuationError("eps0 must be nonnegative")
     if lin is None:
         lin = build_linearized(model, mesh, grid)
-    r0, perron = spectral_radius(lin.rep0)
-    if abs(r0 - 1.0) > 1e-3:
-        raise ContinuationError(f"model is not normalized: r(Q0) = {r0!r}")
+    if abs(lin.r0 - 1.0) > 1e-3:
+        raise ContinuationError(f"model is not normalized: r(Q0) = {lin.r0!r}")
     if eps0 == 0.0:
         return _finalize(model, mesh, grid, 1.0, np.zeros(mesh.nx), None, lin, tol, 0)
-    B0 = eps0 * perron
+    B0 = eps0 * lin.perron0
     u_pred = propagate(lin.ev0, B0)
     plane = Plane(
-        normal_B=perron / float(np.linalg.norm(perron)),
+        normal_B=lin.perron0 / float(np.linalg.norm(lin.perron0)),
         normal_n=0.0,
         anchor_B=B0,
         anchor_n=1.0,
@@ -381,8 +360,9 @@ def trace_branch(
     branch ran into another characteristic value.  An infinite cap turns
     that cap off.
     """
-    if not (np.isfinite(step) and step > 0):
-        raise ContinuationError(f"step must be positive and finite, got {step!r}")
+    for name, value in (("eps0", eps0), ("step", step), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ContinuationError(f"{name} must be positive and finite, got {value!r}")
     if max_points < 1:
         raise ContinuationError(f"max_points must be at least 1, got {max_points!r}")
     if np.isnan(n_cap) or np.isnan(norm_cap):
@@ -448,8 +428,6 @@ def _require_invariants(point: BranchPoint) -> None:
         raise ContinuationError(
             f"branch identity violated: |n r(Q_u) - 1| = {point.identity_residual:.3e}"
         )
-    if point.min_u < -TOL_POSITIVITY:
-        raise ContinuationError(f"negative density on accepted point (min {point.min_u:.3e})")
 
 
 def branch_stats(branch: Branch) -> BranchStats:
@@ -490,9 +468,10 @@ def solve_at_norm(
 
     Traces the branch until the amplitude brackets the target, then
     solves the scalar equation amplitude(n) = target with a safeguarded
-    secant over fixed-n corrections.  The scalar outer loop only compares
-    realized amplitudes, so it is insensitive to the nonsmoothness that
-    breaks per-column differencing of the max-based norm.
+    secant over corrections at fixed n.  The scalar outer loop only
+    compares realized amplitudes, so it is insensitive to the
+    nonsmoothness that breaks per-column differencing of the max-based
+    norm.
     """
     if target <= 0:
         raise ContinuationError("target amplitude must be positive")

@@ -116,10 +116,6 @@ class EvolutionOperator:
     mesh: SpatialMesh
     source: DensityField | None = field(default=None, repr=False)
 
-    @property
-    def from_zero(self) -> bool:
-        return self.source is None
-
 
 def build_evolution(
     model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: DensityField | None = None
@@ -173,7 +169,7 @@ def apply_K0(ev: EvolutionOperator, f: DensityField) -> DensityField:
     f, matching the stepping convention of propagate, so a solution of
     the stepped equations is reproduced without quadrature drift.
     """
-    if not ev.from_zero:
+    if ev.source is not None:
         raise EvolutionError("apply_K0 requires the linear evolution (zero frozen field)")
     if f.values.shape != (ev.grid.na + 1, ev.mesh.nx):
         raise EvolutionError("source field does not match the grids")

@@ -67,11 +67,16 @@ def solve_fixedpoint(
     Stops when the update change drops below tol, or when the birth
     vector collapses below 1e-12 (the trivial equilibrium attracted the
     iterate; returned with collapsed=True).  Raises FixedPointError for
-    damping outside (0, 1], a negative or misshapen B_init, or an
-    unconverged iteration at max_iter.
+    damping outside (0, 1], a tol that is negative or not finite,
+    max_iter below 1, a negative or misshapen B_init, or an unconverged
+    iteration at max_iter.
     """
     if not 0.0 < damping <= 1.0:
         raise FixedPointError(f"damping must lie in (0, 1], got {damping!r}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise FixedPointError(f"tol must be finite and nonnegative, got {tol!r}")
+    if max_iter < 1:
+        raise FixedPointError(f"max_iter must be at least 1, got {max_iter!r}")
     if B_init is None:
         B = np.ones(mesh.nx)
     else:
@@ -139,8 +144,7 @@ def _diagnose(
         float(np.max(np.abs(B - birth_functional(model, grid, u_check.values)))),
         float(np.max(np.abs(u_check.values - u.values))),
     )
-    rep = assemble_Q(model, ev, u)
-    r, _ = spectral_radius(rep)
+    r, _ = spectral_radius(assemble_Q(model, ev))
     return FixedPointResult(
         u=u, B=B, converged=converged, collapsed=collapsed,
         iterations=iterations, residual=residual, r_Qu=r, last_change=change,
@@ -233,13 +237,12 @@ def check_shell_conditions(
         scale_large = large_norms[i % len(large_norms)] / base.norm()
         for scale, band in ((scale_small, "small"), (scale_large, "large")):
             u = DensityField(values=raw * scale, grid=grid)
-            ev = build_evolution(model, mesh, grid, u)
-            rep = assemble_Q(model, ev, u)
+            q = assemble_Q(model, build_evolution(model, mesh, grid, u))
             if band == "small":
-                min_excess = min(min_excess, float(np.min(rep.matrix - eye)))
+                min_excess = min(min_excess, float(np.min(q - eye)))
                 n_small += 1
             else:
-                r, _ = spectral_radius(rep)
+                r, _ = spectral_radius(q)
                 max_radius = max(max_radius, r)
                 n_large += 1
     return ShellReport(

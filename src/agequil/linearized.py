@@ -30,7 +30,7 @@ import scipy.linalg
 from .discretize import OperatorMatrix, SpatialMesh, assemble
 from .evolution import AgeGrid, DensityField, EvolutionOperator, apply_K0, build_evolution, propagate
 from .model import ModelSpec
-from .reproduction import ReproductionOperator, assemble_Q, birth_linear, birth_star, spectral_radius
+from .reproduction import assemble_Q, birth_linear, birth_star, spectral_radius
 from .tridiag import tridiag_matvec
 
 
@@ -40,38 +40,35 @@ class LinearizedError(ValueError):
 
 @dataclass
 class LinearizedOperators:
-    """Cached zero-density machinery shared by the linearized solves."""
+    """Cached zero-density machinery shared by the linearized solves.
+
+    r0 and perron0 are the spectral radius of Q0 and its positive
+    eigenvector (max-norm 1).
+    """
 
     model: ModelSpec
     mesh: SpatialMesh
     grid: AgeGrid
     ev0: EvolutionOperator
-    rep0: ReproductionOperator
+    r0: float
+    perron0: np.ndarray
     lu: tuple
     a0_parts: list[OperatorMatrix]
-
-    @property
-    def r0(self) -> float:
-        r, _ = spectral_radius(self.rep0)
-        return r
 
 
 def build_linearized(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> LinearizedOperators:
     ev0 = build_evolution(model, mesh, grid)
-    rep0 = assemble_Q(model, ev0)
-    shifted = np.eye(mesh.nx) - 0.5 * rep0.matrix
+    q0 = assemble_Q(model, ev0)
+    shifted = np.eye(mesh.nx) - 0.5 * q0
     try:
         lu = scipy.linalg.lu_factor(shifted)
     except scipy.linalg.LinAlgError as exc:
         raise LinearizedError(
             "I - Q0/2 is singular; the model does not look normalized"
         ) from exc
+    r0, perron0 = spectral_radius(q0)
     a0_parts = [assemble(model, mesh, float(grid.ages[k + 1])) for k in range(grid.na)]
-    return LinearizedOperators(model, mesh, grid, ev0, rep0, lu, a0_parts)
-
-
-def _ell0(lin: LinearizedOperators, values: np.ndarray) -> np.ndarray:
-    return birth_linear(lin.model, lin.grid, values)
+    return LinearizedOperators(model, mesh, grid, ev0, r0, perron0, lu, a0_parts)
 
 
 def solve_linear(
@@ -83,7 +80,7 @@ def solve_linear(
         raise LinearizedError(f"birth data has shape {birth_data.shape}, expected ({lin.mesh.nx},)")
     if source is not None:
         kf = apply_K0(lin.ev0, source)
-        rhs = birth_data + 0.5 * _ell0(lin, kf.values)
+        rhs = birth_data + 0.5 * birth_linear(lin.model, lin.grid, kf.values)
     else:
         kf = None
         rhs = birth_data
@@ -96,7 +93,7 @@ def solve_linear(
 
 def apply_birth_feedback(lin: LinearizedOperators, u: DensityField) -> DensityField:
     """The compact linear map L: feed l0(u) through the linear solve."""
-    return solve_linear(lin, _ell0(lin, u.values))
+    return solve_linear(lin, birth_linear(lin.model, lin.grid, u.values))
 
 
 def perturbation_source(lin: LinearizedOperators, u: DensityField) -> DensityField:

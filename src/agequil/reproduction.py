@@ -2,18 +2,18 @@
 
 Q(u) w = integral of  cb * b(u(a)) * (Pi_u(a,0) w)  over age, assembled
 column by column from the factored evolution steps with trapezoid
-quadrature.  The production eigensolver is plain power iteration from the
-all-ones vector; dense eigendecompositions appear only as test oracles.
+quadrature.  The eigensolver is power iteration from the all-ones vector;
+when its bracket stagnates on a nearly tied dominant pair it hands over
+to one dense eigendecomposition, whose radius is checked against that
+bracket.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .discretize import SpatialMesh
-from .evolution import AgeGrid, DensityField, EvolutionOperator, build_evolution
+from .evolution import AgeGrid, EvolutionOperator, build_evolution
 from .expr import evaluate
 from .model import ModelSpec, with_cb
 
@@ -24,15 +24,6 @@ class ReproductionError(ValueError):
 
 class PowerIterationError(RuntimeError):
     pass
-
-
-@dataclass
-class ReproductionOperator:
-    """Dense nonnegative matrix of Q(u) with cached dominant pair."""
-
-    matrix: np.ndarray
-    _radius: float | None = field(default=None, repr=False)
-    _perron: np.ndarray | None = field(default=None, repr=False)
 
 
 def birth_density(model: ModelSpec, values: np.ndarray) -> np.ndarray:
@@ -67,34 +58,26 @@ def birth_star(model: ModelSpec, grid: AgeGrid, values: np.ndarray) -> np.ndarra
     return grid.weights @ (dens * values)
 
 
-def assemble_Q(
-    model: ModelSpec, ev: EvolutionOperator, u: DensityField | None = None
-) -> ReproductionOperator:
-    """Assemble Q(u) from an evolution built on the same frozen field.
+def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
+    """Dense (nx, nx) matrix of Q(u), u being the field ev was frozen at.
 
     The age propagation of every unit basis vector is accumulated in one
-    pass; fertility weights are evaluated on the same field the evolution
-    was frozen at (u may restate it, but must match ev.source).
+    pass; the fertility weights are evaluated on ev.source, or at zero
+    density for the linear evolution.
     """
-    if u is None:
-        u = ev.source
-    if (u is None) != ev.from_zero:
-        raise ReproductionError("fertility field does not match the evolution's frozen field")
-    if u is not None and u.values.shape != (ev.grid.na + 1, ev.mesh.nx):
-        raise ReproductionError("fertility field does not match the grids")
     nx = ev.mesh.nx
     w = ev.grid.weights
-    if u is None:
+    if ev.source is None:
         b0 = float(evaluate(model.b, {"u": 0.0}))
         bvals = np.full((ev.grid.na + 1, nx), model.cb * b0)
     else:
-        bvals = birth_density(model, u.values)
+        bvals = birth_density(model, ev.source.values)
     basis = np.eye(nx)
     q = w[0] * (bvals[0][:, None] * basis)
     for k in range(ev.grid.na):
         basis = ev.steps[k].solve(basis)
         q += w[k + 1] * (bvals[k + 1][:, None] * basis)
-    return ReproductionOperator(matrix=q)
+    return q
 
 
 def _power_iteration(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[bool, float, np.ndarray]:
@@ -135,23 +118,20 @@ def _power_iteration(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[boo
 
 
 def spectral_radius(
-    rep: ReproductionOperator, tol: float = 1e-13, max_iter: int = 100000
+    matrix: np.ndarray, tol: float = 1e-13, max_iter: int = 100000
 ) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and normalized eigenvector by power iteration.
 
     For the nonnegative irreducible matrices assembled here the limit is
     the spectral radius with the positive eigenvector (max-norm 1).
     """
-    if rep._radius is not None:
-        return rep._radius, rep._perron
-    if not np.all(np.isfinite(rep.matrix)):
+    if not np.all(np.isfinite(matrix)):
         raise ReproductionError("reproduction matrix has non-finite entries")
-    ok, lam, v = _power_iteration(rep.matrix, tol, max_iter)
+    ok, lam, v = _power_iteration(matrix, tol, max_iter)
     if not ok:
         raise PowerIterationError(
             f"power iteration did not converge within {max_iter} iterations"
         )
-    rep._radius, rep._perron = lam, v
     return lam, v
 
 
@@ -169,16 +149,14 @@ def normalize(
     guard that re-measures and refuses to return an unnormalized model.
     """
     ev0 = build_evolution(model, mesh, grid)
-    rep = assemble_Q(model, ev0)
-    r_before, _ = spectral_radius(rep)
+    r_before, _ = spectral_radius(assemble_Q(model, ev0))
     if not (np.isfinite(r_before) and r_before > 0):
         raise ReproductionError(f"spectral radius {r_before!r} cannot be normalized away")
     current = model
     r = r_before
     for _ in range(max_passes):
         current = with_cb(current, current.cb / r)
-        rep = assemble_Q(current, ev0)
-        r, _ = spectral_radius(rep)
+        r, _ = spectral_radius(assemble_Q(current, ev0))
         if abs(r - 1.0) <= tol:
             return current, r_before
     raise ReproductionError(f"normalization stalled at r = {r!r}")

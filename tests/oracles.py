@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from agequil.discretize import OperatorMatrix
 from agequil.evolution import DensityField, build_evolution, propagate
 from agequil.linearized import LinearizedOperators, apply_birth_feedback
-from agequil.reproduction import ReproductionError, ReproductionOperator, _power_iteration, birth_linear
+from agequil.reproduction import ReproductionError, _power_iteration, birth_linear
 from agequil.tridiag import factor_tridiag, tridiag_matvec
 
 # continuum values for the unit-mortality model on a_max = 1
@@ -170,16 +170,16 @@ def picard_field(model, mesh, grid, B: np.ndarray, u_start, tol: float, max_swee
     raise RuntimeError(f"Picard sweeps did not converge within {max_sweeps} sweeps")
 
 
-def characteristic_values(rep: ReproductionOperator, k: int, tol: float = 1e-11, max_iter: int = 50000) -> list[float]:
+def characteristic_values(matrix: np.ndarray, k: int, tol: float = 1e-11, max_iter: int = 50000) -> list[float]:
     """Reciprocals of the k leading real eigenvalues, deflating one by one.
 
     Hotelling deflation with left/right dominant pairs from the package's
     power iteration.  A dominant complex pair shows up as non-convergence;
     the sweep stops there with a warning and returns the values found.
     """
-    if not 1 <= k <= rep.matrix.shape[0]:
-        raise ReproductionError(f"k = {k} outside 1..{rep.matrix.shape[0]}")
-    work = rep.matrix.copy()
+    if not 1 <= k <= matrix.shape[0]:
+        raise ReproductionError(f"k = {k} outside 1..{matrix.shape[0]}")
+    work = matrix.copy()
     out: list[float] = []
     for _ in range(k):
         ok_r, lam, v = _power_iteration(work, tol, max_iter)

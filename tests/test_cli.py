@@ -160,12 +160,25 @@ class TestErrorsAndEntryPoints:
     @pytest.mark.parametrize("flags", [
         ["--step", "0"], ["--step", "-0.05"], ["--step", "inf"], ["--step", "nan"],
         ["--max-points", "0"], ["--n-cap", "nan"], ["--norm-cap", "nan"],
+        ["--eps0", "0"], ["--eps0", "nan"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "-1"],
     ])
     def test_bad_trace_inputs_exit_1(self, flags, tmp_path, capsys):
         argv = ["trace", "--model", DECAY, "--nx", "4", "--na", "12", "--max-points", "2"]
         assert main([*argv, *flags, "--out", str(tmp_path / "branch.csv")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert flags[0].lstrip("-").replace("-", "_") in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--max-iter", "0"],
+    ])
+    def test_bad_fixedpoint_inputs_exit_1(self, flags, tmp_path, capsys):
+        argv = ["fixedpoint", "--model", SHELL, "--out", str(tmp_path / "fp")]
+        assert main([*argv, *flags]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert flags[0].lstrip("-").replace("-", "_") in err
         assert not any(tmp_path.iterdir())
 
     def test_module_entry_point(self):

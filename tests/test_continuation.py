@@ -4,7 +4,6 @@ import pytest
 from agequil import continuation
 from agequil.continuation import (
     ContinuationError,
-    NormTarget,
     Plane,
     _picard_columns,
     _scaled_tol,
@@ -15,7 +14,7 @@ from agequil.continuation import (
     trace_branch,
 )
 from agequil.discretize import SpatialMesh
-from agequil.evolution import AgeGrid, DensityField, build_evolution, propagate
+from agequil.evolution import AgeGrid, build_evolution, propagate
 from agequil.linearized import build_linearized
 
 from oracles import logistic_B_of_amplitude, logistic_n_of_B, picard_field
@@ -33,13 +32,8 @@ class TestConstraints:
             normal_B=np.array([1.0, 0.5]), normal_n=2.0,
             anchor_B=np.array([0.2, 0.4]), anchor_n=1.1,
         )
-        got = plane.value(np.array([0.3, 0.4]), 1.2, None)
+        got = plane.value(np.array([0.3, 0.4]), 1.2)
         assert got == pytest.approx(0.1 * 1.0 + 2.0 * 0.1)
-
-    def test_norm_target_value(self, decay_problem):
-        model, mesh, grid = decay_problem
-        u = DensityField(np.ones((grid.na + 1, mesh.nx)), grid)
-        assert NormTarget(0.25).value(None, 0.0, u) == pytest.approx(u.norm() - 0.25)
 
 
 class TestFirstStep:
@@ -140,16 +134,6 @@ class TestCorrect:
         got = correct(model, mesh, grid, p.n, u_guess, lin=decay_lin)
         np.testing.assert_allclose(got.B, p.B, rtol=1e-7)
         assert got.n == p.n
-
-    def test_norm_constraint_recovers_n(self, diffusion_normalized, diffusion_branch):
-        # the amplitude's maximizing column is unique here, so the
-        # appended-constraint corrector applies directly
-        model, mesh, grid, _ = diffusion_normalized
-        p = diffusion_branch.nontrivial()[2]
-        u_guess = propagate(build_evolution(model, mesh, grid, p.u), 1.01 * p.B)
-        got = correct(model, mesh, grid, p.n * 1.01, u_guess, NormTarget(p.eps))
-        assert got.n == pytest.approx(p.n, rel=1e-8)
-        assert got.eps == pytest.approx(p.eps, abs=1e-9)
 
     def test_iteration_budget_enforced(self, decay_normalized, decay_branch, decay_lin):
         model, mesh, grid, _ = decay_normalized

@@ -73,7 +73,7 @@ class TestPropagate:
         mesh = SpatialMesh(nx=4)
         grid = AgeGrid(na=50, a_max=1.0)
         ev = build_evolution(decay_model(), mesh, grid)
-        assert ev.from_zero
+        assert ev.source is None
         B = np.array([1.0, 2.0, 0.5, 0.0])
         field = propagate(ev, B)
         expected = decay_rows(grid.na, grid.a_max)[:, None] * B[None, :]

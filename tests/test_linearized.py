@@ -14,7 +14,7 @@ from agequil.linearized import (
     solve_linear,
 )
 from agequil.model import ModelSpec
-from agequil.reproduction import normalize
+from agequil.reproduction import assemble_Q, normalize, spectral_radius
 
 from oracles import birth_feedback_eigenvalue, decay_rows, discrete_r0, linear_residuals, shell_root
 
@@ -84,14 +84,14 @@ class TestSolveLinear:
 
 class TestBirthFeedback:
     def test_r0_property(self, decay_lin, diffusion_lin):
-        assert decay_lin.r0 == pytest.approx(1.0, abs=1e-10)
-        assert diffusion_lin.r0 == pytest.approx(1.0, abs=1e-10)
+        for lin in (decay_lin, diffusion_lin):
+            assert lin.r0 == pytest.approx(1.0, abs=1e-10)
+            r0, perron0 = spectral_radius(assemble_Q(lin.model, lin.ev0))
+            assert lin.r0 == r0
+            np.testing.assert_array_equal(lin.perron0, perron0)
 
     def test_perron_field_is_doubled(self, diffusion_lin):
-        from agequil.reproduction import spectral_radius
-
-        _, perron = spectral_radius(diffusion_lin.rep0)
-        u = propagate(diffusion_lin.ev0, perron)
+        u = propagate(diffusion_lin.ev0, diffusion_lin.perron0)
         lu = apply_birth_feedback(diffusion_lin, u)
         np.testing.assert_allclose(lu.values, 2.0 * u.values, rtol=1e-9, atol=1e-12)
 

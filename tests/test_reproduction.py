@@ -10,7 +10,6 @@ from agequil.model import ModelSpec, parse_model, serialize_model, validate_mode
 from agequil.reproduction import (
     PowerIterationError,
     ReproductionError,
-    ReproductionOperator,
     assemble_Q,
     birth_density,
     birth_functional,
@@ -32,33 +31,27 @@ def decay_q0(decay_problem):
 
 class TestQ0:
     def test_matches_scalar_oracle(self, decay_q0):
-        model, mesh, grid, rep = decay_q0
-        r, v = spectral_radius(rep)
+        model, mesh, grid, q = decay_q0
+        r, v = spectral_radius(q)
         assert r == pytest.approx(discrete_r0(grid.na, grid.a_max, model.cb), rel=1e-13)
         np.testing.assert_allclose(v, np.ones(mesh.nx))
 
     def test_matches_dense_radius(self, decay_q0):
-        _, _, _, rep = decay_q0
-        r, _ = spectral_radius(rep)
-        assert r == pytest.approx(dense_radius(rep.matrix), rel=1e-11)
+        _, _, _, q = decay_q0
+        r, _ = spectral_radius(q)
+        assert r == pytest.approx(dense_radius(q), rel=1e-11)
 
     def test_decay_matrix_is_scalar(self, decay_q0):
-        model, mesh, grid, rep = decay_q0
+        model, mesh, grid, q = decay_q0
         r_hat = discrete_r0(grid.na, grid.a_max, model.cb)
-        np.testing.assert_allclose(rep.matrix, r_hat * np.eye(mesh.nx), atol=1e-14)
+        np.testing.assert_allclose(q, r_hat * np.eye(mesh.nx), atol=1e-14)
 
     def test_diffusion_matches_dense(self, diffusion_problem):
         model, mesh, grid = diffusion_problem
-        rep = assemble_Q(model, build_evolution(model, mesh, grid))
-        r, v = spectral_radius(rep)
-        assert r == pytest.approx(dense_radius(rep.matrix), rel=1e-10)
+        q = assemble_Q(model, build_evolution(model, mesh, grid))
+        r, v = spectral_radius(q)
+        assert r == pytest.approx(dense_radius(q), rel=1e-10)
         assert np.all(v > 0) and np.max(v) == pytest.approx(1.0)
-
-    def test_radius_is_cached(self, decay_q0):
-        *_, rep = decay_q0
-        r1, v1 = spectral_radius(rep)
-        r2, v2 = spectral_radius(rep)
-        assert r1 == r2 and v1 is v2
 
 
 class TestBirthFunctionals:
@@ -99,36 +92,18 @@ class TestAssembleQu:
         rng = np.random.default_rng(11)
         u = DensityField(rng.uniform(0, 1.5, (grid.na + 1, mesh.nx)), grid)
         ev = build_evolution(model, mesh, grid, u)
-        rep = assemble_Q(model, ev, u)
+        q = assemble_Q(model, ev)
         B = rng.uniform(0, 1, mesh.nx)
         field = propagate(ev, B)
         manual = grid.weights @ (birth_density(model, u.values) * field.values)
-        np.testing.assert_allclose(rep.matrix @ B, manual, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(q @ B, manual, rtol=1e-12, atol=1e-14)
 
     def test_zero_field_equals_linear_matrix(self, decay_problem):
         model, mesh, grid = decay_problem
-        rep0 = assemble_Q(model, build_evolution(model, mesh, grid))
+        q0 = assemble_Q(model, build_evolution(model, mesh, grid))
         zeros = DensityField.zeros(grid, mesh.nx)
-        rep_z = assemble_Q(model, build_evolution(model, mesh, grid, zeros), zeros)
-        np.testing.assert_array_equal(rep0.matrix, rep_z.matrix)
-
-    def test_frozen_field_consistency_enforced(self, decay_problem):
-        model, mesh, grid = decay_problem
-        zeros = DensityField.zeros(grid, mesh.nx)
-        ev0 = build_evolution(model, mesh, grid)
-        ev_u = build_evolution(model, mesh, grid, zeros)
-        with pytest.raises(ReproductionError, match="frozen"):
-            assemble_Q(model, ev0, zeros)
-        # omitting u on a frozen evolution falls back to its own field
-        np.testing.assert_array_equal(
-            assemble_Q(model, ev_u).matrix, assemble_Q(model, ev_u, zeros).matrix
-        )
-
-    def test_grid_mismatch(self, decay_problem):
-        model, mesh, grid = decay_problem
-        ev = build_evolution(model, mesh, grid, DensityField.zeros(grid, mesh.nx))
-        with pytest.raises(ReproductionError, match="grids"):
-            assemble_Q(model, ev, DensityField.zeros(grid, mesh.nx + 1))
+        q_z = assemble_Q(model, build_evolution(model, mesh, grid, zeros))
+        np.testing.assert_array_equal(q0, q_z)
 
 
 class TestNormalize:
@@ -137,8 +112,8 @@ class TestNormalize:
         normalized, r_before = normalize(model, mesh, grid)
         assert r_before == pytest.approx(discrete_r0(grid.na, grid.a_max), rel=1e-13)
         assert normalized.cb == pytest.approx(model.cb / r_before, rel=1e-13)
-        rep = assemble_Q(normalized, build_evolution(normalized, mesh, grid))
-        r, _ = spectral_radius(rep)
+        q = assemble_Q(normalized, build_evolution(normalized, mesh, grid))
+        r, _ = spectral_radius(q)
         assert abs(r - 1.0) <= 1e-10
 
     def test_endpoint_independent_of_initial_cb(self, decay_problem):
@@ -163,14 +138,12 @@ class TestNormalize:
 
 class TestSpectralRadiusEdges:
     def test_zero_matrix(self):
-        rep = ReproductionOperator(matrix=np.zeros((3, 3)))
-        r, _ = spectral_radius(rep)
+        r, _ = spectral_radius(np.zeros((3, 3)))
         assert r == 0.0
 
     def test_rotation_does_not_converge(self):
-        rep = ReproductionOperator(matrix=np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(PowerIterationError):
-            spectral_radius(rep, max_iter=200)
+            spectral_radius(np.array([[0.0, -1.0], [1.0, 0.0]]), max_iter=200)
 
     def test_near_tie_converges_quickly(self):
         # the shape of a large-density shell probe at nx 48: near-diagonal,
@@ -180,46 +153,45 @@ class TestSpectralRadiusEdges:
         diag = np.linspace(0.02, 0.13, 48)
         diag[-2:] = 0.138452, 0.138461
         coupling = 1e-7 * (np.eye(48, k=1) + np.eye(48, k=-1))
-        rep = ReproductionOperator(matrix=np.diag(diag) + coupling)
-        r, v = spectral_radius(rep, max_iter=1000)
-        assert r == pytest.approx(dense_radius(rep.matrix), rel=1e-12)
+        matrix = np.diag(diag) + coupling
+        r, v = spectral_radius(matrix, max_iter=1000)
+        assert r == pytest.approx(dense_radius(matrix), rel=1e-12)
         assert np.max(v) == 1.0 and np.all(v >= 0.0)
-        np.testing.assert_allclose(rep.matrix @ v, r * v, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(matrix @ v, r * v, rtol=0, atol=1e-14)
 
     def test_non_finite_rejected(self):
-        rep = ReproductionOperator(matrix=np.array([[np.nan]]))
         with pytest.raises(ReproductionError, match="finite"):
-            spectral_radius(rep)
+            spectral_radius(np.array([[np.nan]]))
 
 
 class TestCharacteristicValues:
     def test_scalar_spectrum_leading_value(self, decay_normalized):
         model, mesh, grid, _ = decay_normalized
-        rep = assemble_Q(model, build_evolution(model, mesh, grid))
-        vals = characteristic_values(rep, 1)
+        q = assemble_Q(model, build_evolution(model, mesh, grid))
+        vals = characteristic_values(q, 1)
         assert vals == [pytest.approx(1.0, abs=1e-9)]
 
     def test_degenerate_spectrum_truncates_with_warning(self, decay_normalized):
         model, mesh, grid, _ = decay_normalized
-        rep = assemble_Q(model, build_evolution(model, mesh, grid))
+        q = assemble_Q(model, build_evolution(model, mesh, grid))
         with pytest.warns(RuntimeWarning):
-            vals = characteristic_values(rep, 3)
+            vals = characteristic_values(q, 3)
         assert 1 <= len(vals) < 3
         for v in vals:
             assert v == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_dense_eigenvalues(self, diffusion_problem):
         model, mesh, grid = diffusion_problem
-        rep = assemble_Q(model, build_evolution(model, mesh, grid))
-        eigs = dense_eigenvalues(rep.matrix)
-        vals = characteristic_values(rep, 2)
+        q = assemble_Q(model, build_evolution(model, mesh, grid))
+        eigs = dense_eigenvalues(q)
+        vals = characteristic_values(q, 2)
         for got in vals:
             gaps = np.abs(1.0 / eigs - got)
             assert float(np.min(gaps)) <= 1e-7 * abs(got)
 
     def test_k_range_checked(self, decay_q0):
-        *_, rep = decay_q0
+        *_, q = decay_q0
         with pytest.raises(ReproductionError):
-            characteristic_values(rep, 0)
+            characteristic_values(q, 0)
         with pytest.raises(ReproductionError):
-            characteristic_values(rep, rep.matrix.shape[0] + 1)
+            characteristic_values(q, q.shape[0] + 1)
