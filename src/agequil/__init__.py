@@ -1,6 +1,15 @@
 """Equilibria and bifurcation branches of age- and space-structured
 population models with nonlinear diffusion on the unit interval."""
 
+import os
+
+# The dense solves here are small, and a BLAS thread pool costs more on
+# them than it saves, so each numerical library gets one thread unless the
+# caller set its variable.  This acts only if numpy is not loaded yet.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .continuation import (
     Branch,
     BranchPoint,

@@ -6,15 +6,17 @@ fixed-point system
 
     G(B, n) = B - n * l(u(B)) = 0
 
-where u(B) is the field propagated from B with coefficients made
-self-consistent by an inner Picard loop.  The trivial solution exists for
-every n; the nontrivial branch leaves it at n = 1 (after normalization)
-along the Perron direction of Q0.  The first step pins the amplitude
-along that direction and frees n; subsequent steps are classic
-pseudo-arclength: secant predictor, Newton corrector on (B, n) augmented
-with the plane through the predictor.  Correction at fixed n reuses the
-same Newton core without the plane; solve_at_norm pins the amplitude with
-an outer scalar iteration over such corrections.
+where u(B) is the self-consistent field of B.  Each age step is frozen at
+the previous age slice, so u(B) comes from one forward march
+(build_evolution with birth=B) with no inner iteration, and the
+finite-difference Jacobian is one batched march.  The trivial solution
+exists for every n; the nontrivial branch leaves it at n = 1 (after
+normalization) along the Perron direction of Q0.  The first step pins
+the amplitude along that direction and frees n; subsequent steps are
+classic pseudo-arclength: secant predictor, Newton corrector on (B, n)
+augmented with the plane through the predictor.  Correction at fixed n
+reuses the same Newton core without the plane; solve_at_norm pins the
+amplitude with an outer scalar iteration over such corrections.
 
 Tolerances are relative to the birth vector scale, so points early on the
 branch (amplitudes around 1e-3) are resolved as sharply as later ones.
@@ -22,7 +24,6 @@ branch (amplitudes around 1e-3) are resolved as sharply as later ones.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,55 +104,6 @@ class BranchStats:
     cross_ss_Ns: float
 
 
-def _picard_columns(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
-    Bs: np.ndarray,
-    u_start: DensityField,
-    tols: np.ndarray,
-    max_sweeps: int = 200,
-    *,
-    ev_start: EvolutionOperator | None = None,
-) -> Iterator[tuple[int, DensityField]]:
-    """Self-consistent fields for the birth vectors in the columns of Bs
-    (frozen-coefficient Picard sweeps), each with the bits of its own solve.
-
-    Column j is solved to tolerance tols[j] from u_start; ev_start, when
-    given, must be build_evolution of u_start and serves the shared first
-    sweep.  Later sweeps build one batched evolution for the columns still
-    active.  A column leaves the batch at the sweep where its own change
-    falls to its tolerance, so it sees exactly the sweeps a single solve
-    would.  Yields (j, field) as each column converges, the field
-    contiguous.
-    """
-    active = np.arange(Bs.shape[1])
-    prev = u_start.values[:, :, None]
-    for sweep in range(max_sweeps):
-        # a single field or column drops the trailing axis: at width one
-        # a batched sweep costs 2-3x more, and the [..., 0] view is
-        # contiguous with the same bits
-        if sweep == 0 and ev_start is not None:
-            ev = ev_start
-        else:
-            frozen = prev[:, :, 0] if prev.shape[2] == 1 else prev
-            ev = build_evolution(model, mesh, grid, DensityField(frozen, grid))
-        rhs = Bs[:, active[0]] if active.size == 1 else Bs[:, active]
-        values = np.atleast_3d(propagate(ev, rhs).values)
-        del ev  # at most one batched evolution is alive at a time
-        diff = np.max(np.abs(values - prev), axis=(0, 1))
-        done = diff <= tols[active]
-        for i in np.flatnonzero(done):
-            yield int(active[i]), DensityField(np.ascontiguousarray(values[:, :, i]), grid)
-        active, diff = active[~done], diff[~done]
-        if active.size == 0:
-            return
-        prev = values.compress(~done, axis=2) if done.any() else values
-    raise ContinuationError(
-        f"inner Picard stagnation (last change {diff[0]:.3e}, tol {tols[active[0]]:.3e})"
-    )
-
-
 def _scaled_tol(tol: float, B: np.ndarray) -> float:
     return tol * max(float(np.max(np.abs(B))), 1e-12)
 
@@ -161,45 +113,45 @@ def correct(
     mesh: SpatialMesh,
     grid: AgeGrid,
     n: float,
-    u_guess: DensityField,
+    B_guess: np.ndarray,
     plane: Plane | None = None,
     *,
     tol: float = 1e-9,
     max_iter: int = 30,
     lin: LinearizedOperators | None = None,
 ) -> BranchPoint:
-    """Newton corrector from a predictor field.
+    """Newton corrector on G(B, n) = B - n * l(u(B)) from a birth vector.
 
-    Without a plane, solves for B at the given n; with one, solves for
-    (B, n) with the plane's equation appended (n is the starting value).
-    The finite-difference Jacobian uses step 1e-6 * (1 + |B|_inf) per
-    column of B, and with a plane step 1e-6 * (1 + |n|) for n.  Raises
-    ContinuationError on divergence, a singular Jacobian, Picard
-    stagnation, or a converged point with negative density.
-    ReproductionError, AssemblyError and EvolutionError from the first
-    evaluation or a Jacobian column pass through; a line-search trial
-    that raises AssemblyError or EvolutionError counts as a failed trial.
+    u(B) is the field marched from B (build_evolution with birth=B), so
+    every evaluation of G is one march.  Without a plane, solves for B at
+    the given n; with one, solves for (B, n) with the plane's equation
+    appended (n is the starting value).  The finite-difference Jacobian
+    steps each column of B by 1e-6 * (1 + |B|_inf), all nx columns in one
+    batched march, and with a plane steps n by 1e-6 * (1 + |n|) on the
+    current field.  Raises ContinuationError on divergence, a singular
+    Jacobian, a stalled line search, an exhausted iteration budget, or a
+    converged point with negative density.  ReproductionError,
+    AssemblyError and EvolutionError from the first evaluation or the
+    Jacobian pass through; a line-search trial that raises AssemblyError
+    or EvolutionError counts as a failed trial.
     """
     nx = mesh.nx
     free_n = plane is not None
-    tol_picard_factor = 0.1  # one order tighter than the Newton tolerance
 
-    B = np.asarray(u_guess.birth, dtype=float).copy()
+    B = np.array(B_guess, dtype=float)
     n_cur = float(n)
-    u_warm = u_guess
 
-    def residual(Bv: np.ndarray, nv: float, u_f: DensityField) -> np.ndarray:
-        res = Bv - nv * birth_functional(model, grid, u_f.values)
+    def residual(Bv: np.ndarray, nv: float, values: np.ndarray) -> np.ndarray:
+        res = Bv - nv * birth_functional(model, grid, values)
         if free_n:
             res = np.append(res, plane.value(Bv, nv))
         return res
 
-    def evaluate(Bv: np.ndarray, nv: float, warm: DensityField, ev_warm=None):
-        tols = np.array([_scaled_tol(tol * tol_picard_factor, Bv)])
-        _, u_f = next(_picard_columns(model, mesh, grid, Bv[:, None], warm, tols, ev_start=ev_warm))
-        return residual(Bv, nv, u_f), u_f
+    def evaluate(Bv: np.ndarray, nv: float) -> tuple[np.ndarray, EvolutionOperator]:
+        ev = build_evolution(model, mesh, grid, birth=Bv)
+        return residual(Bv, nv, ev.source.values), ev
 
-    res_vec, u_warm = evaluate(B, n_cur, u_warm)
+    res_vec, ev = evaluate(B, n_cur)
     iters = 0
     for iters in range(1, max_iter + 1):
         res_norm = float(np.max(np.abs(res_vec)))
@@ -208,22 +160,19 @@ def correct(
         if not np.isfinite(res_norm) or float(np.max(np.abs(B))) > 1e8:
             raise ContinuationError("corrector diverged")
 
-        # every Jacobian column and line-search trial starts its Picard
-        # sweeps from u_warm, so their first evolution is built once here
-        ev_warm = build_evolution(model, mesh, grid, u_warm)
+        # column j perturbs B[j]; a batched column has the bits of its own
+        # march, so the free-n column reuses the current field
         hb = FD_STEP * (1.0 + float(np.max(np.abs(B))))
-        ncols = nx + 1 if free_n else nx
-        # column j perturbs B[j]; the free-n column keeps B and moves n
-        Bs = np.repeat(B[:, None], ncols, axis=1)
+        Bs = np.repeat(B[:, None], nx, axis=1)
         Bs[np.arange(nx), np.arange(nx)] += hb
-        tols = np.array([_scaled_tol(tol * tol_picard_factor, col) for col in Bs.T])
-        hn = FD_STEP * (1.0 + abs(n_cur))
-        jac = np.empty((res_vec.shape[0], ncols))
-        for j, u_f in _picard_columns(model, mesh, grid, Bs, u_warm, tols, ev_start=ev_warm):
-            if j < nx:
-                jac[:, j] = (residual(Bs[:, j].copy(), n_cur, u_f) - res_vec) / hb
-            else:
-                jac[:, j] = (residual(B, n_cur + hn, u_f) - res_vec) / hn
+        fields = build_evolution(model, mesh, grid, birth=Bs).source.values
+        jac = np.empty((res_vec.shape[0], nx + 1 if free_n else nx))
+        for j in range(nx):
+            jac[:, j] = (residual(Bs[:, j], n_cur, fields[:, :, j]) - res_vec) / hb
+        del fields
+        if free_n:
+            hn = FD_STEP * (1.0 + abs(n_cur))
+            jac[:, nx] = (residual(B, n_cur + hn, ev.source.values) - res_vec) / hn
 
         try:
             delta = np.linalg.solve(jac, -res_vec)
@@ -235,11 +184,11 @@ def correct(
             B_try = B + scale * delta[:nx]
             n_try = n_cur + scale * delta[nx] if free_n else n_cur
             try:
-                res_try, u_try = evaluate(B_try, n_try, u_warm, ev_warm)
-            except (ContinuationError, AssemblyError, EvolutionError):
+                res_try, ev_try = evaluate(B_try, n_try)
+            except (AssemblyError, EvolutionError):
                 continue
             if float(np.max(np.abs(res_try))) < res_norm or float(np.max(np.abs(res_try))) <= _scaled_tol(tol, B_try):
-                B, n_cur, res_vec, u_warm = B_try, n_try, res_try, u_try
+                B, n_cur, res_vec, ev = B_try, n_try, res_try, ev_try
                 accepted = True
                 break
         if not accepted:
@@ -249,7 +198,7 @@ def correct(
 
     if lin is None:
         lin = build_linearized(model, mesh, grid)
-    return _finalize(model, mesh, grid, n_cur, B, u_warm, lin, tol, iters)
+    return _finalize(model, mesh, grid, n_cur, B, ev, lin, iters)
 
 
 def _finalize(
@@ -258,11 +207,11 @@ def _finalize(
     grid: AgeGrid,
     n: float,
     B: np.ndarray,
-    u_last: DensityField | None,
+    ev: EvolutionOperator | None,
     lin: LinearizedOperators,
-    tol: float,
     iters: int,
 ) -> BranchPoint:
+    """Branch point at (B, n) from ev, the march of B (None only for B = 0)."""
     if float(np.max(np.abs(B))) < TRIVIAL_THRESHOLD:
         zero = DensityField.zeros(grid, mesh.nx)
         return BranchPoint(
@@ -270,14 +219,10 @@ def _finalize(
             identity_residual=abs(n * lin.r0 - 1.0), residual_direct=0.0,
             reform_residual=0.0, min_u=0.0, trivial=True, newton_iters=iters,
         )
-    # polish the self-consistency one order beyond the corrector, then
-    # store the field as the exact propagation of its own evolution
-    polish_tol = np.array([_scaled_tol(tol * 0.01, B)])
-    _, u = next(_picard_columns(model, mesh, grid, B[:, None], u_last, polish_tol))
-    ev = build_evolution(model, mesh, grid, u)
-    u = propagate(ev, B)
-    ev = build_evolution(model, mesh, grid, u)
-    u_check = propagate(ev, B)
+    u = ev.source
+    # replay: the field propagated by the evolution frozen at it, so the
+    # self-consistency is measured, not assumed
+    u_check = propagate(build_evolution(model, mesh, grid, u), B)
     scale = max(float(np.max(np.abs(B))), 1e-300)
     field_res = float(np.max(np.abs(u_check.values - u.values))) / scale
     birth_res = float(np.max(np.abs(B - n * birth_functional(model, grid, u.values)))) / scale
@@ -311,8 +256,8 @@ def first_step(
 ) -> BranchPoint:
     """Leave the trivial solution along the Perron direction.
 
-    The predictor is eps0 times the linear evolution of the Perron birth
-    vector; the corrector frees n and pins the component of B along that
+    The predictor is the birth vector eps0 times the Perron vector of
+    Q0; the corrector frees n and pins the component of B along that
     direction, which is the local expansion's parameterization.  eps0 = 0
     returns the trivial point at n = 1.
     """
@@ -323,16 +268,15 @@ def first_step(
     if abs(lin.r0 - 1.0) > 1e-3:
         raise ContinuationError(f"model is not normalized: r(Q0) = {lin.r0!r}")
     if eps0 == 0.0:
-        return _finalize(model, mesh, grid, 1.0, np.zeros(mesh.nx), None, lin, tol, 0)
+        return _finalize(model, mesh, grid, 1.0, np.zeros(mesh.nx), None, lin, 0)
     B0 = eps0 * lin.perron0
-    u_pred = propagate(lin.ev0, B0)
     plane = Plane(
         normal_B=lin.perron0 / float(np.linalg.norm(lin.perron0)),
         normal_n=0.0,
         anchor_B=B0,
         anchor_n=1.0,
     )
-    point = correct(model, mesh, grid, 1.0, u_pred, plane, tol=tol, lin=lin)
+    point = correct(model, mesh, grid, 1.0, B0, plane, tol=tol, lin=lin)
     if point.trivial:
         raise ContinuationError("first step collapsed to the trivial solution; reduce eps0")
     return point
@@ -394,9 +338,8 @@ def trace_branch(
         pred_B = z_cur[0] + step_cur * tangent[:-1]
         pred_n = z_cur[1] + step_cur * float(tangent[-1])
         plane = Plane(tangent[:-1], float(tangent[-1]), pred_B, pred_n)
-        u_pred = propagate(build_evolution(model, mesh, grid, last.u), pred_B)
         try:
-            point = correct(model, mesh, grid, pred_n, u_pred, plane, tol=tol, lin=lin)
+            point = correct(model, mesh, grid, pred_n, pred_B, plane, tol=tol, lin=lin)
             if not point.trivial:
                 _require_invariants(point)
         except (ContinuationError, AssemblyError, EvolutionError) as exc:
@@ -503,7 +446,7 @@ def solve_at_norm(
         lo, hi = min(n_lo, n_hi), max(n_lo, n_hi)
         if not (lo < n_try < hi):
             n_try = 0.5 * (lo + hi)
-        warm = point.u if not point.trivial else last.u
+        warm = point.B if not point.trivial else last.B
         point = correct(model, mesh, grid, n_try, warm, tol=tol, lin=lin)
         eps_try = point.eps
         if eps_try < target:

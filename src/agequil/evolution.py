@@ -4,10 +4,16 @@ One implicit Euler step from age a_k to a_{k+1} solves
 
     (I + da * A_h(u_k, a_{k+1})) v_{k+1} = v_k
 
-with the density slice frozen at age a_k (Picard linearization of the
+with the density slice frozen at age a_k (a lagged linearization of the
 quasilinear coefficients).  Implicit stepping keeps positivity without a
 step-size restriction: each factor is an M-matrix, so each inverse maps
 the nonnegative orthant into itself exactly.
+
+Because step k reads only the slice at a_k, the self-consistent field of
+a birth vector B, the field that its own evolution propagates B into, is
+a causal recursion: u_0 = B, u_{k+1} = (I + da * A_h(u_k, a_{k+1}))^{-1} u_k.
+build_evolution(..., birth=B) marches it in one forward pass, factoring
+each step as it goes.
 """
 
 from __future__ import annotations
@@ -118,15 +124,31 @@ class EvolutionOperator:
 
 
 def build_evolution(
-    model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: DensityField | None = None
+    model: ModelSpec,
+    mesh: SpatialMesh,
+    grid: AgeGrid,
+    u: DensityField | None = None,
+    *,
+    birth: np.ndarray | None = None,
 ) -> EvolutionOperator:
     """Assemble and factor the implicit Euler steps for one frozen field.
 
     A batched field, (na+1, nx, k), gives steps that each hold k matrices,
     one per column; propagate them with a birth array of shape (nx, k).
+
+    With birth (nx,) or (nx, k) in place of u, the field is marched: step
+    k is assembled on row k and solves row k+1, so the source is the
+    self-consistent field of that birth vector, and propagating the birth
+    vector through its own evolution returns it bit for bit.
     """
+    if u is not None and birth is not None:
+        raise EvolutionError("give a frozen field or a birth vector to march, not both")
     if u is not None and u.values.shape[:2] != (grid.na + 1, mesh.nx):
         raise EvolutionError("frozen field does not match the grids")
+    if birth is not None:
+        birth = _birth_array(birth, mesh.nx)
+        u = DensityField(np.empty((grid.na + 1,) + birth.shape), grid)
+        u.values[0] = birth
     da = grid.da
     steps: list[FactoredTridiag] = []
     for k in range(grid.na):
@@ -134,12 +156,22 @@ def build_evolution(
         u_slice = u.values[k] if u is not None else None
         mat = assemble(model, mesh, a_next, u_slice)
         try:
-            steps.append(
-                factor_tridiag(da * mat.lower, 1.0 + da * mat.diag, da * mat.upper)
-            )
+            step = factor_tridiag(da * mat.lower, 1.0 + da * mat.diag, da * mat.upper)
         except SingularTridiagError as exc:
             raise EvolutionError(f"singular one-step matrix at age index {k + 1}: {exc}") from exc
+        steps.append(step)
+        if birth is not None:
+            u.values[k + 1] = step.solve(u.values[k])
     return EvolutionOperator(steps=steps, grid=grid, mesh=mesh, source=u)
+
+
+def _birth_array(B: np.ndarray, nx: int) -> np.ndarray:
+    B = np.asarray(B, dtype=float)
+    if B.ndim not in (1, 2) or B.shape[0] != nx:
+        raise EvolutionError(f"birth vector has shape {B.shape}, expected ({nx},) or ({nx}, k)")
+    if not np.all(np.isfinite(B)):
+        raise EvolutionError("birth vector has non-finite entries")
+    return B
 
 
 def propagate(ev: EvolutionOperator, B: np.ndarray) -> DensityField:
@@ -148,12 +180,7 @@ def propagate(ev: EvolutionOperator, B: np.ndarray) -> DensityField:
     B is one birth vector (nx,), or (nx, k) for k of them side by side,
     each column propagated with the bits of its own 1-D propagation.
     """
-    B = np.asarray(B, dtype=float)
-    nx = ev.mesh.nx
-    if B.ndim not in (1, 2) or B.shape[0] != nx:
-        raise EvolutionError(f"birth vector has shape {B.shape}, expected ({nx},) or ({nx}, k)")
-    if not np.all(np.isfinite(B)):
-        raise EvolutionError("birth vector has non-finite entries")
+    B = _birth_array(B, ev.mesh.nx)
     values = np.empty((ev.grid.na + 1,) + B.shape)
     values[0] = B
     for k, step in enumerate(ev.steps):

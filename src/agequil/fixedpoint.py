@@ -151,6 +151,12 @@ def _diagnose(
     )
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise FixedPointError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def multistart_fixedpoint(
     model: ModelSpec,
     mesh: SpatialMesh,
@@ -167,11 +173,12 @@ def multistart_fixedpoint(
     Start 0 is the all-ones birth vector; later starts draw uniformly
     from [0.5, 1.5).  A collapsed run triggers the next start; if every
     start collapses, the last collapsed result is returned, since the
-    trivial equilibrium is then the honest answer.
+    trivial equilibrium is then the honest answer.  starts must be at
+    least 1, and seed nonnegative.
     """
     if starts < 1:
         raise FixedPointError("starts must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     result = None
     for k in range(starts):
         B0 = np.ones(mesh.nx) if k == 0 else rng.uniform(0.5, 1.5, mesh.nx)
@@ -218,11 +225,12 @@ def check_shell_conditions(
     Small-amplitude fields (norms tau0, tau0/2, tau0/10) must give
     reproduction matrices entrywise at or above the identity; large ones
     (norms tau1, 2 tau1, 4 tau1) must have spectral radius at most one.
-    Both verdicts carry a roundoff allowance.  tau0 must be below tau1.
+    Both verdicts carry a roundoff allowance.  tau0 must be below tau1,
+    and seed nonnegative.
     """
     if not (0.0 < tau0 < tau1):
         raise FixedPointError(f"need 0 < tau0 < tau1, got tau0={tau0!r}, tau1={tau1!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     fields = _sample_fields(mesh, grid, rng)
     small_norms = [tau0, tau0 / 2.0, tau0 / 10.0]
     large_norms = [tau1, 2.0 * tau1, 4.0 * tau1]

@@ -155,7 +155,7 @@ def smallest_eigenvalue(matrix: OperatorMatrix, tol: float = 1e-12, max_iter: in
 
 def picard_field(model, mesh, grid, B: np.ndarray, u_start, tol: float, max_sweeps: int = 200):
     """Self-consistent field for one birth vector by 1-D frozen-coefficient
-    Picard sweeps from u_start: the reference for the solver's batched loop.
+    Picard sweeps from u_start: an iterative reference for the march.
 
     Each sweep builds the evolution of the current field and propagates B
     through it, until the field changes by at most tol in max norm.

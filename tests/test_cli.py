@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 import sys
@@ -172,6 +173,7 @@ class TestErrorsAndEntryPoints:
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--max-iter", "0"],
+        ["--seed", "-1"],
     ])
     def test_bad_fixedpoint_inputs_exit_1(self, flags, tmp_path, capsys):
         argv = ["fixedpoint", "--model", SHELL, "--out", str(tmp_path / "fp")]
@@ -180,6 +182,19 @@ class TestErrorsAndEntryPoints:
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert flags[0].lstrip("-").replace("-", "_") in err
         assert not any(tmp_path.iterdir())
+
+    def test_blas_threads_capped_unless_set(self):
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        probe = f"import os, agequil; print(*(os.environ[v] for v in {names!r}))"
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        for preset, want in ((None, "1 1 1"), ("3", "3 3 3")):
+            if preset is not None:
+                env.update(dict.fromkeys(names, preset))
+            proc = subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == want.split()
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -5,8 +5,6 @@ from agequil import continuation
 from agequil.continuation import (
     ContinuationError,
     Plane,
-    _picard_columns,
-    _scaled_tol,
     branch_stats,
     correct,
     first_step,
@@ -14,7 +12,7 @@ from agequil.continuation import (
     trace_branch,
 )
 from agequil.discretize import SpatialMesh
-from agequil.evolution import AgeGrid, build_evolution, propagate
+from agequil.evolution import AgeGrid, EvolutionError, build_evolution, propagate
 from agequil.linearized import build_linearized
 
 from oracles import logistic_B_of_amplitude, logistic_n_of_B, picard_field
@@ -129,55 +127,67 @@ class TestCorrect:
     def test_fixed_n_recovers_branch_point(self, decay_normalized, decay_branch, decay_lin):
         model, mesh, grid, _ = decay_normalized
         p = decay_branch.nontrivial()[4]
-        B_pert = 1.02 * p.B
-        u_guess = propagate(build_evolution(model, mesh, grid, p.u), B_pert)
-        got = correct(model, mesh, grid, p.n, u_guess, lin=decay_lin)
+        got = correct(model, mesh, grid, p.n, 1.02 * p.B, lin=decay_lin)
         np.testing.assert_allclose(got.B, p.B, rtol=1e-7)
         assert got.n == p.n
 
     def test_iteration_budget_enforced(self, decay_normalized, decay_branch, decay_lin):
         model, mesh, grid, _ = decay_normalized
         p = decay_branch.nontrivial()[4]
-        u_guess = propagate(build_evolution(model, mesh, grid, p.u), 1.5 * p.B)
-        with pytest.raises(ContinuationError):
-            correct(model, mesh, grid, p.n, u_guess, max_iter=1, lin=decay_lin)
+        with pytest.raises(ContinuationError, match="within 1 iterations"):
+            correct(model, mesh, grid, p.n, 1.5 * p.B, max_iter=1, lin=decay_lin)
 
 
-class TestBatchedPicard:
-    def test_columns_match_single_solves_bitwise(self, diffusion_problem, monkeypatch):
+class TestMarch:
+    @pytest.fixture
+    def setup(self, diffusion_problem):
         model, _, _ = diffusion_problem
         mesh, grid = SpatialMesh(nx=8), AgeGrid(na=12, a_max=model.a_max)
-        warm = propagate(build_evolution(model, mesh, grid), np.full(mesh.nx, 0.3))
-        ev_warm = build_evolution(model, mesh, grid, warm)
-        # columns far from the warm field need more sweeps than the
-        # Jacobian-like pair near it, so the batch shrinks along the way;
-        # the far column 3 is also solved on its own, without ev_start
-        Bs = np.outer(np.linspace(1.0, 0.5, mesh.nx), [0.3, 0.3 + 1e-6, 0.6, 1.2, 0.05])
-        tols = np.array([_scaled_tol(1e-10, col) for col in Bs.T])
-        batches = []
+        # a bump in x: the drift g = 0.1 p changes sign at its peak
+        bump = np.sin(np.pi * mesh.nodes)
+        Bs = np.outer(bump, [0.05, 0.3, 0.3 + 1e-6, 1.2]) + 0.01
+        return model, mesh, grid, Bs
 
-        def counting_build(model, mesh, grid, u=None):
-            batches.append(u.values.shape[2:])
-            return build_evolution(model, mesh, grid, u)
+    def test_field_is_bitwise_self_consistent(self, setup):
+        model, mesh, grid, Bs = setup
+        for B in (Bs[:, 1].copy(), Bs):
+            u = build_evolution(model, mesh, grid, birth=B).source
+            p = np.diff(u.values[grid.na // 2], axis=0)
+            assert np.any(p > 0) and np.any(p < 0)
+            assert u.values[0].tobytes() == B.tobytes()
+            replay = propagate(build_evolution(model, mesh, grid, u), B)
+            assert replay.values.tobytes() == u.values.tobytes()
 
-        monkeypatch.setattr(continuation, "build_evolution", counting_build)
-        fields = dict(_picard_columns(model, mesh, grid, Bs, warm, tols, ev_start=ev_warm))
-        n_batched = len(batches)
-        _, lone = next(_picard_columns(model, mesh, grid, Bs[:, 3:4], warm, tols[3:4]))
-        monkeypatch.undo()
-        # a batch of width one costs 2-3x per sweep, so once one column
-        # is left every build sees a plain (na+1, nx) field
-        assert len(set(batches[:n_batched])) > 2
-        assert batches[:n_batched] == sorted(batches[:n_batched], reverse=True)
-        assert (1,) not in batches and batches[n_batched - 1] == ()
-        assert n_batched < len(batches) and set(batches[n_batched:]) == {()}
-        assert sorted(fields) == list(range(Bs.shape[1]))
-        for j, got in [*fields.items(), (3, lone)]:
-            want = picard_field(model, mesh, grid, Bs[:, j].copy(), warm, tols[j])
-            assert got.values.flags.c_contiguous
-            assert got.values.tobytes() == want.values.tobytes()
-        with pytest.raises(ContinuationError, match="stagnation"):
-            list(_picard_columns(model, mesh, grid, Bs, warm, tols, max_sweeps=2, ev_start=ev_warm))
+    def test_batched_columns_match_single_marches_bitwise(self, setup):
+        model, mesh, grid, Bs = setup
+        batched = build_evolution(model, mesh, grid, birth=Bs).source.values
+        assert batched.shape == (grid.na + 1, mesh.nx, Bs.shape[1])
+        for j in range(Bs.shape[1]):
+            single = build_evolution(model, mesh, grid, birth=Bs[:, j].copy()).source.values
+            assert np.ascontiguousarray(batched[:, :, j]).tobytes() == single.tobytes()
+
+    def test_agrees_with_converged_picard_sweeps(self, setup):
+        model, mesh, grid, Bs = setup
+        start = propagate(build_evolution(model, mesh, grid), Bs[:, 1].copy())
+        for j in range(Bs.shape[1]):
+            B = Bs[:, j].copy()
+            got = build_evolution(model, mesh, grid, birth=B).source.values
+            want = picard_field(model, mesh, grid, B, start, 1e-14).values
+            assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
+
+    def test_rejects_bad_input(self, setup):
+        model, mesh, grid, Bs = setup
+        u = build_evolution(model, mesh, grid, birth=Bs[:, 0].copy()).source
+        with pytest.raises(EvolutionError, match="not both"):
+            build_evolution(model, mesh, grid, u, birth=Bs[:, 0].copy())
+        for bad in (Bs[:-1, 0].copy(), Bs[:, :, None], np.ones(())):
+            with pytest.raises(EvolutionError, match="shape"):
+                build_evolution(model, mesh, grid, birth=bad)
+        for value in (np.nan, np.inf):
+            B = Bs.copy()
+            B[3, 2] = value
+            with pytest.raises(EvolutionError, match="non-finite"):
+                build_evolution(model, mesh, grid, birth=B)
 
 
 class TestSolveAtNorm:
