@@ -64,7 +64,8 @@ class BranchPoint:
     identity_residual is |n * r(Q_u) - 1|, the along-branch identity.
     residual_direct is the birth/field fixed-point residual relative to
     the birth scale; reform_residual is the absolute field norm of
-    u - lam L u - H(lam, u) at lam = n - 1/2.
+    u - lam L u - H(lam, u) at lam = n - 1/2.  newton_iters counts the
+    corrector's Newton steps (Jacobian solves).
     """
 
     n: float
@@ -152,8 +153,7 @@ def correct(
         return residual(Bv, nv, ev.source.values), ev
 
     res_vec, ev = evaluate(B, n_cur)
-    iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(max_iter):
         res_norm = float(np.max(np.abs(res_vec)))
         if res_norm <= _scaled_tol(tol, B):
             break
@@ -361,7 +361,7 @@ def trace_branch(
         branch.points.append(point)
         z_prev, z_cur = z_cur, (point.B, point.n)
         fails_at_min = 0
-        if point.newton_iters <= 4:
+        if point.newton_iters <= 3:
             step_cur = min(step_cur * 1.4, step * 8.0)
     return branch
 

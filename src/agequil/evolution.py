@@ -92,21 +92,12 @@ class DensityField:
         """L1 in age of the spatial max; the branch amplitude measure."""
         return float(self.grid.weights @ np.max(np.abs(self.values), axis=1))
 
-    def copy(self) -> "DensityField":
-        return DensityField(self.values.copy(), self.grid)
-
     @classmethod
     def zeros(cls, grid: AgeGrid, nx: int) -> "DensityField":
         return cls(np.zeros((grid.na + 1, nx)), grid)
 
     def __add__(self, other: "DensityField") -> "DensityField":
         return DensityField(self.values + other.values, self.grid)
-
-    def __sub__(self, other: "DensityField") -> "DensityField":
-        return DensityField(self.values - other.values, self.grid)
-
-    def __rmul__(self, scalar: float) -> "DensityField":
-        return DensityField(float(scalar) * self.values, self.grid)
 
 
 @dataclass

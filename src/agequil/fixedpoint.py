@@ -1,17 +1,17 @@
 """Parameter-free equilibria by damped fixed-point iteration.
 
 This is the second, independent route to an equilibrium: no continuation,
-no Newton, no linearization.  The map sends (B, u) to the propagated
-field and its birth functional,
+no Newton, no linearization.  The map sends a birth vector B to the birth
+functional of its self-consistent field,
 
-    u  <-  propagate(evolution(u), B)
-    B  <-  l(u)
+    B  <-  l(u(B)),    u(B) = build_evolution(..., birth=B).source,
 
-and the damped update mixes the image with the current iterate.  When the
-model satisfies the shell conditions (the reproduction operator exceeds
-the identity at small amplitudes and has spectral radius below one at
-large amplitudes), the iteration is pushed away from zero and pulled back
-from infinity, and a nontrivial fixed point exists between the shells.
+the same one-pass march the continuation corrector evaluates, and the
+damped update mixes the image with the current iterate.  When the model
+satisfies the shell conditions (the reproduction operator exceeds the
+identity at small amplitudes and has spectral radius below one at large
+amplitudes), the iteration is pushed away from zero and pulled back from
+infinity, and a nontrivial fixed point exists between the shells.
 check_shell_conditions probes both shells on sampled fields.
 """
 
@@ -38,8 +38,9 @@ class FixedPointResult:
     """Outcome of one damped run.
 
     converged marks a nontrivial fixed point; collapsed marks attraction
-    to the trivial equilibrium (the two are mutually exclusive).
-    residual is the undamped self-consistency defect of the final pair.
+    to the trivial equilibrium (the two are mutually exclusive).  u is
+    the field marched from B.  residual is the self-consistency defect of
+    the pair, measured by replaying u through the evolution frozen at it.
     """
 
     u: DensityField
@@ -62,14 +63,15 @@ def solve_fixedpoint(
     max_iter: int = 2000,
     B_init: np.ndarray | None = None,
 ) -> FixedPointResult:
-    """Damped iteration from B_init (all ones by default).
+    """Damped birth map B <- (1 - damping) B + damping l(u(B)) from B_init.
 
-    Stops when the update change drops below tol, or when the birth
-    vector collapses below 1e-12 (the trivial equilibrium attracted the
-    iterate; returned with collapsed=True).  Raises FixedPointError for
-    damping outside (0, 1], a tol that is negative or not finite,
-    max_iter below 1, a negative or misshapen B_init, or an unconverged
-    iteration at max_iter.
+    B_init is all ones by default, and u(B) is the field marched from B.
+    Stops when the change in B drops below tol, or when B collapses below
+    1e-12 (the trivial equilibrium attracted the iterate; returned with
+    collapsed=True).  A converged B is then polished by the undamped map.
+    Raises FixedPointError for damping outside (0, 1], a tol that is
+    negative or not finite, max_iter below 1, a negative or misshapen
+    B_init, or an unconverged iteration at max_iter.
     """
     if not 0.0 < damping <= 1.0:
         raise FixedPointError(f"damping must lie in (0, 1], got {damping!r}")
@@ -86,23 +88,16 @@ def solve_fixedpoint(
         if not np.all(np.isfinite(B)) or np.any(B < 0):
             raise FixedPointError("B_init must be finite and nonnegative")
 
-    u = propagate(build_evolution(model, mesh, grid, None), B)
     change = np.inf
     for it in range(1, max_iter + 1):
-        ev = build_evolution(model, mesh, grid, u)
-        u_prop = propagate(ev, B)
-        B_new = birth_functional(model, grid, u_prop.values)
-        u_next = (1.0 - damping) * u + damping * u_prop
-        B_next = (1.0 - damping) * B + damping * B_new
-        change = max(
-            float(np.max(np.abs(B_next - B))),
-            float(np.max(np.abs(u_next.values - u.values))),
-        )
-        u, B = u_next, B_next
+        u = build_evolution(model, mesh, grid, birth=B).source
+        B_next = (1.0 - damping) * B + damping * birth_functional(model, grid, u.values)
+        change = float(np.max(np.abs(B_next - B)))
+        B = B_next
         if float(np.max(np.abs(B))) < COLLAPSE_THRESHOLD:
-            return _diagnose(model, mesh, grid, np.zeros(mesh.nx), None, False, True, it, change)
+            return _diagnose(model, mesh, grid, B, False, True, it, change)
         if change <= tol:
-            return _diagnose(model, mesh, grid, B, u, True, False, it, change)
+            return _diagnose(model, mesh, grid, B, True, False, it, change)
     raise FixedPointError(f"no convergence in {max_iter} iterations (last change {change:.3e})")
 
 
@@ -111,24 +106,19 @@ def _diagnose(
     mesh: SpatialMesh,
     grid: AgeGrid,
     B: np.ndarray,
-    u: DensityField | None,
     converged: bool,
     collapsed: bool,
     iterations: int,
     change: float,
 ) -> FixedPointResult:
-    # a few undamped sweeps tighten the pair to self-consistency before
-    # the residual and the reproduction radius are measured
+    # a few undamped sweeps of the same map tighten B to self-consistency
+    # before the residual and the reproduction radius are measured
     if not collapsed:
         for _ in range(200):
-            ev = build_evolution(model, mesh, grid, u)
-            u_prop = propagate(ev, B)
-            B_prop = birth_functional(model, grid, u_prop.values)
-            delta = max(
-                float(np.max(np.abs(B_prop - B))),
-                float(np.max(np.abs(u_prop.values - u.values))),
-            )
-            u, B = u_prop, B_prop
+            u = build_evolution(model, mesh, grid, birth=B).source
+            B_prop = birth_functional(model, grid, u.values)
+            delta = float(np.max(np.abs(B_prop - B)))
+            B = B_prop
             if delta <= 1e-13 * max(1.0, float(np.max(np.abs(B)))):
                 break
         # a slow slide toward zero can pass the change test well above
@@ -137,11 +127,12 @@ def _diagnose(
             converged, collapsed = False, True
     if collapsed:
         B = np.zeros(mesh.nx)
-        u = DensityField.zeros(grid, mesh.nx)
-    ev = build_evolution(model, mesh, grid, u)
-    u_check = propagate(ev, B)
+    ev = build_evolution(model, mesh, grid, birth=B)
+    u = ev.source
+    # replay u through the evolution frozen at it: measured, not assumed
+    u_check = propagate(build_evolution(model, mesh, grid, u), B)
     residual = max(
-        float(np.max(np.abs(B - birth_functional(model, grid, u_check.values)))),
+        float(np.max(np.abs(B - birth_functional(model, grid, u.values)))),
         float(np.max(np.abs(u_check.values - u.values))),
     )
     r, _ = spectral_radius(assemble_Q(model, ev))
@@ -226,40 +217,30 @@ def check_shell_conditions(
     reproduction matrices entrywise at or above the identity; large ones
     (norms tau1, 2 tau1, 4 tau1) must have spectral radius at most one.
     Both verdicts carry a roundoff allowance.  tau0 must be below tau1,
-    and seed nonnegative.
+    4 tau1 finite, and seed nonnegative.
     """
-    if not (0.0 < tau0 < tau1):
-        raise FixedPointError(f"need 0 < tau0 < tau1, got tau0={tau0!r}, tau1={tau1!r}")
-    rng = _rng(seed)
-    fields = _sample_fields(mesh, grid, rng)
-    small_norms = [tau0, tau0 / 2.0, tau0 / 10.0]
-    large_norms = [tau1, 2.0 * tau1, 4.0 * tau1]
+    if not (0.0 < tau0 < tau1 and np.isfinite(4.0 * tau1)):
+        raise FixedPointError(
+            f"need 0 < tau0 < tau1 with 4 tau1 finite, got tau0={tau0!r}, tau1={tau1!r}"
+        )
+    fields = _sample_fields(mesh, grid, _rng(seed))
 
-    min_excess = np.inf
-    max_radius = -np.inf
-    n_small = n_large = 0
-    eye = np.eye(mesh.nx)
-    for i, raw in enumerate(fields):
-        base = DensityField(values=raw, grid=grid)
-        scale_small = small_norms[i % len(small_norms)] / base.norm()
-        scale_large = large_norms[i % len(large_norms)] / base.norm()
-        for scale, band in ((scale_small, "small"), (scale_large, "large")):
-            u = DensityField(values=raw * scale, grid=grid)
-            q = assemble_Q(model, build_evolution(model, mesh, grid, u))
-            if band == "small":
-                min_excess = min(min_excess, float(np.min(q - eye)))
-                n_small += 1
-            else:
-                r, _ = spectral_radius(q)
-                max_radius = max(max_radius, r)
-                n_large += 1
+    def probe(i: int, amplitude: float) -> np.ndarray:
+        raw = fields[i]
+        u = DensityField(raw * (amplitude / DensityField(raw, grid).norm()), grid)
+        return assemble_Q(model, build_evolution(model, mesh, grid, u))
+
+    small = [probe(i, tau0 / (1.0, 2.0, 10.0)[i % 3]) for i in range(len(fields))]
+    large = [probe(i, tau1 * (1.0, 2.0, 4.0)[i % 3]) for i in range(len(fields))]
+    min_excess = min(float(np.min(q - np.eye(mesh.nx))) for q in small)
+    max_radius = max(spectral_radius(q)[0] for q in large)
     return ShellReport(
         tau0=tau0,
         tau1=tau1,
         verdict_small_densities=bool(min_excess >= -1e-12),
         verdict_large_densities=bool(max_radius <= 1.0 + 1e-9),
-        min_small_excess=float(min_excess),
+        min_small_excess=min_excess,
         max_large_radius=float(max_radius),
-        n_small_fields=n_small,
-        n_large_fields=n_large,
+        n_small_fields=len(small),
+        n_large_fields=len(large),
     )

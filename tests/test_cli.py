@@ -173,7 +173,7 @@ class TestErrorsAndEntryPoints:
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--max-iter", "0"],
-        ["--seed", "-1"],
+        ["--seed", "-1"], ["--tau1", "inf"], ["--tau1", "1e308"],
     ])
     def test_bad_fixedpoint_inputs_exit_1(self, flags, tmp_path, capsys):
         argv = ["fixedpoint", "--model", SHELL, "--out", str(tmp_path / "fp")]
@@ -203,6 +203,20 @@ class TestErrorsAndEntryPoints:
         )
         assert proc.returncode == 0
         assert "normalize" in proc.stdout
+
+    def test_demo_scripts_run(self, tmp_path):
+        repo = MODELS.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(repo / "src"), env.get("PYTHONPATH"))))
+        for script in ("trace_logistic.py", "fixedpoint_shell.py"):
+            proc = subprocess.run(
+                [sys.executable, str(repo / "scripts" / script)],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+        written = {path.name for path in (tmp_path / "out").iterdir()}
+        expected = {"branch.csv", "branch_profile_000.csv", "shell_u.csv", "shell_B.csv", "shell_report.txt"}
+        assert expected <= written
 
     def test_console_script(self):
         exe = shutil.which("agequil")

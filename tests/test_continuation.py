@@ -131,6 +131,30 @@ class TestCorrect:
         np.testing.assert_allclose(got.B, p.B, rtol=1e-7)
         assert got.n == p.n
 
+    @pytest.mark.parametrize("free_n", [False, True])
+    def test_newton_iters_counts_jacobian_marches(
+        self, decay_normalized, decay_branch, decay_lin, monkeypatch, free_n
+    ):
+        # each Newton step marches its nx perturbed birth vectors as one batch
+        model, mesh, grid, _ = decay_normalized
+        p = decay_branch.nontrivial()[4]
+        plane = Plane(np.zeros(mesh.nx), 1.0, p.B, p.n) if free_n else None
+        batches = []
+
+        def counting(*args, birth=None, **kwargs):
+            if birth is not None and np.ndim(birth) == 2:
+                batches.append(np.shape(birth))
+            return build_evolution(*args, birth=birth, **kwargs)
+
+        monkeypatch.setattr(continuation, "build_evolution", counting)
+        got = correct(model, mesh, grid, p.n, 1.02 * p.B, plane, lin=decay_lin)
+        assert got.newton_iters >= 1
+        assert batches == [(mesh.nx, mesh.nx)] * got.newton_iters
+        # a converged start takes no step
+        batches.clear()
+        assert correct(model, mesh, grid, got.n, got.B, plane, lin=decay_lin).newton_iters == 0
+        assert batches == []
+
     def test_iteration_budget_enforced(self, decay_normalized, decay_branch, decay_lin):
         model, mesh, grid, _ = decay_normalized
         p = decay_branch.nontrivial()[4]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agequil.evolution import build_evolution
 from agequil.fixedpoint import (
     FixedPointError,
     check_shell_conditions,
@@ -11,10 +12,10 @@ from agequil.fixedpoint import (
 from oracles import decay_rows, discrete_r0, shell_root
 
 
-@pytest.fixture(scope="module")
-def shell_result(shell_problem):
+@pytest.fixture(scope="module", params=[0.5, 1.0], ids=["damped", "undamped"])
+def shell_result(shell_problem, request):
     model, mesh, grid = shell_problem
-    return solve_fixedpoint(model, mesh, grid)
+    return solve_fixedpoint(model, mesh, grid, damping=request.param)
 
 
 class TestShellEquilibrium:
@@ -43,6 +44,11 @@ class TestShellEquilibrium:
 
     def test_residual_is_tight(self, shell_result):
         assert shell_result.residual <= 1e-10
+
+    def test_field_is_march_of_birth(self, shell_problem, shell_result):
+        model, mesh, grid = shell_problem
+        marched = build_evolution(model, mesh, grid, birth=shell_result.B).source
+        np.testing.assert_array_equal(shell_result.u.values, marched.values)
 
     def test_multistart_agrees_and_is_deterministic(self, shell_problem, shell_result):
         model, mesh, grid = shell_problem
@@ -130,3 +136,9 @@ class TestShellConditions:
             check_shell_conditions(model, mesh, grid, 2.0, 1.0)
         with pytest.raises(FixedPointError, match="tau0"):
             check_shell_conditions(model, mesh, grid, 0.0, 1.0)
+        # the largest probe has norm 4 tau1, which overflows for 1e308
+        for tau1 in (np.inf, 1e308, np.nan):
+            with pytest.raises(FixedPointError, match="tau1"):
+                check_shell_conditions(model, mesh, grid, 1e-2, tau1)
+        with pytest.raises(FixedPointError, match="tau0"):
+            check_shell_conditions(model, mesh, grid, np.inf, np.inf)
