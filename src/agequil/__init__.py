@@ -25,7 +25,6 @@ from .continuation import (
 from .discretize import AssemblyError, SpatialMesh, assemble
 from .evolution import (
     AgeGrid,
-    DensityField,
     EvolutionError,
     EvolutionOperator,
     apply_K0,
@@ -76,7 +75,6 @@ __all__ = [
     "BranchPoint",
     "BranchStats",
     "ContinuationError",
-    "DensityField",
     "EvolutionError",
     "EvolutionOperator",
     "FixedPointError",

@@ -36,7 +36,7 @@ from .continuation import (
     trace_branch,
 )
 from .discretize import AssemblyError, SpatialMesh
-from .evolution import AgeGrid, DensityField, EvolutionError, build_evolution
+from .evolution import AgeGrid, EvolutionError, build_evolution
 from .fixedpoint import FixedPointError, check_shell_conditions, multistart_fixedpoint
 from .linearized import LinearizedError, build_linearized, reformulation_residual
 from .model import ModelError, ModelSpec, parse_grid, parse_model, serialize_model
@@ -98,31 +98,33 @@ def _branch_rows(branch) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _field_csv(field: DensityField, mesh: SpatialMesh) -> str:
+def _field_csv(u: np.ndarray, mesh: SpatialMesh, grid: AgeGrid) -> str:
     lines = ["a," + ",".join(_fmt(x) for x in mesh.nodes)]
-    for k, age in enumerate(field.grid.ages):
-        lines.append(_fmt(age) + "," + ",".join(_fmt(v) for v in field.values[k]))
+    for k, age in enumerate(grid.ages):
+        lines.append(_fmt(age) + "," + ",".join(_fmt(v) for v in u[k]))
     return "\n".join(lines) + "\n"
 
 
-def _read_field_csv(path: Path, a_max: float) -> tuple[DensityField, SpatialMesh]:
+def _read_field_csv(path: Path, mesh: SpatialMesh, grid: AgeGrid) -> np.ndarray:
+    """The field a profile file stores, checked against the model's grids."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    if not rows or rows[0][0] != "a" or len(rows) < 3:
+    if len(rows) < 3 or rows[0][:1] != ["a"]:
         raise ValueError(f"{path} is not a profile file")
-    xs = np.array([float(v) for v in rows[0][1:]])
-    nx = xs.shape[0]
-    mesh = SpatialMesh(nx=nx)
+    if any(len(row) != mesh.nx + 1 for row in rows):
+        raise ValueError(f"{path} does not have {mesh.nx} x columns on every line")
+    try:
+        xs = np.array([float(v) for v in rows[0][1:]])
+        body = np.array([[float(v) for v in row] for row in rows[1:]])
+    except ValueError as exc:
+        raise ValueError(f"{path} has a non-numeric cell: {exc}") from exc
     if not np.allclose(xs, mesh.nodes, rtol=0, atol=1e-12):
         raise ValueError(f"{path} has an unexpected x grid")
-    body = np.array([[float(v) for v in row] for row in rows[1:]])
-    if body.shape[1] != nx + 1:
-        raise ValueError(f"{path} has ragged rows")
-    grid = AgeGrid(na=body.shape[0] - 1, a_max=a_max)
-    if not np.allclose(body[:, 0], grid.ages, rtol=0, atol=1e-10 * max(1.0, a_max)):
+    if body.shape[0] != grid.na + 1 or not np.allclose(
+        body[:, 0], grid.ages, rtol=0, atol=1e-10 * max(1.0, grid.a_max)
+    ):
         raise ValueError(f"{path} has an unexpected age grid")
-    values = np.ascontiguousarray(body[:, 1:])
-    return DensityField(values=values, grid=grid), mesh
+    return np.ascontiguousarray(body[:, 1:])
 
 
 def _stem(out: str) -> Path:
@@ -157,7 +159,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     _write_text(out, _branch_rows(branch))
     stem = _stem(args.out)
     for idx, point in enumerate(branch.points):
-        _write_text(Path(f"{stem}_profile_{idx:03d}.csv"), _field_csv(point.u, problem.mesh))
+        profile = _field_csv(point.u, problem.mesh, problem.grid)
+        _write_text(Path(f"{stem}_profile_{idx:03d}.csv"), profile)
     stats = branch_stats(branch)
     print(f"traced {len(branch.points)} points ({len(branch.nontrivial())} nontrivial)")
     print(f"terminated: {branch.terminated}")
@@ -179,7 +182,7 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         problem.model, problem.mesh, problem.grid, args.tau0, args.tau1, seed=args.seed,
     )
     stem = _stem(args.out)
-    _write_text(Path(f"{stem}_u.csv"), _field_csv(result.u, problem.mesh))
+    _write_text(Path(f"{stem}_u.csv"), _field_csv(result.u, problem.mesh, problem.grid))
     b_lines = ["x,B"] + [
         f"{_fmt(x)},{_fmt(b)}" for x, b in zip(problem.mesh.nodes, result.B)
     ]
@@ -190,7 +193,7 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         f"iterations: {result.iterations}",
         f"residual: {_fmt(result.residual)}",
         f"r_Qu: {_fmt(result.r_Qu)}",
-        f"amplitude: {_fmt(result.u.norm())}",
+        f"amplitude: {_fmt(problem.grid.norm(result.u))}",
         f"shell tau0: {_fmt(shell.tau0)}",
         f"shell tau1: {_fmt(shell.tau1)}",
         f"verdict_small_densities: {shell.verdict_small_densities}",
@@ -219,6 +222,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rows = list(csv.reader(handle))
     if not rows or tuple(rows[0]) != BRANCH_COLUMNS:
         raise ValueError(f"{branch_path} does not have the branch column header")
+    if any(len(row) != len(BRANCH_COLUMNS) for row in rows[1:]):
+        raise ValueError(f"{branch_path} has a row without {len(BRANCH_COLUMNS)} cells")
     try:
         table = [
             {col: float(val) for col, val in zip(BRANCH_COLUMNS, row)} for row in rows[1:]
@@ -259,13 +264,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for idx, row in enumerate(table):
         if row["eps"] <= 1e-12:
             continue
-        field, mesh = _read_field_csv(Path(f"{stem}_profile_{idx:03d}.csv"), model.a_max)
-        if mesh.nx != problem.mesh.nx or field.grid.na != problem.grid.na:
-            raise ValueError(f"profile {idx:03d} grid does not match the model grid")
-        ev = build_evolution(model, mesh, field.grid, field)
+        u = _read_field_csv(Path(f"{stem}_profile_{idx:03d}.csv"), problem.mesh, problem.grid)
+        ev = build_evolution(model, problem.mesh, problem.grid, u)
         r, _ = spectral_radius(assemble_Q(model, ev))
         recompute_worst = max(recompute_worst, abs(row["n"] * r - 1.0))
-        reform_worst = max(reform_worst, reformulation_residual(lin, row["n"], field))
+        reform_worst = max(reform_worst, reformulation_residual(lin, row["n"], u))
     if nontrivial:
         _check(
             "profiles satisfy n r(Q_u) = 1",

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import AssemblyError, SpatialMesh
-from .evolution import AgeGrid, DensityField, EvolutionError, EvolutionOperator, build_evolution, propagate
+from .evolution import AgeGrid, EvolutionError, EvolutionOperator, build_evolution, propagate
 from .linearized import LinearizedOperators, build_linearized, reformulation_residual
 from .model import ModelSpec
 from .reproduction import assemble_Q, birth_functional, spectral_radius
@@ -69,7 +69,7 @@ class BranchPoint:
     """
 
     n: float
-    u: DensityField
+    u: np.ndarray
     B: np.ndarray
     eps: float
     r_Qu: float
@@ -101,8 +101,6 @@ class BranchStats:
     N_i: float
     N_s: float
     max_identity_residual: float
-    cross_si_Ni: float
-    cross_ss_Ns: float
 
 
 def _scaled_tol(tol: float, B: np.ndarray) -> float:
@@ -119,7 +117,7 @@ def correct(
     *,
     tol: float = 1e-9,
     max_iter: int = 30,
-    lin: LinearizedOperators | None = None,
+    lin: LinearizedOperators,
 ) -> BranchPoint:
     """Newton corrector on G(B, n) = B - n * l(u(B)) from a birth vector.
 
@@ -150,7 +148,7 @@ def correct(
 
     def evaluate(Bv: np.ndarray, nv: float) -> tuple[np.ndarray, EvolutionOperator]:
         ev = build_evolution(model, mesh, grid, birth=Bv)
-        return residual(Bv, nv, ev.source.values), ev
+        return residual(Bv, nv, ev.source), ev
 
     res_vec, ev = evaluate(B, n_cur)
     for iters in range(max_iter):
@@ -165,14 +163,14 @@ def correct(
         hb = FD_STEP * (1.0 + float(np.max(np.abs(B))))
         Bs = np.repeat(B[:, None], nx, axis=1)
         Bs[np.arange(nx), np.arange(nx)] += hb
-        fields = build_evolution(model, mesh, grid, birth=Bs).source.values
+        fields = build_evolution(model, mesh, grid, birth=Bs).source
         jac = np.empty((res_vec.shape[0], nx + 1 if free_n else nx))
         for j in range(nx):
             jac[:, j] = (residual(Bs[:, j], n_cur, fields[:, :, j]) - res_vec) / hb
         del fields
         if free_n:
             hn = FD_STEP * (1.0 + abs(n_cur))
-            jac[:, nx] = (residual(B, n_cur + hn, ev.source.values) - res_vec) / hn
+            jac[:, nx] = (residual(B, n_cur + hn, ev.source) - res_vec) / hn
 
         try:
             delta = np.linalg.solve(jac, -res_vec)
@@ -195,9 +193,6 @@ def correct(
             raise ContinuationError(f"corrector stalled at residual {res_norm:.3e}")
     else:
         raise ContinuationError(f"corrector did not converge within {max_iter} iterations")
-
-    if lin is None:
-        lin = build_linearized(model, mesh, grid)
     return _finalize(model, mesh, grid, n_cur, B, ev, lin, iters)
 
 
@@ -213,9 +208,8 @@ def _finalize(
 ) -> BranchPoint:
     """Branch point at (B, n) from ev, the march of B (None only for B = 0)."""
     if float(np.max(np.abs(B))) < TRIVIAL_THRESHOLD:
-        zero = DensityField.zeros(grid, mesh.nx)
         return BranchPoint(
-            n=n, u=zero, B=np.zeros(mesh.nx), eps=0.0, r_Qu=lin.r0,
+            n=n, u=np.zeros((grid.na + 1, mesh.nx)), B=np.zeros(mesh.nx), eps=0.0, r_Qu=lin.r0,
             identity_residual=abs(n * lin.r0 - 1.0), residual_direct=0.0,
             reform_residual=0.0, min_u=0.0, trivial=True, newton_iters=iters,
         )
@@ -224,19 +218,19 @@ def _finalize(
     # self-consistency is measured, not assumed
     u_check = propagate(build_evolution(model, mesh, grid, u), B)
     scale = max(float(np.max(np.abs(B))), 1e-300)
-    field_res = float(np.max(np.abs(u_check.values - u.values))) / scale
-    birth_res = float(np.max(np.abs(B - n * birth_functional(model, grid, u.values)))) / scale
+    field_res = float(np.max(np.abs(u_check - u))) / scale
+    birth_res = float(np.max(np.abs(B - n * birth_functional(model, grid, u)))) / scale
     r, _ = spectral_radius(assemble_Q(model, ev))
     point = BranchPoint(
         n=n,
         u=u,
         B=B,
-        eps=u.norm(),
+        eps=grid.norm(u),
         r_Qu=r,
         identity_residual=abs(n * r - 1.0),
         residual_direct=max(field_res, birth_res),
         reform_residual=reformulation_residual(lin, n, u),
-        min_u=float(np.min(u.values)),
+        min_u=float(np.min(u)),
         trivial=False,
         newton_iters=iters,
     )
@@ -252,7 +246,7 @@ def first_step(
     eps0: float,
     *,
     tol: float = 1e-9,
-    lin: LinearizedOperators | None = None,
+    lin: LinearizedOperators,
 ) -> BranchPoint:
     """Leave the trivial solution along the Perron direction.
 
@@ -263,8 +257,6 @@ def first_step(
     """
     if eps0 < 0:
         raise ContinuationError("eps0 must be nonnegative")
-    if lin is None:
-        lin = build_linearized(model, mesh, grid)
     if abs(lin.r0 - 1.0) > 1e-3:
         raise ContinuationError(f"model is not normalized: r(Q0) = {lin.r0!r}")
     if eps0 == 0.0:
@@ -374,7 +366,7 @@ def _require_invariants(point: BranchPoint) -> None:
 
 
 def branch_stats(branch: Branch) -> BranchStats:
-    """Extremes of n and r(Q_u) over the nontrivial points and their cross products.
+    """Extremes of n and r(Q_u) over the nontrivial points.
 
     Along the branch n * r(Q_u) = 1, so sigma_s * N_i and sigma_i * N_s
     both equal one on the visited set.
@@ -390,8 +382,6 @@ def branch_stats(branch: Branch) -> BranchStats:
         N_i=float(rs.min()),
         N_s=float(rs.max()),
         max_identity_residual=float(max(p.identity_residual for p in pts)),
-        cross_si_Ni=float(abs(ns.max() * rs.min() - 1.0)),
-        cross_ss_Ns=float(abs(ns.min() * rs.max() - 1.0)),
     )
 
 

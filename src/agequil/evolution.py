@@ -61,64 +61,32 @@ class AgeGrid:
         w[-1] = 0.5 * self.da
         return w
 
-
-@dataclass
-class DensityField:
-    """Density on the age-space grid; row k is the slice at age a_k.
-
-    Values are (na+1, nx), or (na+1, nx, k) for k fields side by side
-    along a trailing batch axis; the norm is defined on a single field.
-    """
-
-    values: np.ndarray
-    grid: AgeGrid
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim not in (2, 3) or self.values.shape[0] != self.grid.na + 1:
-            raise EvolutionError(
-                f"field shape {self.values.shape} does not match na = {self.grid.na}"
-            )
-
-    @property
-    def nx(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def birth(self) -> np.ndarray:
-        return self.values[0]
-
-    def norm(self) -> float:
-        """L1 in age of the spatial max; the branch amplitude measure."""
-        return float(self.grid.weights @ np.max(np.abs(self.values), axis=1))
-
-    @classmethod
-    def zeros(cls, grid: AgeGrid, nx: int) -> "DensityField":
-        return cls(np.zeros((grid.na + 1, nx)), grid)
-
-    def __add__(self, other: "DensityField") -> "DensityField":
-        return DensityField(self.values + other.values, self.grid)
+    def norm(self, u: np.ndarray) -> float:
+        """L1 in age of the spatial max of a field u, (na+1, nx); the branch amplitude."""
+        return float(self.weights @ np.max(np.abs(u), axis=1))
 
 
 @dataclass
 class EvolutionOperator:
     """Factored one-step solves for k = 0..na-1, frozen at one density field.
 
-    source is the field the quasilinear coefficients were evaluated on;
-    None means the zero field, i.e. the linear evolution Pi_0.
+    A field is an array whose row k is the slice at age a_k: (na+1, nx),
+    or (na+1, nx, k) for k fields side by side along a trailing batch
+    axis.  source is the field the quasilinear coefficients were evaluated
+    on; None means the zero field, i.e. the linear evolution Pi_0.
     """
 
     steps: list[FactoredTridiag]
     grid: AgeGrid
     mesh: SpatialMesh
-    source: DensityField | None = field(default=None, repr=False)
+    source: np.ndarray | None = field(default=None, repr=False)
 
 
 def build_evolution(
     model: ModelSpec,
     mesh: SpatialMesh,
     grid: AgeGrid,
-    u: DensityField | None = None,
+    u: np.ndarray | None = None,
     *,
     birth: np.ndarray | None = None,
 ) -> EvolutionOperator:
@@ -134,17 +102,19 @@ def build_evolution(
     """
     if u is not None and birth is not None:
         raise EvolutionError("give a frozen field or a birth vector to march, not both")
-    if u is not None and u.values.shape[:2] != (grid.na + 1, mesh.nx):
-        raise EvolutionError("frozen field does not match the grids")
+    if u is not None:
+        u = np.asarray(u, dtype=float)
+        if u.ndim not in (2, 3) or u.shape[:2] != (grid.na + 1, mesh.nx):
+            raise EvolutionError(f"frozen field of shape {u.shape} does not match the grids")
     if birth is not None:
         birth = _birth_array(birth, mesh.nx)
-        u = DensityField(np.empty((grid.na + 1,) + birth.shape), grid)
-        u.values[0] = birth
+        u = np.empty((grid.na + 1,) + birth.shape)
+        u[0] = birth
     da = grid.da
     steps: list[FactoredTridiag] = []
     for k in range(grid.na):
         a_next = float(grid.ages[k + 1])
-        u_slice = u.values[k] if u is not None else None
+        u_slice = u[k] if u is not None else None
         mat = assemble(model, mesh, a_next, u_slice)
         try:
             step = factor_tridiag(da * mat.lower, 1.0 + da * mat.diag, da * mat.upper)
@@ -152,7 +122,7 @@ def build_evolution(
             raise EvolutionError(f"singular one-step matrix at age index {k + 1}: {exc}") from exc
         steps.append(step)
         if birth is not None:
-            u.values[k + 1] = step.solve(u.values[k])
+            u[k + 1] = step.solve(u[k])
     return EvolutionOperator(steps=steps, grid=grid, mesh=mesh, source=u)
 
 
@@ -165,7 +135,7 @@ def _birth_array(B: np.ndarray, nx: int) -> np.ndarray:
     return B
 
 
-def propagate(ev: EvolutionOperator, B: np.ndarray) -> DensityField:
+def propagate(ev: EvolutionOperator, B: np.ndarray) -> np.ndarray:
     """Field with rows Pi(a_k, 0) B; exactly nonnegative when B is.
 
     B is one birth vector (nx,), or (nx, k) for k of them side by side,
@@ -176,10 +146,10 @@ def propagate(ev: EvolutionOperator, B: np.ndarray) -> DensityField:
     values[0] = B
     for k, step in enumerate(ev.steps):
         values[k + 1] = step.solve(values[k])
-    return DensityField(values, ev.grid)
+    return values
 
 
-def apply_K0(ev: EvolutionOperator, f: DensityField) -> DensityField:
+def apply_K0(ev: EvolutionOperator, f: np.ndarray) -> np.ndarray:
     """Discrete Duhamel sum K0 f for the linear evolution.
 
     Left-endpoint source composed with the implicit step:
@@ -189,10 +159,11 @@ def apply_K0(ev: EvolutionOperator, f: DensityField) -> DensityField:
     """
     if ev.source is not None:
         raise EvolutionError("apply_K0 requires the linear evolution (zero frozen field)")
-    if f.values.shape != (ev.grid.na + 1, ev.mesh.nx):
-        raise EvolutionError("source field does not match the grids")
+    f = np.asarray(f, dtype=float)
+    if f.shape != (ev.grid.na + 1, ev.mesh.nx):
+        raise EvolutionError(f"source field of shape {f.shape} does not match the grids")
     da = ev.grid.da
     values = np.zeros((ev.grid.na + 1, ev.mesh.nx))
     for k, step in enumerate(ev.steps):
-        values[k + 1] = step.solve(values[k] + da * f.values[k])
-    return DensityField(values, ev.grid)
+        values[k + 1] = step.solve(values[k] + da * f[k])
+    return values

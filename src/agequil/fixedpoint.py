@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import SpatialMesh
-from .evolution import AgeGrid, DensityField, build_evolution, propagate
+from .evolution import AgeGrid, build_evolution, propagate
 from .model import ModelSpec
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
@@ -43,7 +43,7 @@ class FixedPointResult:
     the pair, measured by replaying u through the evolution frozen at it.
     """
 
-    u: DensityField
+    u: np.ndarray
     B: np.ndarray
     converged: bool
     collapsed: bool
@@ -91,7 +91,7 @@ def solve_fixedpoint(
     change = np.inf
     for it in range(1, max_iter + 1):
         u = build_evolution(model, mesh, grid, birth=B).source
-        B_next = (1.0 - damping) * B + damping * birth_functional(model, grid, u.values)
+        B_next = (1.0 - damping) * B + damping * birth_functional(model, grid, u)
         change = float(np.max(np.abs(B_next - B)))
         B = B_next
         if float(np.max(np.abs(B))) < COLLAPSE_THRESHOLD:
@@ -116,7 +116,7 @@ def _diagnose(
     if not collapsed:
         for _ in range(200):
             u = build_evolution(model, mesh, grid, birth=B).source
-            B_prop = birth_functional(model, grid, u.values)
+            B_prop = birth_functional(model, grid, u)
             delta = float(np.max(np.abs(B_prop - B)))
             B = B_prop
             if delta <= 1e-13 * max(1.0, float(np.max(np.abs(B)))):
@@ -132,8 +132,8 @@ def _diagnose(
     # replay u through the evolution frozen at it: measured, not assumed
     u_check = propagate(build_evolution(model, mesh, grid, u), B)
     residual = max(
-        float(np.max(np.abs(B - birth_functional(model, grid, u.values)))),
-        float(np.max(np.abs(u_check.values - u.values))),
+        float(np.max(np.abs(B - birth_functional(model, grid, u)))),
+        float(np.max(np.abs(u_check - u))),
     )
     r, _ = spectral_radius(assemble_Q(model, ev))
     return FixedPointResult(
@@ -189,8 +189,6 @@ class ShellReport:
     verdict_large_densities: bool
     min_small_excess: float
     max_large_radius: float
-    n_small_fields: int
-    n_large_fields: int
 
 
 def _sample_fields(mesh: SpatialMesh, grid: AgeGrid, rng: np.random.Generator) -> list[np.ndarray]:
@@ -226,8 +224,7 @@ def check_shell_conditions(
     fields = _sample_fields(mesh, grid, _rng(seed))
 
     def probe(i: int, amplitude: float) -> np.ndarray:
-        raw = fields[i]
-        u = DensityField(raw * (amplitude / DensityField(raw, grid).norm()), grid)
+        u = fields[i] * (amplitude / grid.norm(fields[i]))
         return assemble_Q(model, build_evolution(model, mesh, grid, u))
 
     small = [probe(i, tau0 / (1.0, 2.0, 10.0)[i % 3]) for i in range(len(fields))]
@@ -241,6 +238,4 @@ def check_shell_conditions(
         verdict_large_densities=bool(max_radius <= 1.0 + 1e-9),
         min_small_excess=min_excess,
         max_large_radius=float(max_radius),
-        n_small_fields=len(small),
-        n_large_fields=len(large),
     )

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .discretize import OperatorMatrix, SpatialMesh, assemble
-from .evolution import AgeGrid, DensityField, EvolutionOperator, apply_K0, build_evolution, propagate
+from .evolution import AgeGrid, EvolutionOperator, apply_K0, build_evolution, propagate
 from .model import ModelSpec
 from .reproduction import assemble_Q, birth_linear, birth_star, spectral_radius
 from .tridiag import tridiag_matvec
@@ -72,15 +72,15 @@ def build_linearized(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> Line
 
 
 def solve_linear(
-    lin: LinearizedOperators, birth_data: np.ndarray, source: DensityField | None = None
-) -> DensityField:
+    lin: LinearizedOperators, birth_data: np.ndarray, source: np.ndarray | None = None
+) -> np.ndarray:
     """Unique solution of the stepped linear problem described above."""
     birth_data = np.asarray(birth_data, dtype=float)
     if birth_data.shape != (lin.mesh.nx,):
         raise LinearizedError(f"birth data has shape {birth_data.shape}, expected ({lin.mesh.nx},)")
     if source is not None:
         kf = apply_K0(lin.ev0, source)
-        rhs = birth_data + 0.5 * birth_linear(lin.model, lin.grid, kf.values)
+        rhs = birth_data + 0.5 * birth_linear(lin.model, lin.grid, kf)
     else:
         kf = None
         rhs = birth_data
@@ -91,12 +91,12 @@ def solve_linear(
     return out
 
 
-def apply_birth_feedback(lin: LinearizedOperators, u: DensityField) -> DensityField:
+def apply_birth_feedback(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
     """The compact linear map L: feed l0(u) through the linear solve."""
-    return solve_linear(lin, birth_linear(lin.model, lin.grid, u.values))
+    return solve_linear(lin, birth_linear(lin.model, lin.grid, u))
 
 
-def perturbation_source(lin: LinearizedOperators, u: DensityField) -> DensityField:
+def perturbation_source(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
     """Source rows f_k = -(A(u_k, a_{k+1}) - A0(a_{k+1})) u_{k+1}.
 
     Row indexing matches the stepping convention: row k feeds the step
@@ -104,30 +104,27 @@ def perturbation_source(lin: LinearizedOperators, u: DensityField) -> DensityFie
     a field propagated by its own evolution satisfies the stepped linear
     equations with exactly this source.  Row na is unused and stays zero.
     """
-    values = np.zeros_like(u.values)
+    source = np.zeros(u.shape)
     for k in range(lin.grid.na):
         a_next = float(lin.grid.ages[k + 1])
-        au = assemble(lin.model, lin.mesh, a_next, u.values[k])
+        au = assemble(lin.model, lin.mesh, a_next, u[k])
         a0 = lin.a0_parts[k]
-        values[k] = -tridiag_matvec(
-            au.lower - a0.lower, au.diag - a0.diag, au.upper - a0.upper, u.values[k + 1]
+        source[k] = -tridiag_matvec(
+            au.lower - a0.lower, au.diag - a0.diag, au.upper - a0.upper, u[k + 1]
         )
-    return DensityField(values, u.grid)
+    return source
 
 
-def apply_perturbation(lin: LinearizedOperators, lam: float, u: DensityField) -> DensityField:
+def apply_perturbation(lin: LinearizedOperators, lam: float, u: np.ndarray) -> np.ndarray:
     """The remainder map H(lam, u); identically zero on linear models."""
-    ell_star = birth_star(lin.model, lin.grid, u.values)
+    ell_star = birth_star(lin.model, lin.grid, u)
     source = perturbation_source(lin, u)
-    if not np.any(source.values) and not np.any(ell_star):
-        return DensityField.zeros(lin.grid, lin.mesh.nx)
+    if not np.any(source) and not np.any(ell_star):
+        return np.zeros(u.shape)
     return solve_linear(lin, (lam + 0.5) * ell_star, source)
 
 
-def reformulation_residual(lin: LinearizedOperators, n: float, u: DensityField) -> float:
+def reformulation_residual(lin: LinearizedOperators, n: float, u: np.ndarray) -> float:
     """Field norm of  u - lam L u - H(lam, u)  at lam = n - 1/2."""
     lam = n - 0.5
-    lu_field = apply_birth_feedback(lin, u)
-    h_field = apply_perturbation(lin, lam, u)
-    res = u.values - lam * lu_field.values - h_field.values
-    return DensityField(res, u.grid).norm()
+    return lin.grid.norm(u - lam * apply_birth_feedback(lin, u) - apply_perturbation(lin, lam, u))

@@ -17,6 +17,11 @@ from .evolution import AgeGrid, EvolutionOperator, build_evolution
 from .expr import evaluate
 from .model import ModelSpec, with_cb
 
+# normalize stops once |r(Q0) - 1| is within NORMALIZE_TOL, and gives up
+# after NORMALIZE_PASSES rescalings
+NORMALIZE_TOL = 1e-10
+NORMALIZE_PASSES = 3
+
 
 class ReproductionError(ValueError):
     pass
@@ -71,7 +76,7 @@ def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
         b0 = float(evaluate(model.b, {"u": 0.0}))
         bvals = np.full((ev.grid.na + 1, nx), model.cb * b0)
     else:
-        bvals = birth_density(model, ev.source.values)
+        bvals = birth_density(model, ev.source)
     basis = np.eye(nx)
     q = w[0] * (bvals[0][:, None] * basis)
     for k in range(ev.grid.na):
@@ -135,13 +140,7 @@ def spectral_radius(
     return lam, v
 
 
-def normalize(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
-    tol: float = 1e-10,
-    max_passes: int = 3,
-) -> tuple[ModelSpec, float]:
+def normalize(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> tuple[ModelSpec, float]:
     """Rescale cb so the linear problem has reproduction number one.
 
     Returns (rescaled model, spectral radius before rescaling).  The
@@ -154,9 +153,9 @@ def normalize(
         raise ReproductionError(f"spectral radius {r_before!r} cannot be normalized away")
     current = model
     r = r_before
-    for _ in range(max_passes):
+    for _ in range(NORMALIZE_PASSES):
         current = with_cb(current, current.cb / r)
         r, _ = spectral_radius(assemble_Q(current, ev0))
-        if abs(r - 1.0) <= tol:
+        if abs(r - 1.0) <= NORMALIZE_TOL:
             return current, r_before
     raise ReproductionError(f"normalization stalled at r = {r!r}")

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from agequil.discretize import OperatorMatrix
-from agequil.evolution import DensityField, build_evolution, propagate
+from agequil.evolution import build_evolution, propagate
 from agequil.linearized import LinearizedOperators, apply_birth_feedback
 from agequil.reproduction import ReproductionError, _power_iteration, birth_linear
 from agequil.tridiag import factor_tridiag, tridiag_matvec
@@ -163,7 +163,7 @@ def picard_field(model, mesh, grid, B: np.ndarray, u_start, tol: float, max_swee
     u = u_start
     for _ in range(max_sweeps):
         u_new = propagate(build_evolution(model, mesh, grid, u), B)
-        diff = float(np.max(np.abs(u_new.values - u.values)))
+        diff = float(np.max(np.abs(u_new - u)))
         u = u_new
         if diff <= tol:
             return u
@@ -209,20 +209,20 @@ def characteristic_values(matrix: np.ndarray, k: int, tol: float = 1e-11, max_it
 
 def linear_residuals(
     lin: LinearizedOperators,
-    sol: DensityField,
+    sol: np.ndarray,
     birth_data: np.ndarray,
-    source: DensityField | None = None,
+    source: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Max-norm residuals of the two stepped equations for a solve output."""
     da = lin.grid.da
     res_step = 0.0
     for k in range(lin.grid.na):
         a0 = lin.a0_parts[k]
-        lhs = (sol.values[k + 1] - sol.values[k]) / da + operator_matvec(a0, sol.values[k + 1])
-        f_k = source.values[k] if source is not None else 0.0
+        lhs = (sol[k + 1] - sol[k]) / da + operator_matvec(a0, sol[k + 1])
+        f_k = source[k] if source is not None else 0.0
         res_step = max(res_step, float(np.max(np.abs(lhs - f_k))))
-    ell0 = birth_linear(lin.model, lin.grid, sol.values)
-    res_birth = float(np.max(np.abs(sol.values[0] - 0.5 * ell0 - np.asarray(birth_data, dtype=float))))
+    ell0 = birth_linear(lin.model, lin.grid, sol)
+    res_birth = float(np.max(np.abs(sol[0] - 0.5 * ell0 - np.asarray(birth_data, dtype=float))))
     return res_step, res_birth
 
 
@@ -236,15 +236,15 @@ def birth_feedback_eigenvalue(
     value of Q0 is 1.
     """
     start = np.ones((lin.grid.na + 1, lin.mesh.nx))
-    v = DensityField(start / np.linalg.norm(start), lin.grid)
+    v = start / np.linalg.norm(start)
     lam = 0.0
     for _ in range(max_iter):
         w = apply_birth_feedback(lin, v)
-        norm_w = float(np.linalg.norm(w.values))
+        norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0
-        lam = float(np.sum(w.values * v.values))
-        if float(np.linalg.norm(w.values - lam * v.values)) <= tol * abs(lam):
+        lam = float(np.sum(w * v))
+        if float(np.linalg.norm(w - lam * v)) <= tol * abs(lam):
             return lam
-        v = DensityField(w.values / norm_w, lin.grid)
+        v = w / norm_w
     raise RuntimeError(f"power iteration on L did not converge within {max_iter} iterations")

@@ -13,7 +13,7 @@ import pytest
 from agequil.cli import main
 from agequil.continuation import branch_stats, first_step, solve_at_norm, trace_branch
 from agequil.discretize import SpatialMesh
-from agequil.evolution import AgeGrid, DensityField, apply_K0, build_evolution, propagate
+from agequil.evolution import AgeGrid, apply_K0, build_evolution, propagate
 from agequil.expr import Num
 from agequil.fixedpoint import solve_fixedpoint
 from agequil.linearized import build_linearized, solve_linear
@@ -65,8 +65,8 @@ def test_c02_heat_kernel_decay_rate():
     B = np.sin(np.pi * mesh.nodes)
     u = propagate(build_evolution(model, mesh, grid, None), B)
     half, full = grid.na // 2, grid.na
-    n_half = float(np.linalg.norm(u.values[half]))
-    n_full = float(np.linalg.norm(u.values[full]))
+    n_half = float(np.linalg.norm(u[half]))
+    n_full = float(np.linalg.norm(u[full]))
     slope = np.log(n_half / n_full) / (grid.a_max - grid.ages[half])
     rel = abs(slope - np.pi**2) / np.pi**2
     _record(
@@ -116,16 +116,16 @@ def test_c03_exact_nonnegativity_on_random_models():
         if trial % 2 == 0:
             ev = build_evolution(model, mesh, grid, None)
             u = propagate(ev, B)
-            src = DensityField(rng.uniform(0.0, 1.0, (na + 1, nx)), grid)
+            src = rng.uniform(0.0, 1.0, (na + 1, nx))
             k = apply_K0(ev, src)
             clean = (
-                np.all(u.values >= 0.0) and np.all(np.isfinite(u.values))
-                and np.all(k.values >= 0.0) and np.all(np.isfinite(k.values))
+                np.all(u >= 0.0) and np.all(np.isfinite(u))
+                and np.all(k >= 0.0) and np.all(np.isfinite(k))
             )
         else:
-            frozen = DensityField(rng.uniform(0.0, 2.0, (na + 1, nx)), grid)
+            frozen = rng.uniform(0.0, 2.0, (na + 1, nx))
             u = propagate(build_evolution(model, mesh, grid, frozen), B)
-            clean = np.all(u.values >= 0.0) and np.all(np.isfinite(u.values))
+            clean = np.all(u >= 0.0) and np.all(np.isfinite(u))
         bad += 0 if clean else 1
     _record(
         3, "propagation is exactly nonnegative on random models", bad == 0,
@@ -141,7 +141,7 @@ def test_c04_linearized_eigenvalue_and_residuals(decay_normalized, diffusion_nor
         eigs.append(birth_feedback_eigenvalue(lin))
         rng = np.random.default_rng(21)
         c = rng.uniform(0.0, 1.0, mesh.nx)
-        f = DensityField(rng.uniform(0.0, 1.0, (grid.na + 1, mesh.nx)), grid)
+        f = rng.uniform(0.0, 1.0, (grid.na + 1, mesh.nx))
         sol = solve_linear(lin, c, f)
         res_step, res_birth = linear_residuals(lin, sol, c, f)
         res_ok = res_ok and res_step <= 1e-8 and res_birth <= 1e-8
@@ -213,7 +213,7 @@ def test_c08_fixedpoint_cross_validates_continuation(shell_problem):
         and abs(fp.B[0] - b_star) <= 1e-6 * b_star
     )
     norm_model, r_before = normalize(model, mesh, grid)
-    pt = solve_at_norm(norm_model, mesh, grid, fp.u.norm())
+    pt = solve_at_norm(norm_model, mesh, grid, grid.norm(fp.u))
     n_gap = abs(pt.n - r_before)
     b_gap = float(np.max(np.abs(pt.B - fp.B)))
     ok = fp_ok and n_gap <= 1e-5 and b_gap <= 1e-5

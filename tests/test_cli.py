@@ -123,6 +123,33 @@ class TestVerify:
         bad.write_text("a,b,c\n1,2,3\n")
         assert self.verify(bad) == 2
 
+    def assert_malformed(self, branch: Path, bad: Path, capsys) -> None:
+        assert self.verify(branch) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(bad) in err
+
+    def test_short_branch_row_rejected(self, traced, tmp_path, capsys):
+        branch = self.copy_run(traced, tmp_path / "run")
+        lines = branch.read_text().splitlines()
+        lines[2] = "1,1.0"
+        branch.write_text("\n".join(lines) + "\n")
+        self.assert_malformed(branch, branch, capsys)
+
+    @pytest.mark.parametrize("damage", ["empty-first-line", "short-row", "non-numeric-cell"])
+    def test_malformed_profile_rejected(self, traced, tmp_path, capsys, damage):
+        branch = self.copy_run(traced, tmp_path / "run")
+        prof = branch.parent / "branch_profile_001.csv"
+        lines = prof.read_text().splitlines()
+        if damage == "empty-first-line":
+            lines.insert(0, "")
+        elif damage == "short-row":
+            lines[3] = lines[3].rsplit(",", 1)[0]
+        else:
+            lines[3] = lines[3].replace(",", ",x,", 1).rsplit(",", 1)[0]
+        prof.write_text("\n".join(lines) + "\n")
+        self.assert_malformed(branch, prof, capsys)
+
 
 class TestFixedpointCommand:
     def run(self, out_dir: Path) -> tuple[int, Path]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ class TestFirstStep:
         p = first_step(model, mesh, grid, 0.0, lin=decay_lin)
         assert p.trivial
         assert p.n == 1.0
-        assert not np.any(p.u.values)
+        assert not np.any(p.u)
         assert p.eps == 0.0
         assert p.r_Qu == pytest.approx(1.0, abs=1e-10)
 
@@ -71,7 +73,7 @@ class TestFirstStep:
     def test_requires_normalized_model(self, decay_problem):
         model, mesh, grid = decay_problem
         with pytest.raises(ContinuationError, match="not normalized"):
-            first_step(model, mesh, grid, 1e-2)
+            first_step(model, mesh, grid, 1e-2, lin=build_linearized(model, mesh, grid))
 
 
 class TestTraceDecay:
@@ -110,8 +112,8 @@ class TestTraceDecay:
         pts = decay_branch.nontrivial()
         assert stats.sigma_i == pytest.approx(min(p.n for p in pts))
         assert stats.sigma_s == pytest.approx(max(p.n for p in pts))
-        assert stats.cross_si_Ni <= 1e-6
-        assert stats.cross_ss_Ns <= 1e-6
+        assert abs(stats.sigma_s * stats.N_i - 1.0) <= 1e-6
+        assert abs(stats.sigma_i * stats.N_s - 1.0) <= 1e-6
         assert stats.sigma_i >= 1.0 - 1e-9
         assert stats.max_identity_residual <= 1e-6
 
@@ -176,18 +178,18 @@ class TestMarch:
         model, mesh, grid, Bs = setup
         for B in (Bs[:, 1].copy(), Bs):
             u = build_evolution(model, mesh, grid, birth=B).source
-            p = np.diff(u.values[grid.na // 2], axis=0)
+            p = np.diff(u[grid.na // 2], axis=0)
             assert np.any(p > 0) and np.any(p < 0)
-            assert u.values[0].tobytes() == B.tobytes()
+            assert u[0].tobytes() == B.tobytes()
             replay = propagate(build_evolution(model, mesh, grid, u), B)
-            assert replay.values.tobytes() == u.values.tobytes()
+            assert replay.tobytes() == u.tobytes()
 
     def test_batched_columns_match_single_marches_bitwise(self, setup):
         model, mesh, grid, Bs = setup
-        batched = build_evolution(model, mesh, grid, birth=Bs).source.values
+        batched = build_evolution(model, mesh, grid, birth=Bs).source
         assert batched.shape == (grid.na + 1, mesh.nx, Bs.shape[1])
         for j in range(Bs.shape[1]):
-            single = build_evolution(model, mesh, grid, birth=Bs[:, j].copy()).source.values
+            single = build_evolution(model, mesh, grid, birth=Bs[:, j].copy()).source
             assert np.ascontiguousarray(batched[:, :, j]).tobytes() == single.tobytes()
 
     def test_agrees_with_converged_picard_sweeps(self, setup):
@@ -195,8 +197,8 @@ class TestMarch:
         start = propagate(build_evolution(model, mesh, grid), Bs[:, 1].copy())
         for j in range(Bs.shape[1]):
             B = Bs[:, j].copy()
-            got = build_evolution(model, mesh, grid, birth=B).source.values
-            want = picard_field(model, mesh, grid, B, start, 1e-14).values
+            got = build_evolution(model, mesh, grid, birth=B).source
+            want = picard_field(model, mesh, grid, B, start, 1e-14)
             assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
 
     def test_rejects_bad_input(self, setup):
@@ -240,8 +242,8 @@ class TestTraceDiffusion:
 
     def test_stats_cross_products(self, diffusion_branch):
         stats = branch_stats(diffusion_branch)
-        assert stats.cross_si_Ni <= 1e-6
-        assert stats.cross_ss_Ns <= 1e-6
+        assert abs(stats.sigma_s * stats.N_i - 1.0) <= 1e-6
+        assert abs(stats.sigma_i * stats.N_s - 1.0) <= 1e-6
 
 
 class TestRejectedSteps:
@@ -262,6 +264,32 @@ class TestRejectedSteps:
         branch = trace_branch(model, mesh, grid, max_points=2, lin=decay_lin)
         assert branch.rejected == [(0.05, "ContinuationError", "injected failure")]
         assert len(branch.nontrivial()) == 2
+
+
+class TestStepControl:
+    @pytest.mark.parametrize("forced, growth", [(3, 1.4), (4, 1.0)])
+    def test_step_grows_after_at_most_three_newton_steps(
+        self, decay_normalized, decay_lin, monkeypatch, forced, growth
+    ):
+        model, mesh, grid, _ = decay_normalized
+        real = continuation.correct
+        seen = []  # (plane, returned point) per call; call 0 is the first step's
+
+        def forcing(*args, **kwargs):
+            point = dataclasses.replace(real(*args, **kwargs), newton_iters=forced)
+            seen.append((args[5], point))
+            return point
+
+        monkeypatch.setattr(continuation, "correct", forcing)
+        trace_branch(model, mesh, grid, step=0.05, max_points=3, lin=decay_lin)
+
+        def predictor_distance(k: int) -> float:
+            plane, prev = seen[k][0], seen[k - 1][1]
+            return float(np.hypot(np.linalg.norm(plane.anchor_B - prev.B), plane.anchor_n - prev.n))
+
+        assert len(seen) == 3
+        assert predictor_distance(1) == pytest.approx(0.05, rel=1e-9)
+        assert predictor_distance(2) == pytest.approx(0.05 * growth, rel=1e-9)
 
 
 class TestCaps:

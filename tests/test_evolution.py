@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from agequil.discretize import SpatialMesh
 from agequil.evolution import (
     AgeGrid,
-    DensityField,
     EvolutionError,
     apply_K0,
     build_evolution,
@@ -40,27 +39,10 @@ class TestAgeGrid:
         with pytest.raises(EvolutionError):
             AgeGrid(na=4, a_max=0.0)
 
-
-class TestDensityField:
-    def test_shape_check_and_views(self):
-        grid = AgeGrid(na=3, a_max=1.0)
-        field = DensityField(np.arange(12.0).reshape(4, 3), grid)
-        assert field.nx == 3
-        np.testing.assert_array_equal(field.birth, [0.0, 1.0, 2.0])
-        with pytest.raises(EvolutionError):
-            DensityField(np.zeros((3, 3)), grid)
-
     def test_norm_is_age_integral_of_spatial_max(self):
         grid = AgeGrid(na=2, a_max=1.0)
-        values = np.array([[1.0, -2.0], [0.5, 0.25], [0.0, 0.0]])
-        field = DensityField(values, grid)
-        assert field.norm() == pytest.approx(0.25 * 2.0 + 0.5 * 0.5)
-
-    def test_arithmetic(self):
-        grid = AgeGrid(na=2, a_max=1.0)
-        f = DensityField(np.ones((3, 2)), grid)
-        g = DensityField(np.full((3, 2), 2.0), grid)
-        np.testing.assert_array_equal((f + g).values, 3.0)
+        u = np.array([[1.0, -2.0], [0.5, 0.25], [0.0, 0.0]])
+        assert grid.norm(u) == pytest.approx(0.25 * 2.0 + 0.5 * 0.5)
 
 
 class TestPropagate:
@@ -72,7 +54,7 @@ class TestPropagate:
         B = np.array([1.0, 2.0, 0.5, 0.0])
         field = propagate(ev, B)
         expected = decay_rows(grid.na, grid.a_max)[:, None] * B[None, :]
-        np.testing.assert_allclose(field.values, expected, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(field, expected, rtol=1e-13, atol=0)
 
     def test_age_dependent_mortality(self):
         # mu = a integrates exactly like the scalar stepped recursion
@@ -84,17 +66,17 @@ class TestPropagate:
         expected[0] = 1.0
         for k in range(grid.na):
             expected[k + 1] = expected[k] / (1.0 + grid.da * grid.ages[k + 1])
-        np.testing.assert_allclose(field.values[:, 0], expected, rtol=1e-14)
+        np.testing.assert_allclose(field[:, 0], expected, rtol=1e-14)
 
     def test_quasilinear_lag_uses_previous_slice(self):
         mesh = SpatialMesh(nx=3)
         grid = AgeGrid(na=40, a_max=1.0)
         B = np.full(3, 0.7)
         rows = logistic_rows(0.7, grid.na, grid.a_max)
-        frozen = DensityField(np.tile(rows[:, None], (1, 3)), grid)
+        frozen = np.tile(rows[:, None], (1, 3))
         ev = build_evolution(decay_model(mu="1 + u"), mesh, grid, frozen)
         field = propagate(ev, B)
-        np.testing.assert_allclose(field.values, frozen.values, rtol=1e-13, atol=1e-16)
+        np.testing.assert_allclose(field, frozen, rtol=1e-13, atol=1e-16)
 
     def test_input_validation(self):
         mesh = SpatialMesh(nx=3)
@@ -104,8 +86,18 @@ class TestPropagate:
             propagate(ev, np.ones(4))
         with pytest.raises(EvolutionError, match="finite"):
             propagate(ev, np.array([1.0, np.nan, 0.0]))
-        with pytest.raises(EvolutionError, match="match"):
-            build_evolution(decay_model(), mesh, grid, DensityField.zeros(grid, 5))
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 3, 2, 1), (5, 3), (6, 4), (6, 4, 2)])
+    def test_field_shape_checked(self, shape):
+        # a field is (na+1, nx) or (na+1, nx, k); apply_K0 takes no batch
+        mesh = SpatialMesh(nx=3)
+        grid = AgeGrid(na=5, a_max=1.0)
+        ev = build_evolution(decay_model(), mesh, grid)
+        with pytest.raises(EvolutionError, match="does not match the grids"):
+            build_evolution(decay_model(), mesh, grid, np.zeros(shape))
+        with pytest.raises(EvolutionError, match="does not match the grids"):
+            apply_K0(ev, np.zeros(shape))
+        assert build_evolution(decay_model(), mesh, grid, np.zeros((6, 3, 2))).source.shape == (6, 3, 2)
 
     def test_singular_step_reported(self):
         mesh = SpatialMesh(nx=2)
@@ -124,11 +116,11 @@ class TestPropagate:
             D=parse_expr("0.5 + x"), g=parse_expr("u - p"), h=parse_expr("u"),
             mu=parse_expr("0.2 + u"), b=Num(1.0), nu0=float(rng.uniform(0, 3)),
         )
-        u = DensityField(rng.uniform(0.0, 2.0, (9, 6)), grid)
+        u = rng.uniform(0.0, 2.0, (9, 6))
         B = rng.uniform(0.0, 1.0, 6)
         B[rng.integers(0, 6)] = 0.0
         field = propagate(build_evolution(model, mesh, grid, u), B)
-        assert np.all(field.values >= 0.0)
+        assert np.all(field >= 0.0)
 
     def test_linearity_of_linear_evolution(self):
         mesh = SpatialMesh(nx=5)
@@ -140,8 +132,8 @@ class TestPropagate:
         ev = build_evolution(model, mesh, grid)
         rng = np.random.default_rng(3)
         B1, B2 = rng.normal(size=(2, 5))
-        combo = propagate(ev, 2.0 * B1 - 0.5 * B2).values
-        parts = 2.0 * propagate(ev, B1).values - 0.5 * propagate(ev, B2).values
+        combo = propagate(ev, 2.0 * B1 - 0.5 * B2)
+        parts = 2.0 * propagate(ev, B1) - 0.5 * propagate(ev, B2)
         np.testing.assert_allclose(combo, parts, atol=1e-13)
 
 
@@ -150,16 +142,16 @@ class TestDuhamel:
         mesh = SpatialMesh(nx=3)
         grid = AgeGrid(na=64, a_max=1.0)
         ev = build_evolution(decay_model(), mesh, grid)
-        f = DensityField(np.ones((65, 3)), grid)
+        f = np.ones((65, 3))
         out = apply_K0(ev, f)
         expected = k0_const_rows(grid.na, grid.a_max)
         for j in range(3):
-            np.testing.assert_allclose(out.values[:, j], expected, rtol=1e-13, atol=1e-16)
+            np.testing.assert_allclose(out[:, j], expected, rtol=1e-13, atol=1e-16)
 
     def test_requires_linear_evolution(self):
         mesh = SpatialMesh(nx=3)
         grid = AgeGrid(na=4, a_max=1.0)
-        frozen = DensityField(np.ones((5, 3)), grid)
+        frozen = np.ones((5, 3))
         ev = build_evolution(decay_model(mu="1 + u"), mesh, grid, frozen)
         with pytest.raises(EvolutionError, match="linear evolution"):
             apply_K0(ev, frozen)
@@ -168,6 +160,6 @@ class TestDuhamel:
         mesh = SpatialMesh(nx=3)
         grid = AgeGrid(na=4, a_max=1.0)
         ev = build_evolution(decay_model(), mesh, grid)
-        other = DensityField(np.ones((5, 2)), AgeGrid(na=4, a_max=1.0))
+        other = np.ones((5, 2))
         with pytest.raises(EvolutionError, match="match"):
             apply_K0(ev, other)

@@ -40,7 +40,7 @@ class TestShellEquilibrium:
         _, mesh, grid = shell_problem
         rows = decay_rows(grid.na, grid.a_max)
         expected = shell_result.B[None, :] * rows[:, None]
-        np.testing.assert_allclose(shell_result.u.values, expected, rtol=1e-12)
+        np.testing.assert_allclose(shell_result.u, expected, rtol=1e-12)
 
     def test_residual_is_tight(self, shell_result):
         assert shell_result.residual <= 1e-10
@@ -48,7 +48,7 @@ class TestShellEquilibrium:
     def test_field_is_march_of_birth(self, shell_problem, shell_result):
         model, mesh, grid = shell_problem
         marched = build_evolution(model, mesh, grid, birth=shell_result.B).source
-        np.testing.assert_array_equal(shell_result.u.values, marched.values)
+        np.testing.assert_array_equal(shell_result.u, marched)
 
     def test_multistart_agrees_and_is_deterministic(self, shell_problem, shell_result):
         model, mesh, grid = shell_problem
@@ -67,7 +67,7 @@ class TestCollapse:
         assert result.collapsed
         assert not result.converged
         np.testing.assert_array_equal(result.B, np.zeros(mesh.nx))
-        assert not np.any(result.u.values)
+        assert not np.any(result.u)
         assert result.residual == 0.0
         assert result.r_Qu == pytest.approx(
             discrete_r0(grid.na, grid.a_max, model.cb), rel=1e-10
@@ -118,8 +118,6 @@ class TestShellConditions:
         report = check_shell_conditions(model, mesh, grid, 1e-2, 5.0)
         assert report.verdict_small_densities
         assert report.verdict_large_densities
-        assert report.n_small_fields == 6
-        assert report.n_large_fields == 6
         assert report.min_small_excess >= -1e-12
         assert report.max_large_radius <= 1.0 + 1e-9
 

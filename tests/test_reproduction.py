@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agequil.discretize import SpatialMesh
-from agequil.evolution import AgeGrid, DensityField, build_evolution, propagate
+from agequil.evolution import AgeGrid, build_evolution, propagate
 from agequil.expr import Num, parse_expr
 from agequil.model import ModelSpec, parse_model, serialize_model, validate_model, with_cb
 from agequil.reproduction import (
@@ -90,18 +90,18 @@ class TestAssembleQu:
     def test_matrix_action_matches_propagation(self, shell_problem):
         model, mesh, grid = shell_problem
         rng = np.random.default_rng(11)
-        u = DensityField(rng.uniform(0, 1.5, (grid.na + 1, mesh.nx)), grid)
+        u = rng.uniform(0, 1.5, (grid.na + 1, mesh.nx))
         ev = build_evolution(model, mesh, grid, u)
         q = assemble_Q(model, ev)
         B = rng.uniform(0, 1, mesh.nx)
         field = propagate(ev, B)
-        manual = grid.weights @ (birth_density(model, u.values) * field.values)
+        manual = grid.weights @ (birth_density(model, u) * field)
         np.testing.assert_allclose(q @ B, manual, rtol=1e-12, atol=1e-14)
 
     def test_zero_field_equals_linear_matrix(self, decay_problem):
         model, mesh, grid = decay_problem
         q0 = assemble_Q(model, build_evolution(model, mesh, grid))
-        zeros = DensityField.zeros(grid, mesh.nx)
+        zeros = np.zeros((grid.na + 1, mesh.nx))
         q_z = assemble_Q(model, build_evolution(model, mesh, grid, zeros))
         np.testing.assert_array_equal(q0, q_z)
 
