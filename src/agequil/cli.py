@@ -118,6 +118,8 @@ def _read_field_csv(path: Path, mesh: SpatialMesh, grid: AgeGrid) -> np.ndarray:
         body = np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
         raise ValueError(f"{path} has a non-numeric cell: {exc}") from exc
+    if not np.all(np.isfinite(body)):
+        raise ValueError(f"{path} has a non-finite cell")
     if not np.allclose(xs, mesh.nodes, rtol=0, atol=1e-12):
         raise ValueError(f"{path} has an unexpected x grid")
     if body.shape[0] != grid.na + 1 or not np.allclose(
@@ -150,9 +152,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model, args.nx, args.na)
     model, r_before = normalize(problem.model, problem.mesh, problem.grid)
     print(f"r(Q0) before normalization: {_fmt(r_before)}")
+    lin = build_linearized(model, problem.mesh, problem.grid)
     branch = trace_branch(
-        model, problem.mesh, problem.grid,
-        eps0=args.eps0, step=args.step, max_points=args.max_points,
+        lin, eps0=args.eps0, step=args.step, max_points=args.max_points,
         n_cap=args.n_cap, norm_cap=args.norm_cap, tol=args.tol,
     )
     out = Path(args.out)
@@ -173,13 +175,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_fixedpoint(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model, args.nx, args.na)
+    # the shells go first so that a bad --tau0 or --tau1 fails before the
+    # solve; each call seeds its own generator, so the order does not
+    # change the numbers
+    shell = check_shell_conditions(
+        problem.model, problem.mesh, problem.grid, args.tau0, args.tau1, seed=args.seed,
+    )
     result = multistart_fixedpoint(
         problem.model, problem.mesh, problem.grid,
         damping=args.damping, tol=args.tol, max_iter=args.max_iter,
         starts=args.starts, seed=args.seed,
-    )
-    shell = check_shell_conditions(
-        problem.model, problem.mesh, problem.grid, args.tau0, args.tau1, seed=args.seed,
     )
     stem = _stem(args.out)
     _write_text(Path(f"{stem}_u.csv"), _field_csv(result.u, problem.mesh, problem.grid))
@@ -281,8 +286,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # local expansion replay: the offset n - 1 must shrink in proportion
     # to the first-step amplitude (degenerate branches excepted)
-    d1 = first_step(model, problem.mesh, problem.grid, 1e-2, lin=lin).n - 1.0
-    d2 = first_step(model, problem.mesh, problem.grid, 5e-3, lin=lin).n - 1.0
+    d1 = first_step(lin, 1e-2).n - 1.0
+    d2 = first_step(lin, 5e-3).n - 1.0
     if abs(d1) < 1e-8 and abs(d2) < 1e-8:
         _check("local expansion order", True, "", failures)
     else:

@@ -14,12 +14,17 @@ exists for every n; the nontrivial branch leaves it at n = 1 (after
 normalization) along the Perron direction of Q0.  The first step pins
 the amplitude along that direction and frees n; subsequent steps are
 classic pseudo-arclength: secant predictor, Newton corrector on (B, n)
-augmented with the plane through the predictor.  Correction at fixed n
-reuses the same Newton core without the plane; solve_at_norm pins the
-amplitude with an outer scalar iteration over such corrections.
+augmented with the plane through the predictor.  The corrector always
+solves this bordered system; a fixed n is the plane n = const, and
+solve_at_norm pins the amplitude with an outer scalar iteration over such
+corrections.
 
 Tolerances are relative to the birth vector scale, so points early on the
 branch (amplitudes around 1e-3) are resolved as sharply as later ones.
+
+The corrector and the tracers take the zero-density problem,
+LinearizedOperators, as their one problem handle and read the model, mesh
+and grid from it.
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import AssemblyError, SpatialMesh
-from .evolution import AgeGrid, EvolutionError, EvolutionOperator, build_evolution, propagate
-from .linearized import LinearizedOperators, build_linearized, reformulation_residual
-from .model import ModelSpec
+from .discretize import AssemblyError
+from .evolution import EvolutionError, EvolutionOperator, build_evolution, propagate
+from .linearized import LinearizedOperators, reformulation_residual
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
 TOL_IDENTITY = 1e-6
@@ -108,43 +112,38 @@ def _scaled_tol(tol: float, B: np.ndarray) -> float:
 
 
 def correct(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
+    lin: LinearizedOperators,
     n: float,
     B_guess: np.ndarray,
-    plane: Plane | None = None,
+    plane: Plane,
     *,
     tol: float = 1e-9,
     max_iter: int = 30,
-    lin: LinearizedOperators,
 ) -> BranchPoint:
-    """Newton corrector on G(B, n) = B - n * l(u(B)) from a birth vector.
+    """Bordered Newton corrector on (B, n) from a birth vector.
 
-    u(B) is the field marched from B (build_evolution with birth=B), so
-    every evaluation of G is one march.  Without a plane, solves for B at
-    the given n; with one, solves for (B, n) with the plane's equation
-    appended (n is the starting value).  The finite-difference Jacobian
-    steps each column of B by 1e-6 * (1 + |B|_inf), all nx columns in one
-    batched march, and with a plane steps n by 1e-6 * (1 + |n|) on the
-    current field.  Raises ContinuationError on divergence, a singular
-    Jacobian, a stalled line search, an exhausted iteration budget, or a
-    converged point with negative density.  ReproductionError,
-    AssemblyError and EvolutionError from the first evaluation or the
-    Jacobian pass through; a line-search trial that raises AssemblyError
-    or EvolutionError counts as a failed trial.
+    Solves G(B, n) = B - n * l(u(B)) = 0 together with the plane's
+    equation, starting from (B_guess, n).  u(B) is the field marched from
+    B (build_evolution with birth=B), so every evaluation of G is one
+    march.  A fixed n is the plane n = const, Plane(0, 1, B, n).  The
+    finite-difference Jacobian steps each column of B by
+    1e-6 * (1 + |B|_inf), all nx columns in one batched march, and steps
+    n by 1e-6 * (1 + |n|) on the current field.  Raises ContinuationError
+    on divergence, a singular Jacobian, a stalled line search, an
+    exhausted iteration budget, or a converged point with negative
+    density.  ReproductionError, AssemblyError and EvolutionError from the
+    first evaluation or the Jacobian pass through; a line-search trial
+    that raises AssemblyError or EvolutionError counts as a failed trial.
     """
+    model, mesh, grid = lin.model, lin.mesh, lin.grid
     nx = mesh.nx
-    free_n = plane is not None
-
     B = np.array(B_guess, dtype=float)
     n_cur = float(n)
 
     def residual(Bv: np.ndarray, nv: float, values: np.ndarray) -> np.ndarray:
-        res = Bv - nv * birth_functional(model, grid, values)
-        if free_n:
-            res = np.append(res, plane.value(Bv, nv))
-        return res
+        # an overflow shows as a non-finite residual, which is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.append(Bv - nv * birth_functional(model, grid, values), plane.value(Bv, nv))
 
     def evaluate(Bv: np.ndarray, nv: float) -> tuple[np.ndarray, EvolutionOperator]:
         ev = build_evolution(model, mesh, grid, birth=Bv)
@@ -159,18 +158,17 @@ def correct(
             raise ContinuationError("corrector diverged")
 
         # column j perturbs B[j]; a batched column has the bits of its own
-        # march, so the free-n column reuses the current field
+        # march, so the n column reuses the current field
         hb = FD_STEP * (1.0 + float(np.max(np.abs(B))))
         Bs = np.repeat(B[:, None], nx, axis=1)
         Bs[np.arange(nx), np.arange(nx)] += hb
         fields = build_evolution(model, mesh, grid, birth=Bs).source
-        jac = np.empty((res_vec.shape[0], nx + 1 if free_n else nx))
+        jac = np.empty((nx + 1, nx + 1))
         for j in range(nx):
             jac[:, j] = (residual(Bs[:, j], n_cur, fields[:, :, j]) - res_vec) / hb
         del fields
-        if free_n:
-            hn = FD_STEP * (1.0 + abs(n_cur))
-            jac[:, nx] = (residual(B, n_cur + hn, ev.source) - res_vec) / hn
+        hn = FD_STEP * (1.0 + abs(n_cur))
+        jac[:, nx] = (residual(B, n_cur + hn, ev.source) - res_vec) / hn
 
         try:
             delta = np.linalg.solve(jac, -res_vec)
@@ -180,7 +178,7 @@ def correct(
         accepted = False
         for scale in (1.0, 0.5, 0.25, 0.125):
             B_try = B + scale * delta[:nx]
-            n_try = n_cur + scale * delta[nx] if free_n else n_cur
+            n_try = n_cur + scale * delta[nx]
             try:
                 res_try, ev_try = evaluate(B_try, n_try)
             except (AssemblyError, EvolutionError):
@@ -193,20 +191,18 @@ def correct(
             raise ContinuationError(f"corrector stalled at residual {res_norm:.3e}")
     else:
         raise ContinuationError(f"corrector did not converge within {max_iter} iterations")
-    return _finalize(model, mesh, grid, n_cur, B, ev, lin, iters)
+    return _finalize(lin, n_cur, B, ev, iters)
 
 
 def _finalize(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
+    lin: LinearizedOperators,
     n: float,
     B: np.ndarray,
     ev: EvolutionOperator | None,
-    lin: LinearizedOperators,
     iters: int,
 ) -> BranchPoint:
     """Branch point at (B, n) from ev, the march of B (None only for B = 0)."""
+    model, mesh, grid = lin.model, lin.mesh, lin.grid
     if float(np.max(np.abs(B))) < TRIVIAL_THRESHOLD:
         return BranchPoint(
             n=n, u=np.zeros((grid.na + 1, mesh.nx)), B=np.zeros(mesh.nx), eps=0.0, r_Qu=lin.r0,
@@ -239,15 +235,7 @@ def _finalize(
     return point
 
 
-def first_step(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
-    eps0: float,
-    *,
-    tol: float = 1e-9,
-    lin: LinearizedOperators,
-) -> BranchPoint:
+def first_step(lin: LinearizedOperators, eps0: float, *, tol: float = 1e-9) -> BranchPoint:
     """Leave the trivial solution along the Perron direction.
 
     The predictor is the birth vector eps0 times the Perron vector of
@@ -260,7 +248,7 @@ def first_step(
     if abs(lin.r0 - 1.0) > 1e-3:
         raise ContinuationError(f"model is not normalized: r(Q0) = {lin.r0!r}")
     if eps0 == 0.0:
-        return _finalize(model, mesh, grid, 1.0, np.zeros(mesh.nx), None, lin, 0)
+        return _finalize(lin, 1.0, np.zeros(lin.mesh.nx), None, 0)
     B0 = eps0 * lin.perron0
     plane = Plane(
         normal_B=lin.perron0 / float(np.linalg.norm(lin.perron0)),
@@ -268,16 +256,14 @@ def first_step(
         anchor_B=B0,
         anchor_n=1.0,
     )
-    point = correct(model, mesh, grid, 1.0, B0, plane, tol=tol, lin=lin)
+    point = correct(lin, 1.0, B0, plane, tol=tol)
     if point.trivial:
         raise ContinuationError("first step collapsed to the trivial solution; reduce eps0")
     return point
 
 
 def trace_branch(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
+    lin: LinearizedOperators,
     *,
     eps0: float = 1e-2,
     step: float = 0.05,
@@ -285,7 +271,6 @@ def trace_branch(
     n_cap: float = 4.0,
     norm_cap: float = 2.0,
     tol: float = 1e-9,
-    lin: LinearizedOperators | None = None,
 ) -> Branch:
     """Trace the branch from (1, 0) until a cap or max_points nontrivial points.
 
@@ -303,15 +288,13 @@ def trace_branch(
         raise ContinuationError(f"max_points must be at least 1, got {max_points!r}")
     if np.isnan(n_cap) or np.isnan(norm_cap):
         raise ContinuationError("n_cap and norm_cap must not be NaN")
-    if lin is None:
-        lin = build_linearized(model, mesh, grid)
     branch = Branch()
-    branch.points.append(first_step(model, mesh, grid, 0.0, tol=tol, lin=lin))
-    p1 = first_step(model, mesh, grid, eps0, tol=tol, lin=lin)
+    branch.points.append(first_step(lin, 0.0, tol=tol))
+    p1 = first_step(lin, eps0, tol=tol)
     _require_invariants(p1)
     branch.points.append(p1)
 
-    z_prev = (np.zeros(mesh.nx), 1.0)
+    z_prev = (np.zeros(lin.mesh.nx), 1.0)
     z_cur = (p1.B, p1.n)
     step_cur = float(step)
     step_min = step / 256.0
@@ -331,7 +314,7 @@ def trace_branch(
         pred_n = z_cur[1] + step_cur * float(tangent[-1])
         plane = Plane(tangent[:-1], float(tangent[-1]), pred_B, pred_n)
         try:
-            point = correct(model, mesh, grid, pred_n, pred_B, plane, tol=tol, lin=lin)
+            point = correct(lin, pred_n, pred_B, plane, tol=tol)
             if not point.trivial:
                 _require_invariants(point)
         except (ContinuationError, AssemblyError, EvolutionError) as exc:
@@ -385,34 +368,20 @@ def branch_stats(branch: Branch) -> BranchStats:
     )
 
 
-def solve_at_norm(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
-    target: float,
-    *,
-    eps0: float = 1e-3,
-    step: float = 0.05,
-    tol: float = 1e-9,
-    max_points: int = 200,
-    lin: LinearizedOperators | None = None,
-) -> BranchPoint:
+def solve_at_norm(lin: LinearizedOperators, target: float) -> BranchPoint:
     """Branch point whose field amplitude equals target, with n free.
 
     Traces the branch until the amplitude brackets the target, then
     solves the scalar equation amplitude(n) = target with a safeguarded
-    secant over corrections at fixed n.  The scalar outer loop only
-    compares realized amplitudes, so it is insensitive to the
-    nonsmoothness that breaks per-column differencing of the max-based
-    norm.
+    secant over corrections at fixed n (the plane n = const).  The scalar
+    outer loop only compares realized amplitudes, so it is insensitive to
+    the nonsmoothness that breaks per-column differencing of the
+    max-based norm.
     """
     if target <= 0:
         raise ContinuationError("target amplitude must be positive")
-    if lin is None:
-        lin = build_linearized(model, mesh, grid)
     branch = trace_branch(
-        model, mesh, grid, eps0=eps0, step=step, max_points=max_points,
-        n_cap=np.inf, norm_cap=target, tol=tol, lin=lin,
+        lin, eps0=1e-3, step=0.05, max_points=200, n_cap=np.inf, norm_cap=target, tol=1e-9,
     )
     last = branch.points[-1]
     if last.eps < target:
@@ -423,9 +392,11 @@ def solve_at_norm(
     n_lo, e_lo = prev.n, prev.eps
     n_hi, e_hi = last.n, last.eps
     point = last
-    # the corrector resolves B to tol * |B|, so the amplitude cannot be
-    # pinned more sharply than that
-    amp_tol = tol * max(1.0, target)
+    # the trace resolves B to 1e-9 * |B|, so the amplitude cannot be pinned
+    # more sharply than that.  The corrections run 1e-3 tighter: a warm
+    # start already meets the trace's tolerance, and at that tolerance it
+    # would take no Newton step and leave the amplitude where it was
+    amp_tol = 1e-9 * max(1.0, target)
     for _ in range(60):
         if not point.trivial and abs(point.eps - target) <= amp_tol:
             return point
@@ -437,7 +408,8 @@ def solve_at_norm(
         if not (lo < n_try < hi):
             n_try = 0.5 * (lo + hi)
         warm = point.B if not point.trivial else last.B
-        point = correct(model, mesh, grid, n_try, warm, tol=tol, lin=lin)
+        fixed_n = Plane(np.zeros(lin.mesh.nx), 1.0, warm, n_try)
+        point = correct(lin, n_try, warm, fixed_n, tol=1e-12)
         eps_try = point.eps
         if eps_try < target:
             n_lo, e_lo = n_try, eps_try

@@ -90,7 +90,7 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
     mult, piv = _factor(lower, diag, upper)
     if not np.all(np.isfinite(piv)) or np.any(piv <= 0):
         bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
-        raise SingularTridiagError(f"nonpositive pivot {piv[bad]!r} at row {bad[0]}")
+        raise SingularTridiagError(f"nonpositive pivot {float(piv[bad])!r} at row {bad[0]}")
     return FactoredTridiag(mult, piv, upper)
 
 

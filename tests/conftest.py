@@ -7,6 +7,7 @@ import pytest
 from agequil.continuation import Branch, trace_branch
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid
+from agequil.linearized import LinearizedOperators, build_linearized
 from agequil.model import ModelSpec, parse_grid, parse_model
 from agequil.reproduction import normalize
 
@@ -44,9 +45,14 @@ def decay_normalized(decay_problem):
 
 
 @pytest.fixture(scope="session")
-def decay_branch(decay_normalized) -> Branch:
+def decay_lin(decay_normalized) -> LinearizedOperators:
     model, mesh, grid, _ = decay_normalized
-    return trace_branch(model, mesh, grid, max_points=10)
+    return build_linearized(model, mesh, grid)
+
+
+@pytest.fixture(scope="session")
+def decay_branch(decay_lin) -> Branch:
+    return trace_branch(decay_lin, max_points=10)
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +70,7 @@ def diffusion_normalized(diffusion_problem):
 @pytest.fixture(scope="session")
 def diffusion_branch(diffusion_normalized) -> Branch:
     model, mesh, grid, _ = diffusion_normalized
-    return trace_branch(model, mesh, grid, max_points=5)
+    return trace_branch(build_linearized(model, mesh, grid), max_points=5)
 
 
 @pytest.fixture(scope="session")

@@ -177,11 +177,9 @@ def test_c05_branch_invariants(decay_branch, diffusion_branch):
     )
 
 
-def test_c06_local_expansion_order(decay_normalized):
-    model, mesh, grid, _ = decay_normalized
-    lin = build_linearized(model, mesh, grid)
-    d1 = first_step(model, mesh, grid, 1e-2, lin=lin).n - 1.0
-    d2 = first_step(model, mesh, grid, 5e-3, lin=lin).n - 1.0
+def test_c06_local_expansion_order(decay_lin):
+    d1 = first_step(decay_lin, 1e-2).n - 1.0
+    d2 = first_step(decay_lin, 5e-3).n - 1.0
     ratio = d1 / d2
     _record(
         6, "bifurcation offset scales with the first-step amplitude", ratio >= 1.5,
@@ -189,9 +187,8 @@ def test_c06_local_expansion_order(decay_normalized):
     )
 
 
-def test_c07_branch_is_supercritical(decay_normalized):
-    model, mesh, grid, _ = decay_normalized
-    branch = trace_branch(model, mesh, grid, eps0=1e-3, max_points=8)
+def test_c07_branch_is_supercritical(decay_lin):
+    branch = trace_branch(decay_lin, eps0=1e-3, max_points=8)
     stats = branch_stats(branch)
     all_ns = [p.n for p in branch.nontrivial()]
     ok = (1.0 - 1e-6 <= stats.sigma_i <= 1.0 + 1e-3) and all(
@@ -213,7 +210,7 @@ def test_c08_fixedpoint_cross_validates_continuation(shell_problem):
         and abs(fp.B[0] - b_star) <= 1e-6 * b_star
     )
     norm_model, r_before = normalize(model, mesh, grid)
-    pt = solve_at_norm(norm_model, mesh, grid, grid.norm(fp.u))
+    pt = solve_at_norm(build_linearized(norm_model, mesh, grid), grid.norm(fp.u))
     n_gap = abs(pt.n - r_before)
     b_gap = float(np.max(np.abs(pt.B - fp.B)))
     ok = fp_ok and n_gap <= 1e-5 and b_gap <= 1e-5
@@ -231,7 +228,7 @@ def test_c09_parameter_value_is_grid_robust(diffusion_problem):
     for nx, na in ((24, 40), (48, 80)):
         mesh, grid = SpatialMesh(nx=nx), AgeGrid(na=na, a_max=base.a_max)
         model, _ = normalize(base, mesh, grid)
-        ns.append(solve_at_norm(model, mesh, grid, 0.1).n)
+        ns.append(solve_at_norm(build_linearized(model, mesh, grid), 0.1).n)
     gap = abs(ns[0] - ns[1]) / ns[1]
     _record(
         9, "amplitude-matched parameter is grid robust", gap <= 0.02,

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from agequil import fixedpoint
 from agequil.cli import BRANCH_COLUMNS, main
 from agequil.model import parse_grid, parse_model
 
@@ -14,6 +15,14 @@ DECAY = str(MODELS / "logistic_decay.cfg")
 SHELL = str(MODELS / "shell_decay.cfg")
 
 TRACE_FLAGS = ["--nx", "6", "--na", "24", "--max-points", "3"]
+
+
+def src_env() -> dict[str, str]:
+    """The environment with the package source first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(MODELS.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def run_trace(out_dir: Path) -> Path:
@@ -136,7 +145,9 @@ class TestVerify:
         branch.write_text("\n".join(lines) + "\n")
         self.assert_malformed(branch, branch, capsys)
 
-    @pytest.mark.parametrize("damage", ["empty-first-line", "short-row", "non-numeric-cell"])
+    @pytest.mark.parametrize(
+        "damage", ["empty-first-line", "short-row", "non-numeric-cell", "nan-cell"]
+    )
     def test_malformed_profile_rejected(self, traced, tmp_path, capsys, damage):
         branch = self.copy_run(traced, tmp_path / "run")
         prof = branch.parent / "branch_profile_001.csv"
@@ -145,6 +156,8 @@ class TestVerify:
             lines.insert(0, "")
         elif damage == "short-row":
             lines[3] = lines[3].rsplit(",", 1)[0]
+        elif damage == "nan-cell":
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
         else:
             lines[3] = lines[3].replace(",", ",x,", 1).rsplit(",", 1)[0]
         prof.write_text("\n".join(lines) + "\n")
@@ -210,6 +223,30 @@ class TestErrorsAndEntryPoints:
         assert flags[0].lstrip("-").replace("-", "_") in err
         assert not any(tmp_path.iterdir())
 
+    def test_overflowing_step_prints_one_line(self, tmp_path):
+        # numpy's overflow warnings must not reach stderr ahead of the error
+        proc = subprocess.run(
+            [sys.executable, "-m", "agequil", "trace", "--model", DECAY, "--nx", "4",
+             "--na", "12", "--step", "1e300", "--out", str(tmp_path / "branch.csv")],
+            env=src_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    def test_shell_flags_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = fixedpoint.solve_fixedpoint
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, "solve_fixedpoint", counting)
+        argv = ["fixedpoint", "--model", SHELL, "--out", str(tmp_path / "fp"), "--tau1", "inf"]
+        assert main(argv) == 1
+        assert "tau1" in capsys.readouterr().err
+        assert calls == []
+
     def test_blas_threads_capped_unless_set(self):
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         probe = f"import os, agequil; print(*(os.environ[v] for v in {names!r}))"
@@ -233,8 +270,7 @@ class TestErrorsAndEntryPoints:
 
     def test_demo_scripts_run(self, tmp_path):
         repo = MODELS.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(repo / "src"), env.get("PYTHONPATH"))))
+        env = src_env()
         for script in ("trace_logistic.py", "fixedpoint_shell.py"):
             proc = subprocess.run(
                 [sys.executable, str(repo / "scripts" / script)],

@@ -20,10 +20,9 @@ from agequil.linearized import build_linearized
 from oracles import logistic_B_of_amplitude, logistic_n_of_B, picard_field
 
 
-@pytest.fixture(scope="module")
-def decay_lin(decay_normalized):
-    model, mesh, grid, _ = decay_normalized
-    return build_linearized(model, mesh, grid)
+def fixed_n(B: np.ndarray, n: float) -> Plane:
+    """The plane n = const through (B, n)."""
+    return Plane(np.zeros(B.shape[0]), 1.0, B, n)
 
 
 class TestConstraints:
@@ -39,7 +38,7 @@ class TestConstraints:
 class TestFirstStep:
     def test_matches_scalar_oracle(self, decay_normalized, decay_lin):
         model, mesh, grid, _ = decay_normalized
-        p = first_step(model, mesh, grid, 1e-2, lin=decay_lin)
+        p = first_step(decay_lin, 1e-2)
         assert not p.trivial
         # scalar problem: the birth vector is constant across x
         assert float(np.ptp(p.B)) <= 1e-13
@@ -49,31 +48,28 @@ class TestFirstStep:
         assert p.identity_residual <= 1e-8
         assert p.min_u >= 0.0
 
-    def test_offset_scales_linearly_with_eps(self, decay_normalized, decay_lin):
-        model, mesh, grid, _ = decay_normalized
-        p1 = first_step(model, mesh, grid, 1e-2, lin=decay_lin)
-        p2 = first_step(model, mesh, grid, 5e-3, lin=decay_lin)
+    def test_offset_scales_linearly_with_eps(self, decay_lin):
+        p1 = first_step(decay_lin, 1e-2)
+        p2 = first_step(decay_lin, 5e-3)
         ratio = (p1.n - 1.0) / (p2.n - 1.0)
         assert 1.7 <= ratio <= 2.3
 
-    def test_zero_eps_is_trivial_point(self, decay_normalized, decay_lin):
-        model, mesh, grid, _ = decay_normalized
-        p = first_step(model, mesh, grid, 0.0, lin=decay_lin)
+    def test_zero_eps_is_trivial_point(self, decay_lin):
+        p = first_step(decay_lin, 0.0)
         assert p.trivial
         assert p.n == 1.0
         assert not np.any(p.u)
         assert p.eps == 0.0
         assert p.r_Qu == pytest.approx(1.0, abs=1e-10)
 
-    def test_negative_eps_rejected(self, decay_normalized, decay_lin):
-        model, mesh, grid, _ = decay_normalized
+    def test_negative_eps_rejected(self, decay_lin):
         with pytest.raises(ContinuationError, match="nonnegative"):
-            first_step(model, mesh, grid, -1e-3, lin=decay_lin)
+            first_step(decay_lin, -1e-3)
 
     def test_requires_normalized_model(self, decay_problem):
         model, mesh, grid = decay_problem
         with pytest.raises(ContinuationError, match="not normalized"):
-            first_step(model, mesh, grid, 1e-2, lin=build_linearized(model, mesh, grid))
+            first_step(build_linearized(model, mesh, grid), 1e-2)
 
 
 class TestTraceDecay:
@@ -126,21 +122,23 @@ class TestTraceDecay:
 
 
 class TestCorrect:
-    def test_fixed_n_recovers_branch_point(self, decay_normalized, decay_branch, decay_lin):
-        model, mesh, grid, _ = decay_normalized
+    def test_fixed_n_recovers_branch_point(self, decay_branch, decay_lin):
         p = decay_branch.nontrivial()[4]
-        got = correct(model, mesh, grid, p.n, 1.02 * p.B, lin=decay_lin)
+        got = correct(decay_lin, p.n, 1.02 * p.B, fixed_n(p.B, p.n))
         np.testing.assert_allclose(got.B, p.B, rtol=1e-7)
         assert got.n == p.n
 
-    @pytest.mark.parametrize("free_n", [False, True])
+    @pytest.mark.parametrize("pinned", ["n", "B"])
     def test_newton_iters_counts_jacobian_marches(
-        self, decay_normalized, decay_branch, decay_lin, monkeypatch, free_n
+        self, decay_branch, decay_lin, monkeypatch, pinned
     ):
         # each Newton step marches its nx perturbed birth vectors as one batch
-        model, mesh, grid, _ = decay_normalized
+        mesh = decay_lin.mesh
         p = decay_branch.nontrivial()[4]
-        plane = Plane(np.zeros(mesh.nx), 1.0, p.B, p.n) if free_n else None
+        if pinned == "n":
+            plane = fixed_n(p.B, p.n)
+        else:
+            plane = Plane(p.B / float(np.linalg.norm(p.B)), 0.0, p.B, p.n)
         batches = []
 
         def counting(*args, birth=None, **kwargs):
@@ -149,19 +147,18 @@ class TestCorrect:
             return build_evolution(*args, birth=birth, **kwargs)
 
         monkeypatch.setattr(continuation, "build_evolution", counting)
-        got = correct(model, mesh, grid, p.n, 1.02 * p.B, plane, lin=decay_lin)
+        got = correct(decay_lin, p.n, 1.02 * p.B, plane)
         assert got.newton_iters >= 1
         assert batches == [(mesh.nx, mesh.nx)] * got.newton_iters
         # a converged start takes no step
         batches.clear()
-        assert correct(model, mesh, grid, got.n, got.B, plane, lin=decay_lin).newton_iters == 0
+        assert correct(decay_lin, got.n, got.B, plane).newton_iters == 0
         assert batches == []
 
-    def test_iteration_budget_enforced(self, decay_normalized, decay_branch, decay_lin):
-        model, mesh, grid, _ = decay_normalized
+    def test_iteration_budget_enforced(self, decay_branch, decay_lin):
         p = decay_branch.nontrivial()[4]
         with pytest.raises(ContinuationError, match="within 1 iterations"):
-            correct(model, mesh, grid, p.n, 1.5 * p.B, max_iter=1, lin=decay_lin)
+            correct(decay_lin, p.n, 1.5 * p.B, fixed_n(p.B, p.n), max_iter=1)
 
 
 class TestMarch:
@@ -220,12 +217,19 @@ class TestSolveAtNorm:
     def test_amplitude_pinned_and_matches_oracle(self, decay_normalized, decay_lin):
         model, mesh, grid, _ = decay_normalized
         target = 0.1
-        p = solve_at_norm(model, mesh, grid, target, lin=decay_lin)
+        p = solve_at_norm(decay_lin, target)
         assert p.eps == pytest.approx(target, abs=1e-9)
         b_oracle = logistic_B_of_amplitude(target, grid.na, grid.a_max)
         assert p.B[0] == pytest.approx(b_oracle, rel=1e-8)
         n_oracle = logistic_n_of_B(b_oracle, grid.na, grid.a_max, model.cb)
         assert p.n == pytest.approx(n_oracle, rel=1e-8)
+
+    def test_reaches_target_on_diffusion_model(self, diffusion_normalized):
+        # the traced points already meet the trace's tolerance, so a fixed-n
+        # correction at that tolerance would not move the amplitude
+        model, mesh, grid, _ = diffusion_normalized
+        p = solve_at_norm(build_linearized(model, mesh, grid), 0.1)
+        assert abs(p.eps - 0.1) <= 1e-9
 
 
 class TestTraceDiffusion:
@@ -247,8 +251,7 @@ class TestTraceDiffusion:
 
 
 class TestRejectedSteps:
-    def test_corrector_failure_is_recorded(self, decay_normalized, decay_lin, monkeypatch):
-        model, mesh, grid, _ = decay_normalized
+    def test_corrector_failure_is_recorded(self, decay_lin, monkeypatch):
         real = continuation.correct
         calls = []
 
@@ -261,7 +264,7 @@ class TestRejectedSteps:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(continuation, "correct", fail_first_trace_step)
-        branch = trace_branch(model, mesh, grid, max_points=2, lin=decay_lin)
+        branch = trace_branch(decay_lin, max_points=2)
         assert branch.rejected == [(0.05, "ContinuationError", "injected failure")]
         assert len(branch.nontrivial()) == 2
 
@@ -269,19 +272,18 @@ class TestRejectedSteps:
 class TestStepControl:
     @pytest.mark.parametrize("forced, growth", [(3, 1.4), (4, 1.0)])
     def test_step_grows_after_at_most_three_newton_steps(
-        self, decay_normalized, decay_lin, monkeypatch, forced, growth
+        self, decay_lin, monkeypatch, forced, growth
     ):
-        model, mesh, grid, _ = decay_normalized
         real = continuation.correct
         seen = []  # (plane, returned point) per call; call 0 is the first step's
 
         def forcing(*args, **kwargs):
             point = dataclasses.replace(real(*args, **kwargs), newton_iters=forced)
-            seen.append((args[5], point))
+            seen.append((args[3], point))
             return point
 
         monkeypatch.setattr(continuation, "correct", forcing)
-        trace_branch(model, mesh, grid, step=0.05, max_points=3, lin=decay_lin)
+        trace_branch(decay_lin, step=0.05, max_points=3)
 
         def predictor_distance(k: int) -> float:
             plane, prev = seen[k][0], seen[k - 1][1]
@@ -293,12 +295,8 @@ class TestStepControl:
 
 
 class TestCaps:
-    def test_amplitude_cap_terminates(self, decay_normalized, decay_lin):
-        model, mesh, grid, _ = decay_normalized
-        branch = trace_branch(
-            model, mesh, grid, eps0=1e-2, step=0.2, max_points=50,
-            norm_cap=0.05, lin=decay_lin,
-        )
+    def test_amplitude_cap_terminates(self, decay_lin):
+        branch = trace_branch(decay_lin, eps0=1e-2, step=0.2, max_points=50, norm_cap=0.05)
         assert "amplitude cap" in branch.terminated
         # the cap is checked after appending, so exactly one point crosses it
         epss = [p.eps for p in branch.nontrivial()]

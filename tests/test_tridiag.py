@@ -94,7 +94,7 @@ class TestFactorSolve:
             factor_tridiag(
                 np.array([0.0, -2.0]), np.array([1.0, 1.0]), np.array([-2.0, 0.0])
             )
-        with pytest.raises(SingularTridiagError):
+        with pytest.raises(SingularTridiagError, match=r"^nonpositive pivot nan at row 1$"):
             factor_tridiag(np.zeros(2), np.array([1.0, np.nan]), np.zeros(2))
 
     def test_matvec_matches_dense(self):
