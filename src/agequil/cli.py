@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +36,15 @@ from .continuation import (
 )
 from .discretize import AssemblyError, SpatialMesh
 from .evolution import AgeGrid, EvolutionError, build_evolution
-from .fixedpoint import FixedPointError, check_shell_conditions, multistart_fixedpoint
+from .fixedpoint import (
+    FixedPointError,
+    check_shell_conditions,
+    check_solve_flags,
+    multistart_fixedpoint,
+)
 from .linearized import LinearizedError, build_linearized, reformulation_residual
 from .model import ModelError, ModelSpec, parse_grid, parse_model, serialize_model
-from .reproduction import (
-    PowerIterationError,
-    ReproductionError,
-    assemble_Q,
-    normalize,
-    spectral_radius,
-)
+from .reproduction import PowerIterationError, ReproductionError, assemble_Q, spectral_radius
 
 BRANCH_COLUMNS = (
     "index", "n", "eps", "r_Qu",
@@ -59,18 +57,11 @@ _COMPUTE_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class Problem:
-    model: ModelSpec
-    mesh: SpatialMesh
-    grid: AgeGrid
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_problem(path: str, nx: int | None, na: int | None) -> Problem:
+def _load_problem(path: str, nx: int | None, na: int | None) -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
     text = Path(path).read_text()
     model = parse_model(text)
     cfg_nx, cfg_na = parse_grid(text)
@@ -78,7 +69,7 @@ def _load_problem(path: str, nx: int | None, na: int | None) -> Problem:
     na = na if na is not None else cfg_na
     if nx is None or na is None:
         raise ModelError("grid is incomplete: supply nx and na in the config or as flags")
-    return Problem(model=model, mesh=SpatialMesh(nx=nx), grid=AgeGrid(na=na, a_max=model.a_max))
+    return model, SpatialMesh(nx=nx), AgeGrid(na=na, a_max=model.a_max)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -135,11 +126,10 @@ def _stem(out: str) -> Path:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
-    problem = _load_problem(args.model, args.nx, args.na)
-    model, r_before = normalize(problem.model, problem.mesh, problem.grid)
-    print(f"r(Q0) before: {_fmt(r_before)}")
-    print(f"cb after: {_fmt(model.cb)}")
-    text = serialize_model(model, nx=problem.mesh.nx, na=problem.grid.na)
+    lin = build_linearized(*_load_problem(args.model, args.nx, args.na))
+    print(f"r(Q0) before: {_fmt(lin.r_before)}")
+    print(f"cb after: {_fmt(lin.model.cb)}")
+    text = serialize_model(lin.model, nx=lin.mesh.nx, na=lin.grid.na)
     if args.out:
         _write_text(Path(args.out), text)
         print(f"wrote {args.out}")
@@ -149,10 +139,8 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    problem = _load_problem(args.model, args.nx, args.na)
-    model, r_before = normalize(problem.model, problem.mesh, problem.grid)
-    print(f"r(Q0) before normalization: {_fmt(r_before)}")
-    lin = build_linearized(model, problem.mesh, problem.grid)
+    lin = build_linearized(*_load_problem(args.model, args.nx, args.na))
+    print(f"r(Q0) before normalization: {_fmt(lin.r_before)}")
     branch = trace_branch(
         lin, eps0=args.eps0, step=args.step, max_points=args.max_points,
         n_cap=args.n_cap, norm_cap=args.norm_cap, tol=args.tol,
@@ -161,7 +149,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     _write_text(out, _branch_rows(branch))
     stem = _stem(args.out)
     for idx, point in enumerate(branch.points):
-        profile = _field_csv(point.u, problem.mesh, problem.grid)
+        profile = _field_csv(point.u, lin.mesh, lin.grid)
         _write_text(Path(f"{stem}_profile_{idx:03d}.csv"), profile)
     stats = branch_stats(branch)
     print(f"traced {len(branch.points)} points ({len(branch.nontrivial())} nontrivial)")
@@ -174,23 +162,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixedpoint(args: argparse.Namespace) -> int:
-    problem = _load_problem(args.model, args.nx, args.na)
-    # the shells go first so that a bad --tau0 or --tau1 fails before the
-    # solve; each call seeds its own generator, so the order does not
-    # change the numbers
-    shell = check_shell_conditions(
-        problem.model, problem.mesh, problem.grid, args.tau0, args.tau1, seed=args.seed,
-    )
+    model, mesh, grid = _load_problem(args.model, args.nx, args.na)
+    # every flag is checked before the shell probes and the shells before
+    # the solve, so a bad flag fails before any computation; each call
+    # seeds its own generator, so the order does not change the numbers
+    check_solve_flags(args.damping, args.tol, args.max_iter, args.starts)
+    shell = check_shell_conditions(model, mesh, grid, args.tau0, args.tau1, seed=args.seed)
     result = multistart_fixedpoint(
-        problem.model, problem.mesh, problem.grid,
-        damping=args.damping, tol=args.tol, max_iter=args.max_iter,
+        model, mesh, grid, damping=args.damping, tol=args.tol, max_iter=args.max_iter,
         starts=args.starts, seed=args.seed,
     )
     stem = _stem(args.out)
-    _write_text(Path(f"{stem}_u.csv"), _field_csv(result.u, problem.mesh, problem.grid))
-    b_lines = ["x,B"] + [
-        f"{_fmt(x)},{_fmt(b)}" for x, b in zip(problem.mesh.nodes, result.B)
-    ]
+    _write_text(Path(f"{stem}_u.csv"), _field_csv(result.u, mesh, grid))
+    b_lines = ["x,B"] + [f"{_fmt(x)},{_fmt(b)}" for x, b in zip(mesh.nodes, result.B)]
     _write_text(Path(f"{stem}_B.csv"), "\n".join(b_lines) + "\n")
     report = "\n".join((
         f"converged: {result.converged}",
@@ -198,7 +182,7 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         f"iterations: {result.iterations}",
         f"residual: {_fmt(result.residual)}",
         f"r_Qu: {_fmt(result.r_Qu)}",
-        f"amplitude: {_fmt(problem.grid.norm(result.u))}",
+        f"amplitude: {_fmt(grid.norm(result.u))}",
         f"shell tau0: {_fmt(shell.tau0)}",
         f"shell tau1: {_fmt(shell.tau1)}",
         f"verdict_small_densities: {shell.verdict_small_densities}",
@@ -261,17 +245,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # profile replay: rebuild the reproduction operator from each stored
     # field and recheck the identity and the reformulation residual
-    model, _ = normalize(problem.model, problem.mesh, problem.grid)
-    lin = build_linearized(model, problem.mesh, problem.grid)
+    lin = build_linearized(*problem)
     stem = _stem(args.branch)
     recompute_worst = 0.0
     reform_worst = 0.0
     for idx, row in enumerate(table):
         if row["eps"] <= 1e-12:
             continue
-        u = _read_field_csv(Path(f"{stem}_profile_{idx:03d}.csv"), problem.mesh, problem.grid)
-        ev = build_evolution(model, problem.mesh, problem.grid, u)
-        r, _ = spectral_radius(assemble_Q(model, ev))
+        u = _read_field_csv(Path(f"{stem}_profile_{idx:03d}.csv"), lin.mesh, lin.grid)
+        ev = build_evolution(lin.model, lin.mesh, lin.grid, u)
+        r, _ = spectral_radius(assemble_Q(lin.model, ev))
         recompute_worst = max(recompute_worst, abs(row["n"] * r - 1.0))
         reform_worst = max(reform_worst, reformulation_residual(lin, row["n"], u))
     if nontrivial:

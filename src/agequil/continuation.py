@@ -6,25 +6,25 @@ fixed-point system
 
     G(B, n) = B - n * l(u(B)) = 0
 
-where u(B) is the self-consistent field of B.  Each age step is frozen at
-the previous age slice, so u(B) comes from one forward march
+where u(B) is the self-consistent field of B.  Each age step is frozen
+at the previous age slice, so u(B) comes from one forward march
 (build_evolution with birth=B) with no inner iteration, and the
 finite-difference Jacobian is one batched march.  The trivial solution
-exists for every n; the nontrivial branch leaves it at n = 1 (after
-normalization) along the Perron direction of Q0.  The first step pins
-the amplitude along that direction and frees n; subsequent steps are
-classic pseudo-arclength: secant predictor, Newton corrector on (B, n)
-augmented with the plane through the predictor.  The corrector always
-solves this bordered system; a fixed n is the plane n = const, and
-solve_at_norm pins the amplitude with an outer scalar iteration over such
-corrections.
+exists for every n; the nontrivial branch leaves it at n = 1 along the
+Perron direction of Q0.  The first step pins the amplitude along that
+direction and frees n; subsequent steps are classic pseudo-arclength:
+secant predictor, Newton corrector on (B, n) augmented with the plane
+through the predictor.  The corrector always solves this bordered
+system; a fixed n is the plane n = const, and solve_at_norm pins the
+amplitude with an outer scalar iteration over such corrections.
 
 Tolerances are relative to the birth vector scale, so points early on the
 branch (amplitudes around 1e-3) are resolved as sharply as later ones.
 
 The corrector and the tracers take the zero-density problem,
 LinearizedOperators, as their one problem handle and read the model, mesh
-and grid from it.
+and grid from it.  build_linearized is the only way to make one, and it
+rescales cb so that r(Q0) = 1, which puts the bifurcation at n = 1.
 """
 
 from __future__ import annotations
@@ -241,12 +241,11 @@ def first_step(lin: LinearizedOperators, eps0: float, *, tol: float = 1e-9) -> B
     The predictor is the birth vector eps0 times the Perron vector of
     Q0; the corrector frees n and pins the component of B along that
     direction, which is the local expansion's parameterization.  eps0 = 0
-    returns the trivial point at n = 1.
+    returns the trivial point at n = 1, where lin's normalized Q0 puts the
+    bifurcation.
     """
     if eps0 < 0:
         raise ContinuationError("eps0 must be nonnegative")
-    if abs(lin.r0 - 1.0) > 1e-3:
-        raise ContinuationError(f"model is not normalized: r(Q0) = {lin.r0!r}")
     if eps0 == 0.0:
         return _finalize(lin, 1.0, np.zeros(lin.mesh.nx), None, 0)
     B0 = eps0 * lin.perron0

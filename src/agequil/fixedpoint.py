@@ -53,6 +53,19 @@ class FixedPointResult:
     last_change: float
 
 
+def check_solve_flags(damping: float, tol: float, max_iter: int, starts: int) -> None:
+    """Raise FixedPointError for damping outside (0, 1], a tol that is
+    negative or not finite, max_iter below 1, or starts below 1."""
+    if not 0.0 < damping <= 1.0:
+        raise FixedPointError(f"damping must lie in (0, 1], got {damping!r}")
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise FixedPointError(f"tol must be finite and nonnegative, got {tol!r}")
+    if max_iter < 1:
+        raise FixedPointError(f"max_iter must be at least 1, got {max_iter!r}")
+    if starts < 1:
+        raise FixedPointError("starts must be at least 1")
+
+
 def solve_fixedpoint(
     model: ModelSpec,
     mesh: SpatialMesh,
@@ -69,16 +82,10 @@ def solve_fixedpoint(
     Stops when the change in B drops below tol, or when B collapses below
     1e-12 (the trivial equilibrium attracted the iterate; returned with
     collapsed=True).  A converged B is then polished by the undamped map.
-    Raises FixedPointError for damping outside (0, 1], a tol that is
-    negative or not finite, max_iter below 1, a negative or misshapen
-    B_init, or an unconverged iteration at max_iter.
+    Raises FixedPointError for flags check_solve_flags refuses, a
+    negative or misshapen B_init, or an unconverged iteration at max_iter.
     """
-    if not 0.0 < damping <= 1.0:
-        raise FixedPointError(f"damping must lie in (0, 1], got {damping!r}")
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise FixedPointError(f"tol must be finite and nonnegative, got {tol!r}")
-    if max_iter < 1:
-        raise FixedPointError(f"max_iter must be at least 1, got {max_iter!r}")
+    check_solve_flags(damping, tol, max_iter, 1)
     if B_init is None:
         B = np.ones(mesh.nx)
     else:
@@ -164,11 +171,10 @@ def multistart_fixedpoint(
     Start 0 is the all-ones birth vector; later starts draw uniformly
     from [0.5, 1.5).  A collapsed run triggers the next start; if every
     start collapses, the last collapsed result is returned, since the
-    trivial equilibrium is then the honest answer.  starts must be at
-    least 1, and seed nonnegative.
+    trivial equilibrium is then the honest answer.  The flags must pass
+    check_solve_flags, and seed must be nonnegative.
     """
-    if starts < 1:
-        raise FixedPointError("starts must be at least 1")
+    check_solve_flags(damping, tol, max_iter, starts)
     rng = _rng(seed)
     result = None
     for k in range(starts):

@@ -8,10 +8,10 @@ v with
     birth condition  v_0 - (1/2) l0(v) = c
 
 realized as  v = Pi_0(.,0) w + K0 f  with  w = (I - Q0/2)^{-1} (l0(K0 f)/2 + c).
-The factor I - Q0/2 is invertible for a normalized model because the
-reproduction number 1 stays below 2.  Both building blocks reuse the
-discrete steps of the evolution module, so solutions of the stepped
-equilibrium equations satisfy the reformulated identity
+build_linearized normalizes the fertility first, so the reproduction
+number is 1 and the factor I - Q0/2 is invertible.  Both building
+blocks reuse the discrete steps of the evolution module, so solutions of
+the stepped equilibrium equations satisfy the reformulated identity
 
     u = lam * L u + H(lam, u),        lam = n - 1/2,
 
@@ -30,7 +30,7 @@ import scipy.linalg
 from .discretize import OperatorMatrix, SpatialMesh, assemble
 from .evolution import AgeGrid, EvolutionOperator, apply_K0, build_evolution, propagate
 from .model import ModelSpec
-from .reproduction import assemble_Q, birth_linear, birth_star, spectral_radius
+from .reproduction import birth_linear, birth_star, normalize, spectral_radius
 from .tridiag import tridiag_matvec
 
 
@@ -42,7 +42,9 @@ class LinearizedError(ValueError):
 class LinearizedOperators:
     """Cached zero-density machinery shared by the linearized solves.
 
-    r0 and perron0 are the spectral radius of Q0 and its positive
+    model is the normalized model, with cb rescaled so that r(Q0) = 1;
+    r_before is the spectral radius of Q0 before that rescaling.  r0 and
+    perron0 are the spectral radius of the normalized Q0 and its positive
     eigenvector (max-norm 1).
     """
 
@@ -50,6 +52,7 @@ class LinearizedOperators:
     mesh: SpatialMesh
     grid: AgeGrid
     ev0: EvolutionOperator
+    r_before: float
     r0: float
     perron0: np.ndarray
     lu: tuple
@@ -57,18 +60,17 @@ class LinearizedOperators:
 
 
 def build_linearized(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> LinearizedOperators:
+    """The zero-density problem of model, normalized to r(Q0) = 1.
+
+    The linear evolution is built once; cb does not enter it, so the
+    normalization and every solve share it.
+    """
     ev0 = build_evolution(model, mesh, grid)
-    q0 = assemble_Q(model, ev0)
-    shifted = np.eye(mesh.nx) - 0.5 * q0
-    try:
-        lu = scipy.linalg.lu_factor(shifted)
-    except scipy.linalg.LinAlgError as exc:
-        raise LinearizedError(
-            "I - Q0/2 is singular; the model does not look normalized"
-        ) from exc
+    model, r_before, q0 = normalize(model, ev0)
     r0, perron0 = spectral_radius(q0)
+    lu = scipy.linalg.lu_factor(np.eye(mesh.nx) - 0.5 * q0)
     a0_parts = [assemble(model, mesh, float(grid.ages[k + 1])) for k in range(grid.na)]
-    return LinearizedOperators(model, mesh, grid, ev0, r0, perron0, lu, a0_parts)
+    return LinearizedOperators(model, mesh, grid, ev0, r_before, r0, perron0, lu, a0_parts)
 
 
 def solve_linear(

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discretize import SpatialMesh
-from .evolution import AgeGrid, EvolutionOperator, build_evolution
+from .evolution import AgeGrid, EvolutionOperator
 from .expr import evaluate
 from .model import ModelSpec, with_cb
 
@@ -140,22 +139,23 @@ def spectral_radius(
     return lam, v
 
 
-def normalize(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> tuple[ModelSpec, float]:
-    """Rescale cb so the linear problem has reproduction number one.
+def normalize(model: ModelSpec, ev0: EvolutionOperator) -> tuple[ModelSpec, float, np.ndarray]:
+    """Rescale cb so the linear problem on ev0 has reproduction number one.
 
-    Returns (rescaled model, spectral radius before rescaling).  The
-    radius is exactly linear in cb, so one pass suffices; the loop is a
-    guard that re-measures and refuses to return an unnormalized model.
+    ev0 is the linear evolution of model; cb does not enter it.  Returns
+    (rescaled model, spectral radius before rescaling, Q0 of the rescaled
+    model).  The radius is exactly linear in cb, so one pass suffices; the
+    loop is a guard that re-measures and refuses to return an
+    unnormalized model.
     """
-    ev0 = build_evolution(model, mesh, grid)
     r_before, _ = spectral_radius(assemble_Q(model, ev0))
     if not (np.isfinite(r_before) and r_before > 0):
         raise ReproductionError(f"spectral radius {r_before!r} cannot be normalized away")
-    current = model
     r = r_before
     for _ in range(NORMALIZE_PASSES):
-        current = with_cb(current, current.cb / r)
-        r, _ = spectral_radius(assemble_Q(current, ev0))
+        model = with_cb(model, model.cb / r)
+        q0 = assemble_Q(model, ev0)
+        r, _ = spectral_radius(q0)
         if abs(r - 1.0) <= NORMALIZE_TOL:
-            return current, r_before
+            return model, r_before, q0
     raise ReproductionError(f"normalization stalled at r = {r!r}")

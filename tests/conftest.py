@@ -9,7 +9,6 @@ from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid
 from agequil.linearized import LinearizedOperators, build_linearized
 from agequil.model import ModelSpec, parse_grid, parse_model
-from agequil.reproduction import normalize
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS = REPO / "models"
@@ -38,16 +37,13 @@ def decay_problem() -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
 
 
 @pytest.fixture(scope="session")
-def decay_normalized(decay_problem):
-    model, mesh, grid = decay_problem
-    normalized, r_before = normalize(model, mesh, grid)
-    return normalized, mesh, grid, r_before
+def decay_lin(decay_problem) -> LinearizedOperators:
+    return build_linearized(*decay_problem)
 
 
 @pytest.fixture(scope="session")
-def decay_lin(decay_normalized) -> LinearizedOperators:
-    model, mesh, grid, _ = decay_normalized
-    return build_linearized(model, mesh, grid)
+def decay_normalized(decay_lin):
+    return decay_lin.model, decay_lin.mesh, decay_lin.grid, decay_lin.r_before
 
 
 @pytest.fixture(scope="session")
@@ -61,16 +57,18 @@ def diffusion_problem() -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
 
 
 @pytest.fixture(scope="session")
-def diffusion_normalized(diffusion_problem):
-    model, mesh, grid = diffusion_problem
-    normalized, r_before = normalize(model, mesh, grid)
-    return normalized, mesh, grid, r_before
+def diffusion_lin(diffusion_problem) -> LinearizedOperators:
+    return build_linearized(*diffusion_problem)
 
 
 @pytest.fixture(scope="session")
-def diffusion_branch(diffusion_normalized) -> Branch:
-    model, mesh, grid, _ = diffusion_normalized
-    return trace_branch(build_linearized(model, mesh, grid), max_points=5)
+def diffusion_normalized(diffusion_lin):
+    return diffusion_lin.model, diffusion_lin.mesh, diffusion_lin.grid, diffusion_lin.r_before
+
+
+@pytest.fixture(scope="session")
+def diffusion_branch(diffusion_lin) -> Branch:
+    return trace_branch(diffusion_lin, max_points=5)
 
 
 @pytest.fixture(scope="session")

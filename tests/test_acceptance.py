@@ -18,7 +18,7 @@ from agequil.expr import Num
 from agequil.fixedpoint import solve_fixedpoint
 from agequil.linearized import build_linearized, solve_linear
 from agequil.model import ModelSpec, parse_grid, parse_model
-from agequil.reproduction import assemble_Q, normalize, spectral_radius
+from agequil.reproduction import assemble_Q, spectral_radius
 
 from conftest import ACCEPTANCE_LINES, MODELS
 from oracles import CONTINUUM_R0, birth_feedback_eigenvalue, discrete_r0, linear_residuals, shell_root
@@ -41,7 +41,7 @@ def test_c01_reproduction_number_converges_in_age_step(decay_problem):
         r, _ = spectral_radius(rep)
         assert r == pytest.approx(discrete_r0(na, model.a_max, model.cb), rel=1e-12)
         errors.append(abs(r - CONTINUUM_R0))
-        renorm, _ = normalize(model, mesh, grid)
+        renorm = build_linearized(model, mesh, grid).model
         rep1 = assemble_Q(renorm, build_evolution(renorm, mesh, grid))
         r1, _ = spectral_radius(rep1)
         normalized_ok = normalized_ok and abs(r1 - 1.0) <= 1e-10
@@ -133,11 +133,11 @@ def test_c03_exact_nonnegativity_on_random_models():
     )
 
 
-def test_c04_linearized_eigenvalue_and_residuals(decay_normalized, diffusion_normalized):
+def test_c04_linearized_eigenvalue_and_residuals(decay_lin, diffusion_lin):
     eigs = []
     res_ok = True
-    for model, mesh, grid, _ in (decay_normalized, diffusion_normalized):
-        lin = build_linearized(model, mesh, grid)
+    for lin in (decay_lin, diffusion_lin):
+        mesh, grid = lin.mesh, lin.grid
         eigs.append(birth_feedback_eigenvalue(lin))
         rng = np.random.default_rng(21)
         c = rng.uniform(0.0, 1.0, mesh.nx)
@@ -209,9 +209,9 @@ def test_c08_fixedpoint_cross_validates_continuation(shell_problem):
         and abs(fp.r_Qu - 1.0) <= 1e-6
         and abs(fp.B[0] - b_star) <= 1e-6 * b_star
     )
-    norm_model, r_before = normalize(model, mesh, grid)
-    pt = solve_at_norm(build_linearized(norm_model, mesh, grid), grid.norm(fp.u))
-    n_gap = abs(pt.n - r_before)
+    lin = build_linearized(model, mesh, grid)
+    pt = solve_at_norm(lin, grid.norm(fp.u))
+    n_gap = abs(pt.n - lin.r_before)
     b_gap = float(np.max(np.abs(pt.B - fp.B)))
     ok = fp_ok and n_gap <= 1e-5 and b_gap <= 1e-5
     _record(
@@ -227,8 +227,7 @@ def test_c09_parameter_value_is_grid_robust(diffusion_problem):
     ns = []
     for nx, na in ((24, 40), (48, 80)):
         mesh, grid = SpatialMesh(nx=nx), AgeGrid(na=na, a_max=base.a_max)
-        model, _ = normalize(base, mesh, grid)
-        ns.append(solve_at_norm(build_linearized(model, mesh, grid), 0.1).n)
+        ns.append(solve_at_norm(build_linearized(base, mesh, grid), 0.1).n)
     gap = abs(ns[0] - ns[1]) / ns[1]
     _record(
         9, "amplitude-matched parameter is grid robust", gap <= 0.02,

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from agequil import fixedpoint
+from agequil import cli, fixedpoint
 from agequil.cli import BRANCH_COLUMNS, main
+from agequil.discretize import SpatialMesh
+from agequil.evolution import AgeGrid
+from agequil.linearized import build_linearized
 from agequil.model import parse_grid, parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -51,6 +54,13 @@ class TestNormalize:
         model = parse_model(text)
         assert model.cb == pytest.approx(1.579228722902379, rel=1e-12)
         assert parse_grid(text) == (16, 120)
+
+    def test_written_cb_is_the_one_trace_uses(self, tmp_path, capsys):
+        out = tmp_path / "normalized.cfg"
+        assert main(["normalize", "--model", DECAY, "--out", str(out), "--nx", "6", "--na", "24"]) == 0
+        raw = parse_model(Path(DECAY).read_text())
+        lin = build_linearized(raw, SpatialMesh(nx=6), AgeGrid(na=24, a_max=raw.a_max))
+        assert parse_model(out.read_text()).cb == lin.model.cb
 
     def test_grid_must_come_from_somewhere(self, tmp_path, capsys):
         stripped = "\n".join(
@@ -214,6 +224,7 @@ class TestErrorsAndEntryPoints:
     @pytest.mark.parametrize("flags", [
         ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--max-iter", "0"],
         ["--seed", "-1"], ["--tau1", "inf"], ["--tau1", "1e308"],
+        ["--damping", "0"], ["--damping", "1.5"], ["--starts", "0"],
     ])
     def test_bad_fixedpoint_inputs_exit_1(self, flags, tmp_path, capsys):
         argv = ["fixedpoint", "--model", SHELL, "--out", str(tmp_path / "fp")]
@@ -245,6 +256,23 @@ class TestErrorsAndEntryPoints:
         argv = ["fixedpoint", "--model", SHELL, "--out", str(tmp_path / "fp"), "--tau1", "inf"]
         assert main(argv) == 1
         assert "tau1" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--damping", "0"], ["--tol", "nan"], ["--max-iter", "0"], ["--starts", "0"],
+    ])
+    def test_solve_flags_checked_before_the_shells(self, flags, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = cli.check_shell_conditions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_shell_conditions", counting)
+        argv = ["fixedpoint", "--model", SHELL, "--out", str(tmp_path / "fp"), *flags]
+        assert main(argv) == 1
+        assert flags[0].lstrip("-").replace("-", "_") in capsys.readouterr().err
         assert calls == []
 
     def test_blas_threads_capped_unless_set(self):

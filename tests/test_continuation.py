@@ -15,7 +15,6 @@ from agequil.continuation import (
 )
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, EvolutionError, build_evolution, propagate
-from agequil.linearized import build_linearized
 
 from oracles import logistic_B_of_amplitude, logistic_n_of_B, picard_field
 
@@ -65,11 +64,6 @@ class TestFirstStep:
     def test_negative_eps_rejected(self, decay_lin):
         with pytest.raises(ContinuationError, match="nonnegative"):
             first_step(decay_lin, -1e-3)
-
-    def test_requires_normalized_model(self, decay_problem):
-        model, mesh, grid = decay_problem
-        with pytest.raises(ContinuationError, match="not normalized"):
-            first_step(build_linearized(model, mesh, grid), 1e-2)
 
 
 class TestTraceDecay:
@@ -224,11 +218,10 @@ class TestSolveAtNorm:
         n_oracle = logistic_n_of_B(b_oracle, grid.na, grid.a_max, model.cb)
         assert p.n == pytest.approx(n_oracle, rel=1e-8)
 
-    def test_reaches_target_on_diffusion_model(self, diffusion_normalized):
+    def test_reaches_target_on_diffusion_model(self, diffusion_lin):
         # the traced points already meet the trace's tolerance, so a fixed-n
         # correction at that tolerance would not move the amplitude
-        model, mesh, grid, _ = diffusion_normalized
-        p = solve_at_norm(build_linearized(model, mesh, grid), 0.1)
+        p = solve_at_norm(diffusion_lin, 0.1)
         assert abs(p.eps - 0.1) <= 1e-9
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from agequil.discretize import SpatialMesh
-from agequil.evolution import AgeGrid, build_evolution, propagate
+from agequil.evolution import AgeGrid, propagate
 from agequil.expr import Num
 from agequil.linearized import (
     LinearizedError,
@@ -13,22 +13,10 @@ from agequil.linearized import (
     reformulation_residual,
     solve_linear,
 )
-from agequil.model import ModelSpec
-from agequil.reproduction import assemble_Q, normalize, spectral_radius
+from agequil.model import ModelSpec, with_cb
+from agequil.reproduction import assemble_Q, spectral_radius
 
 from oracles import birth_feedback_eigenvalue, decay_rows, discrete_r0, linear_residuals, shell_root
-
-
-@pytest.fixture(scope="module")
-def decay_lin(decay_normalized):
-    model, mesh, grid, _ = decay_normalized
-    return build_linearized(model, mesh, grid)
-
-
-@pytest.fixture(scope="module")
-def diffusion_lin(diffusion_normalized):
-    model, mesh, grid, _ = diffusion_normalized
-    return build_linearized(model, mesh, grid)
 
 
 def linear_decay_problem(na: int = 80) -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
@@ -45,6 +33,17 @@ def linear_decay_problem(na: int = 80) -> tuple[ModelSpec, SpatialMesh, AgeGrid]
         pure_decay=True,
     )
     return model, SpatialMesh(8), AgeGrid(na, 1.0)
+
+
+class TestBuildLinearized:
+    def test_normalizes_a_raw_model(self, decay_problem, decay_lin):
+        raw, mesh, grid = decay_problem
+        assert raw.cb == 1.0
+        assert abs(decay_lin.r0 - 1.0) <= 1e-10
+        assert decay_lin.r_before == spectral_radius(assemble_Q(raw, decay_lin.ev0))[0]
+        scaled = build_linearized(with_cb(raw, 7.5), mesh, grid)
+        assert scaled.model.cb == pytest.approx(decay_lin.model.cb, rel=1e-12)
+        assert decay_lin.model == with_cb(raw, decay_lin.model.cb)
 
 
 class TestSolveLinear:
@@ -124,9 +123,8 @@ class TestPerturbation:
 
     def test_shell_equilibrium_satisfies_reformulation(self, shell_problem):
         model, mesh, grid = shell_problem
-        normalized, r_before = normalize(model, mesh, grid)
-        lin = build_linearized(normalized, mesh, grid)
+        lin = build_linearized(model, mesh, grid)
         b_star = shell_root(grid.na, grid.a_max, model.cb)
         rows = b_star * decay_rows(grid.na, grid.a_max)
         u = np.tile(rows[:, None], (1, mesh.nx))
-        assert reformulation_residual(lin, r_before, u) <= 1e-8
+        assert reformulation_residual(lin, lin.r_before, u) <= 1e-8

@@ -109,29 +109,31 @@ class TestAssembleQu:
 class TestNormalize:
     def test_unit_radius_after(self, decay_problem):
         model, mesh, grid = decay_problem
-        normalized, r_before = normalize(model, mesh, grid)
+        ev0 = build_evolution(model, mesh, grid)
+        normalized, r_before, q0 = normalize(model, ev0)
         assert r_before == pytest.approx(discrete_r0(grid.na, grid.a_max), rel=1e-13)
         assert normalized.cb == pytest.approx(model.cb / r_before, rel=1e-13)
-        q = assemble_Q(normalized, build_evolution(normalized, mesh, grid))
-        r, _ = spectral_radius(q)
+        np.testing.assert_array_equal(q0, assemble_Q(normalized, ev0))
+        r, _ = spectral_radius(assemble_Q(normalized, build_evolution(normalized, mesh, grid)))
         assert abs(r - 1.0) <= 1e-10
 
     def test_endpoint_independent_of_initial_cb(self, decay_problem):
         model, mesh, grid = decay_problem
-        n1, _ = normalize(model, mesh, grid)
-        n2, _ = normalize(with_cb(model, 7.5), mesh, grid)
+        ev0 = build_evolution(model, mesh, grid)
+        n1, _, _ = normalize(model, ev0)
+        n2, _, _ = normalize(with_cb(model, 7.5), ev0)
         assert n1.cb == pytest.approx(n2.cb, rel=1e-12)
 
     def test_idempotent(self, decay_problem):
         model, mesh, grid = decay_problem
-        once, _ = normalize(model, mesh, grid)
-        twice, r_mid = normalize(once, mesh, grid)
+        ev0 = build_evolution(model, mesh, grid)
+        once, _, _ = normalize(model, ev0)
+        twice, r_mid, _ = normalize(once, ev0)
         assert r_mid == pytest.approx(1.0, abs=1e-10)
         assert twice.cb == pytest.approx(once.cb, rel=1e-10)
 
-    def test_round_trips_through_config(self, diffusion_problem):
-        model, mesh, grid = diffusion_problem
-        normalized, _ = normalize(model, mesh, grid)
+    def test_round_trips_through_config(self, diffusion_normalized):
+        normalized = diffusion_normalized[0]
         reparsed = parse_model(serialize_model(normalized))
         assert reparsed.cb == normalized.cb
 
