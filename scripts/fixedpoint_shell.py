@@ -1,6 +1,7 @@
-"""Find the saturating-fertility equilibrium by damped iteration.
+"""Find the saturating-fertility equilibrium by fixed-point iteration.
 
-Runs the multistart fixed-point solver on the bundled shell model,
+Runs the multistart fixed-point solver (the birth map with Anderson
+mixing) on the bundled shell model,
 checks both shell conditions, and writes the field, birth vector and a
 short report under out/.
 """

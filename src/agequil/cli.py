@@ -4,7 +4,7 @@ Four subcommands cover the library's entry points:
 
     normalize   rescale the fertility normalization so r(Q0) = 1
     trace       trace the nontrivial branch, write a CSV plus profiles
-    fixedpoint  damped fixed-point run with shell-condition checks
+    fixedpoint  fixed-point run with shell-condition checks
     verify      recheck a written branch against its model
 
 The branch CSV has one row per branch point with columns index, n, eps,
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9, help="corrector tolerance")
     p.set_defaults(func=_cmd_trace)
 
-    p = sub.add_parser("fixedpoint", help="damped fixed-point run with shell checks")
+    p = sub.add_parser("fixedpoint", help="fixed-point run with shell checks")
     add_common(p)
     p.add_argument("--out", required=True, help="output stem or CSV path")
     p.add_argument("--damping", type=float, default=0.5)

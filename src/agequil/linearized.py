@@ -30,7 +30,7 @@ import scipy.linalg
 from .discretize import OperatorMatrix, SpatialMesh, assemble
 from .evolution import AgeGrid, EvolutionOperator, apply_K0, build_evolution, propagate
 from .model import ModelSpec
-from .reproduction import birth_linear, birth_star, normalize, spectral_radius
+from .reproduction import birth_linear, birth_star, normalize
 from .tridiag import tridiag_matvec
 
 
@@ -66,8 +66,7 @@ def build_linearized(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> Line
     normalization and every solve share it.
     """
     ev0 = build_evolution(model, mesh, grid)
-    model, r_before, q0 = normalize(model, ev0)
-    r0, perron0 = spectral_radius(q0)
+    model, r_before, q0, r0, perron0 = normalize(model, ev0)
     lu = scipy.linalg.lu_factor(np.eye(mesh.nx) - 0.5 * q0)
     a0_parts = [assemble(model, mesh, float(grid.ages[k + 1])) for k in range(grid.na)]
     return LinearizedOperators(model, mesh, grid, ev0, r_before, r0, perron0, lu, a0_parts)

@@ -67,7 +67,8 @@ def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
 
     The age propagation of every unit basis vector is accumulated in one
     pass; the fertility weights are evaluated on ev.source, or at zero
-    density for the linear evolution.
+    density for the linear evolution.  An evolution batched over k fields
+    gives (nx, nx, k), each matrix with the bits of its own single build.
     """
     nx = ev.mesh.nx
     w = ev.grid.weights
@@ -76,7 +77,8 @@ def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
         bvals = np.full((ev.grid.na + 1, nx), model.cb * b0)
     else:
         bvals = birth_density(model, ev.source)
-    basis = np.eye(nx)
+    basis = np.zeros((nx, nx) + bvals.shape[2:])
+    basis[np.arange(nx), np.arange(nx)] = 1.0
     q = w[0] * (bvals[0][:, None] * basis)
     for k in range(ev.grid.na):
         basis = ev.steps[k].solve(basis)
@@ -139,14 +141,14 @@ def spectral_radius(
     return lam, v
 
 
-def normalize(model: ModelSpec, ev0: EvolutionOperator) -> tuple[ModelSpec, float, np.ndarray]:
+def normalize(model: ModelSpec, ev0: EvolutionOperator) -> tuple[ModelSpec, float, np.ndarray, float, np.ndarray]:
     """Rescale cb so the linear problem on ev0 has reproduction number one.
 
     ev0 is the linear evolution of model; cb does not enter it.  Returns
     (rescaled model, spectral radius before rescaling, Q0 of the rescaled
-    model).  The radius is exactly linear in cb, so one pass suffices; the
-    loop is a guard that re-measures and refuses to return an
-    unnormalized model.
+    model, its spectral radius and Perron vector).  The radius is exactly
+    linear in cb, so one pass suffices; the loop is a guard that
+    re-measures and refuses to return an unnormalized model.
     """
     r_before, _ = spectral_radius(assemble_Q(model, ev0))
     if not (np.isfinite(r_before) and r_before > 0):
@@ -155,7 +157,7 @@ def normalize(model: ModelSpec, ev0: EvolutionOperator) -> tuple[ModelSpec, floa
     for _ in range(NORMALIZE_PASSES):
         model = with_cb(model, model.cb / r)
         q0 = assemble_Q(model, ev0)
-        r, _ = spectral_radius(q0)
+        r, perron = spectral_radius(q0)
         if abs(r - 1.0) <= NORMALIZE_TOL:
-            return model, r_before, q0
+            return model, r_before, q0, r, perron
     raise ReproductionError(f"normalization stalled at r = {r!r}")

@@ -47,9 +47,9 @@ def _factor(lower, diag, upper):
 
 @njit(cache=True)
 def _solve(mult, piv, upper, rhs, out):
-    # rhs and out are 1-D or 2-D; on 2-D each step is one row operation
-    # across all columns, and every entry sees the same IEEE operations
-    # as a 1-D solve of its column, so the bits match column by column
+    # rhs and out are 1-D to 3-D; each step is one row operation across
+    # the trailing axes, and every entry sees the same IEEE operations as
+    # a 1-D solve of its column, so the bits match column by column
     n = piv.shape[0]
     out[0] = rhs[0]
     for i in range(1, n):
@@ -63,8 +63,9 @@ def _solve(mult, piv, upper, rhs, out):
 class FactoredTridiag:
     """LU factors of a tridiagonal matrix, reusable across solves.
 
-    The factors are 1-D, or 2-D with one matrix per column; 2-D factors
-    solve only a right-hand side of their own shape.
+    The factors are 1-D, (n,), or 2-D, (n, k), with one matrix per column.
+    1-D factors solve a right-hand side (n,) or (n, m); 2-D factors solve
+    (n, k), or (n, m, k) with m columns against each of the k matrices.
     """
 
     mult: np.ndarray
@@ -73,11 +74,10 @@ class FactoredTridiag:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        out = np.empty_like(rhs)
-        if rhs.ndim not in (1, 2):
-            raise ValueError("rhs must be one- or two-dimensional")
-        if rhs.shape[: self.piv.ndim] != self.piv.shape:
+        extra = rhs.ndim - self.piv.ndim
+        if extra not in (0, 1) or rhs.shape[:1] + rhs.shape[1 + extra:] != self.piv.shape:
             raise ValueError(f"rhs has shape {rhs.shape}, factors have shape {self.piv.shape}")
+        out = np.empty_like(rhs)
         _solve(self.mult, self.piv, self.upper, rhs, out)
         return out
 

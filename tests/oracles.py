@@ -10,8 +10,8 @@ constants are kept separately for convergence-rate checks.
 
 The solvers from operator_matvec on serve only the tests and, unlike
 the recursions, reuse the package's building blocks: the Thomas solve,
-power iteration, the linear birth functional and solve, and the
-evolution build and propagation.
+power iteration, the linear birth functional and solve, the evolution
+build and propagation, and the shell probes' sampled fields.
 """
 
 from __future__ import annotations
@@ -23,8 +23,15 @@ from scipy.optimize import brentq
 
 from agequil.discretize import OperatorMatrix
 from agequil.evolution import build_evolution, propagate
+from agequil.fixedpoint import _sample_fields
 from agequil.linearized import LinearizedOperators, apply_birth_feedback
-from agequil.reproduction import ReproductionError, _power_iteration, birth_linear
+from agequil.reproduction import (
+    ReproductionError,
+    _power_iteration,
+    assemble_Q,
+    birth_linear,
+    spectral_radius,
+)
 from agequil.tridiag import factor_tridiag, tridiag_matvec
 
 # continuum values for the unit-mortality model on a_max = 1
@@ -168,6 +175,21 @@ def picard_field(model, mesh, grid, B: np.ndarray, u_start, tol: float, max_swee
         if diff <= tol:
             return u
     raise RuntimeError(f"Picard sweeps did not converge within {max_sweeps} sweeps")
+
+
+def shell_probes_one_by_one(model, mesh, grid, tau0: float, tau1: float, seed: int) -> tuple[float, float]:
+    """(min_small_excess, max_large_radius) of check_shell_conditions, one
+    evolution and one Q per probe field: the reference for the batched probes."""
+    fields = _sample_fields(mesh, grid, np.random.default_rng(seed))
+
+    def probe(i: int, amplitude: float) -> np.ndarray:
+        u = fields[i] * (amplitude / grid.norm(fields[i]))
+        return assemble_Q(model, build_evolution(model, mesh, grid, u))
+
+    small = [probe(i, tau0 / (1.0, 2.0, 10.0)[i % 3]) for i in range(len(fields))]
+    large = [probe(i, tau1 * (1.0, 2.0, 4.0)[i % 3]) for i in range(len(fields))]
+    min_excess = min(float(np.min(q - np.eye(mesh.nx))) for q in small)
+    return min_excess, max(spectral_radius(q)[0] for q in large)
 
 
 def characteristic_values(matrix: np.ndarray, k: int, tol: float = 1e-11, max_iter: int = 50000) -> list[float]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from agequil import fixedpoint
 from agequil.evolution import build_evolution
 from agequil.fixedpoint import (
     FixedPointError,
@@ -9,7 +10,7 @@ from agequil.fixedpoint import (
     solve_fixedpoint,
 )
 
-from oracles import decay_rows, discrete_r0, shell_root
+from oracles import decay_rows, discrete_r0, shell_probes_one_by_one, shell_root
 
 
 @pytest.fixture(scope="module", params=[0.5, 1.0], ids=["damped", "undamped"])
@@ -49,6 +50,22 @@ class TestShellEquilibrium:
         model, mesh, grid = shell_problem
         marched = build_evolution(model, mesh, grid, birth=shell_result.B).source
         np.testing.assert_array_equal(shell_result.u, marched)
+
+    @pytest.mark.parametrize("damping", [0.5, 1.0])
+    def test_takes_few_marches(self, shell_problem, monkeypatch, damping):
+        # Anderson mixing reaches the fixed point in 7 steps, the polish
+        # adds one sweep and the final march one more; the damped loop
+        # alone takes 47 steps at damping 0.5 and 19 at 1.0
+        marches = []
+
+        def counting(*args, **kwargs):
+            marches.append(1)
+            return build_evolution(*args, **kwargs)
+
+        monkeypatch.setattr(fixedpoint, "build_evolution", counting)
+        model, mesh, grid = shell_problem
+        assert solve_fixedpoint(model, mesh, grid, damping=damping).converged
+        assert len(marches) <= 10
 
     def test_multistart_agrees_and_is_deterministic(self, shell_problem, shell_result):
         model, mesh, grid = shell_problem
@@ -127,6 +144,13 @@ class TestShellConditions:
         assert not report.verdict_small_densities
         assert report.verdict_large_densities
         assert report.min_small_excess < -0.3
+
+    @pytest.mark.parametrize("problem", ["shell_problem", "decay_problem"])
+    def test_batched_probes_match_single_probes(self, request, problem):
+        model, mesh, grid = request.getfixturevalue(problem)
+        report = check_shell_conditions(model, mesh, grid, 1e-2, 5.0, seed=3)
+        expected = shell_probes_one_by_one(model, mesh, grid, 1e-2, 5.0, seed=3)
+        assert (report.min_small_excess, report.max_large_radius) == expected
 
     def test_tau_ordering_enforced(self, shell_problem):
         model, mesh, grid = shell_problem

@@ -98,6 +98,16 @@ class TestAssembleQu:
         manual = grid.weights @ (birth_density(model, u) * field)
         np.testing.assert_allclose(q @ B, manual, rtol=1e-12, atol=1e-14)
 
+    def test_batched_matrices_match_single_builds(self, shell_problem):
+        model, mesh, grid = shell_problem
+        rng = np.random.default_rng(12)
+        u = rng.uniform(0, 1.5, (grid.na + 1, mesh.nx, 4))
+        q = assemble_Q(model, build_evolution(model, mesh, grid, u))
+        assert q.shape == (mesh.nx, mesh.nx, 4)
+        for j in range(4):
+            single = assemble_Q(model, build_evolution(model, mesh, grid, u[:, :, j]))
+            assert np.array_equal(q[:, :, j], single)
+
     def test_zero_field_equals_linear_matrix(self, decay_problem):
         model, mesh, grid = decay_problem
         q0 = assemble_Q(model, build_evolution(model, mesh, grid))
@@ -110,25 +120,29 @@ class TestNormalize:
     def test_unit_radius_after(self, decay_problem):
         model, mesh, grid = decay_problem
         ev0 = build_evolution(model, mesh, grid)
-        normalized, r_before, q0 = normalize(model, ev0)
+        normalized, r_before, q0, r0, perron0 = normalize(model, ev0)
         assert r_before == pytest.approx(discrete_r0(grid.na, grid.a_max), rel=1e-13)
         assert normalized.cb == pytest.approx(model.cb / r_before, rel=1e-13)
         np.testing.assert_array_equal(q0, assemble_Q(normalized, ev0))
+        # the returned radius and Perron vector are those of the returned Q0
+        r, perron = spectral_radius(q0)
+        assert r0 == r
+        np.testing.assert_array_equal(perron0, perron)
         r, _ = spectral_radius(assemble_Q(normalized, build_evolution(normalized, mesh, grid)))
         assert abs(r - 1.0) <= 1e-10
 
     def test_endpoint_independent_of_initial_cb(self, decay_problem):
         model, mesh, grid = decay_problem
         ev0 = build_evolution(model, mesh, grid)
-        n1, _, _ = normalize(model, ev0)
-        n2, _, _ = normalize(with_cb(model, 7.5), ev0)
+        n1 = normalize(model, ev0)[0]
+        n2 = normalize(with_cb(model, 7.5), ev0)[0]
         assert n1.cb == pytest.approx(n2.cb, rel=1e-12)
 
     def test_idempotent(self, decay_problem):
         model, mesh, grid = decay_problem
         ev0 = build_evolution(model, mesh, grid)
-        once, _, _ = normalize(model, ev0)
-        twice, r_mid, _ = normalize(once, ev0)
+        once = normalize(model, ev0)[0]
+        twice, r_mid = normalize(once, ev0)[:2]
         assert r_mid == pytest.approx(1.0, abs=1e-10)
         assert twice.cb == pytest.approx(once.cb, rel=1e-10)
 

@@ -81,6 +81,29 @@ class TestFactorSolve:
             with pytest.raises(ValueError, match="shape"):
                 fac.solve(rhs[:, 0])
 
+    # a batched assemble_Q pushes an (nx, nx, k) basis through (nx, k)
+    # factors: every (row, column, matrix) entry must keep the bits of the
+    # 1-D solve of its column against its own matrix
+    @pytest.mark.parametrize("n, m, k", [(1, 2, 3), (5, 5, 6), (12, 4, 2)])
+    def test_three_dimensional_rhs(self, n, m, k):
+        rng = np.random.default_rng(9)
+        lower = -rng.uniform(0, 1, (n, k))
+        upper = -rng.uniform(0, 1, (n, k))
+        lower[0] = upper[-1] = 0.0
+        diag = np.abs(lower) + np.abs(upper) + 1.0
+        fac = factor_tridiag(lower, diag, upper)
+        rhs = rng.normal(size=(n, m, k))
+        out = fac.solve(rhs)
+        for j in range(k):
+            fac_j = factor_tridiag(lower[:, j], diag[:, j], upper[:, j])
+            for c in range(m):
+                np.testing.assert_array_equal(out[:, c, j], fac_j.solve(rhs[:, c, j]))
+        for bad in (rhs[:, :, :-1], rhs[:-1], rhs[..., None]):
+            with pytest.raises(ValueError, match="shape"):
+                fac.solve(bad)
+        with pytest.raises(ValueError, match="shape"):
+            factor_tridiag(lower[:, 0], diag[:, 0], upper[:, 0]).solve(rhs)
+
     def test_reusable_factorization(self):
         fac = factor_tridiag(np.zeros(3), np.full(3, 2.0), np.zeros(3))
         assert isinstance(fac, FactoredTridiag)
