@@ -28,8 +28,7 @@ from .model import ModelSpec
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
 COLLAPSE_THRESHOLD = 1e-12
-# Anderson mixing keeps this many differences of iterates and residuals
-ANDERSON_DEPTH = 3
+ANDERSON_DEPTH = 3  # Anderson mixing fits the last 3 differences of iterates and residuals
 
 
 class FixedPointError(RuntimeError):
@@ -90,7 +89,8 @@ def solve_fixedpoint(
     trivial equilibrium attracted the iterate; returned with
     collapsed=True).  A converged B is polished by the undamped map.
     Raises FixedPointError for flags check_solve_flags refuses, a negative
-    or misshapen B_init, or an unconverged iteration at max_iter.
+    or misshapen B_init, an unconverged iteration at max_iter, or a
+    collapse onto a trivial equilibrium with r(Q0) > 1, which repels.
     """
     check_solve_flags(damping, tol, max_iter, 1)
     if B_init is None:
@@ -103,24 +103,22 @@ def solve_fixedpoint(
             raise FixedPointError("B_init must be finite and nonnegative")
 
     change = np.inf
-    d_B, d_f = [], []
+    Bs, fs = [], []
     for it in range(1, max_iter + 1):
         u = build_evolution(model, mesh, grid, birth=B).source
         image = birth_functional(model, grid, u)
         f = image - B
-        if it > 1:
-            d_B = (d_B + [B - B_prev])[-ANDERSON_DEPTH:]
-            d_f = (d_f + [f - f_prev])[-ANDERSON_DEPTH:]
-        B_prev, f_prev = B, f
+        Bs, fs = (Bs + [B])[-ANDERSON_DEPTH - 1:], (fs + [f])[-ANDERSON_DEPTH - 1:]
         B_next = (1.0 - damping) * B + damping * image
-        if d_f:
-            dF = np.stack(d_f, axis=1)
+        # a non-finite image is left to the next march to refuse
+        if len(fs) > 1 and np.all(np.isfinite(f)):
+            dF = np.diff(np.stack(fs, axis=1), axis=1)
             gamma = np.linalg.lstsq(dF, f, rcond=None)[0]
-            mixed = B_next - (np.stack(d_B, axis=1) + damping * dF) @ gamma
+            mixed = B_next - (np.diff(np.stack(Bs, axis=1), axis=1) + damping * dF) @ gamma
             if np.all(np.isfinite(mixed)) and np.all(mixed >= 0.0):
                 B_next = mixed
             else:
-                d_B, d_f = [], []
+                Bs, fs = [B], [f]
         change = float(np.max(np.abs(B_next - B)))
         B = B_next
         if float(np.max(np.abs(B))) < COLLAPSE_THRESHOLD:
@@ -160,6 +158,8 @@ def _diagnose(
     u = ev.source
     residual = float(np.max(np.abs(B - birth_functional(model, grid, u))))
     r, _ = spectral_radius(assemble_Q(model, ev))
+    if collapsed and r > 1.0 + 1e-9:
+        raise FixedPointError(f"iterate fell into the trivial equilibrium, which repels: r(Q0) = {r!r}")
     return FixedPointResult(
         u=u, B=B, converged=converged, collapsed=collapsed,
         iterations=iterations, residual=residual, r_Qu=r, last_change=change,

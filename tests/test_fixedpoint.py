@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from agequil import fixedpoint
-from agequil.evolution import build_evolution
+from agequil.evolution import EvolutionError, build_evolution
+from agequil.expr import parse_expr
 from agequil.fixedpoint import (
     FixedPointError,
     check_shell_conditions,
@@ -117,6 +120,18 @@ class TestValidation:
         bad[0] = np.nan
         with pytest.raises(FixedPointError, match="finite"):
             solve_fixedpoint(model, mesh, grid, B_init=bad)
+
+    def test_unbounded_fertility_is_refused(self, shell_problem):
+        # b = exp(u) has no positive equilibrium, and r(Q0) is about 1.9:
+        # from all ones the mixing falls into the repelling trivial root,
+        # and from this start l(u(B)) overflows, which the march refuses
+        model, mesh, grid = shell_problem
+        model = dataclasses.replace(model, b=parse_expr("exp(u)"), cb=3.0)
+        with pytest.raises(FixedPointError, match="repels"):
+            solve_fixedpoint(model, mesh, grid)
+        B0 = np.random.default_rng(42).uniform(0.5, 1.5, mesh.nx)
+        with np.errstate(over="ignore"), pytest.raises(EvolutionError, match="non-finite"):
+            solve_fixedpoint(model, mesh, grid, B_init=B0)
 
     def test_iteration_budget(self, shell_problem):
         model, mesh, grid = shell_problem
