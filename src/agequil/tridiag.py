@@ -5,13 +5,20 @@ lower[0] and upper[-1] are ignored.  No pivoting is deliberate: for
 matrices with nonpositive off-diagonals and positive pivots every
 elimination step adds nonnegative multiples, so nonnegative right-hand
 sides produce nonnegative solutions exactly, not just up to roundoff.
+
+The factors are computed here, in Python or under numba's @njit.  The
+solve is one call of LAPACK's dgttrs on them, with identity pivots and a
+zero second superdiagonal, so LAPACK applies the factors as they are:
+the Thomas loop's forward and backward sweeps, in compiled code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dgttrs
 
 try:
     from numba import njit
@@ -24,6 +31,9 @@ except ImportError:  # pragma: no cover - numba is a hard dependency, kept soft 
             return func
 
         return wrap
+
+# dgttrs takes no system of fewer rows
+MIN_ROWS = 3
 
 
 class SingularTridiagError(ArithmeticError):
@@ -45,41 +55,65 @@ def _factor(lower, diag, upper):
     return mult, piv
 
 
-@njit(cache=True)
-def _solve(mult, piv, upper, rhs, out):
-    # rhs and out are 1-D to 3-D; each step is one row operation across
-    # the trailing axes, and every entry sees the same IEEE operations as
-    # a 1-D solve of its column, so the bits match column by column
-    n = piv.shape[0]
-    out[0] = rhs[0]
-    for i in range(1, n):
-        out[i] = rhs[i] - mult[i] * out[i - 1]
-    out[n - 1] = out[n - 1] / piv[n - 1]
-    for i in range(n - 2, -1, -1):
-        out[i] = (out[i] - upper[i] * out[i + 1]) / piv[i]
+@lru_cache(maxsize=8)
+def _no_pivoting(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    # the row interchanges (1-based) and second superdiagonal of a
+    # pivoted LU; none and zero leave dgttrs with the factors as given
+    ipiv = np.arange(1, rows + 1, dtype=np.int32)
+    du2 = np.zeros(rows - 2)
+    ipiv.flags.writeable = du2.flags.writeable = False
+    return ipiv, du2
+
+
+def _stack(band: np.ndarray, pad: float) -> np.ndarray:
+    # (n, k) bands, one matrix per column, become one (n*k,) band matrix
+    # by matrix; unit rows pad a system below MIN_ROWS
+    flat = band.T.ravel()
+    if flat.size < MIN_ROWS:
+        flat = np.concatenate([flat, np.full(MIN_ROWS - flat.size, pad)])
+    return flat
 
 
 @dataclass(frozen=True)
 class FactoredTridiag:
     """LU factors of a tridiagonal matrix, reusable across solves.
 
-    The factors are 1-D, (n,), or 2-D, (n, k), with one matrix per column.
-    1-D factors solve a right-hand side (n,) or (n, m); 2-D factors solve
-    (n, k), or (n, m, k) with m columns against each of the k matrices.
+    shape is (n,) for one matrix, or (n, k) for k matrices, one per column
+    of the bands.  (n,) factors solve a right-hand side (n,) or (n, m);
+    (n, k) factors solve (n, k), or (n, m, k) with m columns against each
+    of the k matrices.  The factors are kept as one block-diagonal system
+    of n*k rows, matrix by matrix: mult[0] and upper[-1] of every block
+    are zero, so no block couples to the next, and a system of fewer than
+    MIN_ROWS rows is padded with unit rows.
+
+    A solve has the bits of the Thomas loop on each matrix, except that
+    where the loop gives -0.0 (only a -0.0 in rhs can lead there) the
+    zero couplings may give +0.0, and a non-finite entry may spread NaN
+    to the rest of the stack.
     """
 
+    shape: tuple[int, ...]
     mult: np.ndarray
     piv: np.ndarray
     upper: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
-        extra = rhs.ndim - self.piv.ndim
-        if extra not in (0, 1) or rhs.shape[:1] + rhs.shape[1 + extra:] != self.piv.shape:
-            raise ValueError(f"rhs has shape {rhs.shape}, factors have shape {self.piv.shape}")
-        out = np.empty_like(rhs)
-        _solve(self.mult, self.piv, self.upper, rhs, out)
-        return out
+        extra = rhs.ndim - len(self.shape)
+        if extra not in (0, 1) or rhs.shape[:1] + rhs.shape[1 + extra:] != self.shape:
+            raise ValueError(f"rhs has shape {rhs.shape}, factors have shape {self.shape}")
+        n, k = (self.shape + (1,))[:2]
+        m = rhs.shape[1] if extra else 1
+        ipiv, du2 = _no_pivoting(self.piv.size)
+        # b[c, j*n + i] = rhs[i, c, j]: column c of the stacked system, so
+        # b.T is the Fortran array dgttrs solves in place
+        b = np.empty((m, self.piv.size))
+        b[:, n * k:] = 0.0
+        b[:, :n * k].reshape(m, k, n)[...] = rhs.reshape(n, m, k).transpose(1, 2, 0)
+        x, info = dgttrs(self.mult[1:], self.piv, self.upper[:-1], du2, ipiv, b.T, overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"dgttrs rejected argument {-info}")
+        return x.T[:, :n * k].reshape(m, k, n).transpose(2, 0, 1).reshape(rhs.shape)
 
 
 def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> FactoredTridiag:
@@ -91,7 +125,9 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
     if not np.all(np.isfinite(piv)) or np.any(piv <= 0):
         bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
         raise SingularTridiagError(f"nonpositive pivot {float(piv[bad])!r} at row {bad[0]}")
-    return FactoredTridiag(mult, piv, upper)
+    upper = upper.copy()
+    upper[-1] = 0.0
+    return FactoredTridiag(diag.shape, _stack(mult, 0.0), _stack(piv, 1.0), _stack(upper, 0.0))
 
 
 def tridiag_matvec(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -8,10 +8,14 @@ at the previous age slice, trapezoid quadrature) but share none of its
 code, which makes tight agreement tolerances meaningful.  Continuum
 constants are kept separately for convergence-rate checks.
 
-The solvers from operator_matvec on serve only the tests and, unlike
-the recursions, reuse the package's building blocks: the Thomas solve,
+thomas_solve is the Thomas recurrence as a plain Python loop, the
+reference that the package's LAPACK solve must match bit for bit.  The
+solvers from operator_matvec on serve only the tests and, unlike the
+recursions, reuse the package's building blocks: the Thomas solve,
 power iteration, the linear birth functional and solve, the evolution
-build and propagation, and the shell probes' sampled fields.
+build and propagation, the shell probes' sampled fields, and the
+corrector and branch tracer (solve_at_norm, which pins a branch point's
+amplitude).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import warnings
 import numpy as np
 from scipy.optimize import brentq
 
+from agequil.continuation import BranchPoint, ContinuationError, Plane, correct, trace_branch
 from agequil.discretize import OperatorMatrix
 from agequil.evolution import build_evolution, propagate
 from agequil.fixedpoint import _sample_fields
@@ -125,6 +130,31 @@ def dense_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues sorted by descending magnitude."""
     eigs = np.linalg.eigvals(matrix)
     return eigs[np.argsort(-np.abs(eigs))]
+
+
+def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The Thomas recurrence as a plain Python loop: the reference solve.
+
+    Bands are (n,) or (n, k), one matrix per column; rhs is 1-D to 3-D as
+    for FactoredTridiag.solve.  Each step is one row operation across the
+    trailing axes, so every entry sees the IEEE operations of the 1-D
+    recurrence on its own column.
+    """
+    n = diag.shape[0]
+    mult = np.zeros(diag.shape)
+    piv = np.empty(diag.shape)
+    piv[0] = diag[0]
+    for i in range(1, n):
+        mult[i] = lower[i] / piv[i - 1]
+        piv[i] = diag[i] - mult[i] * upper[i - 1]
+    out = np.empty_like(rhs)
+    out[0] = rhs[0]
+    for i in range(1, n):
+        out[i] = rhs[i] - mult[i] * out[i - 1]
+    out[n - 1] = out[n - 1] / piv[n - 1]
+    for i in range(n - 2, -1, -1):
+        out[i] = (out[i] - upper[i] * out[i + 1]) / piv[i]
+    return out
 
 
 def operator_matvec(matrix: OperatorMatrix, v: np.ndarray) -> np.ndarray:
@@ -270,3 +300,55 @@ def birth_feedback_eigenvalue(
             return lam
         v = w / norm_w
     raise RuntimeError(f"power iteration on L did not converge within {max_iter} iterations")
+
+
+def solve_at_norm(lin: LinearizedOperators, target: float) -> BranchPoint:
+    """Branch point whose field amplitude equals target, with n free.
+
+    Traces the branch until the amplitude brackets the target, then
+    solves the scalar equation amplitude(n) = target with a safeguarded
+    secant over corrections at fixed n (the plane n = const).  The scalar
+    outer loop only compares realized amplitudes, so it is insensitive to
+    the nonsmoothness that breaks per-column differencing of the
+    max-based norm.
+    """
+    if target <= 0:
+        raise ContinuationError("target amplitude must be positive")
+    branch = trace_branch(
+        lin, eps0=1e-3, step=0.05, max_points=200, n_cap=np.inf, norm_cap=target, tol=1e-9,
+    )
+    last = branch.points[-1]
+    if last.eps < target:
+        raise ContinuationError(
+            f"branch terminated ({branch.terminated}) before amplitude {target}"
+        )
+    prev = branch.points[-2]
+    n_lo, e_lo = prev.n, prev.eps
+    n_hi, e_hi = last.n, last.eps
+    point = last
+    # the trace resolves B to 1e-9 * |B|, so the amplitude cannot be pinned
+    # more sharply than that.  The corrections run 1e-3 tighter: a warm
+    # start already meets the trace's tolerance, and at that tolerance it
+    # would take no Newton step and leave the amplitude where it was
+    amp_tol = 1e-9 * max(1.0, target)
+    for _ in range(60):
+        if not point.trivial and abs(point.eps - target) <= amp_tol:
+            return point
+        if e_hi != e_lo:
+            n_try = n_hi + (target - e_hi) * (n_hi - n_lo) / (e_hi - e_lo)
+        else:
+            n_try = 0.5 * (n_lo + n_hi)
+        lo, hi = min(n_lo, n_hi), max(n_lo, n_hi)
+        if not (lo < n_try < hi):
+            n_try = 0.5 * (lo + hi)
+        warm = point.B if not point.trivial else last.B
+        fixed_n = Plane(np.zeros(lin.mesh.nx), 1.0, warm, n_try)
+        point = correct(lin, n_try, warm, fixed_n, tol=1e-12)
+        eps_try = point.eps
+        if eps_try < target:
+            n_lo, e_lo = n_try, eps_try
+        else:
+            n_hi, e_hi = n_try, eps_try
+    raise ContinuationError(
+        f"amplitude solve did not reach target {target} (best {point.eps!r})"
+    )

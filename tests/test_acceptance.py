@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from agequil.cli import main
-from agequil.continuation import branch_stats, first_step, solve_at_norm, trace_branch
+from agequil.continuation import branch_stats, first_step, trace_branch
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, apply_K0, build_evolution, propagate
 from agequil.expr import Num
@@ -21,7 +21,14 @@ from agequil.model import ModelSpec, parse_grid, parse_model
 from agequil.reproduction import assemble_Q, spectral_radius
 
 from conftest import ACCEPTANCE_LINES, MODELS
-from oracles import CONTINUUM_R0, birth_feedback_eigenvalue, discrete_r0, linear_residuals, shell_root
+from oracles import (
+    CONTINUUM_R0,
+    birth_feedback_eigenvalue,
+    discrete_r0,
+    linear_residuals,
+    shell_root,
+    solve_at_norm,
+)
 
 
 def _record(num: int, name: str, ok: bool, detail: str) -> None:

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from agequil import cli, fixedpoint
+from agequil import cli, fixedpoint, reproduction
 from agequil.cli import BRANCH_COLUMNS, main
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid
@@ -243,6 +244,15 @@ class TestErrorsAndEntryPoints:
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    def test_failed_eigensolve_exits_1(self, capsys, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(reproduction, "_power_iteration", failing)
+        assert main(["normalize", "--model", DECAY]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dense eigensolve failed") and len(err.splitlines()) == 1
 
     def test_shell_flags_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -10,13 +10,12 @@ from agequil.continuation import (
     branch_stats,
     correct,
     first_step,
-    solve_at_norm,
     trace_branch,
 )
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, EvolutionError, build_evolution, propagate
 
-from oracles import logistic_B_of_amplitude, logistic_n_of_B, picard_field
+from oracles import logistic_B_of_amplitude, logistic_n_of_B, picard_field, solve_at_norm
 
 
 def fixed_n(B: np.ndarray, n: float) -> Plane:

@@ -175,6 +175,18 @@ class TestSpectralRadiusEdges:
         assert np.max(v) == 1.0 and np.all(v >= 0.0)
         np.testing.assert_allclose(matrix @ v, r * v, rtol=0, atol=1e-14)
 
+    def test_failed_dense_fallback_is_a_power_iteration_error(self, monkeypatch):
+        # LinAlgError subclasses ValueError, which the CLI reads as bad input
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        diag = np.linspace(0.02, 0.13, 48)
+        diag[-2:] = 0.138452, 0.138461
+        with pytest.raises(PowerIterationError, match="dense eigensolve failed") as info:
+            spectral_radius(np.diag(diag) + 1e-7 * (np.eye(48, k=1) + np.eye(48, k=-1)), max_iter=1000)
+        assert not isinstance(info.value, ValueError)
+
     def test_non_finite_rejected(self):
         with pytest.raises(ReproductionError, match="finite"):
             spectral_radius(np.array([[np.nan]]))

@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from agequil import tridiag
 from agequil.tridiag import (
     FactoredTridiag,
     SingularTridiagError,
     factor_tridiag,
     tridiag_matvec,
 )
+from oracles import thomas_solve
 
 
 def dense(lower, diag, upper):
@@ -103,6 +105,38 @@ class TestFactorSolve:
                 fac.solve(bad)
         with pytest.raises(ValueError, match="shape"):
             factor_tridiag(lower[:, 0], diag[:, 0], upper[:, 0]).solve(rhs)
+
+    # the LAPACK solve must keep every bit of the Thomas loop, the sign of
+    # every zero included, for each right-hand side shape; n = 1 and 2 are
+    # padded to the 3 rows dgttrs takes.  Only a -0.0 in the right-hand
+    # side can make the loop give -0.0, and the zero couplings may return
+    # +0.0 there, so that case compares values
+    @pytest.mark.parametrize("n", [1, 2, 3, 48])
+    @pytest.mark.parametrize("factors, rhs", [
+        ((), ()), ((), (5,)), ((4,), (4,)), ((4,), (5, 4)),
+    ])
+    def test_bits_of_the_thomas_loop(self, n, factors, rhs):
+        rng = np.random.default_rng(n)
+        lower = -rng.uniform(0, 1, (n, *factors))
+        upper = -rng.uniform(0, 1, (n, *factors))
+        diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 1, (n, *factors))
+        b = rng.normal(size=(n, *rhs))
+        b.flat[::3] = 0.0
+        fac = factor_tridiag(lower, diag, upper)
+        out = fac.solve(b)
+        assert out.shape == b.shape
+        np.testing.assert_array_equal(out.view(np.int64), thomas_solve(lower, diag, upper, b).view(np.int64))
+        b.flat[::3] = -0.0
+        np.testing.assert_array_equal(fac.solve(b), thomas_solve(lower, diag, upper, b))
+
+    def test_lapack_error_is_raised(self, monkeypatch):
+        def rejecting(*args, **kwargs):
+            return args[5], -6
+
+        monkeypatch.setattr(tridiag, "dgttrs", rejecting)
+        fac = factor_tridiag(np.zeros(4), np.full(4, 2.0), np.zeros(4))
+        with pytest.raises(RuntimeError, match="argument 6"):
+            fac.solve(np.ones(4))
 
     def test_reusable_factorization(self):
         fac = factor_tridiag(np.zeros(3), np.full(3, 2.0), np.zeros(3))
