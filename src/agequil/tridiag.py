@@ -6,10 +6,16 @@ matrices with nonpositive off-diagonals and positive pivots every
 elimination step adds nonnegative multiples, so nonnegative right-hand
 sides produce nonnegative solutions exactly, not just up to roundoff.
 
-The factors are computed here, in Python or under numba's @njit.  The
-solve is one call of LAPACK's dgttrs on them, with identity pivots and a
-zero second superdiagonal, so LAPACK applies the factors as they are:
-the Thomas loop's forward and backward sweeps, in compiled code.
+The factors are one call of LAPACK's dgttrf, which does the Thomas
+loop's IEEE operations wherever it interchanges no rows.  Each matrix's
+last row enters it uncoupled and is finished here: a Robin closure
+doubles that row's coupling, enough to make dgttrf interchange it.  If
+dgttrf still interchanges a row, or a pivot comes out nonpositive or
+non-finite, the Thomas loop in Python factors the bands instead; no
+bundled model reaches it.  The solve is one call of LAPACK's dgttrs on
+the factors, with identity pivots and a zero second superdiagonal, so
+LAPACK applies them as they are: the Thomas loop's forward and backward
+sweeps, in compiled code.
 """
 
 from __future__ import annotations
@@ -18,19 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency, kept soft for portability
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 # dgttrs takes no system of fewer rows
 MIN_ROWS = 3
@@ -40,7 +34,6 @@ class SingularTridiagError(ArithmeticError):
     """A pivot came out nonpositive or non-finite during factorization."""
 
 
-@njit(cache=True)
 def _factor(lower, diag, upper):
     # the bands are 1-D or 2-D; on 2-D each column is its own matrix and
     # each step is one row operation, with the bits of a 1-D factor
@@ -86,6 +79,11 @@ class FactoredTridiag:
     are zero, so no block couples to the next, and a system of fewer than
     MIN_ROWS rows is padded with unit rows.
 
+    mult and piv come from one dgttrf call on that system, with each
+    block's last row finished by hand, or from the Python Thomas loop
+    where dgttrf interchanged a row, failed or left a bad pivot; both
+    have the bits of the Thomas loop.
+
     A solve has the bits of the Thomas loop on each matrix, except that
     where the loop gives -0.0 (only a -0.0 in rhs can lead there) the
     zero couplings may give +0.0, and a non-finite entry may spread NaN
@@ -120,14 +118,28 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
     """Factor once; raises SingularTridiagError on a bad pivot."""
     lower = np.ascontiguousarray(lower, dtype=float)
     diag = np.ascontiguousarray(diag, dtype=float)
-    upper = np.ascontiguousarray(upper, dtype=float)
-    mult, piv = _factor(lower, diag, upper)
-    if not np.all(np.isfinite(piv)) or np.any(piv <= 0):
-        bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
-        raise SingularTridiagError(f"nonpositive pivot {float(piv[bad])!r} at row {bad[0]}")
-    upper = upper.copy()
+    upper = np.array(upper, dtype=float)
     upper[-1] = 0.0
-    return FactoredTridiag(diag.shape, _stack(mult, 0.0), _stack(piv, 1.0), _stack(upper, 0.0))
+    inner = lower.copy()
+    inner[0] = inner[-1] = 0.0
+    stacked_upper = _stack(upper, 0.0)
+    dl, piv, _, _, ipiv, info = dgttrf(_stack(inner, 0.0)[1:], _stack(diag, 1.0), stacked_upper[:-1])
+    mult = np.concatenate(([0.0], dl))
+    n, rows = diag.shape[0], diag.size
+    if n > 1:
+        # finish each matrix's last row; its first row keeps the Thomas
+        # loop's +0.0 whatever the sign of the pivot above it
+        mult[:rows:n] = 0.0
+        mult[n - 1:rows:n] = last = lower[-1] / piv[n - 2:rows:n]
+        piv[n - 1:rows:n] = diag[-1] - last * upper[-2]
+    no_interchange = info == 0 and np.array_equal(ipiv, _no_pivoting(piv.size)[0])
+    if not (no_interchange and 0 < piv.min() and piv.max() < np.inf):
+        mult, piv = _factor(lower, diag, upper)
+        if not np.all(np.isfinite(piv)) or np.any(piv <= 0):
+            bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
+            raise SingularTridiagError(f"nonpositive pivot {float(piv[bad])!r} at row {bad[0]}")
+        mult, piv = _stack(mult, 0.0), _stack(piv, 1.0)
+    return FactoredTridiag(diag.shape, mult, piv, stacked_upper)
 
 
 def tridiag_matvec(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, v: np.ndarray) -> np.ndarray:

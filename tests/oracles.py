@@ -8,14 +8,14 @@ at the previous age slice, trapezoid quadrature) but share none of its
 code, which makes tight agreement tolerances meaningful.  Continuum
 constants are kept separately for convergence-rate checks.
 
-thomas_solve is the Thomas recurrence as a plain Python loop, the
-reference that the package's LAPACK solve must match bit for bit.  The
-solvers from operator_matvec on serve only the tests and, unlike the
-recursions, reuse the package's building blocks: the Thomas solve,
-power iteration, the linear birth functional and solve, the evolution
-build and propagation, the shell probes' sampled fields, and the
-corrector and branch tracer (solve_at_norm, which pins a branch point's
-amplitude).
+thomas_factor and thomas_solve are the Thomas recurrence as plain
+Python loops, the reference that the package's LAPACK factor and solve
+must match bit for bit.  The solvers from operator_matvec on serve only
+the tests and, unlike the recursions, reuse the package's building
+blocks: the Thomas solve, power iteration, the linear birth functional
+and solve, the evolution build and propagation, the shell probes'
+sampled fields, and the corrector and branch tracer (solve_at_norm,
+which pins a branch point's amplitude).
 """
 
 from __future__ import annotations
@@ -132,13 +132,12 @@ def dense_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return eigs[np.argsort(-np.abs(eigs))]
 
 
-def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The Thomas recurrence as a plain Python loop: the reference solve.
+def thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Thomas factorization as a plain Python loop: multipliers and pivots.
 
-    Bands are (n,) or (n, k), one matrix per column; rhs is 1-D to 3-D as
-    for FactoredTridiag.solve.  Each step is one row operation across the
-    trailing axes, so every entry sees the IEEE operations of the 1-D
-    recurrence on its own column.
+    Bands are (n,) or (n, k), one matrix per column; each step is one row
+    operation across the trailing axis, so every entry sees the IEEE
+    operations of the 1-D recurrence on its own column.
     """
     n = diag.shape[0]
     mult = np.zeros(diag.shape)
@@ -147,6 +146,17 @@ def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np
     for i in range(1, n):
         mult[i] = lower[i] / piv[i - 1]
         piv[i] = diag[i] - mult[i] * upper[i - 1]
+    return mult, piv
+
+
+def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The Thomas recurrence as a plain Python loop: the reference solve.
+
+    Bands are as for thomas_factor; rhs is 1-D to 3-D as for
+    FactoredTridiag.solve.
+    """
+    n = diag.shape[0]
+    mult, piv = thomas_factor(lower, diag, upper)
     out = np.empty_like(rhs)
     out[0] = rhs[0]
     for i in range(1, n):

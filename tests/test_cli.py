@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agequil import cli, fixedpoint, reproduction
+from agequil import cli, fixedpoint, reproduction, tridiag
 from agequil.cli import BRANCH_COLUMNS, main
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid
@@ -16,6 +16,7 @@ from agequil.model import parse_grid, parse_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 DECAY = str(MODELS / "logistic_decay.cfg")
+DIFFUSION = str(MODELS / "logistic_diffusion.cfg")
 SHELL = str(MODELS / "shell_decay.cfg")
 
 TRACE_FLAGS = ["--nx", "6", "--na", "24", "--max-points", "3"]
@@ -198,6 +199,54 @@ class TestFixedpointCommand:
         assert rc1 == rc2 == 0
         for suffix in ("_u.csv", "_B.csv", "_report.txt"):
             assert Path(f"{stem1}{suffix}").read_bytes() == Path(f"{stem2}{suffix}").read_bytes()
+
+
+def refusing(*bands):
+    raise AssertionError("the Python factor loop ran")
+
+
+def written(argv: list[str], out_dir: Path) -> dict[str, bytes]:
+    out_dir.mkdir()
+    assert main([*argv, "--out", str(out_dir / "out.csv")]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+class TestFactorPaths:
+    """dgttrf factors every one-step matrix of the bundled models, and the
+    Python loop it falls back to writes the same bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--model", DIFFUSION, "--max-points", "3"],
+        ["fixedpoint", "--model", SHELL],
+    ], ids=["trace", "fixedpoint"])
+    def test_loop_writes_the_bytes_of_lapack(self, argv, tmp_path, monkeypatch, capsys):
+        with monkeypatch.context() as patch:
+            patch.setattr(tridiag, "_factor", refusing)
+            lapack = written(argv, tmp_path / "lapack")
+        calls = {"dgttrf": 0, "loop": 0}
+        real_dgttrf, real_loop = tridiag.dgttrf, tridiag._factor
+
+        def interchanging(*args):
+            calls["dgttrf"] += 1
+            *factors, ipiv, info = real_dgttrf(*args)
+            ipiv = ipiv.copy()
+            ipiv[0] = 2
+            return (*factors, ipiv, info)
+
+        def loop(*bands):
+            calls["loop"] += 1
+            return real_loop(*bands)
+
+        monkeypatch.setattr(tridiag, "dgttrf", interchanging)
+        monkeypatch.setattr(tridiag, "_factor", loop)
+        assert written(argv, tmp_path / "loop") == lapack
+        assert calls["loop"] == calls["dgttrf"] > 0
+
+    # at nx 120 the diffusion couplings da D / dx^2 are nine times those at
+    # the model's own nx 40, and the Robin rows double them again
+    def test_wide_trace_never_falls_back(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(tridiag, "_factor", refusing)
+        written(["trace", "--model", DIFFUSION, "--nx", "120", "--max-points", "3"], tmp_path / "wide")
 
 
 class TestErrorsAndEntryPoints:

@@ -3,9 +3,10 @@
 Refactors and speedups of the numerical kernels must leave every output
 byte-identical (criterion 10 checks reruns against each other; this
 checks them against fixed bytes), on x86-64 with numpy's default float64
-arithmetic.  Since the Thomas solves run in LAPACK's dgttrs, the bytes
-also rest on the LAPACK that scipy bundles not fusing a multiply and an
-add into one rounding (checked with scipy 1.17.1).  A deliberate change of the numbers re-records them and says
+arithmetic.  Since the Thomas factors and solves run in LAPACK's dgttrf
+and dgttrs, the bytes also rest on the LAPACK that scipy bundles not
+fusing a multiply and an add into one rounding (checked with scipy
+1.17.1).  A deliberate change of the numbers re-records them and says
 why.  The two trace cases were re-recorded when the corrector's field
 became one forward march along the age axis instead of Picard sweeps to
 a tolerance: n, eps, r_Qu and the profiles moved by at most 9e-11

@@ -10,7 +10,7 @@ from agequil.tridiag import (
     factor_tridiag,
     tridiag_matvec,
 )
-from oracles import thomas_solve
+from oracles import thomas_factor, thomas_solve
 
 
 def dense(lower, diag, upper):
@@ -41,6 +41,35 @@ def m_systems(draw):
     lower, diag, upper = m_matrix_bands(draw, n)
     rhs = np.array(draw(st.lists(st.floats(0, 10, allow_nan=False), min_size=n, max_size=n)))
     return lower, diag, upper, rhs
+
+
+# M-matrix bands (n,) or (n, k) whose last row couples up to twice as
+# strongly as the off-diagonals drawn, as a Robin closure makes it, and a
+# right-hand side of one or two columns per matrix with no -0.0 in it
+@st.composite
+def robin_systems(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    columns = draw(st.sampled_from([(), (2,)]))
+    size = n * int(np.prod(batch))
+    lower, upper = (
+        -np.array(draw(st.lists(st.floats(0, 5), min_size=size, max_size=size))).reshape(n, *batch)
+        for _ in range(2)
+    )
+    lower[-1] *= draw(st.floats(1, 2))
+    diag = np.abs(lower) + np.abs(upper) + draw(st.floats(0.01, 3))
+    rhs_size = size * int(np.prod(columns))
+    rhs = np.array(draw(st.lists(st.floats(-10, 10), min_size=rhs_size, max_size=rhs_size)))
+    return lower, diag, upper, rhs.reshape(n, *columns, *batch) + 0.0
+
+
+def bits(x):
+    return np.asarray(x).view(np.int64)
+
+
+def unstacked(fac, stacked):
+    # the rows of the k matrices, back in the bands' (n,) or (n, k) layout
+    return stacked[:int(np.prod(fac.shape))].reshape(fac.shape[::-1]).T
 
 
 class TestFactorSolve:
@@ -129,6 +158,69 @@ class TestFactorSolve:
         b.flat[::3] = -0.0
         np.testing.assert_array_equal(fac.solve(b), thomas_solve(lower, diag, upper, b))
 
+    # dgttrf does the Thomas loop's IEEE operations, and the last rows are
+    # finished by hand, so the factors and solves keep the loop's bits on
+    # either path; the bands given are never written to
+    @settings(max_examples=300, deadline=None)
+    @given(robin_systems())
+    def test_factor_has_the_bits_of_the_thomas_loop(self, system):
+        lower, diag, upper, rhs = system
+        bands = [band.copy() for band in (lower, diag, upper)]
+        fac = factor_tridiag(lower, diag, upper)
+        for band, kept in zip((lower, diag, upper), bands):
+            np.testing.assert_array_equal(bits(band), bits(kept))
+        mult, piv = thomas_factor(lower, diag, upper)
+        np.testing.assert_array_equal(bits(unstacked(fac, fac.mult)), bits(mult))
+        np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
+        np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
+
+    # bands on which dgttrf interchanges rows go to the Python loop, which
+    # keeps the bits without pivoting: an M-matrix with |lower[1]| >
+    # diag[0], whose interchange gives a negative pivot, and bands whose
+    # two interchanges leave every pivot positive, so only ipiv shows them
+    @pytest.mark.parametrize("lower, diag, upper", [
+        ([0.0, -5.0, -0.1], [1.0, 1.0, 1.0], [-0.1, -1.0, 0.0]),
+        ([0.0, 3.0, 3.0, 3.0], [2.0, 3.0, 3.0, 2.0], [0.0, 0.0, -2.0, 0.0]),
+    ])
+    def test_row_interchange_falls_back_to_the_loop(self, lower, diag, upper, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tridiag, "_factor", lambda *bands: calls.append(1) or thomas_factor(*bands))
+        lower, diag, upper = map(np.array, (lower, diag, upper))
+        fac = factor_tridiag(lower, diag, upper)
+        assert calls == [1]
+        mult, piv = thomas_factor(lower, diag, upper)
+        np.testing.assert_array_equal(bits(unstacked(fac, fac.mult)), bits(mult))
+        np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
+        rhs = np.arange(float(diag.size))
+        np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
+
+    def test_lapack_failure_falls_back_to_the_loop(self, monkeypatch):
+        calls = []
+        real = tridiag.dgttrf
+        monkeypatch.setattr(tridiag, "dgttrf", lambda *bands: (*real(*bands)[:5], 1))
+        monkeypatch.setattr(tridiag, "_factor", lambda *bands: calls.append(1) or thomas_factor(*bands))
+        fac = factor_tridiag(np.zeros(4), np.full(4, 2.0), np.zeros(4))
+        assert calls == [1]
+        np.testing.assert_array_equal(fac.solve(np.full(4, 2.0)), np.ones(4))
+
+    # the zero multiplier of a matrix's first row stays +0.0, as in the
+    # loop, below a negative diagonal entry that dgttrf divides 0 by
+    def test_first_row_multiplier_is_plus_zero(self):
+        lower = np.array([[0.0, 0.0], [1.0, 1.0]])
+        diag = np.array([[1.0, 1.0], [-1.0, -1.0]])
+        upper = np.array([[-3.0, -3.0], [0.0, 0.0]])
+        fac = factor_tridiag(lower, diag, upper)
+        np.testing.assert_array_equal(bits(fac.mult), bits([0.0, 1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(fac.piv, [1.0, 2.0, 1.0, 2.0])
+
+    # dgttrf interchanges no row here, but the second matrix's pivot of
+    # row 1 is 1 - (-0.5)(-8) = -3; the error names it as the loop does
+    def test_batched_lost_pivot_names_its_row(self):
+        lower = np.array([[0.0, 0.0], [-0.5, -0.5], [-0.5, -0.5]])
+        upper = np.array([[-0.5, -8.0], [-0.5, -0.5], [0.0, 0.0]])
+        with pytest.raises(SingularTridiagError, match=r"^nonpositive pivot -3\.0 at row 1$"):
+            factor_tridiag(lower, np.ones((3, 2)), upper)
+
     def test_lapack_error_is_raised(self, monkeypatch):
         def rejecting(*args, **kwargs):
             return args[5], -6
@@ -153,6 +245,8 @@ class TestFactorSolve:
             )
         with pytest.raises(SingularTridiagError, match=r"^nonpositive pivot nan at row 1$"):
             factor_tridiag(np.zeros(2), np.array([1.0, np.nan]), np.zeros(2))
+        with pytest.raises(SingularTridiagError, match=r"^nonpositive pivot inf at row 1$"):
+            factor_tridiag(np.zeros(2), np.array([1.0, np.inf]), np.zeros(2))
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(9)
