@@ -11,11 +11,14 @@ loop's IEEE operations wherever it interchanges no rows.  Each matrix's
 last row enters it uncoupled and is finished here: a Robin closure
 doubles that row's coupling, enough to make dgttrf interchange it.  If
 dgttrf still interchanges a row, or a pivot comes out nonpositive or
-non-finite, the Thomas loop in Python factors the bands instead; no
-bundled model reaches it.  The solve is one call of LAPACK's dgttrs on
-the factors, with identity pivots and a zero second superdiagonal, so
-LAPACK applies them as they are: the Thomas loop's forward and backward
-sweeps, in compiled code.
+non-finite, the Thomas loop in Python factors the bands instead; of the
+bundled runs only fixedpoint's large-shell probes on logistic_diffusion
+reach it.  The solve is one call of LAPACK's dgttrs on the factors, with
+identity pivots and a zero second superdiagonal, so LAPACK applies them
+as they are: the Thomas loop's forward and backward sweeps, in compiled
+code.  Bands with no coupling (every step of a pure-decay model) skip
+both calls: the loop's multipliers are zero and its pivots are the
+diagonal, so the solve is one division by it.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ def _stack(band: np.ndarray, pad: float) -> np.ndarray:
     return flat
 
 
+def _uncoupled(lower, diag, upper) -> bool:
+    # a coupled band, as every diffusion step has, stops at the first
+    # test; count_nonzero costs a fifth of np.any on bands this small
+    return not np.count_nonzero(lower[1:]) and not np.count_nonzero(upper[:-1]) and 0 < diag.min() and diag.max() < np.inf
+
+
 @dataclass(frozen=True)
 class FactoredTridiag:
     """LU factors of a tridiagonal matrix, reusable across solves.
@@ -82,24 +91,28 @@ class FactoredTridiag:
     mult and piv come from one dgttrf call on that system, with each
     block's last row finished by hand, or from the Python Thomas loop
     where dgttrf interchanged a row, failed or left a bad pivot; both
-    have the bits of the Thomas loop.
+    have the bits of the Thomas loop.  Where lower[1:] and upper[:-1] are
+    zeros of either sign and the diagonal is positive and finite, mult
+    and upper are None and piv, the loop's pivots, is a copy of the
+    diagonal in the bands' (n,) or (n, k) shape; a solve divides by it.
 
     A solve has the bits of the Thomas loop on each matrix, except that
-    where the loop gives -0.0 (only a -0.0 in rhs can lead there) the
-    zero couplings may give +0.0, and a non-finite entry may spread NaN
-    to the rest of the stack.
+    a zero that comes from a -0.0 in rhs may take either sign, and a
+    non-finite entry may spread NaN to the rest of the stack.
     """
 
     shape: tuple[int, ...]
-    mult: np.ndarray
+    mult: np.ndarray | None
     piv: np.ndarray
-    upper: np.ndarray
+    upper: np.ndarray | None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         extra = rhs.ndim - len(self.shape)
         if extra not in (0, 1) or rhs.shape[:1] + rhs.shape[1 + extra:] != self.shape:
             raise ValueError(f"rhs has shape {rhs.shape}, factors have shape {self.shape}")
+        if self.mult is None:
+            return rhs / (self.piv[:, None] if extra else self.piv)
         n, k = (self.shape + (1,))[:2]
         m = rhs.shape[1] if extra else 1
         ipiv, du2 = _no_pivoting(self.piv.size)
@@ -118,6 +131,8 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
     """Factor once; raises SingularTridiagError on a bad pivot."""
     lower = np.ascontiguousarray(lower, dtype=float)
     diag = np.ascontiguousarray(diag, dtype=float)
+    if _uncoupled(lower, diag, upper):
+        return FactoredTridiag(diag.shape, None, diag.copy(), None)
     upper = np.array(upper, dtype=float)
     upper[-1] = 0.0
     inner = lower.copy()

@@ -211,18 +211,38 @@ def written(argv: list[str], out_dir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
-class TestFactorPaths:
-    """dgttrf factors every one-step matrix of the bundled models, and the
-    Python loop it falls back to writes the same bytes."""
+def counted_paths(monkeypatch) -> dict[bool, int]:
+    """Counts of factors that divide by the diagonal (True) and that do not."""
+    paths = {True: 0, False: 0}
+    real = tridiag._uncoupled
 
+    def counting(*bands):
+        uncoupled = bool(real(*bands))
+        paths[uncoupled] += 1
+        return uncoupled
+
+    monkeypatch.setattr(tridiag, "_uncoupled", counting)
+    return paths
+
+
+class TestFactorPaths:
+    """dgttrf factors every one-step matrix of these diffusion runs, and the
+    Python loop it falls back to writes the same bytes; every one-step
+    matrix of a pure-decay model is diagonal, and dividing by it writes the
+    bytes of the banded path."""
+
+    # at the default tau1 of 5 the large-shell probes of logistic_diffusion
+    # make dgttrf interchange rows, and the loop factors them as shipped
     @pytest.mark.parametrize("argv", [
         ["trace", "--model", DIFFUSION, "--max-points", "3"],
-        ["fixedpoint", "--model", SHELL],
+        ["fixedpoint", "--model", DIFFUSION, "--nx", "8", "--na", "12", "--tau1", "1"],
     ], ids=["trace", "fixedpoint"])
     def test_loop_writes_the_bytes_of_lapack(self, argv, tmp_path, monkeypatch, capsys):
+        paths = counted_paths(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(tridiag, "_factor", refusing)
             lapack = written(argv, tmp_path / "lapack")
+        assert paths[False] > 0 and paths[True] == 0
         calls = {"dgttrf": 0, "loop": 0}
         real_dgttrf, real_loop = tridiag.dgttrf, tridiag._factor
 
@@ -241,6 +261,18 @@ class TestFactorPaths:
         monkeypatch.setattr(tridiag, "_factor", loop)
         assert written(argv, tmp_path / "loop") == lapack
         assert calls["loop"] == calls["dgttrf"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["fixedpoint", "--model", SHELL],
+        ["fixedpoint", "--model", SHELL, "--nx", "48", "--tau1", "20", "--seed", "301"],
+        ["trace", "--model", DECAY, "--max-points", "3"],
+    ], ids=["fixedpoint", "fixedpoint-wide", "trace"])
+    def test_division_writes_the_bytes_of_the_banded_path(self, argv, tmp_path, monkeypatch, capsys):
+        paths = counted_paths(monkeypatch)
+        divided = written(argv, tmp_path / "divided")
+        assert paths[True] > 0 and paths[False] == 0
+        monkeypatch.setattr(tridiag, "_uncoupled", lambda *bands: False)
+        assert written(argv, tmp_path / "banded") == divided
 
     # at nx 120 the diffusion couplings da D / dx^2 are nine times those at
     # the model's own nx 40, and the Robin rows double them again

@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -61,6 +63,10 @@ def robin_systems(draw):
     rhs_size = size * int(np.prod(columns))
     rhs = np.array(draw(st.lists(st.floats(-10, 10), min_size=rhs_size, max_size=rhs_size)))
     return lower, diag, upper, rhs.reshape(n, *columns, *batch) + 0.0
+
+
+# one coupled matrix, so that factor and solve reach dgttrf and dgttrs
+COUPLED = (np.array([0.0, -1.0, -1.0, -1.0]), np.full(4, 3.0), np.array([-1.0, -1.0, -1.0, 0.0]))
 
 
 def bits(x):
@@ -160,7 +166,9 @@ class TestFactorSolve:
 
     # dgttrf does the Thomas loop's IEEE operations, and the last rows are
     # finished by hand, so the factors and solves keep the loop's bits on
-    # either path; the bands given are never written to
+    # either path; bands with no coupling (every draw at n = 1, and zero
+    # draws of either sign) keep the loop's pivots, unstacked, and its
+    # solve; the bands given are never written to
     @settings(max_examples=300, deadline=None)
     @given(robin_systems())
     def test_factor_has_the_bits_of_the_thomas_loop(self, system):
@@ -170,9 +178,50 @@ class TestFactorSolve:
         for band, kept in zip((lower, diag, upper), bands):
             np.testing.assert_array_equal(bits(band), bits(kept))
         mult, piv = thomas_factor(lower, diag, upper)
-        np.testing.assert_array_equal(bits(unstacked(fac, fac.mult)), bits(mult))
-        np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
+        uncoupled = not lower[1:].any() and not upper[:-1].any()
+        assert (fac.mult is None) == uncoupled
+        if uncoupled:
+            np.testing.assert_array_equal(bits(fac.piv), bits(piv))
+        else:
+            np.testing.assert_array_equal(bits(unstacked(fac, fac.mult)), bits(mult))
+            np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
         np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
+
+    # bands with no coupling skip LAPACK: each solve divides by the
+    # diagonal, with the bits of the loop for every right-hand side shape;
+    # -0.0 couplings count as zero and lower[0], upper[-1] are ignored.  A
+    # nan, inf or nonpositive diagonal entry raises what the banded path
+    # raises
+    @pytest.mark.parametrize("n", [1, 2, 3, 48])
+    @pytest.mark.parametrize("factors, rhs", [
+        ((), ()), ((), (5,)), ((4,), (4,)), ((4,), (5, 4)),
+    ])
+    def test_uncoupled_bands_divide(self, n, factors, rhs, monkeypatch):
+        rng = np.random.default_rng(n)
+        shape = (n, *factors)
+        diag = rng.uniform(0.1, 2, shape)
+        zero, minus_zero = np.zeros(shape), np.full(shape, -0.0)
+        first, last = np.zeros(shape), np.zeros(shape)
+        first[0] = last[-1] = -1.0
+        b = rng.normal(size=(n, *rhs))
+        b.flat[::3] = 0.0
+        for lower, upper in ((zero, zero), (minus_zero, minus_zero), (zero, minus_zero), (first, last)):
+            fac = factor_tridiag(lower, diag, upper)
+            assert fac.mult is None and fac.shape == shape
+            assert not np.shares_memory(fac.piv, diag)
+            np.testing.assert_array_equal(bits(fac.piv), bits(diag))
+            out = fac.solve(b)
+            assert out.shape == b.shape
+            np.testing.assert_array_equal(bits(out), bits(thomas_solve(lower, diag, upper, b)))
+        for bad in (np.nan, np.inf, 0.0, -0.0, -1.0):
+            diag_bad = diag.copy()
+            diag_bad[n // 2] = bad
+            with monkeypatch.context() as patch:
+                patch.setattr(tridiag, "_uncoupled", lambda *bands: False)
+                with pytest.raises(SingularTridiagError) as banded:
+                    factor_tridiag(zero, diag_bad, zero)
+            with pytest.raises(SingularTridiagError, match=f"^{re.escape(str(banded.value))}$"):
+                factor_tridiag(zero, diag_bad, zero)
 
     # bands on which dgttrf interchanges rows go to the Python loop, which
     # keeps the bits without pivoting: an M-matrix with |lower[1]| >
@@ -199,9 +248,11 @@ class TestFactorSolve:
         real = tridiag.dgttrf
         monkeypatch.setattr(tridiag, "dgttrf", lambda *bands: (*real(*bands)[:5], 1))
         monkeypatch.setattr(tridiag, "_factor", lambda *bands: calls.append(1) or thomas_factor(*bands))
-        fac = factor_tridiag(np.zeros(4), np.full(4, 2.0), np.zeros(4))
+        lower, diag, upper = COUPLED
+        fac = factor_tridiag(lower, diag, upper)
         assert calls == [1]
-        np.testing.assert_array_equal(fac.solve(np.full(4, 2.0)), np.ones(4))
+        rhs = np.full(4, 2.0)
+        np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
 
     # the zero multiplier of a matrix's first row stays +0.0, as in the
     # loop, below a negative diagonal entry that dgttrf divides 0 by
@@ -226,7 +277,7 @@ class TestFactorSolve:
             return args[5], -6
 
         monkeypatch.setattr(tridiag, "dgttrs", rejecting)
-        fac = factor_tridiag(np.zeros(4), np.full(4, 2.0), np.zeros(4))
+        fac = factor_tridiag(*COUPLED)
         with pytest.raises(RuntimeError, match="argument 6"):
             fac.solve(np.ones(4))
 
