@@ -1,29 +1,27 @@
 """Continuation of the nontrivial equilibrium branch in the fertility
 intensity n.
 
-The branch lives in (n, B) space: a corrected point solves the birth
-fixed-point system
+The branch lives in (n, B) space: a corrected point solves
 
     G(B, n) = B - n * l(u(B)) = 0
 
-where u(B) is the self-consistent field of B.  Each age step is frozen
-at the previous age slice, so u(B) comes from one forward march
-(build_evolution with birth=B) with no inner iteration, and the
-finite-difference Jacobian is one batched march.  The trivial solution
+where u(B), the self-consistent field of B, is one forward march
+(build_evolution with birth=B): each age step is frozen at the previous
+age slice.  That causality makes the exact Jacobian a tangent march,
+all nx directions at once, on the march's own factored steps, so a
+Newton step assembles and factors nothing new.  The trivial solution
 exists for every n; the nontrivial branch leaves it at n = 1 along the
 Perron direction of Q0.  The first step pins the amplitude along that
-direction and frees n; subsequent steps are classic pseudo-arclength:
-secant predictor, Newton corrector on (B, n) augmented with the plane
-through the predictor.  The corrector always solves this bordered
-system; a fixed n is the plane n = const.
-
-Tolerances are relative to the birth vector scale, so points early on the
-branch (amplitudes around 1e-3) are resolved as sharply as later ones.
+direction and frees n; later steps are pseudo-arclength: a secant
+predictor, then Newton on (B, n) bordered by the plane through the
+predictor (a fixed n is the plane n = const).  Tolerances are relative
+to the birth vector scale, so early points (amplitudes around 1e-3) are
+resolved as sharply as later ones.
 
 The corrector and the tracers take the zero-density problem,
-LinearizedOperators, as their one problem handle and read the model, mesh
-and grid from it.  build_linearized is the only way to make one, and it
-rescales cb so that r(Q0) = 1, which puts the bifurcation at n = 1.
+LinearizedOperators, as their one problem handle.  build_linearized is
+the only way to make one, and it rescales cb so that r(Q0) = 1, which
+puts the bifurcation at n = 1.
 """
 
 from __future__ import annotations
@@ -36,14 +34,14 @@ import numpy as np
 # other order loads the same modules but made `import agequil` about 8%
 # slower (bench setup_s on a 2-core x86-64 VM)
 from .linearized import LinearizedOperators, reformulation_residual
-from .discretize import AssemblyError
+from .discretize import AssemblyError, gradient_of_slice, slice_derivative
 from .evolution import EvolutionError, EvolutionOperator, build_evolution
+from .expr import diff, evaluate_on
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
 TOL_IDENTITY = 1e-6
 TOL_POSITIVITY = 1e-10
 TRIVIAL_THRESHOLD = 1e-12
-FD_STEP = 1e-6
 
 
 class ContinuationError(RuntimeError):
@@ -125,32 +123,27 @@ def correct(
 ) -> BranchPoint:
     """Bordered Newton corrector on (B, n) from a birth vector.
 
-    Solves G(B, n) = B - n * l(u(B)) = 0 together with the plane's
-    equation, starting from (B_guess, n).  u(B) is the field marched from
-    B (build_evolution with birth=B), so every evaluation of G is one
-    march.  A fixed n is the plane n = const, Plane(0, 1, B, n).  The
-    finite-difference Jacobian steps each column of B by
-    1e-6 * (1 + |B|_inf), all nx columns in one batched march, and steps
-    n by 1e-6 * (1 + |n|) on the current field.  Raises ContinuationError
-    on divergence, a singular Jacobian, a stalled line search, an
-    exhausted iteration budget, or a converged point with negative
-    density.  ReproductionError, AssemblyError and EvolutionError from the
-    first evaluation or the Jacobian pass through; a line-search trial
-    that raises AssemblyError or EvolutionError counts as a failed trial.
+    Solves G(B, n) = 0 and the plane's equation from (B_guess, n); a
+    fixed n is the plane n = const, Plane(0, 1, B, n).  Each evaluation of
+    G is one march of B, each Newton step one solve with the exact
+    Jacobian (_corrector_jacobian).  Raises ContinuationError on
+    divergence, a non-finite or singular Jacobian, a stalled line search,
+    an exhausted iteration budget, or a converged point with negative
+    density.  ReproductionError, AssemblyError and EvolutionError from
+    the first evaluation pass through; a line-search trial that raises
+    AssemblyError or EvolutionError counts as a failed trial.
     """
     model, mesh, grid = lin.model, lin.mesh, lin.grid
     nx = mesh.nx
     B = np.array(B_guess, dtype=float)
     n_cur = float(n)
 
-    def residual(Bv: np.ndarray, nv: float, values: np.ndarray) -> np.ndarray:
-        # an overflow shows as a non-finite residual, which is caught below
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.append(Bv - nv * birth_functional(model, grid, values), plane.value(Bv, nv))
-
     def evaluate(Bv: np.ndarray, nv: float) -> tuple[np.ndarray, EvolutionOperator]:
         ev = build_evolution(model, mesh, grid, birth=Bv)
-        return residual(Bv, nv, ev.source), ev
+        # an overflow shows as a non-finite residual, which is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = np.append(Bv - nv * birth_functional(model, grid, ev.source), plane.value(Bv, nv))
+        return res, ev
 
     res_vec, ev = evaluate(B, n_cur)
     for iters in range(max_iter):
@@ -160,25 +153,12 @@ def correct(
         if not np.isfinite(res_norm) or float(np.max(np.abs(B))) > 1e8:
             raise ContinuationError("corrector diverged")
 
-        # column j perturbs B[j]; a batched column has the bits of its own
-        # march, so the n column reuses the current field
-        hb = FD_STEP * (1.0 + float(np.max(np.abs(B))))
-        Bs = np.repeat(B[:, None], nx, axis=1)
-        Bs[np.arange(nx), np.arange(nx)] += hb
-        fields = build_evolution(model, mesh, grid, birth=Bs).source
-        jac = np.empty((nx + 1, nx + 1))
-        for j in range(nx):
-            jac[:, j] = (residual(Bs[:, j], n_cur, fields[:, :, j]) - res_vec) / hb
-        del fields
-        hn = FD_STEP * (1.0 + abs(n_cur))
-        jac[:, nx] = (residual(B, n_cur + hn, ev.source) - res_vec) / hn
-
+        jac = _corrector_jacobian(lin, n_cur, ev, plane)
         try:
             delta = np.linalg.solve(jac, -res_vec)
         except np.linalg.LinAlgError as exc:
             raise ContinuationError("singular corrector Jacobian") from exc
 
-        accepted = False
         for scale in (1.0, 0.5, 0.25, 0.125):
             B_try = B + scale * delta[:nx]
             n_try = n_cur + scale * delta[nx]
@@ -188,13 +168,42 @@ def correct(
                 continue
             if float(np.max(np.abs(res_try))) < res_norm or float(np.max(np.abs(res_try))) <= _scaled_tol(tol, B_try):
                 B, n_cur, res_vec, ev = B_try, n_try, res_try, ev_try
-                accepted = True
                 break
-        if not accepted:
+        else:
             raise ContinuationError(f"corrector stalled at residual {res_norm:.3e}")
     else:
         raise ContinuationError(f"corrector did not converge within {max_iter} iterations")
     return _finalize(lin, n_cur, B, ev, iters)
+
+
+def _corrector_jacobian(lin: LinearizedOperators, n: float, ev: EvolutionOperator, plane: Plane) -> np.ndarray:
+    """Exact Jacobian of (G, plane) in (B, n), ev being the march of B.
+
+    The march solves (I + da A(u_k, a_{k+1})) u_{k+1} = u_k, so its
+    tangent is dU_0 = I, dU_{k+1} = S_k^{-1} (dU_k - da J_k dU_k), with
+    S_k the march's own factored step and J_k from slice_derivative.  The
+    B block is I - n dl, dl = sum_k w_k cb (b + b' u)(u_k) dU_k, and the n
+    column is -l(u).  Raises ContinuationError on a non-finite entry.
+    """
+    model, mesh, grid, u = lin.model, lin.mesh, lin.grid, ev.source
+    alpha, beta = slice_derivative(model, mesh, grid.ages[1:], u[:-1], u[1:])
+    keep, shift = 1.0 - grid.da * alpha, grid.da * beta if np.any(beta) else None
+    b_slope = evaluate_on(model.b, u.shape, u=u) + u * evaluate_on(diff(model.b, "u"), u.shape, u=u)
+    weight = model.cb * grid.weights[:, None] * b_slope
+    du, dl = np.eye(mesh.nx), np.diag(weight[0])
+    # an overflow in the tangent march shows as a non-finite entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, step in enumerate(ev.steps):
+            rhs = keep[k][:, None] * du
+            if shift is not None:
+                rhs -= shift[k][:, None] * gradient_of_slice(du, mesh.dx)
+            du = step.solve(rhs)
+            dl += weight[k + 1][:, None] * du
+        top = np.column_stack([np.eye(mesh.nx) - n * dl, -birth_functional(model, grid, u)])
+    jac = np.vstack([top, np.append(plane.normal_B, plane.normal_n)])
+    if not np.all(np.isfinite(jac)):
+        raise ContinuationError("non-finite corrector Jacobian")
+    return jac
 
 
 def _finalize(

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expr import evaluate_on
+from .expr import diff, evaluate_on
 from .model import ModelSpec
 
 
@@ -131,3 +131,25 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
         bad = int(np.argmax(bands.max(axis=1)))
         raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
     return OperatorMatrix(lower=lower, diag=diag, upper=upper)
+
+
+def slice_derivative(
+    model: ModelSpec, mesh: SpatialMesh, ages: np.ndarray, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative of A(u_k, a_k) v_k in the slice u_k for m slices at once,
+    u and v (m, nx): diag(alpha[k]) + diag(beta[k]) G, with G the stencil
+    of gradient_of_slice.  The drift row is g times the upwind difference
+    of v that the sign of g picks, as in assemble; where g = 0 it is the
+    forward one, as for g < 0.  Assembles and factors nothing.
+    """
+    env = {"u": u, "p": gradient_of_slice(u.T, mesh.dx).T, "a": ages[:, None]}
+    d = {(c, x): evaluate_on(diff(getattr(model, c), x), u.shape, **env) for c in ("h", "mu", "g") for x in "up"}
+    alpha, beta = v * (d["h", "u"] + d["mu", "u"]), v * d["h", "p"]
+    if not model.pure_decay:
+        # v_{-1} = 0 at the Dirichlet end, the Robin ghost node past the other
+        ghost = v[:, -2:-1] - 2.0 * mesh.dx * model.nu0 * v[:, -1:]
+        steps = np.diff(np.hstack([np.zeros_like(ghost), v, ghost]), axis=1) / mesh.dx
+        slope = np.where(evaluate_on(model.g, u.shape, **env) > 0, steps[:, :-1], steps[:, 1:])
+        alpha += slope * d["g", "u"]
+        beta += slope * d["g", "p"]
+    return alpha, beta

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -267,6 +268,24 @@ def evaluate(node: Expr, env: dict[str, object]):
     if isinstance(node, Exp):
         return np.exp(evaluate(node.arg, env))
     raise TypeError(f"not an expression node: {node!r}")
+
+
+@lru_cache(maxsize=256)
+def diff(node: Expr, var: str) -> Expr:
+    """Symbolic derivative in var; a subtree free of var gives Num(0.0)."""
+    if var not in variables(node) or isinstance(node, Pow) and node.exponent == 0:
+        return Num(0.0)
+    if isinstance(node, Var):
+        return Num(1.0)
+    if isinstance(node, Neg):
+        return Neg(diff(node.arg, var))
+    if isinstance(node, (Add, Sub)):
+        return type(node)(diff(node.left, var), diff(node.right, var))
+    if isinstance(node, Mul):
+        return Add(Mul(diff(node.left, var), node.right), Mul(node.left, diff(node.right, var)))
+    if isinstance(node, Pow):
+        return Mul(Mul(Num(float(node.exponent)), Pow(node.base, node.exponent - 1)), diff(node.base, var))
+    return Mul(node, diff(node.arg, var))  # an Exp: every other node is handled above
 
 
 def evaluate_on(node: Expr, shape: tuple[int, ...], **env) -> np.ndarray:

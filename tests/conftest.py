@@ -74,3 +74,8 @@ def diffusion_branch(diffusion_lin) -> Branch:
 @pytest.fixture(scope="session")
 def shell_problem() -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
     return load_problem("shell_decay.cfg")
+
+
+@pytest.fixture(scope="session")
+def shell_lin(shell_problem) -> LinearizedOperators:
+    return build_linearized(*shell_problem)

@@ -15,7 +15,9 @@ the tests and, unlike the recursions, reuse the package's building
 blocks: the Thomas solve, power iteration, the linear birth functional
 and solve, the evolution build and propagation, the shell probes'
 sampled fields, and the corrector and branch tracer (solve_at_norm,
-which pins a branch point's amplitude).
+which pins a branch point's amplitude).  corrector_jacobian_cd
+differences the corrector's residual through whole marches, the
+reference for its exact Jacobian.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from agequil.reproduction import (
     ReproductionError,
     _power_iteration,
     assemble_Q,
+    birth_functional,
     birth_linear,
     spectral_radius,
 )
@@ -310,6 +313,34 @@ def birth_feedback_eigenvalue(
             return lam
         v = w / norm_w
     raise RuntimeError(f"power iteration on L did not converge within {max_iter} iterations")
+
+
+def corrector_jacobian_cd(lin: LinearizedOperators, B: np.ndarray, n: float, rel_step: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobian of G(B, n) = B - n l(u(B)) in (B, n),
+    (nx, nx + 1), with two single marches per B column.
+
+    The step is rel_step times max |B| in B and rel_step times max(1, |n|)
+    in n.  A step relative to B keeps a small birth vector from pushing
+    the drift g through zero at a node where it is nearly zero, such as
+    the Neumann end of logistic_diffusion, where the upwind kink would
+    spoil the difference.
+    """
+    model, mesh, grid = lin.model, lin.mesh, lin.grid
+
+    def G(Bv: np.ndarray, nv: float) -> np.ndarray:
+        u = build_evolution(model, mesh, grid, birth=Bv).source
+        return Bv - nv * birth_functional(model, grid, u)
+
+    nx = mesh.nx
+    hb = rel_step * float(np.max(np.abs(B)))
+    hn = rel_step * max(1.0, abs(n))
+    jac = np.empty((nx, nx + 1))
+    for j in range(nx):
+        step = np.zeros(nx)
+        step[j] = hb
+        jac[:, j] = (G(B + step, n) - G(B - step, n)) / (2.0 * hb)
+    jac[:, nx] = (G(B, n + hn) - G(B, n - hn)) / (2.0 * hn)
+    return jac
 
 
 def solve_at_norm(lin: LinearizedOperators, target: float) -> BranchPoint:

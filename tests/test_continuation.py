@@ -12,15 +12,30 @@ from agequil.continuation import (
     first_step,
     trace_branch,
 )
-from agequil.discretize import SpatialMesh
+from agequil.discretize import SpatialMesh, gradient_of_slice
 from agequil.evolution import AgeGrid, EvolutionError, build_evolution, propagate
+from agequil.expr import evaluate_on
+from agequil.linearized import build_linearized
+from agequil.model import parse_model
 
-from oracles import logistic_B_of_amplitude, logistic_n_of_B, picard_field, solve_at_norm
+from oracles import (
+    corrector_jacobian_cd,
+    logistic_B_of_amplitude,
+    logistic_n_of_B,
+    picard_field,
+    solve_at_norm,
+)
 
 
 def fixed_n(B: np.ndarray, n: float) -> Plane:
     """The plane n = const through (B, n)."""
     return Plane(np.zeros(B.shape[0]), 1.0, B, n)
+
+
+def jacobian_at(lin, B: np.ndarray, n: float) -> np.ndarray:
+    """The corrector's exact Jacobian of G(B, n), without the plane row."""
+    ev = build_evolution(lin.model, lin.mesh, lin.grid, birth=B)
+    return continuation._corrector_jacobian(lin, n, ev, fixed_n(B, n))[:-1]
 
 
 class TestConstraints:
@@ -122,31 +137,46 @@ class TestCorrect:
         assert got.n == p.n
 
     @pytest.mark.parametrize("pinned", ["n", "B"])
-    def test_newton_iters_counts_jacobian_marches(
+    def test_newton_iters_counts_jacobian_solves(
         self, decay_branch, decay_lin, monkeypatch, pinned
     ):
-        # each Newton step marches its nx perturbed birth vectors as one batch
-        mesh = decay_lin.mesh
+        # each Newton step builds the exact Jacobian on the march it
+        # already has and solves with it once; nothing marches a batch
+        nx = decay_lin.mesh.nx
         p = decay_branch.nontrivial()[4]
         if pinned == "n":
             plane = fixed_n(p.B, p.n)
         else:
             plane = Plane(p.B / float(np.linalg.norm(p.B)), 0.0, p.B, p.n)
-        batches = []
+        batches, jacobians, solves = [], [], []
 
-        def counting(*args, birth=None, **kwargs):
-            if birth is not None and np.ndim(birth) == 2:
+        def counting_build(*args, birth=None, **kwargs):
+            if np.ndim(birth) == 2:
                 batches.append(np.shape(birth))
             return build_evolution(*args, birth=birth, **kwargs)
 
-        monkeypatch.setattr(continuation, "build_evolution", counting)
+        def counting_jacobian(*args, **kwargs):
+            jacobians.append(real_jacobian(*args, **kwargs))
+            return jacobians[-1]
+
+        def counting_solve(a, b):
+            solves.append(np.shape(a))
+            return real_solve(a, b)
+
+        real_jacobian, real_solve = continuation._corrector_jacobian, np.linalg.solve
+        monkeypatch.setattr(continuation, "build_evolution", counting_build)
+        monkeypatch.setattr(continuation, "_corrector_jacobian", counting_jacobian)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         got = correct(decay_lin, p.n, 1.02 * p.B, plane)
         assert got.newton_iters >= 1
-        assert batches == [(mesh.nx, mesh.nx)] * got.newton_iters
-        # a converged start takes no step
-        batches.clear()
-        assert correct(decay_lin, got.n, got.B, plane).newton_iters == 0
         assert batches == []
+        assert len(jacobians) == got.newton_iters
+        assert solves == [(nx + 1, nx + 1)] * got.newton_iters
+        # a converged start takes no step and builds no Jacobian
+        jacobians.clear()
+        solves.clear()
+        assert correct(decay_lin, got.n, got.B, plane).newton_iters == 0
+        assert jacobians == [] and solves == [] and batches == []
 
     def test_iteration_budget_enforced(self, decay_branch, decay_lin):
         p = decay_branch.nontrivial()[4]
@@ -204,6 +234,110 @@ class TestMarch:
             B[3, 2] = value
             with pytest.raises(EvolutionError, match="non-finite"):
                 build_evolution(model, mesh, grid, birth=B)
+
+
+    def test_jacobian_matches_central_differences_off_the_kink(self, setup):
+        # g = 0.1 p is exactly zero at the bump's peak in the birth slice,
+        # where the upwind drift has a kink: the central difference
+        # averages its two sides there, for the columns of B that move p
+        # at the peak.  Only the other columns are compared; at every later
+        # age g is nonzero at every node
+        model, mesh, grid, Bs = setup
+        lin = build_linearized(model, mesh, grid)
+        stencil = gradient_of_slice(np.eye(mesh.nx), mesh.dx)
+        for j in range(Bs.shape[1]):
+            B = Bs[:, j].copy()
+            u = build_evolution(lin.model, mesh, grid, birth=B).source
+            g = evaluate_on(lin.model.g, u.shape, u=u, p=gradient_of_slice(u.T, mesh.dx).T)
+            assert np.all(g[1:-1] != 0)
+            kinked = np.any(stencil[g[0] == 0] != 0, axis=0)
+            assert kinked.any()
+            exact, cd = jacobian_at(lin, B, 1.0), corrector_jacobian_cd(lin, B, 1.0)
+            smooth = np.append(~kinked, True)
+            assert np.max(np.abs(exact - cd)[:, smooth]) <= 1e-8 * np.max(np.abs(cd))
+
+
+# drift of both signs that reads u, h that reads p, nonlinear mu and b,
+# and a Robin end where g < 0, so the drift there takes the ghost node
+TRANSPORT_CFG = """
+[domain]
+a_max = 1.0
+
+[coefficients]
+D = 0.2 + 0.1 * x
+g = (0.1 + u) * p
+h = 0.2 * u + 0.1 * u * p
+mu = 1 + u^2
+b = exp(-u)
+
+[boundary]
+nu0 = 2.0
+"""
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("problem", ["decay_lin", "diffusion_lin", "shell_lin"])
+    @pytest.mark.parametrize("scale", [0.01, 0.5])
+    def test_matches_central_differences(self, request, problem, scale):
+        lin = request.getfixturevalue(problem)
+        B = scale * lin.perron0
+        exact, cd = jacobian_at(lin, B, 1.0), corrector_jacobian_cd(lin, B, 1.0)
+        assert np.max(np.abs(exact - cd)) <= 1e-8 * np.max(np.abs(cd))
+
+    def test_matches_central_differences_on_a_transport_model(self):
+        lin = build_linearized(parse_model(TRANSPORT_CFG), SpatialMesh(nx=10), AgeGrid(na=20, a_max=1.0))
+        for scale in (0.01, 0.5, 2.0):
+            B = scale * lin.perron0
+            u = build_evolution(lin.model, lin.mesh, lin.grid, birth=B).source
+            g = evaluate_on(lin.model.g, u.shape, u=u, p=gradient_of_slice(u.T, lin.mesh.dx).T)[:-1]
+            assert g.min() < 0 < g.max() and np.all(g[:, -1] < 0)
+            exact, cd = jacobian_at(lin, B, 1.0), corrector_jacobian_cd(lin, B, 1.0)
+            assert np.max(np.abs(exact - cd)) <= 1e-8 * np.max(np.abs(cd))
+
+    def test_non_finite_jacobian_is_rejected_and_halves_the_step(self, decay_lin, monkeypatch):
+        real_correct, real_derivative = continuation.correct, continuation.slice_derivative
+        real_solve = np.linalg.solve
+        calls, solved_in = [], []
+
+        def counting_correct(*args, **kwargs):
+            calls.append(args)
+            return real_correct(*args, **kwargs)
+
+        def poisoned(*args, **kwargs):
+            # call 1 is the first step's correction, call 2 the first
+            # pseudo-arclength step
+            alpha, beta = real_derivative(*args, **kwargs)
+            return (np.full_like(alpha, np.nan) if len(calls) == 2 else alpha), beta
+
+        def recording_solve(a, b):
+            solved_in.append(len(calls))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(continuation, "correct", counting_correct)
+        monkeypatch.setattr(continuation, "slice_derivative", poisoned)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        branch = trace_branch(decay_lin, step=0.05, max_points=2)
+        assert branch.rejected == [(0.05, "ContinuationError", "non-finite corrector Jacobian")]
+        assert 2 not in solved_in
+        # the retry predicts from the first point at half the step
+        plane, first = calls[2][3], branch.points[1]
+        distance = np.hypot(np.linalg.norm(plane.anchor_B - first.B), plane.anchor_n - first.n)
+        assert distance == pytest.approx(0.025, rel=1e-9)
+        assert len(branch.nontrivial()) == 2
+
+
+class TestNewtonSteps:
+    # the bench traces: the models' own grids, stopped at an amplitude cap
+    @pytest.mark.parametrize("problem, norm_cap", [("diffusion_lin", 0.015), ("decay_lin", 0.03)])
+    def test_bench_traces_take_four_steps(self, request, problem, norm_cap):
+        branch = trace_branch(request.getfixturevalue(problem), norm_cap=norm_cap)
+        assert sum(p.newton_iters for p in branch.points) == 4
+
+    @pytest.mark.parametrize("problem, most", [("diffusion_lin", 38), ("decay_lin", 30)])
+    def test_full_default_traces(self, request, problem, most):
+        branch = trace_branch(request.getfixturevalue(problem))
+        assert branch.terminated == "max_points reached"
+        assert sum(p.newton_iters for p in branch.points) <= most
 
 
 class TestSolveAtNorm:

@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from agequil.expr import (
     Add,
@@ -14,6 +14,7 @@ from agequil.expr import (
     Sub,
     Var,
     VARIABLES,
+    diff,
     evaluate,
     evaluate_on,
     parse_expr,
@@ -139,6 +140,65 @@ class TestExprRoundTrip:
             before = evaluate(tree, env)
             after = evaluate(parse_expr(to_text(tree)), env)
         assert np.array_equal(np.asarray(before), np.asarray(after), equal_nan=True)
+
+
+def _largest_value(tree, env) -> float:
+    """Largest magnitude among the values of a tree's subtrees, the scale
+    of the rounding errors its evaluation makes."""
+    kids = [v for v in vars(tree).values() if isinstance(v, (Num, Var, Neg, Add, Sub, Mul, Pow, Exp))]
+    return max([abs(float(evaluate(tree, env)))] + [_largest_value(kid, env) for kid in kids])
+
+
+class TestDiff:
+    def test_a_tree_free_of_the_variable_gives_zero(self):
+        assert diff(parse_expr("0.1 * p"), "u") == Num(0.0)
+        assert diff(parse_expr("exp(-u) + u^2 - 3"), "p") == Num(0.0)
+        assert diff(parse_expr("p^0"), "p") == Num(0.0)
+        assert diff(Var("u"), "u") == Num(1.0)
+
+    @pytest.mark.parametrize("text, var, want", [
+        ("u^3 * p", "u", lambda u, p: 3 * u**2 * p),
+        ("u^4 - p^0", "u", lambda u, p: 4 * u**3),
+        ("-(u - p)^2", "p", lambda u, p: 2 * (u - p)),
+        ("exp(2 * u) - p * u", "p", lambda u, p: -u),
+        ("exp(u * p) * (1 + u)", "u", lambda u, p: np.exp(u * p) * (p * (1 + u) + 1)),
+    ])
+    def test_closed_forms(self, text, var, want):
+        env = {"u": 0.7, "p": -0.3}
+        assert evaluate(diff(parse_expr(text), var), env) == pytest.approx(want(**env), rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _expr_trees,
+        st.sampled_from(("u", "p")),
+        st.floats(min_value=-2, max_value=2, allow_nan=False),
+        st.floats(min_value=-2, max_value=2, allow_nan=False),
+    )
+    def test_matches_central_differences(self, tree, var, u, p):
+        # a central difference is only as good as its step allows, and a
+        # steep tree needs a small one, so the exact value has to match the
+        # difference at one of a range of steps; the rounding errors of
+        # both sides scale with the largest value a subtree takes
+        env = {"u": np.float64(u), "p": np.float64(p), "a": 0.5, "x": 0.25}
+        at = env[var]
+        steps = (1.0 + abs(at)) * 10.0 ** -np.arange(3.0, 12.0)
+
+        def shifted(h):
+            return {**env, var: at + h}, {**env, var: at - h}
+
+        deriv = diff(tree, var)
+        try:
+            with np.errstate(all="ignore"):
+                exact = float(evaluate(deriv, env))
+                round_exact = _largest_value(deriv, env)
+                diffs = [(evaluate(tree, hi) - evaluate(tree, lo)) / (2.0 * h) for h in steps for hi, lo in [shifted(h)]]
+                round_tree = max(_largest_value(tree, e) for h in steps for e in shifted(h))
+        except OverflowError:  # a power of a Python float raises on overflow
+            assume(False)
+        # only draws that overflow are left out
+        assume(np.all(np.isfinite([exact, round_exact, round_tree, *diffs])))
+        slack = 1e3 * np.finfo(float).eps * (round_tree / steps + round_exact)
+        assert np.min(np.abs(np.array(diffs) - exact) - slack) <= 1e-6 * abs(exact)
 
 
 class TestParseModel:
