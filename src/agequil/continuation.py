@@ -179,11 +179,11 @@ def correct(
 def _corrector_jacobian(lin: LinearizedOperators, n: float, ev: EvolutionOperator, plane: Plane) -> np.ndarray:
     """Exact Jacobian of (G, plane) in (B, n), ev being the march of B.
 
-    The march solves (I + da A(u_k, a_{k+1})) u_{k+1} = u_k, so its
-    tangent is dU_0 = I, dU_{k+1} = S_k^{-1} (dU_k - da J_k dU_k), with
-    S_k the march's own factored step and J_k from slice_derivative.  The
-    B block is I - n dl, dl = sum_k w_k cb (b + b' u)(u_k) dU_k, and the n
-    column is -l(u).  Raises ContinuationError on a non-finite entry.
+    The march solves (I + da A(u_k, a_{k+1})) u_{k+1} = u_k; its tangent
+    dU_0 = I, dU_{k+1} = S_k^{-1} (dU_k - da J_k dU_k) runs on the march's
+    factored steps S_k, J_k from slice_derivative (no G term if beta = 0).
+    B block I - n dl, dl = sum_k w_k cb (b + b' u)(u_k) dU_k; n column
+    -l(u).  A non-finite entry raises ContinuationError.
     """
     model, mesh, grid, u = lin.model, lin.mesh, lin.grid, ev.source
     alpha, beta = slice_derivative(model, mesh, grid.ages[1:], u[:-1], u[1:])
