@@ -343,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
     except (ModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -210,10 +210,10 @@ def _finalize(
     lin: LinearizedOperators,
     n: float,
     B: np.ndarray,
-    ev: EvolutionOperator | None,
+    ev: EvolutionOperator,
     iters: int,
 ) -> BranchPoint:
-    """Branch point at (B, n) from ev, the march of B (None only for B = 0)."""
+    """Branch point at (B, n) from ev, the march of B."""
     model, mesh, grid = lin.model, lin.mesh, lin.grid
     if float(np.max(np.abs(B))) < TRIVIAL_THRESHOLD:
         return BranchPoint(
@@ -257,7 +257,7 @@ def first_step(lin: LinearizedOperators, eps0: float, *, tol: float = 1e-9) -> B
     if eps0 < 0:
         raise ContinuationError("eps0 must be nonnegative")
     if eps0 == 0.0:
-        return _finalize(lin, 1.0, np.zeros(lin.mesh.nx), None, 0)
+        return _finalize(lin, 1.0, np.zeros(lin.mesh.nx), lin.ev0, 0)
     B0 = eps0 * lin.perron0
     plane = Plane(
         normal_B=lin.perron0 / float(np.linalg.norm(lin.perron0)),

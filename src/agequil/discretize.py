@@ -73,21 +73,16 @@ def gradient_of_slice(u: np.ndarray, dx: float) -> np.ndarray:
 def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray | None = None) -> OperatorMatrix:
     """Assemble A(u, a) + mu(u, a) as a tridiagonal matrix.
 
-    With u_slice absent the result is the linear part, whose zero-order
-    term is theta(a); supplying an explicit zero slice gives the same
-    matrix entry for entry.  A slice of shape (nx, k) gives k matrices
-    side by side, as (nx, k) bands whose column j is, bit for bit, the
-    matrix of column j alone.
+    An absent u_slice is the zero slice, whose matrix is the linear part
+    with zero-order term theta(a).  A slice of shape (nx, k) gives k
+    matrices side by side, as (nx, k) bands whose column j is, bit for
+    bit, the matrix of column j alone.
     """
     nx, dx = mesh.nx, mesh.dx
-    if u_slice is None:
-        u = np.zeros(nx)
-        p = np.zeros(nx)
-    else:
-        u = np.asarray(u_slice, dtype=float)
-        if u.ndim not in (1, 2) or u.shape[0] != nx:
-            raise AssemblyError(f"u_slice has shape {u.shape}, expected ({nx},) or ({nx}, k)")
-        p = gradient_of_slice(u, dx)
+    u = np.zeros(nx) if u_slice is None else np.asarray(u_slice, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[0] != nx:
+        raise AssemblyError(f"u_slice has shape {u.shape}, expected ({nx},) or ({nx}, k)")
+    p = gradient_of_slice(u, dx)
     shape = u.shape
 
     lower = np.zeros(shape)

@@ -12,8 +12,10 @@ the nonnegative orthant into itself exactly.
 Because step k reads only the slice at a_k, the self-consistent field of
 a birth vector B, the field that its own evolution propagates B into, is
 a causal recursion: u_0 = B, u_{k+1} = (I + da * A_h(u_k, a_{k+1}))^{-1} u_k.
-build_evolution(..., birth=B) marches it in one forward pass, factoring
-each step as it goes.
+build_evolution(..., birth=B) marches it in one forward pass for one
+birth vector (nx,), factoring each step as it goes; there are no batched
+marches or propagation.  The linear evolution Pi_0 is the build on the
+zero field, by the same code as any other.
 """
 
 from __future__ import annotations
@@ -73,13 +75,13 @@ class EvolutionOperator:
     A field is an array whose row k is the slice at age a_k: (na+1, nx),
     or (na+1, nx, k) for k fields side by side along a trailing batch
     axis.  source is the field the quasilinear coefficients were evaluated
-    on; None means the zero field, i.e. the linear evolution Pi_0.
+    on; the zero field gives the linear evolution Pi_0.
     """
 
     steps: list[FactoredTridiag]
     grid: AgeGrid
     mesh: SpatialMesh
-    source: np.ndarray | None = field(default=None, repr=False)
+    source: np.ndarray = field(repr=False)
 
 
 def build_evolution(
@@ -92,30 +94,30 @@ def build_evolution(
 ) -> EvolutionOperator:
     """Assemble and factor the implicit Euler steps for one frozen field.
 
-    A batched field, (na+1, nx, k), gives steps that each hold k matrices,
-    one per column; propagate them with a birth array of shape (nx, k).
+    With neither u nor birth the field is zero, which gives the linear
+    evolution.  A batched field, (na+1, nx, k), gives steps that each hold
+    k matrices, one per column, for assemble_Q to push a basis through.
 
-    With birth (nx,) or (nx, k) in place of u, the field is marched: step
-    k is assembled on row k and solves row k+1, so the source is the
+    With a birth vector (nx,) in place of u, the field is marched: step k
+    is assembled on row k and solves row k+1, so the source is the
     self-consistent field of that birth vector, and propagating the birth
     vector through its own evolution returns it bit for bit.
     """
     if u is not None and birth is not None:
         raise EvolutionError("give a frozen field or a birth vector to march, not both")
-    if u is not None:
+    if birth is not None:
+        u = np.empty((grid.na + 1, mesh.nx))
+        u[0] = _birth_array(birth, mesh.nx)
+    elif u is None:
+        u = np.zeros((grid.na + 1, mesh.nx))
+    else:
         u = np.asarray(u, dtype=float)
         if u.ndim not in (2, 3) or u.shape[:2] != (grid.na + 1, mesh.nx):
             raise EvolutionError(f"frozen field of shape {u.shape} does not match the grids")
-    if birth is not None:
-        birth = _birth_array(birth, mesh.nx)
-        u = np.empty((grid.na + 1,) + birth.shape)
-        u[0] = birth
     da = grid.da
     steps: list[FactoredTridiag] = []
     for k in range(grid.na):
-        a_next = float(grid.ages[k + 1])
-        u_slice = u[k] if u is not None else None
-        mat = assemble(model, mesh, a_next, u_slice)
+        mat = assemble(model, mesh, float(grid.ages[k + 1]), u[k])
         try:
             step = factor_tridiag(da * mat.lower, 1.0 + da * mat.diag, da * mat.upper)
         except SingularTridiagError as exc:
@@ -128,21 +130,17 @@ def build_evolution(
 
 def _birth_array(B: np.ndarray, nx: int) -> np.ndarray:
     B = np.asarray(B, dtype=float)
-    if B.ndim not in (1, 2) or B.shape[0] != nx:
-        raise EvolutionError(f"birth vector has shape {B.shape}, expected ({nx},) or ({nx}, k)")
+    if B.shape != (nx,):
+        raise EvolutionError(f"birth vector has shape {B.shape}, expected ({nx},)")
     if not np.all(np.isfinite(B)):
         raise EvolutionError("birth vector has non-finite entries")
     return B
 
 
 def propagate(ev: EvolutionOperator, B: np.ndarray) -> np.ndarray:
-    """Field with rows Pi(a_k, 0) B; exactly nonnegative when B is.
-
-    B is one birth vector (nx,), or (nx, k) for k of them side by side,
-    each column propagated with the bits of its own 1-D propagation.
-    """
+    """Field with rows Pi(a_k, 0) B, B (nx,); exactly nonnegative when B is."""
     B = _birth_array(B, ev.mesh.nx)
-    values = np.empty((ev.grid.na + 1,) + B.shape)
+    values = np.empty((ev.grid.na + 1, ev.mesh.nx))
     values[0] = B
     for k, step in enumerate(ev.steps):
         values[k + 1] = step.solve(values[k])
@@ -157,7 +155,7 @@ def apply_K0(ev: EvolutionOperator, f: np.ndarray) -> np.ndarray:
     f, matching the stepping convention of propagate, so a solution of
     the stepped equations is reproduced without quadrature drift.
     """
-    if ev.source is not None:
+    if ev.source.ndim != 2 or np.any(ev.source):
         raise EvolutionError("apply_K0 requires the linear evolution (zero frozen field)")
     f = np.asarray(f, dtype=float)
     if f.shape != (ev.grid.na + 1, ev.mesh.nx):

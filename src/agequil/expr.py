@@ -99,6 +99,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# parse_expr rejects a tree more than MAX_DEPTH nodes high, and text that
+# nests parentheses, minus signs and exp calls more than MAX_DEPTH deep:
+# evaluate, diff and to_text recurse once per level of the tree, and the
+# parser once per level of the text, so both stay far from Python's limit.
+# Each parser rule returns its tree and the tree's height; level counts
+# the parentheses, minus signs and exp calls open around it.
+MAX_DEPTH = 100
+
+
+def _checked(depth: int) -> int:
+    if depth > MAX_DEPTH:
+        raise ExprError(f"expression nests deeper than {MAX_DEPTH} levels")
+    return depth
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -119,66 +134,69 @@ class _Parser:
             raise ExprError(f"expected {op!r} at position {pos} in {self.text!r}")
 
     def parse(self) -> Expr:
-        node = self.expr()
+        node, _ = self.expr(0)
         kind, val, pos = self.peek()
         if kind != "end":
             raise ExprError(f"trailing input {val!r} at position {pos} in {self.text!r}")
         return node
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self, level: int) -> tuple[Expr, int]:
+        node, height = self.term(level)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                rhs, h = self.term(level)
+                node, height = (Add if val == "+" else Sub)(node, rhs), _checked(1 + max(height, h))
             else:
-                return node
+                return node, height
 
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self, level: int) -> tuple[Expr, int]:
+        node, height = self.unary(level)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                node = Mul(node, self.unary())
+                rhs, h = self.unary(level)
+                node, height = Mul(node, rhs), _checked(1 + max(height, h))
             else:
-                return node
+                return node, height
 
-    def unary(self) -> Expr:
+    def unary(self, level: int) -> tuple[Expr, int]:
+        _checked(level)
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            arg, height = self.unary(level + 1)
+            return Neg(arg), _checked(height + 1)
+        return self.power(level)
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self, level: int) -> tuple[Expr, int]:
+        base, height = self.atom(level)
         kind, val, pos = self.peek()
         if kind == "op" and val in ("^", "**"):
             self.advance()
             kind, val, pos = self.advance()
             if kind != "num" or not re.fullmatch(r"\d+", val):
                 raise ExprError(f"exponent must be a nonnegative integer at position {pos} in {self.text!r}")
-            return Pow(base, int(val))
-        return base
+            return Pow(base, int(val)), _checked(height + 1)
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self, level: int) -> tuple[Expr, int]:
         kind, val, pos = self.advance()
         if kind == "num":
-            return Num(float(val))
+            return Num(float(val)), 1
         if kind == "name":
             if val == "exp":
                 self.expect_op("(")
-                arg = self.expr()
+                arg, height = self.expr(level + 1)
                 self.expect_op(")")
-                return Exp(arg)
+                return Exp(arg), _checked(height + 1)
             if val in VARIABLES:
-                return Var(val)
+                return Var(val), 1
             raise ExprError(f"unknown name {val!r} at position {pos} in {self.text!r}")
         if kind == "op" and val == "(":
-            node = self.expr()
+            node = self.expr(level + 1)
             self.expect_op(")")
             return node
         raise ExprError(f"unexpected token {val!r} at position {pos} in {self.text!r}")

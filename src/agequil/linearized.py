@@ -1,5 +1,6 @@
 """Linear solves against the zero-density evolution and the branch
-reformulation built on them.
+reformulation built on them.  The linear evolution is build_evolution on
+the zero field; there are no batched marches or propagation.
 
 The central solve: given a source field f and birth data c, find the field
 v with
@@ -79,17 +80,11 @@ def solve_linear(
     birth_data = np.asarray(birth_data, dtype=float)
     if birth_data.shape != (lin.mesh.nx,):
         raise LinearizedError(f"birth data has shape {birth_data.shape}, expected ({lin.mesh.nx},)")
-    if source is not None:
-        kf = apply_K0(lin.ev0, source)
-        rhs = birth_data + 0.5 * birth_linear(lin.model, lin.grid, kf)
-    else:
-        kf = None
-        rhs = birth_data
-    w = scipy.linalg.lu_solve(lin.lu, rhs)
-    out = propagate(lin.ev0, w)
-    if kf is not None:
-        out = out + kf
-    return out
+    if source is None:
+        return propagate(lin.ev0, scipy.linalg.lu_solve(lin.lu, birth_data))
+    kf = apply_K0(lin.ev0, source)
+    w = scipy.linalg.lu_solve(lin.lu, birth_data + 0.5 * birth_linear(lin.model, lin.grid, kf))
+    return propagate(lin.ev0, w) + kf
 
 
 def apply_birth_feedback(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
@@ -118,11 +113,7 @@ def perturbation_source(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
 
 def apply_perturbation(lin: LinearizedOperators, lam: float, u: np.ndarray) -> np.ndarray:
     """The remainder map H(lam, u); identically zero on linear models."""
-    ell_star = birth_star(lin.model, lin.grid, u)
-    source = perturbation_source(lin, u)
-    if not np.any(source) and not np.any(ell_star):
-        return np.zeros(u.shape)
-    return solve_linear(lin, (lam + 0.5) * ell_star, source)
+    return solve_linear(lin, (lam + 0.5) * birth_star(lin.model, lin.grid, u), perturbation_source(lin, u))
 
 
 def reformulation_residual(lin: LinearizedOperators, n: float, u: np.ndarray) -> float:

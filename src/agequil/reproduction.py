@@ -2,10 +2,11 @@
 
 Q(u) w = integral of  cb * b(u(a)) * (Pi_u(a,0) w)  over age, assembled
 column by column from the factored evolution steps with trapezoid
-quadrature.  The eigensolver is power iteration from the all-ones vector;
-when its bracket stagnates on a nearly tied dominant pair it hands over
-to one dense eigendecomposition, whose radius is checked against that
-bracket.
+quadrature.  Q0 is Q of the linear evolution, the build on the zero
+field; there are no batched marches or propagation.  The eigensolver is
+power iteration from the all-ones vector; when its bracket stagnates on
+a nearly tied dominant pair it hands over to one dense
+eigendecomposition, whose radius is checked against that bracket.
 """
 
 from __future__ import annotations
@@ -16,10 +17,8 @@ from .evolution import AgeGrid, EvolutionOperator
 from .expr import evaluate
 from .model import ModelSpec, with_cb
 
-# normalize stops once |r(Q0) - 1| is within NORMALIZE_TOL, and gives up
-# after NORMALIZE_PASSES rescalings
+# normalize refuses a rescaled model whose |r(Q0) - 1| exceeds NORMALIZE_TOL
 NORMALIZE_TOL = 1e-10
-NORMALIZE_PASSES = 3
 
 
 class ReproductionError(ValueError):
@@ -66,17 +65,13 @@ def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
     """Dense (nx, nx) matrix of Q(u), u being the field ev was frozen at.
 
     The age propagation of every unit basis vector is accumulated in one
-    pass; the fertility weights are evaluated on ev.source, or at zero
-    density for the linear evolution.  An evolution batched over k fields
-    gives (nx, nx, k), each matrix with the bits of its own single build.
+    pass, with the fertility weights evaluated on ev.source.  An evolution
+    batched over k fields gives (nx, nx, k), each matrix with the bits of
+    its own single build.
     """
     nx = ev.mesh.nx
     w = ev.grid.weights
-    if ev.source is None:
-        b0 = float(evaluate(model.b, {"u": 0.0}))
-        bvals = np.full((ev.grid.na + 1, nx), model.cb * b0)
-    else:
-        bvals = birth_density(model, ev.source)
+    bvals = birth_density(model, ev.source)
     basis = np.zeros((nx, nx) + bvals.shape[2:])
     basis[np.arange(nx), np.arange(nx)] = 1.0
     q = w[0] * (bvals[0][:, None] * basis)
@@ -150,17 +145,15 @@ def normalize(model: ModelSpec, ev0: EvolutionOperator) -> tuple[ModelSpec, floa
     ev0 is the linear evolution of model; cb does not enter it.  Returns
     (rescaled model, spectral radius before rescaling, Q0 of the rescaled
     model, its spectral radius and Perron vector).  The radius is exactly
-    linear in cb, so one pass suffices; the loop is a guard that
-    re-measures and refuses to return an unnormalized model.
+    linear in cb, so one rescaling suffices; the re-measured radius guards
+    against returning an unnormalized model.
     """
     r_before, _ = spectral_radius(assemble_Q(model, ev0))
     if not (np.isfinite(r_before) and r_before > 0):
         raise ReproductionError(f"spectral radius {r_before!r} cannot be normalized away")
-    r = r_before
-    for _ in range(NORMALIZE_PASSES):
-        model = with_cb(model, model.cb / r)
-        q0 = assemble_Q(model, ev0)
-        r, perron = spectral_radius(q0)
-        if abs(r - 1.0) <= NORMALIZE_TOL:
-            return model, r_before, q0, r, perron
-    raise ReproductionError(f"normalization stalled at r = {r!r}")
+    model = with_cb(model, model.cb / r_before)
+    q0 = assemble_Q(model, ev0)
+    r, perron = spectral_radius(q0)
+    if abs(r - 1.0) > NORMALIZE_TOL:
+        raise ReproductionError(f"normalization missed r = 1: r = {r!r}")
+    return model, r_before, q0, r, perron

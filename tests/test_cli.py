@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agequil import cli, fixedpoint, reproduction, tridiag
+from agequil import cli, fixedpoint, linearized, reproduction, tridiag
 from agequil.cli import BRANCH_COLUMNS, main
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid
@@ -316,6 +316,31 @@ class TestErrorsAndEntryPoints:
         assert flags[0].lstrip("-").replace("-", "_") in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("h", [
+        "-" * 3000 + "u",
+        "(" * 3000 + "u" + ")" * 3000,
+        "0" + "+0*u" * 3000,
+    ], ids=["minus-signs", "parentheses", "left-deep-sum"])
+    def test_deep_expression_exits_2(self, h, tmp_path, capsys):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(Path(DECAY).read_text().replace("\nh = 0\n", f"\nh = {h}\n"))
+        assert main(["normalize", "--model", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: coefficient 'h': expression nests deeper than")
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+    def test_out_of_memory_exits_1(self, message, capsys, monkeypatch):
+        # a layer below the CLI runs out of memory; nothing large is allocated
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(linearized, "build_evolution", exhausted)
+        assert main(["normalize", "--model", DECAY]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: out of memory") and message in err
+
     def test_overflowing_step_prints_one_line(self, tmp_path):
         # numpy's overflow warnings must not reach stderr ahead of the error
         proc = subprocess.run(
@@ -378,6 +403,26 @@ class TestErrorsAndEntryPoints:
             )
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.split() == want.split()
+
+    def test_blas_cap_is_in_place_when_numpy_loads(self):
+        # the cap acts only if the variable is set before numpy first loads,
+        # so an import finder records it at that moment
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        probe = (
+            "import os, sys\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import agequil\n"
+            "print(seen)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in names}
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['1']"
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -112,6 +112,16 @@ class TestAssemble:
         mat = assemble(model, mesh, a=0.0, u_slice=u)
         np.testing.assert_allclose(mat.diag - lin.diag, 4.0)
 
+    def test_absent_slice_is_the_zero_slice_bit_for_bit(self):
+        # the gradient of zeros is +0.0, so every coefficient that reads u
+        # or p sees the same bits either way
+        mesh = SpatialMesh(nx=5)
+        model = make_model(D="1 + x", g="u - p", h="p + u", mu="1 + u^2", nu0=0.5)
+        lin = assemble(model, mesh, a=0.5)
+        zeros = assemble(model, mesh, a=0.5, u_slice=np.zeros(5))
+        for band in ("lower", "diag", "upper"):
+            assert getattr(lin, band).tobytes() == getattr(zeros, band).tobytes()
+
     def test_pure_decay_is_diagonal(self):
         mesh = SpatialMesh(nx=5)
         mat = assemble(make_model(mu="1 + a", pure_decay=True), mesh, a=0.5)

@@ -50,7 +50,7 @@ class TestPropagate:
         mesh = SpatialMesh(nx=4)
         grid = AgeGrid(na=50, a_max=1.0)
         ev = build_evolution(decay_model(), mesh, grid)
-        assert ev.source is None
+        assert ev.source.shape == (grid.na + 1, mesh.nx) and not np.any(ev.source)
         B = np.array([1.0, 2.0, 0.5, 0.0])
         field = propagate(ev, B)
         expected = decay_rows(grid.na, grid.a_max)[:, None] * B[None, :]
@@ -155,6 +155,22 @@ class TestDuhamel:
         ev = build_evolution(decay_model(mu="1 + u"), mesh, grid, frozen)
         with pytest.raises(EvolutionError, match="linear evolution"):
             apply_K0(ev, frozen)
+
+    def test_accepts_any_zero_field(self):
+        # the linear evolution is the build on the zero field, whether by
+        # default, given explicitly or marched from a zero birth vector
+        mesh = SpatialMesh(nx=3)
+        grid = AgeGrid(na=4, a_max=1.0)
+        model = decay_model(mu="1 + u")
+        f = np.linspace(0.0, 1.0, 15).reshape(5, 3)
+        want = apply_K0(build_evolution(model, mesh, grid), f)
+        for ev in (
+            build_evolution(model, mesh, grid, np.zeros((5, 3))),
+            build_evolution(model, mesh, grid, birth=np.zeros(3)),
+        ):
+            assert apply_K0(ev, f).tobytes() == want.tobytes()
+        with pytest.raises(EvolutionError, match="linear evolution"):
+            apply_K0(build_evolution(model, mesh, grid, np.zeros((5, 3, 2))), f)
 
     def test_source_shape_checked(self):
         mesh = SpatialMesh(nx=3)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from agequil.expr import (
+    MAX_DEPTH,
     Add,
     Exp,
     ExprError,
@@ -85,6 +86,37 @@ class TestExprParsing:
     def test_rejects(self, bad):
         with pytest.raises(ExprError):
             parse_expr(bad)
+
+    @pytest.mark.parametrize("text", [
+        "-" * 3000 + "u",
+        "(" * 3000 + "u" + ")" * 3000,
+        "0" + "+0*u" * 3000,  # a left-deep sum: the parser loops, the tree is deep
+    ], ids=["minus-signs", "parentheses", "left-deep-sum"])
+    def test_rejects_deep_nesting(self, text):
+        with pytest.raises(ExprError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            parse_expr(text)
+
+    @pytest.mark.parametrize("text", [
+        "-" * (MAX_DEPTH - 1) + "u",
+        "(" * MAX_DEPTH + "u" + ")" * MAX_DEPTH,
+        "u" + " * u" * (MAX_DEPTH - 1),
+        "exp(-" * (MAX_DEPTH // 2 - 1) + "u" + ")" * (MAX_DEPTH // 2 - 1),
+    ], ids=["minus-signs", "parentheses", "left-deep-product", "exp-calls"])
+    def test_nesting_at_the_limit_evaluates_and_round_trips(self, text):
+        # the limit sits far enough below the recursion limit for every
+        # walk of the tree, its derivative's included
+        node = parse_expr(text)
+        assert parse_expr(to_text(node)) == node
+        assert np.isfinite(evaluate(diff(node, "u"), {"u": 0.5}))
+
+    def test_one_level_more_is_rejected(self):
+        for text in (
+            "-" * MAX_DEPTH + "u",
+            "(" * (MAX_DEPTH + 1) + "u" + ")" * (MAX_DEPTH + 1),
+            "u" + " * u" * MAX_DEPTH,
+        ):
+            with pytest.raises(ExprError, match="nests deeper"):
+                parse_expr(text)
 
     def test_variables(self):
         node = parse_expr("a * x + exp(u) * p^2")

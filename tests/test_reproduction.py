@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from agequil import reproduction
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, build_evolution, propagate
 from agequil.expr import Num, parse_expr
@@ -145,6 +146,15 @@ class TestNormalize:
         twice, r_mid = normalize(once, ev0)[:2]
         assert r_mid == pytest.approx(1.0, abs=1e-10)
         assert twice.cb == pytest.approx(once.cb, rel=1e-10)
+
+    def test_a_missed_rescaling_is_refused(self, decay_problem, monkeypatch):
+        # the radius is linear in cb, so one rescaling lands on 1; one that
+        # misses by more than NORMALIZE_TOL raises instead of retrying
+        model, mesh, grid = decay_problem
+        ev0 = build_evolution(model, mesh, grid)
+        monkeypatch.setattr(reproduction, "with_cb", lambda m, cb: with_cb(m, cb * (1 + 1e-8)))
+        with pytest.raises(ReproductionError, match="normalization missed r = 1"):
+            normalize(model, ev0)
 
     def test_round_trips_through_config(self, diffusion_normalized):
         normalized = diffusion_normalized[0]
