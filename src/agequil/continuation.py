@@ -30,13 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# linearized first, so that it and not tridiag loads scipy.linalg: the
-# other order loads the same modules but made `import agequil` about 8%
-# slower (bench setup_s on a 2-core x86-64 VM)
-from .linearized import LinearizedOperators, reformulation_residual
 from .discretize import AssemblyError, gradient_of_slice, slice_derivative
 from .evolution import EvolutionError, EvolutionOperator, build_evolution
 from .expr import diff, evaluate_on
+from .linearized import LinearizedOperators, reformulation_residual
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
 TOL_IDENTITY = 1e-6

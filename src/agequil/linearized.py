@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .discretize import OperatorMatrix, SpatialMesh, assemble
 from .evolution import AgeGrid, EvolutionOperator, apply_K0, build_evolution, propagate
@@ -46,7 +45,7 @@ class LinearizedOperators:
     model is the normalized model, with cb rescaled so that r(Q0) = 1;
     r_before is the spectral radius of Q0 before that rescaling.  r0 and
     perron0 are the spectral radius of the normalized Q0 and its positive
-    eigenvector (max-norm 1).
+    eigenvector (max-norm 1), and birth_block is I - Q0/2.
     """
 
     model: ModelSpec
@@ -56,7 +55,7 @@ class LinearizedOperators:
     r_before: float
     r0: float
     perron0: np.ndarray
-    lu: tuple
+    birth_block: np.ndarray
     a0_parts: list[OperatorMatrix]
 
 
@@ -68,9 +67,9 @@ def build_linearized(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> Line
     """
     ev0 = build_evolution(model, mesh, grid)
     model, r_before, q0, r0, perron0 = normalize(model, ev0)
-    lu = scipy.linalg.lu_factor(np.eye(mesh.nx) - 0.5 * q0)
+    birth_block = np.eye(mesh.nx) - 0.5 * q0
     a0_parts = [assemble(model, mesh, float(grid.ages[k + 1])) for k in range(grid.na)]
-    return LinearizedOperators(model, mesh, grid, ev0, r_before, r0, perron0, lu, a0_parts)
+    return LinearizedOperators(model, mesh, grid, ev0, r_before, r0, perron0, birth_block, a0_parts)
 
 
 def solve_linear(
@@ -81,9 +80,9 @@ def solve_linear(
     if birth_data.shape != (lin.mesh.nx,):
         raise LinearizedError(f"birth data has shape {birth_data.shape}, expected ({lin.mesh.nx},)")
     if source is None:
-        return propagate(lin.ev0, scipy.linalg.lu_solve(lin.lu, birth_data))
+        return propagate(lin.ev0, np.linalg.solve(lin.birth_block, birth_data))
     kf = apply_K0(lin.ev0, source)
-    w = scipy.linalg.lu_solve(lin.lu, birth_data + 0.5 * birth_linear(lin.model, lin.grid, kf))
+    w = np.linalg.solve(lin.birth_block, birth_data + 0.5 * birth_linear(lin.model, lin.grid, kf))
     return propagate(lin.ev0, w) + kf
 
 

@@ -98,7 +98,7 @@ class TestBirthFeedback:
 
 
 class TestPerturbation:
-    def test_linear_model_short_circuits(self):
+    def test_linear_model_has_zero_perturbation(self):
         model, mesh, grid = linear_decay_problem()
         lin = build_linearized(model, mesh, grid)
         u = propagate(lin.ev0, np.linspace(0.5, 1.5, mesh.nx))

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -327,3 +329,37 @@ class TestExactNonnegativity:
         back = tridiag_matvec(lower, diag, upper, x)
         scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(x))))
         np.testing.assert_allclose(back, rhs, rtol=0, atol=5e-9 * scale)
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Every module name of scipy that source imports, statically or by
+    import_module/__import__ with a literal name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+        elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called in ("import_module", "__import__"):
+                names.append(str(node.args[0].value))
+    return [name for name in names if name == "scipy" or name.startswith("scipy.")]
+
+
+def test_only_tridiag_imports_scipy():
+    # scipy sits behind the two LAPACK routines of the tridiagonal kernels
+    package = Path(tridiag.__file__).parent
+    importers = [path.name for path in sorted(package.glob("*.py")) if scipy_imports(path.read_text())]
+    assert importers == ["tridiag.py"]
+
+
+@pytest.mark.parametrize("line", [
+    "import scipy", "import scipy.linalg as sl", "from scipy import linalg",
+    "from scipy.linalg import lu_solve", "importlib.import_module('scipy.linalg')",
+    "__import__('scipy')",
+])
+def test_scipy_imports_sees_every_form(line):
+    assert scipy_imports(line)
+    assert not scipy_imports(line.replace("scipy", "scipyx"))
