@@ -117,14 +117,15 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
         lower[-1] += east_end
         diag[-1] -= 2.0 * dx * model.nu0 * east_end
 
+        # a pure-decay step has no couplings, so only here can a sign break
+        if np.any(lower[1:] > 0) or np.any(upper[:-1] > 0):
+            bands = np.concatenate([lower, upper]).reshape(2 * nx, -1)
+            bad = int(np.argmax(bands.max(axis=1)))
+            raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
+
     h_vals = evaluate_on(model.h, shape, u=u, p=p)
     mu_vals = evaluate_on(model.mu, shape, u=u, a=float(a))
     diag += h_vals + mu_vals
-
-    if np.any(lower[1:] > 0) or np.any(upper[:-1] > 0):
-        bands = np.concatenate([lower, upper]).reshape(2 * nx, -1)
-        bad = int(np.argmax(bands.max(axis=1)))
-        raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
     return OperatorMatrix(lower=lower, diag=diag, upper=upper)
 
 

@@ -351,6 +351,17 @@ class TestErrorsAndEntryPoints:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
+    def test_broken_sign_pattern_exits_1(self, tmp_path, capsys):
+        # D is positive at every point validate_model samples but -2.9 at
+        # x = 1/16, where the nx 16 diffusion stencil reads it
+        cfg = tmp_path / "dip.cfg"
+        text = Path(DECAY).read_text().replace("\nD = 1\n", "\nD = 1 + 1000 * x * (x - 0.125)\n")
+        cfg.write_text(text.replace("pure_decay = true", "pure_decay = false"))
+        argv = ["trace", "--model", str(cfg), "--nx", "16", "--na", "12"]
+        assert main([*argv, "--out", str(tmp_path / "out" / "branch.csv")]) == 1
+        assert capsys.readouterr().err == "error: M-matrix sign pattern violated near row 1\n"
+        assert not (tmp_path / "out").exists()
+
     def test_failed_eigensolve_exits_1(self, capsys, monkeypatch):
         def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

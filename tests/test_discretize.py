@@ -155,6 +155,20 @@ class TestAssemble:
         with pytest.raises(AssemblyError, match="shape"):
             assemble(make_model(h="u"), mesh, a=0.0, u_slice=np.zeros(3))
 
+    # D dips to -2.9 at x = 1/16 between samples where validate_model sees
+    # it positive, so the diffusion flux there couples with the wrong sign
+    SIGN_BREAKING_D = "1 + 1000 * x * (x - 0.125)"
+
+    def test_broken_sign_pattern_raises(self):
+        model = make_model(D=self.SIGN_BREAKING_D, mu="1 + u")
+        with pytest.raises(AssemblyError, match="M-matrix sign pattern violated near row 1"):
+            assemble(model, SpatialMesh(nx=16), a=0.0)
+
+    def test_pure_decay_ignores_the_diffusion_coefficient(self):
+        model = make_model(D=self.SIGN_BREAKING_D, mu="1 + u", pure_decay=True)
+        mat = assemble(model, SpatialMesh(nx=16), a=0.0)
+        assert not mat.lower.any() and not mat.upper.any()
+
     def test_matvec_matches_dense(self):
         mesh = SpatialMesh(nx=7)
         mat = assemble(make_model(D="1 + x", g="1 + u", nu0=0.3), mesh, a=0.1,
