@@ -198,7 +198,7 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
 
 def _check(label: str, ok: bool, detail: str, failures: list[str]) -> None:
     if ok:
-        print(f"ok   {label}")
+        print(f"ok   {label}: {detail}")
     else:
         print(f"FAIL {label}: {detail}")
         failures.append(label)
@@ -272,13 +272,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     d1 = first_step(lin, 1e-2).n - 1.0
     d2 = first_step(lin, 5e-3).n - 1.0
     if abs(d1) < 1e-8 and abs(d2) < 1e-8:
-        _check("local expansion order", True, "", failures)
+        ok, detail = True, "degenerate branch"
     else:
         ratio = d1 / d2 if d2 != 0.0 else np.inf
-        _check(
-            "local expansion order", ratio >= 1.5,
-            f"offset ratio {ratio:.3f} (offsets {d1:.3e}, {d2:.3e})", failures,
-        )
+        ok, detail = ratio >= 1.5, f"offset ratio {ratio:.3f}"
+    _check("local expansion order", ok, f"{detail} (offsets {d1:.3e}, {d2:.3e})", failures)
 
     if failures:
         print(f"{len(failures)} check(s) failed")

@@ -112,6 +112,8 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+        # every passing check says what it measured
+        assert all(": " in line for line in out.splitlines() if line.startswith("ok "))
 
     def test_tampered_radius_column(self, traced, tmp_path, capsys):
         branch = self.copy_run(traced, tmp_path / "run")

@@ -32,7 +32,8 @@ keeps its bytes.
 normalize (the written config and stdout, on every bundled model) and
 verify (stdout, on the two golden traces) were pinned later, before the
 zero-density problem moved onto the general code, at the bits they had
-then.
+then.  The verify digests were re-recorded when a passing check began to
+print what it measured; no output file and no other stdout moved.
 """
 
 import hashlib
@@ -119,11 +120,12 @@ NORMALIZE = {
     ),
 }
 
-# verify's stdout on the branch each golden trace writes; it prints no
-# numbers when every check passes, so the two digests agree
+# verify's stdout on the branch each golden trace writes; a passing check
+# prints what it measured, so a residual that moves within its tolerance
+# still moves the digest
 VERIFY = {
-    "trace-decay": "e53a115aea9a44a4a6279ac3299aaf1058655455d02a558d0dc69959c58a2f6d",
-    "trace-diffusion": "e53a115aea9a44a4a6279ac3299aaf1058655455d02a558d0dc69959c58a2f6d",
+    "trace-decay": "409d205e09007470539154133eea1eb25fd2463a0ab84fa1a9aef09029aff9ad",
+    "trace-diffusion": "6c9edccb4e30700b167046f7682db0558ef3348fdf51afecc28fd3be70e87851",
 }
 
 
