@@ -19,15 +19,48 @@ as they are: the Thomas loop's forward and backward sweeps, in compiled
 code.  Bands with no coupling (every step of a pure-decay model) skip
 both calls: the loop's multipliers are zero and its pivots are the
 diagonal, so the solve is one division by it.
+
+dgttrf and dgttrs are scipy.linalg.lapack's, from scipy's compiled
+module scipy/linalg/_flapack, which is loaded here from its file: the
+__init__ of scipy.linalg takes longer than most runs.  Where the file is
+missing or does not load, they come from scipy.linalg.lapack; the
+compiled code, and so every bit, is the same on either path.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+
+
+def _flapack():
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or name in sys.modules:
+        # no scipy to load from, or scipy.linalg has loaded it already
+        return importlib.import_module(name)
+    path = Path(scipy.submodule_search_locations[0], "linalg", f"_flapack{EXTENSION_SUFFIXES[0]}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # loading entered the module in sys.modules without its parent
+    # package; scipy.linalg, imported later, finds it in the interpreter's
+    # cache of loaded extensions
+    sys.modules.pop(name, None)
+    return module
+
+
+try:
+    _lapack = _flapack()
+except ImportError:
+    from scipy.linalg import lapack as _lapack
+dgttrf, dgttrs = _lapack.dgttrf, _lapack.dgttrs
 
 # dgttrs takes no system of fewer rows
 MIN_ROWS = 3

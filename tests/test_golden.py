@@ -8,7 +8,11 @@ and dgttrs, the bytes also rest on the LAPACK that scipy bundles not
 fusing a multiply and an add into one rounding (checked with scipy
 1.17.1), and the solve with the birth block I - Q0/2 rests on the
 LAPACK that numpy bundles for numpy.linalg.solve (checked with numpy
-2.4.6).  A deliberate change of the numbers re-records them and says
+2.4.6).  tridiag takes dgttrf and dgttrs from scipy's compiled module
+scipy/linalg/_flapack, loaded by its file path or, where that fails,
+through scipy.linalg.lapack; both paths run the same compiled code, so
+the bytes are the same on either.  A deliberate change of the numbers
+re-records them and says
 why.  The two trace cases were re-recorded when the corrector's field
 became one forward march along the age axis instead of Picard sweeps to
 a tolerance: n, eps, r_Qu and the profiles moved by at most 9e-11

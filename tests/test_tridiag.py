@@ -1,5 +1,9 @@
 import ast
+import os
 import re
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -332,8 +336,9 @@ class TestExactNonnegativity:
 
 
 def scipy_imports(source: str) -> list[str]:
-    """Every module name of scipy that source imports, statically or by
-    import_module/__import__ with a literal name."""
+    """Every module name of scipy that source imports or looks up,
+    statically or by import_module, __import__, find_spec or
+    spec_from_file_location with a literal name."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -343,7 +348,7 @@ def scipy_imports(source: str) -> list[str]:
         elif isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
             func = node.func
             called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if called in ("import_module", "__import__"):
+            if called in ("import_module", "__import__", "find_spec", "spec_from_file_location"):
                 names.append(str(node.args[0].value))
     return [name for name in names if name == "scipy" or name.startswith("scipy.")]
 
@@ -358,8 +363,121 @@ def test_only_tridiag_imports_scipy():
 @pytest.mark.parametrize("line", [
     "import scipy", "import scipy.linalg as sl", "from scipy import linalg",
     "from scipy.linalg import lu_solve", "importlib.import_module('scipy.linalg')",
-    "__import__('scipy')",
+    "__import__('scipy')", "importlib.util.find_spec('scipy')", "find_spec('scipy.linalg')",
+    "importlib.util.spec_from_file_location('scipy.linalg._flapack', path)",
+    "spec_from_file_location('scipy', root / '__init__.py')",
 ])
 def test_scipy_imports_sees_every_form(line):
     assert scipy_imports(line)
     assert not scipy_imports(line.replace("scipy", "scipyx"))
+
+
+# A fresh interpreter with src on its path.  Its first argument is "" for
+# the load of _flapack from its file, or a directory that the loader takes
+# for scipy's, so that it finds no loadable _flapack there and falls back
+# to scipy.linalg.lapack; the probe's own code follows this prelude.
+PRELUDE = """
+import importlib.util, sys
+root = sys.argv[1]
+find_spec = importlib.util.find_spec
+if root:
+    importlib.util.find_spec = lambda name, package=None: (
+        importlib.util.spec_from_file_location(name, root + "/__init__.py", submodule_search_locations=[root])
+        if name == "scipy" else find_spec(name, package))
+import agequil
+from agequil import tridiag
+importlib.util.find_spec = find_spec
+"""
+SRC = Path(tridiag.__file__).resolve().parent.parent
+
+
+def probe(code: str, root: str = "", *args: str, before: str = "") -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", before + PRELUDE + code, root, *args], env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def fallback_root(tmp_path: Path, kind: str) -> str:
+    # "missing": no _flapack file; "broken": one that is no shared library
+    if kind == "broken":
+        (tmp_path / "linalg").mkdir()
+        (tmp_path / "linalg" / f"_flapack{EXTENSION_SUFFIXES[0]}").write_bytes(b"")
+    return str(tmp_path)
+
+
+def test_import_leaves_scipy_linalg_and_f2py_unloaded():
+    # scipy.linalg's __init__ loads numpy.f2py and takes longer than most runs
+    proc = probe("print(sorted(m for m in ('scipy.linalg', 'scipy.linalg.lapack', 'numpy.f2py') if m in sys.modules))")
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", ["missing", "broken"])
+def test_routines_fall_back_to_scipy_linalg_lapack(kind, tmp_path):
+    code = (
+        "fell_back = 'scipy.linalg' in sys.modules\n"
+        "from scipy.linalg import lapack\n"
+        "print(fell_back, tridiag.dgttrf is lapack.dgttrf, tridiag.dgttrs is lapack.dgttrs)\n"
+    )
+    assert probe(code, fallback_root(tmp_path, kind)).stdout.split() == ["True", "True", "True"]
+    # loaded from the file, the routines are the objects scipy.linalg exports
+    assert probe(code).stdout.split() == ["False", "True", "True"]
+
+
+# the outputs and stdout of a run on either path; stderr says which path
+# it took and how often it called dgttrf, so a run that never reaches
+# LAPACK shows
+CLI = """
+fell_back = 'scipy.linalg' in sys.modules
+from agequil import cli
+real, calls = tridiag.dgttrf, []
+tridiag.dgttrf = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+code = cli.main(sys.argv[2:])
+print(fell_back, len(calls), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--model", "logistic_diffusion.cfg", "--max-points", "3"],
+    ["fixedpoint", "--model", "logistic_diffusion.cfg", "--nx", "8", "--na", "12", "--tau1", "1"],
+], ids=["trace", "fixedpoint"])
+def test_cli_bytes_are_the_same_on_both_paths(argv, tmp_path):
+    models = SRC.parent / "models"
+    argv = [str(models / arg) if arg.endswith(".cfg") else arg for arg in argv]
+    written = []
+    for side, root in (("file", ""), ("fallback", fallback_root(tmp_path, "missing"))):
+        out = tmp_path / side
+        proc = probe(CLI, root, *argv, "--out", str(out / "out.csv"))
+        fell_back, calls = proc.stderr.split()
+        assert fell_back == str(bool(root)) and int(calls) > 0
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        written.append((files, proc.stdout.replace(str(out), "<out>")))
+    assert written[0] == written[1]
+
+
+# a coupled 40-row system: dgttrf and dgttrs of scipy.linalg.lapack work
+# and give tridiag's bits, whichever of the two is imported first, and
+# scipy.linalg holds the _flapack that sys.modules does
+COEXIST = """
+import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
+assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+rng = np.random.default_rng(40)
+dl, d, du = -rng.uniform(0, 1, 39), rng.uniform(2.5, 3, 40), -rng.uniform(0, 1, 39)
+b = rng.uniform(0, 1, (40, 2))
+def run(routines):
+    factors = routines.dgttrf(dl, d, du)
+    x, info = routines.dgttrs(*factors[:5], b)
+    assert factors[-1] == info == 0
+    return [np.asarray(a).tobytes() for a in (*factors, x)]
+print(run(tridiag) == run(lapack))
+"""
+
+
+@pytest.mark.parametrize("before", ["", "import scipy.linalg\n"])
+def test_scipy_linalg_coexists_with_the_loaded_routines(before):
+    assert probe(COEXIST, before=before).stdout.strip() == "True"
