@@ -143,10 +143,12 @@ def correct(
         return res, ev
 
     res_vec, ev = evaluate(B, n_cur)
-    for iters in range(max_iter):
+    for iters in range(max_iter + 1):
         res_norm = float(np.max(np.abs(res_vec)))
         if res_norm <= _scaled_tol(tol, B):
             break
+        if iters == max_iter:
+            raise ContinuationError(f"corrector did not converge within {max_iter} iterations")
         if not np.isfinite(res_norm) or float(np.max(np.abs(B))) > 1e8:
             raise ContinuationError("corrector diverged")
 
@@ -168,8 +170,6 @@ def correct(
                 break
         else:
             raise ContinuationError(f"corrector stalled at residual {res_norm:.3e}")
-    else:
-        raise ContinuationError(f"corrector did not converge within {max_iter} iterations")
     return _finalize(lin, n_cur, B, ev, iters)
 
 

@@ -48,15 +48,6 @@ class SpatialMesh:
         return np.linspace(0.0, 1.0, self.nx + 1)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Tridiagonal A(u, a) after boundary elimination."""
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-
-
 def gradient_of_slice(u: np.ndarray, dx: float) -> np.ndarray:
     """Centered differences along x, one-sided at the ends, of u (nx,) or (nx, k):
     the arithmetic of np.gradient(u, dx, axis=0) without its per-call set-up."""
@@ -69,8 +60,8 @@ def gradient_of_slice(u: np.ndarray, dx: float) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _plan(D: Expr, g: Expr, h: Expr, pure_decay: bool, mesh: SpatialMesh) -> tuple[bool, dict]:
-    """What every slice's assembly shares: whether g or h reads p, and read-only
-    bands filled as asked for, by age (_static_bands) or on pure decay by shape.
+    """What every slice's assembly shares: whether g or h reads p, and the
+    read-only diffusion bands of each age (_static_bands), filled as asked for.
     Keyed by what it reads, so a model and its renormalization share one."""
     return "p" in variables(h) | (frozenset() if pure_decay else variables(g)), {}
 
@@ -92,18 +83,17 @@ def _static_bands(D: Expr, mesh: SpatialMesh, a: float) -> tuple[np.ndarray, flo
     return bands, east, not (np.any(bands[0, 1:] > 0) or np.any(bands[2, :-1] > 0) or east > 0)
 
 
-def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray | None = None) -> OperatorMatrix:
-    """Assemble A(u, a) + mu(u, a) as a tridiagonal matrix.
+def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray) -> np.ndarray:
+    """Bands of A(u, a) + mu(u, a), one (3,) + u_slice.shape array whose rows
+    are lower, diag and upper, as tridiag takes them.
 
-    An absent u_slice is the zero slice, whose matrix is the linear part
-    with zero-order term theta(a).  A slice of shape (nx, k) gives k
-    matrices side by side, as (nx, k) bands whose column j is, bit for
-    bit, the matrix of column j alone.  What does not depend on the slice
-    comes from the plan of the model's D, g, h and pure_decay on the mesh,
-    as do the shared read-only zero off-diagonals of pure decay.
+    A slice of shape (nx, k) gives k matrices side by side: column j of
+    each row is, bit for bit, the band of column j alone.  Every call
+    returns a fresh writable array.  What does not depend on the slice
+    comes from the plan of the model's D, g, h and pure_decay on the mesh.
     """
     nx, dx, a = mesh.nx, mesh.dx, float(a)
-    u = np.zeros(nx) if u_slice is None else np.asarray(u_slice, dtype=float)
+    u = np.asarray(u_slice, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != nx:
         raise AssemblyError(f"u_slice has shape {u.shape}, expected ({nx},) or ({nx}, k)")
     reads_p, static = _plan(model.D, model.g, model.h, model.pure_decay, mesh)
@@ -111,10 +101,7 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
     shape = u.shape
 
     if model.pure_decay:
-        if shape not in static:
-            static[shape] = np.broadcast_to(0.0, shape)
-        lower = upper = static[shape]
-        diag = np.zeros(shape)
+        lower, diag, upper = bands = np.zeros((3,) + shape)
     else:
         diffusion, east, signs_kept = static.get(a) or static.setdefault(a, _static_bands(model.D, mesh, a))
         lower, diag, upper = bands = np.empty((3,) + shape)
@@ -139,7 +126,7 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray 
             raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
 
     diag += evaluate(model.h, env) + evaluate(model.mu, {"u": u, "a": a})
-    return OperatorMatrix(lower=lower, diag=diag, upper=upper)
+    return bands
 
 
 def slice_derivative(

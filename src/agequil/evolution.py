@@ -13,9 +13,9 @@ Because step k reads only the slice at a_k, the self-consistent field of
 a birth vector B, the field that its own evolution propagates B into, is
 a causal recursion: u_0 = B, u_{k+1} = (I + da * A_h(u_k, a_{k+1}))^{-1} u_k.
 build_evolution(..., birth=B) marches it in one forward pass for one
-birth vector (nx,), factoring each step as it goes; there are no batched
-marches or propagation.  The linear evolution Pi_0 is the build on the
-zero field, by the same code as any other.
+birth vector (nx,), factoring each step as it goes.  The linear
+evolution Pi_0 is the build on the zero field, by the same code as any
+other.
 """
 
 from __future__ import annotations
@@ -117,9 +117,10 @@ def build_evolution(
     da = grid.da
     steps: list[FactoredTridiag] = []
     for k in range(grid.na):
-        mat = assemble(model, mesh, float(grid.ages[k + 1]), u[k])
+        bands = da * assemble(model, mesh, float(grid.ages[k + 1]), u[k])
+        bands[1] += 1.0  # the bits of 1.0 + da * diag
         try:
-            step = factor_tridiag(da * mat.lower, 1.0 + da * mat.diag, da * mat.upper)
+            step = factor_tridiag(*bands)
         except SingularTridiagError as exc:
             raise EvolutionError(f"singular one-step matrix at age index {k + 1}: {exc}") from exc
         steps.append(step)

@@ -1,6 +1,6 @@
 """Linear solves against the zero-density evolution and the branch
 reformulation built on them.  The linear evolution is build_evolution on
-the zero field; there are no batched marches or propagation.
+the zero field.
 
 The central solve: given a source field f and birth data c, find the field
 v with
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import OperatorMatrix, SpatialMesh, assemble
+from .discretize import SpatialMesh, assemble
 from .evolution import AgeGrid, EvolutionOperator, apply_K0, build_evolution, propagate
 from .model import ModelSpec
 from .reproduction import birth_linear, birth_star, normalize
@@ -45,7 +45,8 @@ class LinearizedOperators:
     model is the normalized model, with cb rescaled so that r(Q0) = 1;
     r_before is the spectral radius of Q0 before that rescaling.  r0 and
     perron0 are the spectral radius of the normalized Q0 and its positive
-    eigenvector (max-norm 1), and birth_block is I - Q0/2.
+    eigenvector (max-norm 1), and birth_block is I - Q0/2.  a0_parts
+    stacks the bands of A0(a_{k+1}) for k = 0..na-1, (na, 3, nx).
     """
 
     model: ModelSpec
@@ -56,7 +57,7 @@ class LinearizedOperators:
     r0: float
     perron0: np.ndarray
     birth_block: np.ndarray
-    a0_parts: list[OperatorMatrix]
+    a0_parts: np.ndarray
 
 
 def build_linearized(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> LinearizedOperators:
@@ -68,7 +69,7 @@ def build_linearized(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid) -> Line
     ev0 = build_evolution(model, mesh, grid)
     model, r_before, q0, r0, perron0 = normalize(model, ev0)
     birth_block = np.eye(mesh.nx) - 0.5 * q0
-    a0_parts = [assemble(model, mesh, float(grid.ages[k + 1])) for k in range(grid.na)]
+    a0_parts = np.stack([assemble(model, mesh, float(a), u_k) for a, u_k in zip(grid.ages[1:], ev0.source)])
     return LinearizedOperators(model, mesh, grid, ev0, r_before, r0, perron0, birth_block, a0_parts)
 
 
@@ -99,14 +100,10 @@ def perturbation_source(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
     a field propagated by its own evolution satisfies the stepped linear
     equations with exactly this source.  Row na is unused and stays zero.
     """
+    au = np.stack([assemble(lin.model, lin.mesh, float(a), u_k) for a, u_k in zip(lin.grid.ages[1:], u)])
     source = np.zeros(u.shape)
-    for k in range(lin.grid.na):
-        a_next = float(lin.grid.ages[k + 1])
-        au = assemble(lin.model, lin.mesh, a_next, u[k])
-        a0 = lin.a0_parts[k]
-        source[k] = -tridiag_matvec(
-            au.lower - a0.lower, au.diag - a0.diag, au.upper - a0.upper, u[k + 1]
-        )
+    # ages on the trailing batch axis: row k of the source is column k of the product
+    source[:-1] = -tridiag_matvec(*(au - lin.a0_parts).transpose(1, 2, 0), u[1:].T).T
     return source
 
 

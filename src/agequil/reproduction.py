@@ -3,10 +3,10 @@
 Q(u) w = integral of  cb * b(u(a)) * (Pi_u(a,0) w)  over age, assembled
 column by column from the factored evolution steps with trapezoid
 quadrature.  Q0 is Q of the linear evolution, the build on the zero
-field; there are no batched marches or propagation.  The eigensolver is
-power iteration from the all-ones vector; when its bracket stagnates on
-a nearly tied dominant pair it hands over to one dense
-eigendecomposition, whose radius is checked against that bracket.
+field.  The eigensolver is power iteration from the all-ones vector;
+when its bracket stagnates on a nearly tied dominant pair it hands over
+to one dense eigendecomposition, whose radius is checked against that
+bracket.
 """
 
 from __future__ import annotations

@@ -12,14 +12,17 @@ thomas_factor and thomas_solve are the Thomas recurrence as plain
 Python loops, the reference that the package's LAPACK factor and solve
 must match bit for bit.  assemble_general assembles every coefficient
 on every call, with no plan, the reference that assemble must match bit
-for bit.  The solvers from operator_matvec on serve only
-the tests and, unlike the recursions, reuse the package's building
-blocks: the Thomas solve, power iteration, the linear birth functional
-and solve, the evolution build and propagation, the shell probes'
-sampled fields, and the corrector and branch tracer (solve_at_norm,
-which pins a branch point's amplitude).  corrector_jacobian_cd
-differences the corrector's residual through whole marches, the
-reference for its exact Jacobian.
+for bit; like assemble it returns bands (3,) + u_slice.shape, rows
+lower, diag and upper.  perturbation_source_per_age forms the
+perturbation source one age at a time on those bands, the reference
+for the product over all ages.  The solvers from operator_matvec on
+serve only the tests and, unlike the recursions, reuse the package's
+building blocks: the Thomas solve, power iteration, the linear birth
+functional and solve, the evolution build and propagation, the shell
+probes' sampled fields, and the corrector and branch tracer
+(solve_at_norm, which pins a branch point's amplitude).
+corrector_jacobian_cd differences the corrector's residual through
+whole marches, the reference for its exact Jacobian.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from agequil.continuation import BranchPoint, ContinuationError, Plane, correct, trace_branch
-from agequil.discretize import AssemblyError, OperatorMatrix, gradient_of_slice
+from agequil.discretize import AssemblyError, gradient_of_slice
 from agequil.evolution import build_evolution, propagate
 from agequil.expr import evaluate
 from agequil.fixedpoint import _sample_fields
@@ -178,10 +181,10 @@ def _evaluate_on(node, shape: tuple[int, ...], **env) -> np.ndarray:
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
-def assemble_general(model, mesh, a: float, u_slice: np.ndarray | None = None) -> OperatorMatrix:
+def assemble_general(model, mesh, a: float, u_slice: np.ndarray) -> np.ndarray:
     """assemble with every coefficient evaluated and broadcast on each call."""
     nx, dx = mesh.nx, mesh.dx
-    u = np.zeros(nx) if u_slice is None else np.asarray(u_slice, dtype=float)
+    u = np.asarray(u_slice, dtype=float)
     p = gradient_of_slice(u, dx)
     shape = u.shape
     lower, diag, upper = np.zeros(shape), np.zeros(shape), np.zeros(shape)
@@ -212,35 +215,45 @@ def assemble_general(model, mesh, a: float, u_slice: np.ndarray | None = None) -
     h_vals = _evaluate_on(model.h, shape, u=u, p=p)
     mu_vals = _evaluate_on(model.mu, shape, u=u, a=float(a))
     diag += h_vals + mu_vals
-    return OperatorMatrix(lower=lower, diag=diag, upper=upper)
+    return np.stack([lower, diag, upper])
 
 
-def operator_matvec(matrix: OperatorMatrix, v: np.ndarray) -> np.ndarray:
-    return tridiag_matvec(matrix.lower, matrix.diag, matrix.upper, np.asarray(v, dtype=float))
+def operator_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return tridiag_matvec(*bands, np.asarray(v, dtype=float))
 
 
-def operator_dense(matrix: OperatorMatrix) -> np.ndarray:
-    out = np.diag(matrix.diag)
-    out += np.diag(matrix.lower[1:], k=-1)
-    out += np.diag(matrix.upper[:-1], k=1)
-    return out
+def operator_dense(bands: np.ndarray) -> np.ndarray:
+    lower, diag, upper = bands
+    return np.diag(diag) + np.diag(lower[1:], k=-1) + np.diag(upper[:-1], k=1)
 
 
-def smallest_eigenvalue(matrix: OperatorMatrix, tol: float = 1e-12, max_iter: int = 50000) -> float:
+def perturbation_source_per_age(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
+    """perturbation_source one age at a time, A(u_k) and A0 from
+    assemble_general: the reference for the product over all ages at once."""
+    source = np.zeros(u.shape)
+    for k in range(lin.grid.na):
+        a_next = float(lin.grid.ages[k + 1])
+        au = assemble_general(lin.model, lin.mesh, a_next, u[k])
+        a0 = assemble_general(lin.model, lin.mesh, a_next, np.zeros(lin.mesh.nx))
+        source[k] = -tridiag_matvec(au[0] - a0[0], au[1] - a0[1], au[2] - a0[2], u[k + 1])
+    return source
+
+
+def smallest_eigenvalue(bands: np.ndarray, tol: float = 1e-12, max_iter: int = 50000) -> float:
     """Smallest real eigenvalue by inverse power iteration with shift 0.
 
     Convergence checks of the spatial operator compare it with
     closed-form eigenvalues.  Unlike the recursions above it reuses the
     package's Thomas factorization; the closed forms stay independent.
     """
-    fac = factor_tridiag(matrix.lower, matrix.diag, matrix.upper)
-    v = np.ones(matrix.diag.shape[0])
+    fac = factor_tridiag(*bands)
+    v = np.ones(bands.shape[1])
     v /= np.linalg.norm(v)
     lam = float("nan")
     for _ in range(max_iter):
         w = fac.solve(v)
         w /= np.linalg.norm(w)
-        aw = operator_matvec(matrix, w)
+        aw = operator_matvec(bands, w)
         lam = float(w @ aw)
         if np.linalg.norm(aw - lam * w) <= tol * max(abs(lam), 1e-30):
             return lam

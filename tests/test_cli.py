@@ -432,7 +432,7 @@ class TestErrorsAndEntryPoints:
     def test_blas_threads_capped_unless_set(self):
         names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
         probe = f"import os, agequil; print(*(os.environ[v] for v in {names!r}))"
-        env = {k: v for k, v in os.environ.items() if k not in names}
+        env = {k: v for k, v in src_env().items() if k not in names}
         for preset, want in ((None, "1 1 1"), ("3", "3 3 3")):
             if preset is not None:
                 env.update(dict.fromkeys(names, preset))
@@ -457,7 +457,7 @@ class TestErrorsAndEntryPoints:
             "import agequil\n"
             "print(seen)\n"
         )
-        env = {k: v for k, v in os.environ.items() if k not in names}
+        env = {k: v for k, v in src_env().items() if k not in names}
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['1']"
@@ -465,7 +465,7 @@ class TestErrorsAndEntryPoints:
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "agequil", "--help"],
-            capture_output=True, text=True,
+            env=src_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0
         assert "normalize" in proc.stdout

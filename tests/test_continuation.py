@@ -182,6 +182,16 @@ class TestCorrect:
         assert jacobians == [] and batches == []
         assert set(solves) <= {(nx, nx)}
 
+    @pytest.mark.parametrize("start", [1.01, 1.1, 1.3])
+    def test_a_budget_of_the_steps_taken_converges(self, decay_branch, decay_lin, start):
+        # the residual after the last step allowed is checked, not skipped
+        p = decay_branch.nontrivial()[4]
+        free = correct(decay_lin, p.n, start * p.B, fixed_n(p.B, p.n))
+        assert free.newton_iters >= 1
+        tight = correct(decay_lin, p.n, start * p.B, fixed_n(p.B, p.n), max_iter=free.newton_iters)
+        assert tight.newton_iters == free.newton_iters and tight.n == free.n
+        assert tight.B.tobytes() == free.B.tobytes() and tight.u.tobytes() == free.u.tobytes()
+
     def test_iteration_budget_enforced(self, decay_branch, decay_lin):
         p = decay_branch.nontrivial()[4]
         with pytest.raises(ContinuationError, match="within 1 iterations"):

@@ -13,8 +13,10 @@ from agequil.evolution import (
 )
 from agequil.expr import Num, parse_expr
 from agequil.model import ModelSpec
+from agequil.tridiag import factor_tridiag
 
-from oracles import decay_rows, k0_const_rows, logistic_rows
+from conftest import load_problem
+from oracles import assemble_general, decay_rows, k0_const_rows, logistic_rows
 
 
 def decay_model(mu: str = "1") -> ModelSpec:
@@ -135,6 +137,36 @@ class TestPropagate:
         combo = propagate(ev, 2.0 * B1 - 0.5 * B2)
         parts = 2.0 * propagate(ev, B1) - 0.5 * propagate(ev, B2)
         np.testing.assert_allclose(combo, parts, atol=1e-13)
+
+
+class TestSteps:
+    ROBIN = ModelSpec(
+        a_max=1.0,
+        D=parse_expr("1 + a * x + exp(-a)"), g=parse_expr("p - 2 * u * exp(-u)"), h=parse_expr("0.2 * u"),
+        mu=parse_expr("1 + a * u^2"), b=Num(1.0), nu0=0.7,
+    )
+
+    @pytest.mark.parametrize("name", ["logistic_diffusion.cfg", "logistic_decay.cfg", "robin"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_factors_have_the_bits_of_the_scaled_oracle_bands(self, name, batched):
+        # step k is factor_tridiag(da * lower, 1 + da * diag, da * upper) of
+        # A(u_k, a_{k+1}), on a march or on a frozen field of 3 columns
+        model = self.ROBIN if name == "robin" else load_problem(name)[0]
+        mesh, grid = SpatialMesh(nx=9), AgeGrid(na=8, a_max=model.a_max)
+        if batched:
+            u = np.random.default_rng(5).uniform(0, 2, (grid.na + 1, mesh.nx, 3))
+            ev = build_evolution(model, mesh, grid, u)
+        else:
+            ev = build_evolution(model, mesh, grid, birth=np.linspace(0.2, 1.0, mesh.nx))
+        da = grid.da
+        for k, step in enumerate(ev.steps):
+            lower, diag, upper = assemble_general(model, mesh, grid.ages[k + 1], ev.source[k])
+            want = factor_tridiag(da * lower, 1.0 + da * diag, da * upper)
+            assert step.shape == want.shape == ev.source.shape[1:]
+            for got_f, want_f in ((step.mult, want.mult), (step.piv, want.piv), (step.upper, want.upper)):
+                assert (got_f is None) == (want_f is None)
+                if want_f is not None:
+                    assert np.array_equal(got_f, want_f) and np.array_equal(np.signbit(got_f), np.signbit(want_f))
 
 
 class TestDuhamel:

@@ -3,7 +3,7 @@ import pytest
 
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, propagate
-from agequil.expr import Num
+from agequil.expr import Num, parse_expr
 from agequil.linearized import (
     LinearizedError,
     apply_birth_feedback,
@@ -16,7 +16,15 @@ from agequil.linearized import (
 from agequil.model import ModelSpec, with_cb
 from agequil.reproduction import assemble_Q, spectral_radius
 
-from oracles import birth_feedback_eigenvalue, decay_rows, discrete_r0, linear_residuals, shell_root
+from conftest import load_problem
+from oracles import (
+    birth_feedback_eigenvalue,
+    decay_rows,
+    discrete_r0,
+    linear_residuals,
+    perturbation_source_per_age,
+    shell_root,
+)
 
 
 def linear_decay_problem(na: int = 80) -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
@@ -114,6 +122,21 @@ class TestPerturbation:
         f = perturbation_source(decay_lin, u)
         np.testing.assert_allclose(f[:-1], -u[:-1] * u[1:], rtol=1e-13, atol=1e-15)
         np.testing.assert_array_equal(f[-1], np.zeros(nx))
+
+    @pytest.mark.parametrize("name", ["logistic_diffusion.cfg", "logistic_decay.cfg", "robin"])
+    def test_source_has_the_bits_of_the_per_age_loop(self, name):
+        # D reads a and x, and nu0 = 0.7 closes the Robin end
+        robin = ModelSpec(
+            a_max=1.0,
+            D=parse_expr("1 + a * x + exp(-a)"), g=parse_expr("0.1 * p"), h=parse_expr("0.2 * u"),
+            mu=parse_expr("1 + a * u^2"), b=Num(1.0), nu0=0.7,
+        )
+        model = robin if name == "robin" else load_problem(name)[0]
+        lin = build_linearized(model, SpatialMesh(nx=9), AgeGrid(na=10, a_max=model.a_max))
+        u = np.random.default_rng(11).uniform(0, 2, (lin.grid.na + 1, lin.mesh.nx))
+        u[3] = -0.0
+        got, want = perturbation_source(lin, u), perturbation_source_per_age(lin, u)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_linear_model_identity_at_unit_fertility(self):
         model, mesh, grid = linear_decay_problem()
