@@ -31,6 +31,7 @@ import numpy as np
 from .continuation import (
     ContinuationError,
     branch_stats,
+    check_trace_flags,
     first_step,
     trace_branch,
 )
@@ -139,6 +140,7 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    check_trace_flags(args.eps0, args.step, args.max_points, args.n_cap, args.norm_cap, args.tol)
     lin = build_linearized(*_load_problem(args.model, args.nx, args.na))
     print(f"r(Q0) before normalization: {_fmt(lin.r_before)}")
     branch = trace_branch(

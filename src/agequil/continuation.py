@@ -7,16 +7,16 @@ The branch lives in (n, B) space: a corrected point solves
 
 where u(B), the self-consistent field of B, is one forward march
 (build_evolution with birth=B): each age step is frozen at the previous
-age slice.  That causality makes the exact Jacobian a tangent march,
-all nx directions at once, on the march's own factored steps, so a
-Newton step assembles and factors nothing new.  The trivial solution
-exists for every n; the nontrivial branch leaves it at n = 1 along the
-Perron direction of Q0.  The first step pins the amplitude along that
-direction and frees n; later steps are pseudo-arclength: a secant
-predictor, then Newton on (B, n) bordered by the plane through the
-predictor (a fixed n is the plane n = const).  Tolerances are relative
-to the birth vector scale, so early points (amplitudes around 1e-3) are
-resolved as sharply as later ones.
+age slice.  That causality makes the exact Jacobian a tangent march on
+the march's own factored steps, only of its diagonal where the tangent
+stays diagonal, so a Newton step assembles and factors nothing new.  The
+trivial solution exists for every n; the nontrivial branch leaves it at
+n = 1 along the Perron direction of Q0.  The first step pins the
+amplitude along that direction and frees n; later steps are
+pseudo-arclength: a secant predictor, then Newton on (B, n) bordered by
+the plane through the predictor (a fixed n is the plane n = const).
+Tolerances are relative to the birth vector scale, so early points
+(amplitudes around 1e-3) are resolved as sharply as later ones.
 
 The corrector and the tracers take the zero-density problem,
 LinearizedOperators, as their one problem handle.  build_linearized is
@@ -178,25 +178,28 @@ def _corrector_jacobian(lin: LinearizedOperators, n: float, ev: EvolutionOperato
 
     The march solves (I + da A(u_k, a_{k+1})) u_{k+1} = u_k; its tangent
     dU_0 = I, dU_{k+1} = S_k^{-1} (dU_k - da J_k dU_k) runs on the march's
-    factored steps S_k, J_k from slice_derivative (no G term if beta = 0).
-    B block I - n dl, dl = sum_k w_k cb (b + b' u)(u_k) dU_k; n column
-    -l(u).  A non-finite entry raises ContinuationError.
+    factored steps S_k, J_k from slice_derivative (no G term if beta = 0;
+    then on diagonal steps only the diagonal of dU_k is marched).  B block
+    I - n dl, dl = sum_k w_k cb (b + b' u)(u_k) dU_k; n column -l(u).  A
+    non-finite entry raises ContinuationError.
     """
     model, mesh, grid, u = lin.model, lin.mesh, lin.grid, ev.source
     alpha, beta = slice_derivative(model, mesh, grid.ages[1:], u[:-1], u[1:])
     keep, shift = 1.0 - grid.da * alpha, grid.da * beta if np.any(beta) else None
     b_slope = evaluate_on(model.b, u.shape, u=u) + u * evaluate_on(diff(model.b, "u"), u.shape, u=u)
     weight = model.cb * grid.weights[:, None] * b_slope
-    du, dl = np.eye(mesh.nx), np.diag(weight[0])
+    diagonal = ev.diagonal and shift is None
+    rows = np.s_[:] if diagonal else np.s_[:, None]
+    du, dl = (np.ones(mesh.nx), weight[0].copy()) if diagonal else (np.eye(mesh.nx), np.diag(weight[0]))
     # an overflow in the tangent march shows as a non-finite entry
     with np.errstate(over="ignore", invalid="ignore"):
         for k, step in enumerate(ev.steps):
-            rhs = keep[k][:, None] * du
+            rhs = keep[k][rows] * du
             if shift is not None:
                 rhs -= shift[k][:, None] * gradient_of_slice(du, mesh.dx)
-            du = step.solve(rhs)
-            dl += weight[k + 1][:, None] * du
-        top = np.column_stack([np.eye(mesh.nx) - n * dl, -birth_functional(model, grid, u)])
+            du = rhs / step.piv if diagonal else step.solve(rhs)
+            dl += weight[k + 1][rows] * du
+        top = np.column_stack([np.eye(mesh.nx) - n * (np.diag(dl) if diagonal else dl), -birth_functional(model, grid, u)])
     jac = np.vstack([top, np.append(plane.normal_B, plane.normal_n)])
     if not np.all(np.isfinite(jac)):
         raise ContinuationError("non-finite corrector Jacobian")
@@ -268,6 +271,17 @@ def first_step(lin: LinearizedOperators, eps0: float, *, tol: float = 1e-9) -> B
     return point
 
 
+def check_trace_flags(eps0: float, step: float, max_points: int, n_cap: float, norm_cap: float, tol: float) -> None:
+    """Raise ContinuationError for a flag trace_branch refuses, before any work."""
+    for name, value in (("eps0", eps0), ("step", step), ("tol", tol)):
+        if not (np.isfinite(value) and value > 0):
+            raise ContinuationError(f"{name} must be positive and finite, got {value!r}")
+    if max_points < 1:
+        raise ContinuationError(f"max_points must be at least 1, got {max_points!r}")
+    if np.isnan(n_cap) or np.isnan(norm_cap):
+        raise ContinuationError("n_cap and norm_cap must not be NaN")
+
+
 def trace_branch(
     lin: LinearizedOperators,
     *,
@@ -287,13 +301,7 @@ def trace_branch(
     branch ran into another characteristic value.  An infinite cap turns
     that cap off.
     """
-    for name, value in (("eps0", eps0), ("step", step), ("tol", tol)):
-        if not (np.isfinite(value) and value > 0):
-            raise ContinuationError(f"{name} must be positive and finite, got {value!r}")
-    if max_points < 1:
-        raise ContinuationError(f"max_points must be at least 1, got {max_points!r}")
-    if np.isnan(n_cap) or np.isnan(norm_cap):
-        raise ContinuationError("n_cap and norm_cap must not be NaN")
+    check_trace_flags(eps0, step, max_points, n_cap, norm_cap, tol)
     branch = Branch()
     branch.points.append(first_step(lin, 0.0, tol=tol))
     p1 = first_step(lin, eps0, tol=tol)

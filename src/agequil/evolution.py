@@ -75,13 +75,15 @@ class EvolutionOperator:
     A field is an array whose row k is the slice at age a_k: (na+1, nx),
     or (na+1, nx, k) for k fields side by side along a trailing batch
     axis.  source is the field the quasilinear coefficients were evaluated
-    on; the zero field gives the linear evolution Pi_0.
+    on; the zero field gives the linear evolution Pi_0.  diagonal says
+    that every step is diagonal (mult is None), and so every Pi(a_k, 0).
     """
 
     steps: list[FactoredTridiag]
     grid: AgeGrid
     mesh: SpatialMesh
     source: np.ndarray = field(repr=False)
+    diagonal: bool
 
 
 def build_evolution(
@@ -126,7 +128,7 @@ def build_evolution(
         steps.append(step)
         if birth is not None:
             u[k + 1] = step.solve(u[k])
-    return EvolutionOperator(steps=steps, grid=grid, mesh=mesh, source=u)
+    return EvolutionOperator(steps, grid, mesh, u, all(step.mult is None for step in steps))
 
 
 def _birth_array(B: np.ndarray, nx: int) -> np.ndarray:
@@ -141,6 +143,10 @@ def _birth_array(B: np.ndarray, nx: int) -> np.ndarray:
 def propagate(ev: EvolutionOperator, B: np.ndarray) -> np.ndarray:
     """Field with rows Pi(a_k, 0) B, B (nx,); exactly nonnegative when B is."""
     B = _birth_array(B, ev.mesh.nx)
+    if ev.diagonal:
+        # B / piv_0 / piv_1 / ..., the bits of one solve per step
+        values = np.stack([B, *(step.piv for step in ev.steps)])
+        return np.divide.accumulate(values, axis=0, out=values)
     values = np.empty((ev.grid.na + 1, ev.mesh.nx))
     values[0] = B
     for k, step in enumerate(ev.steps):

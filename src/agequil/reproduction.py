@@ -1,12 +1,12 @@
 """Net reproduction operator Q(u) and the fertility normalization.
 
-Q(u) w = integral of  cb * b(u(a)) * (Pi_u(a,0) w)  over age, assembled
-column by column from the factored evolution steps with trapezoid
-quadrature.  Q0 is Q of the linear evolution, the build on the zero
-field.  The eigensolver is power iteration from the all-ones vector;
-when its bracket stagnates on a nearly tied dominant pair it hands over
-to one dense eigendecomposition, whose radius is checked against that
-bracket.
+Q(u) w = integral of  cb * b(u(a)) * (Pi_u(a,0) w)  over age, by
+trapezoid quadrature on the factored evolution steps: column by column,
+or only the diagonal where every step is diagonal.  Q0 is Q of the
+linear evolution, the build on the zero field.  The eigensolver is power
+iteration from the all-ones vector; when its bracket stagnates on a
+nearly tied dominant pair it hands over to one dense eigendecomposition,
+whose radius is checked against that bracket.
 """
 
 from __future__ import annotations
@@ -64,14 +64,23 @@ def birth_star(model: ModelSpec, grid: AgeGrid, values: np.ndarray) -> np.ndarra
 def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
     """Dense (nx, nx) matrix of Q(u), u being the field ev was frozen at.
 
-    The age propagation of every unit basis vector is accumulated in one
-    pass, with the fertility weights evaluated on ev.source.  An evolution
-    batched over k fields gives (nx, nx, k), each matrix with the bits of
-    its own single build.
+    Every unit basis vector is pushed through the ages in one pass, with
+    the fertility weights evaluated on ev.source; on a diagonal evolution
+    only the diagonal is, all ages at once, summed in the pass's order.
+    An evolution batched over k fields gives (nx, nx, k), each matrix with
+    the bits of its own single build.
     """
     nx = ev.mesh.nx
     w = ev.grid.weights
     bvals = birth_density(model, ev.source)
+    if ev.diagonal:
+        terms = np.stack([np.ones(bvals.shape[1:]), *(step.piv for step in ev.steps)])
+        np.divide.accumulate(terms, axis=0, out=terms)
+        terms *= bvals
+        terms *= w.reshape((-1,) + (1,) * (bvals.ndim - 1))
+        q = np.zeros((nx, nx) + bvals.shape[2:])
+        q[np.arange(nx), np.arange(nx)] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+        return q
     basis = np.zeros((nx, nx) + bvals.shape[2:])
     basis[np.arange(nx), np.arange(nx)] = 1.0
     q = w[0] * (bvals[0][:, None] * basis)

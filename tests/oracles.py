@@ -23,6 +23,12 @@ probes' sampled fields, and the corrector and branch tracer
 (solve_at_norm, which pins a branch point's amplitude).
 corrector_jacobian_cd differences the corrector's residual through
 whole marches, the reference for its exact Jacobian.
+
+assemble_Q_columns, corrector_jacobian_columns and propagate_by_steps
+push a dense basis or one vector through every step's solve, one age at
+a time, whether or not the steps are diagonal: the references that the
+diagonal paths of assemble_Q, _corrector_jacobian and propagate must
+match bit for bit.
 """
 
 from __future__ import annotations
@@ -33,15 +39,16 @@ import numpy as np
 from scipy.optimize import brentq
 
 from agequil.continuation import BranchPoint, ContinuationError, Plane, correct, trace_branch
-from agequil.discretize import AssemblyError, gradient_of_slice
+from agequil.discretize import AssemblyError, gradient_of_slice, slice_derivative
 from agequil.evolution import build_evolution, propagate
-from agequil.expr import evaluate
+from agequil.expr import diff, evaluate, evaluate_on
 from agequil.fixedpoint import _sample_fields
 from agequil.linearized import LinearizedOperators, apply_birth_feedback
 from agequil.reproduction import (
     ReproductionError,
     _power_iteration,
     assemble_Q,
+    birth_density,
     birth_functional,
     birth_linear,
     spectral_radius,
@@ -451,3 +458,49 @@ def solve_at_norm(lin: LinearizedOperators, target: float) -> BranchPoint:
     raise ContinuationError(
         f"amplitude solve did not reach target {target} (best {point.eps!r})"
     )
+
+
+def assemble_Q_columns(model, ev) -> np.ndarray:
+    """assemble_Q by an identity basis pushed through every step's solve."""
+    nx = ev.mesh.nx
+    w = ev.grid.weights
+    bvals = birth_density(model, ev.source)
+    basis = np.zeros((nx, nx) + bvals.shape[2:])
+    basis[np.arange(nx), np.arange(nx)] = 1.0
+    q = w[0] * (bvals[0][:, None] * basis)
+    for k in range(ev.grid.na):
+        basis = ev.steps[k].solve(basis)
+        q += w[k + 1] * (bvals[k + 1][:, None] * basis)
+    return q
+
+
+def corrector_jacobian_columns(lin: LinearizedOperators, n: float, ev, plane: Plane) -> np.ndarray:
+    """The corrector's exact Jacobian by an (nx, nx) tangent march through
+    every step's solve; raises ContinuationError as the corrector does."""
+    model, mesh, grid, u = lin.model, lin.mesh, lin.grid, ev.source
+    alpha, beta = slice_derivative(model, mesh, grid.ages[1:], u[:-1], u[1:])
+    keep, shift = 1.0 - grid.da * alpha, grid.da * beta if np.any(beta) else None
+    b_slope = evaluate_on(model.b, u.shape, u=u) + u * evaluate_on(diff(model.b, "u"), u.shape, u=u)
+    weight = model.cb * grid.weights[:, None] * b_slope
+    du, dl = np.eye(mesh.nx), np.diag(weight[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, step in enumerate(ev.steps):
+            rhs = keep[k][:, None] * du
+            if shift is not None:
+                rhs -= shift[k][:, None] * gradient_of_slice(du, mesh.dx)
+            du = step.solve(rhs)
+            dl += weight[k + 1][:, None] * du
+        top = np.column_stack([np.eye(mesh.nx) - n * dl, -birth_functional(model, grid, u)])
+    jac = np.vstack([top, np.append(plane.normal_B, plane.normal_n)])
+    if not np.all(np.isfinite(jac)):
+        raise ContinuationError("non-finite corrector Jacobian")
+    return jac
+
+
+def propagate_by_steps(ev, B: np.ndarray) -> np.ndarray:
+    """propagate by one solve per step."""
+    values = np.empty((ev.grid.na + 1, ev.mesh.nx))
+    values[0] = B
+    for k, step in enumerate(ev.steps):
+        values[k + 1] = step.solve(values[k])
+    return values

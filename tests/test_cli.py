@@ -300,7 +300,8 @@ class TestErrorsAndEntryPoints:
     def test_bad_trace_inputs_exit_1(self, flags, tmp_path, capsys):
         argv = ["trace", "--model", DECAY, "--nx", "4", "--na", "12", "--max-points", "2"]
         assert main([*argv, *flags, "--out", str(tmp_path / "branch.csv")]) == 1
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert flags[0].lstrip("-").replace("-", "_") in err
         assert not any(tmp_path.iterdir())
