@@ -118,15 +118,18 @@ def build_evolution(
             raise EvolutionError(f"frozen field of shape {u.shape} does not match the grids")
     da = grid.da
     steps: list[FactoredTridiag] = []
-    for k in range(grid.na):
-        bands = da * assemble(model, mesh, float(grid.ages[k + 1]), u[k])
+    for k, a in enumerate(grid.ages[1:].tolist()):
+        bands = assemble(model, mesh, a, u[k])
+        bands *= da
         bands[1] += 1.0  # the bits of 1.0 + da * diag
         try:
             step = factor_tridiag(*bands)
         except SingularTridiagError as exc:
             raise EvolutionError(f"singular one-step matrix at age index {k + 1}: {exc}") from exc
         steps.append(step)
-        if birth is not None:
+        if birth is not None and step.mult is None:  # the bits of step.solve, without its checks
+            np.divide(u[k], step.piv, out=u[k + 1])
+        elif birth is not None:
             u[k + 1] = step.solve(u[k])
     return EvolutionOperator(steps, grid, mesh, u, all(step.mult is None for step in steps))
 

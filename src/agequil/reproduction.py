@@ -3,10 +3,10 @@
 Q(u) w = integral of  cb * b(u(a)) * (Pi_u(a,0) w)  over age, by
 trapezoid quadrature on the factored evolution steps: column by column,
 or only the diagonal where every step is diagonal.  Q0 is Q of the
-linear evolution, the build on the zero field.  The eigensolver is power
-iteration from the all-ones vector; when its bracket stagnates on a
-nearly tied dominant pair it hands over to one dense eigendecomposition,
-whose radius is checked against that bracket.
+linear evolution, the build on the zero field.  The radius of a diagonal
+Q, as on a pure-decay model, is its largest entry; of any other, power
+iteration from the all-ones vector gives it, handing over to one dense
+eigendecomposition, checked against its bracket, on a near tie.
 """
 
 from __future__ import annotations
@@ -98,6 +98,11 @@ def _power_iteration(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[boo
     # back to a dense solve checked against the rigorous bracket; the
     # iterate has not converged there, so the vector comes from it too
     nonneg = bool(np.all(matrix >= 0.0))
+    d = np.diagonal(matrix)
+    if nonneg and np.count_nonzero(matrix) == np.count_nonzero(d):
+        # diagonal: the largest entry, +0.0 on zero, and the indicator of the entries equal to it
+        r = abs(float(d.max()))
+        return True, r, (d == r).astype(float)
     v = np.ones(matrix.shape[0])
     lam = 0.0
     width_prev = np.inf
@@ -130,10 +135,11 @@ def _power_iteration(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[boo
 def spectral_radius(
     matrix: np.ndarray, tol: float = 1e-13, max_iter: int = 100000
 ) -> tuple[float, np.ndarray]:
-    """Dominant eigenvalue and normalized eigenvector by power iteration.
+    """Dominant eigenvalue and normalized eigenvector (max-norm 1).
 
-    For the nonnegative irreducible matrices assembled here the limit is
-    the spectral radius with the positive eigenvector (max-norm 1).
+    A nonnegative diagonal matrix gives its largest entry and the indicator
+    of the entries equal to it; any other goes to power iteration, whose
+    limit is the radius and positive eigenvector on the ones assembled here.
     """
     if not np.all(np.isfinite(matrix)):
         raise ReproductionError("reproduction matrix has non-finite entries")

@@ -28,7 +28,10 @@ assemble_Q_columns, corrector_jacobian_columns and propagate_by_steps
 push a dense basis or one vector through every step's solve, one age at
 a time, whether or not the steps are diagonal: the references that the
 diagonal paths of assemble_Q, _corrector_jacobian and propagate must
-match bit for bit.
+match bit for bit.  power_iteration_loop is power iteration from the
+all-ones vector with its dense fallback on any matrix, the reference
+that the closed form of _power_iteration on a nonnegative diagonal
+matrix must match bit for bit.
 """
 
 from __future__ import annotations
@@ -504,3 +507,35 @@ def propagate_by_steps(ev, B: np.ndarray) -> np.ndarray:
     for k, step in enumerate(ev.steps):
         values[k + 1] = step.solve(values[k])
     return values
+
+
+def power_iteration_loop(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[bool, float, np.ndarray]:
+    """_power_iteration without its closed form for diagonal matrices."""
+    nonneg = bool(np.all(matrix >= 0.0))
+    v = np.ones(matrix.shape[0])
+    lam = 0.0
+    width_prev = np.inf
+    for it in range(max_iter):
+        w = matrix @ v
+        lam = float(np.max(np.abs(w)))
+        if lam == 0.0:
+            return True, 0.0, v
+        if nonneg and np.all(v > 0.0):
+            ratios = w / v
+            lo, hi = float(np.min(ratios)), float(np.max(ratios))
+            width = hi - lo
+            if width <= tol * hi:
+                return True, hi, w / lam
+            if it % 50 == 49:
+                if width > 0.5 * width_prev:
+                    eigs, vecs = np.linalg.eig(matrix)
+                    k = int(np.argmax(np.abs(eigs)))
+                    r = float(np.abs(eigs[k]))
+                    if lo - width <= r <= hi + width:
+                        perron = np.abs(vecs[:, k].real)
+                        return True, r, perron / np.max(perron)
+                width_prev = width
+        if float(np.max(np.abs(w - lam * v))) <= tol * lam:
+            return True, lam, w / lam
+        v = w / lam
+    return False, lam, v

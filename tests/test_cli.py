@@ -1,3 +1,4 @@
+import hashlib
 import os
 import shutil
 import subprocess
@@ -281,6 +282,48 @@ class TestFactorPaths:
     def test_wide_trace_never_falls_back(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(tridiag, "_factor", refusing)
         written(["trace", "--model", DIFFUSION, "--nx", "120", "--max-points", "3"], tmp_path / "wide")
+
+
+def loop_without_budget(monkeypatch) -> None:
+    """Give power iteration no iterations and the dense fallback no eig:
+    only a matrix with a closed form still gets a radius."""
+    real = reproduction._power_iteration
+
+    def failing(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(reproduction, "_power_iteration", lambda matrix, tol, max_iter: real(matrix, tol, 0))
+    monkeypatch.setattr(np.linalg, "eig", failing)
+
+
+class TestDiagonalRadius:
+    """Every reproduction matrix of a pure-decay model is diagonal, and its
+    radius needs neither power iteration nor an eigensolve."""
+
+    # the bench's fixedpoint-shell run at seed 1, recorded when three of
+    # its six large-shell radii came from np.linalg.eig
+    WIDE_SHELL = {
+        "out_B.csv": "423a9ebb148503c108427aa55b7ffa6a45ffb7e6e610e8068466102a6b6a5d4c",
+        "out_report.txt": "248806a566c4acb51250196ccd55136892fd55b5e5639959512c2f76e2039cc3",
+        "out_u.csv": "d27dd3fc9cf91a0b0898755e8d63a57d466e8583a7b7bb4ff502784b6a82db42",
+        "stdout": "b764d787b3f4942fc0608812aeb2395d005604356286ee09032c98bd659432ec",
+    }
+
+    def test_wide_fixedpoint_keeps_its_bytes(self, tmp_path, capsys, monkeypatch):
+        loop_without_budget(monkeypatch)
+        argv = ["fixedpoint", "--model", SHELL, "--nx", "48", "--tau1", "20", "--seed", "1"]
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+        actual = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(tmp_path.iterdir())}
+        stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+        actual["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+        assert actual == self.WIDE_SHELL
+
+    def test_coupled_q0_still_takes_the_loop(self, capsys, monkeypatch):
+        loop_without_budget(monkeypatch)
+        assert main(["normalize", "--model", DECAY]) == 0
+        capsys.readouterr()
+        assert main(["normalize", "--model", DIFFUSION]) == 1
+        assert capsys.readouterr().err.startswith("error: power iteration did not converge")
 
 
 class TestErrorsAndEntryPoints:

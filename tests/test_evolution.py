@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from agequil import evolution
 from agequil.discretize import SpatialMesh
 from agequil.evolution import (
     AgeGrid,
@@ -167,6 +168,31 @@ class TestSteps:
                 assert (got_f is None) == (want_f is None)
                 if want_f is not None:
                     assert np.array_equal(got_f, want_f) and np.array_equal(np.signbit(got_f), np.signbit(want_f))
+
+
+class TestCallsPerBuild:
+    """Every build, marched or frozen, single or batched, calls assemble
+    and factor_tridiag once per age; the benchmark's tracer counts the
+    work of a build by these calls."""
+
+    @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_diffusion.cfg"])
+    @pytest.mark.parametrize("kind", ["march", "frozen", "batched"])
+    def test_one_assemble_and_one_factor_per_age(self, name, kind, monkeypatch):
+        model, mesh, grid = load_problem(name)
+        calls = {"assemble": 0, "factor_tridiag": 0}
+        for fn in calls:
+            def counting(*args, _fn=fn, _real=getattr(evolution, fn)):
+                calls[_fn] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(evolution, fn, counting)
+        rng = np.random.default_rng(8)
+        if kind == "march":
+            build_evolution(model, mesh, grid, birth=rng.uniform(0.5, 1.5, mesh.nx))
+        else:
+            shape = (grid.na + 1, mesh.nx) + ((4,) if kind == "batched" else ())
+            build_evolution(model, mesh, grid, rng.uniform(0.0, 1.5, shape))
+        assert calls == {"assemble": grid.na, "factor_tridiag": grid.na}
 
 
 class TestDuhamel:

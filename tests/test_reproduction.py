@@ -20,7 +20,7 @@ from agequil.reproduction import (
     spectral_radius,
 )
 
-from oracles import characteristic_values, dense_eigenvalues, dense_radius, discrete_r0
+from oracles import characteristic_values, dense_eigenvalues, dense_radius, discrete_r0, power_iteration_loop
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +200,59 @@ class TestSpectralRadiusEdges:
     def test_non_finite_rejected(self):
         with pytest.raises(ReproductionError, match="finite"):
             spectral_radius(np.array([[np.nan]]))
+
+
+def _large_probe_diagonal() -> np.ndarray:
+    # a large-density shell probe's Q at nx 48 on a pure-decay model: the
+    # top pair 6e-5 apart relative, and no coupling
+    diag = np.linspace(0.02, 0.13, 48)
+    diag[-2:] = 0.138452, 0.138461
+    return np.diag(diag)
+
+
+DIAGONAL = {
+    "scaled identity": 0.7 * np.eye(5),
+    "unique maximum": np.diag([0.3, 0.9, 0.1, 0.5]),
+    "large probe": _large_probe_diagonal(),
+    "exact tie": np.diag([0.2, 0.6, 0.4, 0.6]),
+    "zero": np.zeros((4, 4)),
+}
+
+
+class TestDiagonalClosedForm:
+    """A nonnegative diagonal matrix gets its radius in closed form, with
+    the loop's bits, and no eigensolve."""
+
+    @pytest.mark.parametrize("name", sorted(DIAGONAL))
+    def test_radius_has_the_loops_bits(self, name, monkeypatch):
+        matrix = DIAGONAL[name]
+        ok, r_loop, v_loop = power_iteration_loop(matrix, 1e-13, 100000)
+        assert ok
+
+        def failing(matrix):
+            raise np.linalg.LinAlgError("no eigensolve expected")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        r, v = spectral_radius(matrix)
+        assert r == r_loop and np.signbit(r) == np.signbit(r_loop)
+        # the indicator of the largest entries is an exact eigenvector
+        assert np.array_equal(matrix @ v, r * v)
+        assert np.max(v) == 1.0 and set(np.unique(v)) <= {0.0, 1.0}
+        if name in ("scaled identity", "zero"):
+            assert np.array_equal(v, v_loop)
+
+    @pytest.mark.parametrize("where", ["coupling", "negative"])
+    def test_coupled_or_negative_matrix_takes_the_loop(self, where):
+        matrix = np.diag([0.3, 0.5, 0.2])
+        if where == "coupling":
+            matrix[0, 1] = 1e-300
+        else:
+            matrix[2, 2] = -0.2
+        r, v = spectral_radius(matrix)
+        _, r_loop, v_loop = power_iteration_loop(matrix, 1e-13, 100000)
+        assert r == r_loop and np.array_equal(v, v_loop)
+        # the loop stops with the other entries small, not zero
+        assert np.count_nonzero(v) == 3
 
 
 class TestCharacteristicValues:
