@@ -1,8 +1,8 @@
-"""Trace the logistic diffusion branch and print the visited points.
+"""Trace the logistic diffusion branch and print a summary of it.
 
 Writes branch.csv and the per-point profiles under out/.  Equivalent to
 
-    agequil trace --model models/logistic_diffusion.cfg --out out/branch.csv
+    agequil trace --model models/logistic_diffusion.cfg --out out/branch.csv --max-points 12
 """
 
 from pathlib import Path

@@ -11,9 +11,10 @@ The branch CSV has one row per branch point with columns index, n, eps,
 r_Qu, identity_residual, residual_direct, reform_residual, min_u.  Next
 to it, one profile CSV per point (suffix _profile_NNN.csv) stores the
 field on the grid: first line "a," followed by the x coordinates, then
-one row per age with the age in the first column.  All floats are
-written with repr-faithful precision, so repeated runs with the same
-seed and flags produce byte-identical files.
+one row per age with the age in the first column.  One writer prints
+every table, fixedpoint's too, with each float in the repr-faithful FLOAT
+format, so reruns with the same seed and flags give byte-identical files;
+verify reads them with one reader, which refuses a non-finite cell.
 
 Exit codes: 0 on success, 1 when a computation fails or a verified
 invariant is violated, 2 for unreadable inputs or malformed files.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +49,13 @@ from .linearized import LinearizedError, build_linearized, reformulation_residua
 from .model import ModelError, ModelSpec, parse_grid, parse_model, serialize_model
 from .reproduction import PowerIterationError, ReproductionError, assemble_Q, spectral_radius
 
+# after index, each column is the BranchPoint field of its name
 BRANCH_COLUMNS = (
     "index", "n", "eps", "r_Qu",
     "identity_residual", "residual_direct", "reform_residual", "min_u",
 )
+# every float the CLI writes, repr-faithful
+FLOAT = "%.17g"
 
 _COMPUTE_ERRORS = (
     ContinuationError, FixedPointError, ReproductionError, PowerIterationError,
@@ -59,7 +64,7 @@ _COMPUTE_ERRORS = (
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return FLOAT % x
 
 
 def _load_problem(path: str, nx: int | None, na: int | None) -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
@@ -79,40 +84,47 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _branch_rows(branch) -> str:
-    lines = [",".join(BRANCH_COLUMNS)]
-    for idx, p in enumerate(branch.points):
-        lines.append(",".join((
-            str(idx), _fmt(p.n), _fmt(p.eps), _fmt(p.r_Qu),
-            _fmt(p.identity_residual), _fmt(p.residual_direct),
-            _fmt(p.reform_residual), _fmt(p.min_u),
-        )))
-    return "\n".join(lines) + "\n"
+def _table(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+    """Write a header line and one line of FLOAT cells per row."""
+    line = ",".join([FLOAT] * len(header))
+    _write_text(path, "\n".join([",".join(header), *(line % tuple(row) for row in rows)]) + "\n")
 
 
-def _field_csv(u: np.ndarray, mesh: SpatialMesh, grid: AgeGrid) -> str:
-    lines = ["a," + ",".join(_fmt(x) for x in mesh.nodes)]
-    for k, age in enumerate(grid.ages):
-        lines.append(_fmt(age) + "," + ",".join(_fmt(v) for v in u[k]))
-    return "\n".join(lines) + "\n"
+def _field_csv(path: Path, u: np.ndarray, mesh: SpatialMesh, grid: AgeGrid) -> None:
+    _table(path, ["a", *map(_fmt, mesh.nodes.tolist())],
+           ((age, *row.tolist()) for age, row in zip(grid.ages.tolist(), u)))
 
 
-def _read_field_csv(path: Path, mesh: SpatialMesh, grid: AgeGrid) -> np.ndarray:
-    """The field a profile file stores, checked against the model's grids."""
+def _read_table(path: Path, header_ok: Callable[[list[str]], bool]) -> tuple[list[str], np.ndarray]:
+    """The header and the float cells of a table _table wrote; a ragged row
+    or a non-numeric or non-finite cell raises ValueError naming the file."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    if len(rows) < 3 or rows[0][:1] != ["a"]:
-        raise ValueError(f"{path} is not a profile file")
-    if any(len(row) != mesh.nx + 1 for row in rows):
-        raise ValueError(f"{path} does not have {mesh.nx} x columns on every line")
+    if not rows or not rows[0]:
+        raise ValueError(f"{path} has no header on its first line")
+    if not header_ok(rows[0]):
+        raise ValueError(f"{path} does not start with the expected header")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"{path} has a row without {len(rows[0])} cells")
+    if len(rows) < 2:
+        raise ValueError(f"{path} has no rows")
     try:
-        xs = np.array([float(v) for v in rows[0][1:]])
         body = np.array([[float(v) for v in row] for row in rows[1:]])
     except ValueError as exc:
         raise ValueError(f"{path} has a non-numeric cell: {exc}") from exc
     if not np.all(np.isfinite(body)):
         raise ValueError(f"{path} has a non-finite cell")
-    if not np.allclose(xs, mesh.nodes, rtol=0, atol=1e-12):
+    return rows[0], body
+
+
+def _read_field_csv(path: Path, mesh: SpatialMesh, grid: AgeGrid) -> np.ndarray:
+    """The field a profile file stores, checked against the model's grids."""
+    header, body = _read_table(path, lambda first: first[0] == "a")
+    try:
+        xs = [float(v) for v in header[1:]]
+    except ValueError:
+        xs = []
+    if len(xs) != mesh.nx or not np.allclose(xs, mesh.nodes, rtol=0, atol=1e-12):
         raise ValueError(f"{path} has an unexpected x grid")
     if body.shape[0] != grid.na + 1 or not np.allclose(
         body[:, 0], grid.ages, rtol=0, atol=1e-10 * max(1.0, grid.a_max)
@@ -124,6 +136,10 @@ def _read_field_csv(path: Path, mesh: SpatialMesh, grid: AgeGrid) -> np.ndarray:
 def _stem(out: str) -> Path:
     path = Path(out)
     return path.with_suffix("") if path.suffix == ".csv" else path
+
+
+def _profile_path(branch: str, idx: int) -> Path:
+    return Path(f"{_stem(branch)}_profile_{idx:03d}.csv")
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
@@ -148,11 +164,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         n_cap=args.n_cap, norm_cap=args.norm_cap, tol=args.tol,
     )
     out = Path(args.out)
-    _write_text(out, _branch_rows(branch))
-    stem = _stem(args.out)
+    _table(out, BRANCH_COLUMNS, (
+        (idx, *(getattr(p, col) for col in BRANCH_COLUMNS[1:]))
+        for idx, p in enumerate(branch.points)
+    ))
     for idx, point in enumerate(branch.points):
-        profile = _field_csv(point.u, lin.mesh, lin.grid)
-        _write_text(Path(f"{stem}_profile_{idx:03d}.csv"), profile)
+        _field_csv(_profile_path(args.out, idx), point.u, lin.mesh, lin.grid)
     stats = branch_stats(branch)
     print(f"traced {len(branch.points)} points ({len(branch.nontrivial())} nontrivial)")
     print(f"terminated: {branch.terminated}")
@@ -175,12 +192,11 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         starts=args.starts, seed=args.seed,
     )
     stem = _stem(args.out)
-    _write_text(Path(f"{stem}_u.csv"), _field_csv(result.u, mesh, grid))
-    b_lines = ["x,B"] + [f"{_fmt(x)},{_fmt(b)}" for x, b in zip(mesh.nodes, result.B)]
-    _write_text(Path(f"{stem}_B.csv"), "\n".join(b_lines) + "\n")
+    _field_csv(Path(f"{stem}_u.csv"), result.u, mesh, grid)
+    _table(Path(f"{stem}_B.csv"), ("x", "B"), zip(mesh.nodes.tolist(), result.B.tolist()))
     report = "\n".join((
         f"converged: {result.converged}",
-        f"collapsed: {result.collapsed}",
+        f"collapsed: {not result.converged}",
         f"iterations: {result.iterations}",
         f"residual: {_fmt(result.residual)}",
         f"r_Qu: {_fmt(result.r_Qu)}",
@@ -208,57 +224,41 @@ def _check(label: str, ok: bool, detail: str, failures: list[str]) -> None:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model, args.nx, args.na)
-    branch_path = Path(args.branch)
-    with open(branch_path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or tuple(rows[0]) != BRANCH_COLUMNS:
-        raise ValueError(f"{branch_path} does not have the branch column header")
-    if any(len(row) != len(BRANCH_COLUMNS) for row in rows[1:]):
-        raise ValueError(f"{branch_path} has a row without {len(BRANCH_COLUMNS)} cells")
-    try:
-        table = [
-            {col: float(val) for col, val in zip(BRANCH_COLUMNS, row)} for row in rows[1:]
-        ]
-    except ValueError as exc:
-        raise ValueError(f"{branch_path} has a non-numeric cell: {exc}") from exc
-    if not table:
-        raise ValueError(f"{branch_path} has no rows")
+    _, table = _read_table(Path(args.branch), lambda first: tuple(first) == BRANCH_COLUMNS)
+    column = dict(zip(BRANCH_COLUMNS, table.T.tolist()))
+    n, eps, r_Qu = column["n"], column["eps"], column["r_Qu"]
 
     failures: list[str] = []
     _check(
         "row 0 is the trivial point",
-        abs(table[0]["n"] - 1.0) <= 1e-9 and abs(table[0]["eps"]) <= 1e-12,
-        f"n={table[0]['n']!r}, eps={table[0]['eps']!r}",
+        abs(n[0] - 1.0) <= 1e-9 and abs(eps[0]) <= 1e-12,
+        f"n={n[0]!r}, eps={eps[0]!r}",
         failures,
     )
-    worst = max(abs(r["n"] * r["r_Qu"] - 1.0) for r in table)
+    worst = max(abs(ni * ri - 1.0) for ni, ri in zip(n, r_Qu))
     _check("columns satisfy n r(Q_u) = 1", worst <= 1e-6, f"max residual {worst:.3e}", failures)
-    worst = max(r["reform_residual"] for r in table)
+    worst = max(column["reform_residual"])
     _check("reformulation residuals", worst <= 1e-5, f"max {worst:.3e}", failures)
-    worst = min(r["min_u"] for r in table)
+    worst = min(column["min_u"])
     _check("nonnegative densities", worst >= -1e-10, f"min {worst:.3e}", failures)
 
-    nontrivial = [r for r in table if r["eps"] > 1e-12]
+    nontrivial = [idx for idx, e in enumerate(eps) if e > 1e-12]
     if nontrivial:
-        ns = [r["n"] for r in nontrivial]
-        rs = [r["r_Qu"] for r in nontrivial]
+        ns, rs = [n[idx] for idx in nontrivial], [r_Qu[idx] for idx in nontrivial]
         cross = max(abs(max(ns) * min(rs) - 1.0), abs(min(ns) * max(rs) - 1.0))
         _check("branch extreme identities", cross <= 1e-6, f"residual {cross:.3e}", failures)
 
     # profile replay: rebuild the reproduction operator from each stored
     # field and recheck the identity and the reformulation residual
     lin = build_linearized(*problem)
-    stem = _stem(args.branch)
     recompute_worst = 0.0
     reform_worst = 0.0
-    for idx, row in enumerate(table):
-        if row["eps"] <= 1e-12:
-            continue
-        u = _read_field_csv(Path(f"{stem}_profile_{idx:03d}.csv"), lin.mesh, lin.grid)
+    for idx in nontrivial:
+        u = _read_field_csv(_profile_path(args.branch, idx), lin.mesh, lin.grid)
         ev = build_evolution(lin.model, lin.mesh, lin.grid, u)
         r, _ = spectral_radius(assemble_Q(lin.model, ev))
-        recompute_worst = max(recompute_worst, abs(row["n"] * r - 1.0))
-        reform_worst = max(reform_worst, reformulation_residual(lin, row["n"], u))
+        recompute_worst = max(recompute_worst, abs(n[idx] * r - 1.0))
+        reform_worst = max(reform_worst, reformulation_residual(lin, n[idx], u))
     if nontrivial:
         _check(
             "profiles satisfy n r(Q_u) = 1",

@@ -39,8 +39,8 @@ class FixedPointError(RuntimeError):
 class FixedPointResult:
     """Outcome of one fixed-point run.
 
-    converged marks a nontrivial fixed point; collapsed marks attraction
-    to the trivial equilibrium (the two are mutually exclusive).  u is
+    converged marks a nontrivial fixed point; a run that is not converged
+    collapsed onto the trivial equilibrium.  u is
     the field marched from B, so it is self-consistent by construction;
     residual is the birth defect max |B - l(u)|.
     """
@@ -48,7 +48,6 @@ class FixedPointResult:
     u: np.ndarray
     B: np.ndarray
     converged: bool
-    collapsed: bool
     iterations: int
     residual: float
     r_Qu: float
@@ -87,7 +86,7 @@ def solve_fixedpoint(
     falls back to the damped update and drops the history.  Stops when
     the change in B drops below tol, or when B collapses below 1e-12 (the
     trivial equilibrium attracted the iterate; returned with
-    collapsed=True).  A converged B is polished by the undamped map.
+    converged=False).  A converged B is polished by the undamped map.
     Raises FixedPointError for flags check_solve_flags refuses, a negative
     or misshapen B_init, an unconverged iteration at max_iter, or a
     collapse onto a trivial equilibrium with r(Q0) > 1, which repels.
@@ -122,9 +121,9 @@ def solve_fixedpoint(
         change = float(np.max(np.abs(B_next - B)))
         B = B_next
         if float(np.max(np.abs(B))) < COLLAPSE_THRESHOLD:
-            return _diagnose(model, mesh, grid, B, False, True, it, change)
+            return _diagnose(model, mesh, grid, B, False, it, change)
         if change <= tol:
-            return _diagnose(model, mesh, grid, B, True, False, it, change)
+            return _diagnose(model, mesh, grid, B, True, it, change)
     raise FixedPointError(f"no convergence in {max_iter} iterations (last change {change:.3e})")
 
 
@@ -134,13 +133,12 @@ def _diagnose(
     grid: AgeGrid,
     B: np.ndarray,
     converged: bool,
-    collapsed: bool,
     iterations: int,
     change: float,
 ) -> FixedPointResult:
     # a few undamped sweeps of the same map tighten B to self-consistency
     # before the residual and the reproduction radius are measured
-    if not collapsed:
+    if converged:
         for _ in range(200):
             u = build_evolution(model, mesh, grid, birth=B).source
             B_prop = birth_functional(model, grid, u)
@@ -151,17 +149,17 @@ def _diagnose(
         # a slow slide toward zero can pass the change test well above
         # the collapse threshold; the polish exposes it
         if float(np.max(np.abs(B))) < COLLAPSE_THRESHOLD:
-            converged, collapsed = False, True
-    if collapsed:
+            converged = False
+    if not converged:
         B = np.zeros(mesh.nx)
     ev = build_evolution(model, mesh, grid, birth=B)
     u = ev.source
     residual = float(np.max(np.abs(B - birth_functional(model, grid, u))))
     r, _ = spectral_radius(assemble_Q(model, ev))
-    if collapsed and r > 1.0 + 1e-9:
+    if not converged and r > 1.0 + 1e-9:
         raise FixedPointError(f"iterate fell into the trivial equilibrium, which repels: r(Q0) = {r!r}")
     return FixedPointResult(
-        u=u, B=B, converged=converged, collapsed=collapsed,
+        u=u, B=B, converged=converged,
         iterations=iterations, residual=residual, r_Qu=r, last_change=change,
     )
 
@@ -199,7 +197,7 @@ def multistart_fixedpoint(
         result = solve_fixedpoint(
             model, mesh, grid, damping=damping, tol=tol, max_iter=max_iter, B_init=B0,
         )
-        if not result.collapsed:
+        if result.converged:
             return result
     return result
 

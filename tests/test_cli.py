@@ -1,12 +1,16 @@
 import hashlib
 import os
+import runpy
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis.extra.numpy import arrays
 
 from agequil import cli, fixedpoint, linearized, reproduction, tridiag
 from agequil.cli import BRANCH_COLUMNS, main
@@ -142,16 +146,31 @@ class TestVerify:
         (branch.parent / "branch_profile_001.csv").unlink()
         assert self.verify(branch) == 2
 
-    def test_foreign_header_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", ["a,b,c\n1,2,3\n", "\n" + ",".join(BRANCH_COLUMNS) + "\n", ""],
+                             ids=["foreign", "empty-first-line", "empty-file"])
+    def test_foreign_header_rejected(self, tmp_path, capsys, text):
         bad = tmp_path / "branch.csv"
-        bad.write_text("a,b,c\n1,2,3\n")
-        assert self.verify(bad) == 2
+        bad.write_text(text)
+        self.assert_malformed(bad, bad, capsys)
 
     def assert_malformed(self, branch: Path, bad: Path, capsys) -> None:
         assert self.verify(branch) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert str(bad) in err
+
+    # max and min skip a NaN that does not come first, so a NaN past row 0
+    # would pass the column checks; inf in min_u would pass as well
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("column", ["r_Qu", "reform_residual", "min_u"])
+    def test_non_finite_branch_cell_rejected(self, traced, tmp_path, capsys, column, cell):
+        branch = self.copy_run(traced, tmp_path / "run")
+        lines = branch.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[BRANCH_COLUMNS.index(column)] = cell
+        lines[2] = ",".join(cells)
+        branch.write_text("\n".join(lines) + "\n")
+        self.assert_malformed(branch, branch, capsys)
 
     def test_short_branch_row_rejected(self, traced, tmp_path, capsys):
         branch = self.copy_run(traced, tmp_path / "run")
@@ -177,6 +196,41 @@ class TestVerify:
             lines[3] = lines[3].replace(",", ",x,", 1).rsplit(",", 1)[0]
         prof.write_text("\n".join(lines) + "\n")
         self.assert_malformed(branch, prof, capsys)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestTableFormat:
+    """Every table cell is FLOAT-formatted, and a profile reads back bit for bit."""
+
+    @given(finite)
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-2.2250738585072014e-308)
+    @example(1.7976931348623157e308)
+    @example(-1.79e308)
+    @settings(max_examples=500, deadline=None)
+    def test_float_format_is_repr_faithful(self, x):
+        assert cli.FLOAT % x == format(float(x), ".17g")
+        assert float(cli.FLOAT % x) == x and np.signbit(float(cli.FLOAT % x)) == np.signbit(x)
+
+    @pytest.mark.parametrize("x", [
+        np.inf, -np.inf, np.nan, np.float64(0.1), np.float32(0.1), np.int64(-3), 7,
+    ], ids=["inf", "-inf", "nan", "float64", "float32", "int64", "int"])
+    def test_float_format_of_other_values(self, x):
+        assert cli.FLOAT % x == format(float(x), ".17g")
+
+    @given(arrays(np.float64, (5, 3), elements=finite))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_field_round_trip_keeps_every_bit(self, tmp_path, u):
+        mesh, grid = SpatialMesh(nx=3), AgeGrid(na=4, a_max=2.0)
+        path = tmp_path / "profile.csv"
+        cli._field_csv(path, u, mesh, grid)
+        back = cli._read_field_csv(path, mesh, grid)
+        assert back.view(np.int64).tolist() == u.view(np.int64).tolist()
 
 
 class TestFixedpointCommand:
@@ -514,18 +568,16 @@ class TestErrorsAndEntryPoints:
         assert proc.returncode == 0
         assert "normalize" in proc.stdout
 
-    def test_demo_scripts_run(self, tmp_path):
-        repo = MODELS.parent
-        env = src_env()
-        for script in ("trace_logistic.py", "fixedpoint_shell.py"):
-            proc = subprocess.run(
-                [sys.executable, str(repo / "scripts" / script)],
-                cwd=tmp_path, env=env, capture_output=True, text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-        written = {path.name for path in (tmp_path / "out").iterdir()}
-        expected = {"branch.csv", "branch_profile_000.csv", "shell_u.csv", "shell_B.csv", "shell_report.txt"}
-        assert expected <= written
+    @pytest.mark.parametrize("script, expected", [
+        ("trace_logistic.py", {"branch.csv", *(f"branch_profile_{i:03d}.csv" for i in range(13))}),
+        ("fixedpoint_shell.py", {"shell_u.csv", "shell_B.csv", "shell_report.txt"}),
+    ], ids=["trace_logistic", "fixedpoint_shell"])
+    def test_demo_scripts_run(self, script, expected, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(MODELS.parent / "scripts" / script), run_name="__main__")
+        assert done.value.code == 0, capsys.readouterr().err
+        assert {path.name for path in (tmp_path / "out").iterdir()} == expected
 
     def test_console_script(self):
         exe = shutil.which("agequil")

@@ -73,7 +73,9 @@ RUNS = {
             "out_profile_003.csv": "ef9ef2e12b699eb68d18f725c1d10e7995866203497aa128b19e33621a6a66ab",
         },
     ),
-    # multi-column Thomas solves inside assemble_Q on every shell probe
+    # pure decay: every step is diagonal, so this pins the march's divisions
+    # under Anderson mixing, the diagonal assemble_Q of the batched shell
+    # probes with its closed-form radius, and the _u, _B and report files
     "fixedpoint-shell": (
         ["fixedpoint", "--model", str(MODELS / "shell_decay.cfg"), "--seed", "7"],
         {
