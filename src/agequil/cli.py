@@ -32,6 +32,7 @@ import numpy as np
 
 from .continuation import (
     ContinuationError,
+    birth_residual,
     branch_stats,
     check_trace_flags,
     first_step,
@@ -226,6 +227,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     problem = _load_problem(args.model, args.nx, args.na)
     _, table = _read_table(Path(args.branch), lambda first: tuple(first) == BRANCH_COLUMNS)
     column = dict(zip(BRANCH_COLUMNS, table.T.tolist()))
+    if column["index"] != list(range(len(table))):
+        raise ValueError(f"{args.branch} has an index that is not the row number")
     n, eps, r_Qu = column["n"], column["eps"], column["r_Qu"]
 
     failures: list[str] = []
@@ -235,8 +238,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"n={n[0]!r}, eps={eps[0]!r}",
         failures,
     )
-    worst = max(abs(ni * ri - 1.0) for ni, ri in zip(n, r_Qu))
-    _check("columns satisfy n r(Q_u) = 1", worst <= 1e-6, f"max residual {worst:.3e}", failures)
+    # trace wrote identity_residual as this very product
+    identity = [abs(ni * ri - 1.0) for ni, ri in zip(n, r_Qu)]
+    worst, kept = max(identity), identity == column["identity_residual"]
+    _check("columns satisfy n r(Q_u) = 1", worst <= 1e-6 and kept,
+           f"max residual {worst:.3e}" + ("" if kept else ", not the identity_residual column"), failures)
     worst = max(column["reform_residual"])
     _check("reformulation residuals", worst <= 1e-5, f"max {worst:.3e}", failures)
     worst = min(column["min_u"])
@@ -249,24 +255,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _check("branch extreme identities", cross <= 1e-6, f"residual {cross:.3e}", failures)
 
     # profile replay: rebuild the reproduction operator from each stored
-    # field and recheck the identity and the reformulation residual
+    # field and recheck the identity, the reformulation residual and the
+    # birth residual, which another BLAS may sum a few ulps apart
     lin = build_linearized(*problem)
-    recompute_worst = 0.0
-    reform_worst = 0.0
+    recompute_worst = reform_worst = direct_off = 0.0
     for idx in nontrivial:
         u = _read_field_csv(_profile_path(args.branch, idx), lin.mesh, lin.grid)
         ev = build_evolution(lin.model, lin.mesh, lin.grid, u)
         r, _ = spectral_radius(assemble_Q(lin.model, ev))
         recompute_worst = max(recompute_worst, abs(n[idx] * r - 1.0))
         reform_worst = max(reform_worst, reformulation_residual(lin, n[idx], u))
+        direct_off = max(direct_off, abs(birth_residual(lin, n[idx], u) - column["residual_direct"][idx]))
     if nontrivial:
         _check(
             "profiles satisfy n r(Q_u) = 1",
             recompute_worst <= 1e-6, f"max residual {recompute_worst:.3e}", failures,
         )
         _check(
-            "profiles satisfy the reformulation",
-            reform_worst <= 1e-5, f"max residual {reform_worst:.3e}", failures,
+            "profiles satisfy the reformulation", reform_worst <= 1e-5 and direct_off <= 1e-12,
+            f"max residual {reform_worst:.3e}"
+            + (f", residual_direct off by {direct_off:.3e}" if direct_off > 1e-12 else ""), failures,
         )
 
     # local expansion replay: the offset n - 1 must shrink in proportion

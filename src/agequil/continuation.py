@@ -206,6 +206,12 @@ def _corrector_jacobian(lin: LinearizedOperators, n: float, ev: EvolutionOperato
     return jac
 
 
+def birth_residual(lin: LinearizedOperators, n: float, u: np.ndarray) -> float:
+    """|B - n l(u)| of a marched field u, relative to its birth vector B = u[0]."""
+    scale = max(float(np.max(np.abs(u[0]))), 1e-300)
+    return float(np.max(np.abs(u[0] - n * birth_functional(lin.model, lin.grid, u)))) / scale
+
+
 def _finalize(
     lin: LinearizedOperators,
     n: float,
@@ -224,8 +230,6 @@ def _finalize(
     # ev marched B into its self-consistent field, so the birth defect is
     # the whole residual
     u = ev.source
-    scale = max(float(np.max(np.abs(B))), 1e-300)
-    birth_res = float(np.max(np.abs(B - n * birth_functional(model, grid, u)))) / scale
     r, _ = spectral_radius(assemble_Q(model, ev))
     point = BranchPoint(
         n=n,
@@ -234,7 +238,7 @@ def _finalize(
         eps=grid.norm(u),
         r_Qu=r,
         identity_residual=abs(n * r - 1.0),
-        residual_direct=birth_res,
+        residual_direct=birth_residual(lin, n, u),
         reform_residual=reformulation_residual(lin, n, u),
         min_u=float(np.min(u)),
         trivial=False,

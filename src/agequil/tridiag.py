@@ -6,30 +6,25 @@ matrices with nonpositive off-diagonals and positive pivots every
 elimination step adds nonnegative multiples, so nonnegative right-hand
 sides produce nonnegative solutions exactly, not just up to roundoff.
 
-The factors are one call of LAPACK's dgttrf, which does the Thomas
-loop's IEEE operations wherever it interchanges no rows.  Each matrix's
-last row enters it uncoupled and is finished here: a Robin closure
-doubles that row's coupling, enough to make dgttrf interchange it.  If
-dgttrf still interchanges a row, or a pivot comes out nonpositive or
-non-finite, the Thomas loop in Python factors the bands instead; of the
-bundled runs only fixedpoint's large-shell probes on logistic_diffusion
-reach it.  The solve is one call of LAPACK's dgttrs on the factors, with
-identity pivots and a zero second superdiagonal, so LAPACK applies them
-as they are: the Thomas loop's forward and backward sweeps, in compiled
-code.  Bands with no coupling (every step of a pure-decay model) skip
-both calls: the loop's multipliers are zero and its pivots are the
-diagonal, so the solve is one division by it.
+The pivots come from the Thomas loop on Python floats, the multipliers
+are its quotients taken again by numpy, and the solve is one call of
+LAPACK's dgttrs on them with identity pivots and a zero second
+superdiagonal, so LAPACK applies them as they are: the loop's forward
+and backward sweeps, in compiled code.  Bands with no coupling (every
+step of a pure-decay model) skip both: the loop's multipliers are zero
+and its pivots are the diagonal, so the solve is one division by it.
 
-dgttrf and dgttrs are scipy.linalg.lapack's, from scipy's compiled
-module scipy/linalg/_flapack, which is loaded here from its file: the
-__init__ of scipy.linalg takes longer than most runs.  Where the file is
-missing or does not load, they come from scipy.linalg.lapack; the
-compiled code, and so every bit, is the same on either path.
+dgttrs is scipy.linalg.lapack's, from scipy's compiled module
+scipy/linalg/_flapack, which is loaded here from its file: the __init__
+of scipy.linalg takes longer than most runs.  Where the file is missing
+or does not load, it comes from scipy.linalg.lapack; the compiled code,
+and so every bit, is the same on either path.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,7 +55,7 @@ try:
     _lapack = _flapack()
 except ImportError:
     from scipy.linalg import lapack as _lapack
-dgttrf, dgttrs = _lapack.dgttrf, _lapack.dgttrs
+dgttrs = _lapack.dgttrs
 
 # dgttrs takes no system of fewer rows
 MIN_ROWS = 3
@@ -68,20 +63,6 @@ MIN_ROWS = 3
 
 class SingularTridiagError(ArithmeticError):
     """A pivot came out nonpositive or non-finite during factorization."""
-
-
-def _factor(lower, diag, upper):
-    # the bands are 1-D or 2-D; on 2-D each column is its own matrix and
-    # each step is one row operation, with the bits of a 1-D factor
-    n = diag.shape[0]
-    mult = np.zeros(diag.shape)
-    piv = np.empty(diag.shape)
-    piv[0] = diag[0]
-    for i in range(1, n):
-        m = lower[i] / piv[i - 1]
-        mult[i] = m
-        piv[i] = diag[i] - m * upper[i - 1]
-    return mult, piv
 
 
 @lru_cache(maxsize=8)
@@ -103,11 +84,16 @@ def _stack(band: np.ndarray, pad: float) -> np.ndarray:
     return flat
 
 
+def _positive_finite(a: np.ndarray) -> bool:
+    # ufunc.reduce costs less than .min(), and unlike Python's min and max
+    # it keeps a NaN
+    return 0 < np.minimum.reduce(a, axis=None) and np.maximum.reduce(a, axis=None) < np.inf
+
+
 def _uncoupled(lower, diag, upper) -> bool:
     # a coupled band, as every diffusion step has, stops at the first test;
-    # count_nonzero costs a fifth of np.any, and ufunc.reduce less than .min()
-    return (not np.count_nonzero(lower[1:]) and not np.count_nonzero(upper[:-1])
-            and 0 < np.minimum.reduce(diag, axis=None) and np.maximum.reduce(diag, axis=None) < np.inf)
+    # count_nonzero costs a fifth of np.any
+    return not np.count_nonzero(lower[1:]) and not np.count_nonzero(upper[:-1]) and _positive_finite(diag)
 
 
 @dataclass(frozen=True)
@@ -122,13 +108,12 @@ class FactoredTridiag:
     are zero, so no block couples to the next, and a system of fewer than
     MIN_ROWS rows is padded with unit rows.
 
-    mult and piv come from one dgttrf call on that system, with each
-    block's last row finished by hand, or from the Python Thomas loop
-    where dgttrf interchanged a row, failed or left a bad pivot; both
-    have the bits of the Thomas loop.  Where lower[1:] and upper[:-1] are
-    zeros of either sign and the diagonal is positive and finite, mult
-    and upper are None and piv, the loop's pivots, is a copy of the
-    diagonal in the bands' (n,) or (n, k) shape; a solve divides by it.
+    mult and piv are the Thomas loop's multipliers and pivots on that
+    system; every pivot is positive and finite.  Where lower[1:] and
+    upper[:-1] are zeros of either sign and the diagonal is positive and
+    finite, mult and upper are None and piv, the loop's pivots, is a copy
+    of the diagonal in the bands' (n,) or (n, k) shape; a solve divides
+    by it.
 
     A solve has the bits of the Thomas loop on each matrix, except that
     a zero that comes from a -0.0 in rhs may take either sign, and a
@@ -169,25 +154,26 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
         return FactoredTridiag(diag.shape, None, diag.copy(), None)
     upper = np.array(upper, dtype=float)
     upper[-1] = 0.0
-    inner = lower.copy()
-    inner[0] = inner[-1] = 0.0
-    stacked_upper = _stack(upper, 0.0)
-    dl, piv, _, _, ipiv, info = dgttrf(_stack(inner, 0.0)[1:], _stack(diag, 1.0), stacked_upper[:-1])
-    mult = np.concatenate(([0.0], dl))
-    n, rows = diag.shape[0], diag.size
-    if n > 1:
-        # finish each matrix's last row; its first row keeps the Thomas
-        # loop's +0.0 whatever the sign of the pivot above it
-        mult[:rows:n] = 0.0
-        mult[n - 1:rows:n] = last = lower[-1] / piv[n - 2:rows:n]
-        piv[n - 1:rows:n] = diag[-1] - last * upper[-2]
-    no_interchange = info == 0 and np.array_equal(ipiv, _no_pivoting(piv.size)[0])
-    if not (no_interchange and 0 < piv.min() and piv.max() < np.inf):
-        mult, piv = _factor(lower, diag, upper)
-        if not np.all(np.isfinite(piv)) or np.any(piv <= 0):
-            bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
-            raise SingularTridiagError(f"nonpositive pivot {float(piv[bad])!r} at row {bad[0]}")
-        mult, piv = _stack(mult, 0.0), _stack(piv, 1.0)
+    n, stacked_lower, stacked_upper = diag.shape[0], _stack(lower, 0.0), _stack(upper, 0.0)
+    lows, diags, ups = stacked_lower.tolist(), _stack(diag, 1.0).tolist(), stacked_upper.tolist()
+    piv = []
+    for start in range(0, len(diags), n):
+        # each matrix, and each padding row, starts the loop afresh
+        piv.append(p := diags[start])
+        for low, dia, up in zip(lows[start + 1:start + n], diags[start + 1:start + n], ups[start:start + n - 1]):
+            # numpy's quotient where Python's division by zero raises
+            p = dia - (low / p if p else (low * math.copysign(math.inf, p) if low else math.nan)) * up
+            piv.append(p)
+    piv = np.fromiter(piv, float, len(piv))
+    if not _positive_finite(piv):
+        # name the pivot that argmin finds among the k matrices' (n, k) rows
+        piv = piv[:diag.size].reshape(diag.shape[::-1]).T
+        bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
+        raise SingularTridiagError(f"nonpositive pivot {float(piv[bad])!r} at row {bad[0]}")
+    # the loop's multipliers: the quotients it took, now of positive pivots
+    mult = np.empty_like(piv)
+    np.divide(stacked_lower[1:], piv[:-1], out=mult[1:])
+    mult[::n] = 0.0
     return FactoredTridiag(diag.shape, mult, piv, stacked_upper)
 
 

@@ -9,7 +9,7 @@ code, which makes tight agreement tolerances meaningful.  Continuum
 constants are kept separately for convergence-rate checks.
 
 thomas_factor and thomas_solve are the Thomas recurrence as plain
-Python loops, the reference that the package's LAPACK factor and solve
+Python loops, the reference that the package's factor and solve
 must match bit for bit.  assemble_general assembles every coefficient
 on every call, with no plan, the reference that assemble must match bit
 for bit; like assemble it returns bands (3,) + u_slice.shape, rows

@@ -141,6 +141,31 @@ class TestVerify:
         assert self.verify(branch) == 1
         assert "FAIL profiles" in capsys.readouterr().out
 
+    # row 2's index must be its row number, or the file is malformed; its
+    # identity_residual must be |n r_Qu - 1| of its own row to the bit,
+    # and its residual_direct the birth residual of its profile
+    @pytest.mark.parametrize("column, tamper, failed", [
+        ("index", lambda v: 77.0, None),
+        ("index", lambda v: v + 0.5, None),
+        ("identity_residual", lambda v: 1000.0, "columns satisfy n r(Q_u) = 1"),
+        ("identity_residual", lambda v: np.nextafter(v, 1.0), "columns satisfy n r(Q_u) = 1"),
+        ("residual_direct", lambda v: 1000.0, "profiles satisfy the reformulation"),
+        ("residual_direct", lambda v: v + 2e-12, "profiles satisfy the reformulation"),
+    ], ids=["index", "index-half", "identity", "identity-ulp", "direct", "direct-2e-12"])
+    def test_tampered_column(self, traced, tmp_path, capsys, column, tamper, failed):
+        branch = self.copy_run(traced, tmp_path / "run")
+        lines = branch.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[BRANCH_COLUMNS.index(column)] = repr(float(tamper(float(cells[BRANCH_COLUMNS.index(column)]))))
+        lines[3] = ",".join(cells)
+        branch.write_text("\n".join(lines) + "\n")
+        if failed is None:
+            self.assert_malformed(branch, branch, capsys)
+            return
+        assert self.verify(branch) == 1
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {failed}"]
+
     def test_missing_profile(self, traced, tmp_path, capsys):
         branch = self.copy_run(traced, tmp_path / "run")
         (branch.parent / "branch_profile_001.csv").unlink()
@@ -258,10 +283,6 @@ class TestFixedpointCommand:
             assert Path(f"{stem1}{suffix}").read_bytes() == Path(f"{stem2}{suffix}").read_bytes()
 
 
-def refusing(*bands):
-    raise AssertionError("the Python factor loop ran")
-
-
 def written(argv: list[str], out_dir: Path) -> dict[str, bytes]:
     out_dir.mkdir()
     assert main([*argv, "--out", str(out_dir / "out.csv")]) == 0
@@ -283,41 +304,8 @@ def counted_paths(monkeypatch) -> dict[bool, int]:
 
 
 class TestFactorPaths:
-    """dgttrf factors every one-step matrix of these diffusion runs, and the
-    Python loop it falls back to writes the same bytes; every one-step
-    matrix of a pure-decay model is diagonal, and dividing by it writes the
-    bytes of the banded path."""
-
-    # at the default tau1 of 5 the large-shell probes of logistic_diffusion
-    # make dgttrf interchange rows, and the loop factors them as shipped
-    @pytest.mark.parametrize("argv", [
-        ["trace", "--model", DIFFUSION, "--max-points", "3"],
-        ["fixedpoint", "--model", DIFFUSION, "--nx", "8", "--na", "12", "--tau1", "1"],
-    ], ids=["trace", "fixedpoint"])
-    def test_loop_writes_the_bytes_of_lapack(self, argv, tmp_path, monkeypatch, capsys):
-        paths = counted_paths(monkeypatch)
-        with monkeypatch.context() as patch:
-            patch.setattr(tridiag, "_factor", refusing)
-            lapack = written(argv, tmp_path / "lapack")
-        assert paths[False] > 0 and paths[True] == 0
-        calls = {"dgttrf": 0, "loop": 0}
-        real_dgttrf, real_loop = tridiag.dgttrf, tridiag._factor
-
-        def interchanging(*args):
-            calls["dgttrf"] += 1
-            *factors, ipiv, info = real_dgttrf(*args)
-            ipiv = ipiv.copy()
-            ipiv[0] = 2
-            return (*factors, ipiv, info)
-
-        def loop(*bands):
-            calls["loop"] += 1
-            return real_loop(*bands)
-
-        monkeypatch.setattr(tridiag, "dgttrf", interchanging)
-        monkeypatch.setattr(tridiag, "_factor", loop)
-        assert written(argv, tmp_path / "loop") == lapack
-        assert calls["loop"] == calls["dgttrf"] > 0
+    """Every one-step matrix of a pure-decay model is diagonal, and
+    dividing by it writes the bytes of the banded path."""
 
     @pytest.mark.parametrize("argv", [
         ["fixedpoint", "--model", SHELL],
@@ -330,12 +318,6 @@ class TestFactorPaths:
         assert paths[True] > 0 and paths[False] == 0
         monkeypatch.setattr(tridiag, "_uncoupled", lambda *bands: False)
         assert written(argv, tmp_path / "banded") == divided
-
-    # at nx 120 the diffusion couplings da D / dx^2 are nine times those at
-    # the model's own nx 40, and the Robin rows double them again
-    def test_wide_trace_never_falls_back(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(tridiag, "_factor", refusing)
-        written(["trace", "--model", DIFFUSION, "--nx", "120", "--max-points", "3"], tmp_path / "wide")
 
 
 def loop_without_budget(monkeypatch) -> None:

@@ -3,15 +3,15 @@
 Refactors and speedups of the numerical kernels must leave every output
 byte-identical (criterion 10 checks reruns against each other; this
 checks them against fixed bytes), on x86-64 with numpy's default float64
-arithmetic.  Since the Thomas factors and solves run in LAPACK's dgttrf
-and dgttrs, the bytes also rest on the LAPACK that scipy bundles not
-fusing a multiply and an add into one rounding (checked with scipy
-1.17.1), and the solve with the birth block I - Q0/2 rests on the
-LAPACK that numpy bundles for numpy.linalg.solve (checked with numpy
-2.4.6).  tridiag takes dgttrf and dgttrs from scipy's compiled module
-scipy/linalg/_flapack, loaded by its file path or, where that fails,
-through scipy.linalg.lapack; both paths run the same compiled code, so
-the bytes are the same on either.  A deliberate change of the numbers
+arithmetic.  The Thomas factors are a loop on Python floats, which does
+the IEEE operations of numpy's; since the solves run in LAPACK's dgttrs,
+the bytes also rest on the LAPACK that scipy bundles not fusing a
+multiply and an add into one rounding (checked with scipy 1.17.1), and
+the solve with the birth block I - Q0/2 rests on the LAPACK that numpy
+bundles for numpy.linalg.solve (checked with numpy 2.4.6).  tridiag
+takes dgttrs from scipy's compiled module scipy/linalg/_flapack, loaded
+by its file path or, where that fails, through scipy.linalg.lapack; both
+paths run the same compiled code, so the bytes are the same on either.  A deliberate change of the numbers
 re-records them and says
 why.  The two trace cases were re-recorded when the corrector's field
 became one forward march along the age axis instead of Picard sweeps to

@@ -71,7 +71,7 @@ def robin_systems(draw):
     return lower, diag, upper, rhs.reshape(n, *columns, *batch) + 0.0
 
 
-# one coupled matrix, so that factor and solve reach dgttrf and dgttrs
+# one coupled matrix, so that factor and solve reach the loop and dgttrs
 COUPLED = (np.array([0.0, -1.0, -1.0, -1.0]), np.full(4, 3.0), np.array([-1.0, -1.0, -1.0, 0.0]))
 
 
@@ -170,9 +170,8 @@ class TestFactorSolve:
         b.flat[::3] = -0.0
         np.testing.assert_array_equal(fac.solve(b), thomas_solve(lower, diag, upper, b))
 
-    # dgttrf does the Thomas loop's IEEE operations, and the last rows are
-    # finished by hand, so the factors and solves keep the loop's bits on
-    # either path; bands with no coupling (every draw at n = 1, and zero
+    # the factors are the Thomas loop's, on Python floats, and the solves
+    # keep its bits; bands with no coupling (every draw at n = 1, and zero
     # draws of either sign) keep the loop's pivots, unstacked, and its
     # solve; the bands given are never written to
     @settings(max_examples=300, deadline=None)
@@ -229,39 +228,53 @@ class TestFactorSolve:
             with pytest.raises(SingularTridiagError, match=f"^{re.escape(str(banded.value))}$"):
                 factor_tridiag(zero, diag_bad, zero)
 
-    # bands on which dgttrf interchanges rows go to the Python loop, which
-    # keeps the bits without pivoting: an M-matrix with |lower[1]| >
-    # diag[0], whose interchange gives a negative pivot, and bands whose
-    # two interchanges leave every pivot positive, so only ipiv shows them
+    # bands on which a pivoting LU would interchange rows keep the loop's
+    # bits: an M-matrix with |lower[1]| > diag[0], whose interchange gives
+    # a negative pivot, and bands whose two interchanges would leave every
+    # pivot positive
     @pytest.mark.parametrize("lower, diag, upper", [
         ([0.0, -5.0, -0.1], [1.0, 1.0, 1.0], [-0.1, -1.0, 0.0]),
         ([0.0, 3.0, 3.0, 3.0], [2.0, 3.0, 3.0, 2.0], [0.0, 0.0, -2.0, 0.0]),
     ])
-    def test_row_interchange_falls_back_to_the_loop(self, lower, diag, upper, monkeypatch):
-        calls = []
-        monkeypatch.setattr(tridiag, "_factor", lambda *bands: calls.append(1) or thomas_factor(*bands))
+    def test_bands_a_pivoting_lu_would_interchange(self, lower, diag, upper):
         lower, diag, upper = map(np.array, (lower, diag, upper))
         fac = factor_tridiag(lower, diag, upper)
-        assert calls == [1]
         mult, piv = thomas_factor(lower, diag, upper)
         np.testing.assert_array_equal(bits(unstacked(fac, fac.mult)), bits(mult))
         np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
         rhs = np.arange(float(diag.size))
         np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
 
-    def test_lapack_failure_falls_back_to_the_loop(self, monkeypatch):
-        calls = []
-        real = tridiag.dgttrf
-        monkeypatch.setattr(tridiag, "dgttrf", lambda *bands: (*real(*bands)[:5], 1))
-        monkeypatch.setattr(tridiag, "_factor", lambda *bands: calls.append(1) or thomas_factor(*bands))
-        lower, diag, upper = COUPLED
-        fac = factor_tridiag(lower, diag, upper)
-        assert calls == [1]
-        rhs = np.full(4, 2.0)
-        np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
+    # Python's division by zero raises, so the loop gives numpy's quotient
+    # there.  A bad diagonal entry, at a matrix's first row, below a row
+    # it does not couple to or at its last row, is followed by a coupling
+    # of either sign or by a zero of either sign; the inf or nan it leads
+    # to stays in its own matrix, and the error names the pivot that
+    # argmin finds among the pivots of numpy's loop
+    @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
+    def test_bad_pivot_is_named_from_numpy_quotients(self, bad, shape):
+        rng = np.random.default_rng(11)
+        for row in (0, 2, 4):
+            for below in (-1.0, 1.0, 0.0, -0.0):
+                lower = -rng.uniform(0.5, 1, shape)
+                upper = -rng.uniform(0.5, 1, shape)
+                diag = np.abs(lower) + np.abs(upper) + 0.5
+                lower[row] = 0.0
+                diag[(row,) + (0,) * (len(shape) - 1)] = bad
+                if row + 1 < shape[0]:
+                    lower[row + 1] = below
+                with np.errstate(all="ignore"):
+                    _, piv = thomas_factor(lower, diag, upper)
+                if bad == 0.0 and below and row + 1 < shape[0]:
+                    assert not np.isfinite(piv[row + 1]).all()
+                worst = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
+                message = f"nonpositive pivot {float(piv[worst])!r} at row {worst[0]}"
+                with pytest.raises(SingularTridiagError, match=f"^{re.escape(message)}$"):
+                    factor_tridiag(lower, diag, upper)
 
-    # the zero multiplier of a matrix's first row stays +0.0, as in the
-    # loop, below a negative diagonal entry that dgttrf divides 0 by
+    # the zero multiplier of a matrix's first row is +0.0, as in the loop,
+    # below a negative diagonal entry of the matrix above it in the stack
     def test_first_row_multiplier_is_plus_zero(self):
         lower = np.array([[0.0, 0.0], [1.0, 1.0]])
         diag = np.array([[1.0, 1.0], [-1.0, -1.0]])
@@ -270,8 +283,8 @@ class TestFactorSolve:
         np.testing.assert_array_equal(bits(fac.mult), bits([0.0, 1.0, 0.0, 1.0]))
         np.testing.assert_array_equal(fac.piv, [1.0, 2.0, 1.0, 2.0])
 
-    # dgttrf interchanges no row here, but the second matrix's pivot of
-    # row 1 is 1 - (-0.5)(-8) = -3; the error names it as the loop does
+    # the second matrix's pivot of row 1 is 1 - (-0.5)(-8) = -3; the error
+    # names it as the loop does
     def test_batched_lost_pivot_names_its_row(self):
         lower = np.array([[0.0, 0.0], [-0.5, -0.5], [-0.5, -0.5]])
         upper = np.array([[-0.5, -8.0], [-0.5, -0.5], [0.0, 0.0]])
@@ -354,7 +367,7 @@ def scipy_imports(source: str) -> list[str]:
 
 
 def test_only_tridiag_imports_scipy():
-    # scipy sits behind the two LAPACK routines of the tridiagonal kernels
+    # scipy sits behind the one LAPACK routine of the tridiagonal kernels
     package = Path(tridiag.__file__).parent
     importers = [path.name for path in sorted(package.glob("*.py")) if scipy_imports(path.read_text())]
     assert importers == ["tridiag.py"]
@@ -419,21 +432,21 @@ def test_routines_fall_back_to_scipy_linalg_lapack(kind, tmp_path):
     code = (
         "fell_back = 'scipy.linalg' in sys.modules\n"
         "from scipy.linalg import lapack\n"
-        "print(fell_back, tridiag.dgttrf is lapack.dgttrf, tridiag.dgttrs is lapack.dgttrs)\n"
+        "print(fell_back, tridiag.dgttrs is lapack.dgttrs)\n"
     )
-    assert probe(code, fallback_root(tmp_path, kind)).stdout.split() == ["True", "True", "True"]
-    # loaded from the file, the routines are the objects scipy.linalg exports
-    assert probe(code).stdout.split() == ["False", "True", "True"]
+    assert probe(code, fallback_root(tmp_path, kind)).stdout.split() == ["True", "True"]
+    # loaded from the file, the routine is the object scipy.linalg exports
+    assert probe(code).stdout.split() == ["False", "True"]
 
 
 # the outputs and stdout of a run on either path; stderr says which path
-# it took and how often it called dgttrf, so a run that never reaches
+# it took and how often it called dgttrs, so a run that never reaches
 # LAPACK shows
 CLI = """
 fell_back = 'scipy.linalg' in sys.modules
 from agequil import cli
-real, calls = tridiag.dgttrf, []
-tridiag.dgttrf = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
+real, calls = tridiag.dgttrs, []
+tridiag.dgttrs = lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs)
 code = cli.main(sys.argv[2:])
 print(fell_back, len(calls), file=sys.stderr)
 sys.exit(code)
@@ -458,22 +471,21 @@ def test_cli_bytes_are_the_same_on_both_paths(argv, tmp_path):
     assert written[0] == written[1]
 
 
-# a coupled 40-row system: dgttrf and dgttrs of scipy.linalg.lapack work
-# and give tridiag's bits, whichever of the two is imported first, and
-# scipy.linalg holds the _flapack that sys.modules does
+# the factors of a coupled 40-row system: dgttrs of scipy.linalg.lapack
+# works and gives tridiag's bits, whichever of the two is imported first,
+# and scipy.linalg holds the _flapack that sys.modules does
 COEXIST = """
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 assert scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
 rng = np.random.default_rng(40)
-dl, d, du = -rng.uniform(0, 1, 39), rng.uniform(2.5, 3, 40), -rng.uniform(0, 1, 39)
+fac = tridiag.factor_tridiag(-rng.uniform(0, 1, 40), rng.uniform(2.5, 3, 40), -rng.uniform(0, 1, 40))
 b = rng.uniform(0, 1, (40, 2))
 def run(routines):
-    factors = routines.dgttrf(dl, d, du)
-    x, info = routines.dgttrs(*factors[:5], b)
-    assert factors[-1] == info == 0
-    return [np.asarray(a).tobytes() for a in (*factors, x)]
+    x, info = routines.dgttrs(fac.mult[1:], fac.piv, fac.upper[:-1], *tridiag._no_pivoting(40)[::-1], b)
+    assert info == 0
+    return x.tobytes()
 print(run(tridiag) == run(lapack))
 """
 
