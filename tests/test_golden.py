@@ -38,9 +38,17 @@ verify (stdout, on the two golden traces) were pinned later, before the
 zero-density problem moved onto the general code, at the bits they had
 then.  The verify digests were re-recorded when a passing check began to
 print what it measured; no output file and no other stdout moved.
+
+The coupled fixedpoint case (logistic_diffusion at cb = 4.0, at nx 8 and
+na 12) was added later, at the bits it had then.  It is the one golden
+run whose batched shell probes solve on coupled (n, k) factors, through
+the staged system of every matrix of the stack, while its marches and
+the assemble_Q of its result solve on (n,) factors of one matrix; the
+other golden runs pin only the (n,) solves, or no dgttrs call at all.
 """
 
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -84,22 +92,45 @@ RUNS = {
             "out_u.csv": "0e30f9302b70169845b8b7c03bbb7fb21818e29102fc1aa563b7c4d59b9c99ec",
         },
     ),
+    # logistic_diffusion at cb = 4.0 (CB): the one fixed point on coupled
+    # steps, so the batched shell probes solve on (n, k) factors beside the
+    # marches' (n,) ones; it converges in 28 iterations
+    "fixedpoint-diffusion": (
+        ["fixedpoint", "--model", str(MODELS / "logistic_diffusion.cfg"),
+         "--nx", "8", "--na", "12", "--tau1", "1", "--seed", "7"],
+        {
+            "out_B.csv": "7eb70135f0ac0585d2ff859bb384aa00811c34ba203eb878f78160b6ccd8f70b",
+            "out_report.txt": "e374f4fff635871fcb07501ad723de3e71356f15a83fd5b836d7c4d1dd691fc7",
+            "out_u.csv": "1e86f941a4978937903f32a60c1709a74b026ca06b86f96d4370006e98a3d546",
+        },
+    ),
 }
+
+# the cb a case gives its bundled model, in a copy written into the run's
+# directory
+CB = {"fixedpoint-diffusion": "4.0"}
 
 STDOUT = {
     "trace-decay": "2828f687bf3293f0c0a7938932c2a9579b729da8c863f22c78229f1208e3c815",
     "trace-diffusion": "1be765233a0b25e33330e113ce920103836dd8726298a615cd33ff4237a78782",
     "fixedpoint-shell": "516222958749e06e6daa7a6fd57c6c152b47a19e1ad0a73c7cd36c77676c1302",
+    "fixedpoint-diffusion": "55ec97068ec5bbe764fead9986ef0c1a24c87feef375193c3e91f3d4a26e780e",
 }
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_outputs_match_golden_digests(name, tmp_path, capsys):
     argv, expected = RUNS[name]
+    if name in CB:
+        model = Path(argv[2])
+        config, count = re.subn(r"(?m)^cb = .*$", f"cb = {CB[name]}", model.read_text())
+        assert count == 1
+        (tmp_path / model.name).write_text(config)
+        argv = [*argv[:2], str(tmp_path / model.name), *argv[3:]]
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     actual = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.iterdir())
+        for path in sorted(tmp_path.glob("out*"))
     }
     assert actual == expected, f"{name} digests changed; actual: {actual}"
     # stdout carries values no output file holds, such as r(Q0) before
