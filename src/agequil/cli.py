@@ -232,10 +232,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     n, eps, r_Qu = column["n"], column["eps"], column["r_Qu"]
 
     failures: list[str] = []
+    # the rows the profile replay skips: each stores the zero field, whose
+    # birth residual is 0
+    trivial = [idx for idx, e in enumerate(eps) if e <= 1e-12]
+    nonzero_direct = [idx for idx in trivial if column["residual_direct"][idx] != 0.0]
+    nonzero_profile = [idx for idx in trivial if np.any(_read_field_csv(_profile_path(args.branch, idx), *problem[1:]))]
     _check(
         "row 0 is the trivial point",
-        abs(n[0] - 1.0) <= 1e-9 and abs(eps[0]) <= 1e-12,
-        f"n={n[0]!r}, eps={eps[0]!r}",
+        abs(n[0] - 1.0) <= 1e-9 and abs(eps[0]) <= 1e-12 and not nonzero_direct and not nonzero_profile,
+        f"n={n[0]!r}, eps={eps[0]!r}"
+        + (f", nonzero residual_direct in rows {nonzero_direct}" if nonzero_direct else "")
+        + (f", nonzero profile in rows {nonzero_profile}" if nonzero_profile else ""),
         failures,
     )
     # trace wrote identity_residual as this very product

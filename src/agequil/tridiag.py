@@ -10,9 +10,11 @@ The pivots come from the Thomas loop on Python floats, the multipliers
 are its quotients taken again by numpy, and the solve is one call of
 LAPACK's dgttrs on them with identity pivots and a zero second
 superdiagonal, so LAPACK applies them as they are: the loop's forward
-and backward sweeps, in compiled code.  Bands with no coupling (every
-step of a pure-decay model) skip both: the loop's multipliers are zero
-and its pivots are the diagonal, so the solve is one division by it.
+and backward sweeps, in compiled code, on the right-hand side as given
+for one matrix of MIN_ROWS rows or more, else staged in a buffer.
+Bands with no coupling (every step of a pure-decay model) skip both: the
+loop's multipliers are zero and its pivots are the diagonal, so the
+solve is one division by it.
 
 dgttrs is scipy.linalg.lapack's, from scipy's compiled module
 scipy/linalg/_flapack, which is loaded here from its file: the __init__
@@ -96,6 +98,12 @@ def _uncoupled(lower, diag, upper) -> bool:
     return not np.count_nonzero(lower[1:]) and not np.count_nonzero(upper[:-1]) and _positive_finite(diag)
 
 
+def _solved(x: np.ndarray, info: int) -> np.ndarray:
+    if info != 0:
+        raise RuntimeError(f"dgttrs rejected argument {-info}")
+    return x
+
+
 @dataclass(frozen=True)
 class FactoredTridiag:
     """LU factors of a tridiagonal matrix, reusable across solves.
@@ -104,20 +112,21 @@ class FactoredTridiag:
     of the bands.  (n,) factors solve a right-hand side (n,) or (n, m);
     (n, k) factors solve (n, k), or (n, m, k) with m columns against each
     of the k matrices.  The factors are kept as one block-diagonal system
-    of n*k rows, matrix by matrix: mult[0] and upper[-1] of every block
-    are zero, so no block couples to the next, and a system of fewer than
-    MIN_ROWS rows is padded with unit rows.
-
-    mult and piv are the Thomas loop's multipliers and pivots on that
-    system; every pivot is positive and finite.  Where lower[1:] and
-    upper[:-1] are zeros of either sign and the diagonal is positive and
-    finite, mult and upper are None and piv, the loop's pivots, is a copy
-    of the diagonal in the bands' (n,) or (n, k) shape; a solve divides
-    by it.
+    of n*k rows, matrix by matrix, and a system of fewer than MIN_ROWS
+    rows is padded with unit rows.  piv holds the Thomas loop's pivots on
+    that system, all positive and finite; mult and upper are dgttrs's dl
+    and du: the loop's multipliers from row 1 on and the couplings of all
+    rows but the last, zero where one block meets the next.  Where
+    lower[1:] and upper[:-1] are zeros of either sign and the diagonal is
+    positive and finite, mult and upper are None and piv, the loop's
+    pivots, is a copy of the diagonal in the bands' (n,) or (n, k) shape;
+    a solve divides by it.
 
     A solve has the bits of the Thomas loop on each matrix, except that
-    a zero that comes from a -0.0 in rhs may take either sign, and a
-    non-finite entry may spread NaN to the rest of the stack.
+    a -0.0 in rhs may give a zero of either sign, and a non-finite entry
+    may spread NaN to the rest of a stack.  It never writes rhs: unpadded
+    (n,) factors hand it to dgttrs, which solves a copy, so a 2-D solution
+    is in Fortran order; other factors stage it in a buffer.
     """
 
     shape: tuple[int, ...]
@@ -132,17 +141,17 @@ class FactoredTridiag:
             raise ValueError(f"rhs has shape {rhs.shape}, factors have shape {self.shape}")
         if self.mult is None:
             return rhs / (self.piv[:, None] if extra else self.piv)
+        ipiv, du2 = _no_pivoting(self.piv.size)
+        if self.piv.shape == self.shape:  # one matrix, unpadded
+            return _solved(*dgttrs(self.mult, self.piv, self.upper, du2, ipiv, rhs))
         n, k = (self.shape + (1,))[:2]
         m = rhs.shape[1] if extra else 1
-        ipiv, du2 = _no_pivoting(self.piv.size)
         # b[c, j*n + i] = rhs[i, c, j]: column c of the stacked system, so
         # b.T is the Fortran array dgttrs solves in place
         b = np.empty((m, self.piv.size))
         b[:, n * k:] = 0.0
         b[:, :n * k].reshape(m, k, n)[...] = rhs.reshape(n, m, k).transpose(1, 2, 0)
-        x, info = dgttrs(self.mult[1:], self.piv, self.upper[:-1], du2, ipiv, b.T, overwrite_b=1)
-        if info != 0:
-            raise RuntimeError(f"dgttrs rejected argument {-info}")
+        x = _solved(*dgttrs(self.mult, self.piv, self.upper, du2, ipiv, b.T, overwrite_b=1))
         return x.T[:, :n * k].reshape(m, k, n).transpose(2, 0, 1).reshape(rhs.shape)
 
 
@@ -171,10 +180,9 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
         bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
         raise SingularTridiagError(f"nonpositive pivot {float(piv[bad])!r} at row {bad[0]}")
     # the loop's multipliers: the quotients it took, now of positive pivots
-    mult = np.empty_like(piv)
-    np.divide(stacked_lower[1:], piv[:-1], out=mult[1:])
-    mult[::n] = 0.0
-    return FactoredTridiag(diag.shape, mult, piv, stacked_upper)
+    mult = np.divide(stacked_lower[1:], piv[:-1])
+    mult[n - 1::n] = 0.0
+    return FactoredTridiag(diag.shape, mult, piv, stacked_upper[:-1])
 
 
 def tridiag_matvec(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -166,6 +166,30 @@ class TestVerify:
         out = capsys.readouterr().out
         assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {failed}"]
 
+    # the replay skips the trivial row, so its profile must be the zero
+    # field and its residual_direct 0; only a failure names them
+    @pytest.mark.parametrize("tampered, detail", [
+        ("profile", "nonzero profile in rows [0]"),
+        ("residual_direct", "nonzero residual_direct in rows [0]"),
+    ])
+    def test_tampered_trivial_row(self, traced, tmp_path, capsys, tampered, detail):
+        branch = self.copy_run(traced, tmp_path / "run")
+        path, row, col = (
+            (branch.parent / "branch_profile_000.csv", 2, 3) if tampered == "profile"
+            else (branch, 1, BRANCH_COLUMNS.index("residual_direct"))
+        )
+        lines = path.read_text().splitlines()
+        cells = lines[row].split(",")
+        assert float(cells[col]) == 0.0
+        cells[col] = "123.0"
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        assert self.verify(branch) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            f"FAIL row 0 is the trivial point: n=1.0, eps=0.0, {detail}"
+        ]
+
     def test_missing_profile(self, traced, tmp_path, capsys):
         branch = self.copy_run(traced, tmp_path / "run")
         (branch.parent / "branch_profile_001.csv").unlink()

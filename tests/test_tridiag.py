@@ -84,6 +84,23 @@ def unstacked(fac, stacked):
     return stacked[:int(np.prod(fac.shape))].reshape(fac.shape[::-1]).T
 
 
+def laid_out(b, layout):
+    # b in C or Fortran order, as a strided view, or rounded to integers
+    if layout == "F":
+        return np.asfortranarray(b)
+    if layout == "strided":
+        view = np.empty(b.shape[:-1] + (2 * b.shape[-1],))[..., ::2]
+        view[...] = b
+        return view
+    return np.rint(10 * b).astype(np.int64) if layout == "int" else b
+
+
+def multipliers(fac):
+    # mult holds the multipliers from row 1 on, as dgttrs's dl; the loop's
+    # multiplier of row 0 is +0.0
+    return unstacked(fac, np.concatenate([[0.0], fac.mult]))
+
+
 class TestFactorSolve:
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(7)
@@ -148,27 +165,65 @@ class TestFactorSolve:
             factor_tridiag(lower[:, 0], diag[:, 0], upper[:, 0]).solve(rhs)
 
     # the LAPACK solve must keep every bit of the Thomas loop, the sign of
-    # every zero included, for each right-hand side shape; n = 1 and 2 are
-    # padded to the 3 rows dgttrs takes.  Only a -0.0 in the right-hand
-    # side can make the loop give -0.0, and the zero couplings may return
-    # +0.0 there, so that case compares values
+    # every zero included, for each right-hand side shape and layout, and
+    # leave the caller's right-hand side as it was; n = 1 and 2 are padded
+    # to the 3 rows dgttrs takes.  Only a -0.0 in the right-hand side can
+    # make the loop give -0.0, and the zero couplings may return +0.0
+    # there, so that case compares values
     @pytest.mark.parametrize("n", [1, 2, 3, 48])
     @pytest.mark.parametrize("factors, rhs", [
         ((), ()), ((), (5,)), ((4,), (4,)), ((4,), (5, 4)),
     ])
-    def test_bits_of_the_thomas_loop(self, n, factors, rhs):
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "int"])
+    def test_bits_of_the_thomas_loop(self, n, factors, rhs, layout):
         rng = np.random.default_rng(n)
         lower = -rng.uniform(0, 1, (n, *factors))
         upper = -rng.uniform(0, 1, (n, *factors))
         diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 1, (n, *factors))
         b = rng.normal(size=(n, *rhs))
         b.flat[::3] = 0.0
+        b = laid_out(b, layout)
         fac = factor_tridiag(lower, diag, upper)
+        kept = b.copy()
         out = fac.solve(b)
         assert out.shape == b.shape
-        np.testing.assert_array_equal(out.view(np.int64), thomas_solve(lower, diag, upper, b).view(np.int64))
-        b.flat[::3] = -0.0
-        np.testing.assert_array_equal(fac.solve(b), thomas_solve(lower, diag, upper, b))
+        np.testing.assert_array_equal(bits(out), bits(thomas_solve(lower, diag, upper, b.astype(float))))
+        np.testing.assert_array_equal(b, kept)
+        if layout != "int":
+            b.flat[::3] = -0.0
+            kept = b.copy()
+            np.testing.assert_array_equal(fac.solve(b), thomas_solve(lower, diag, upper, b))
+            np.testing.assert_array_equal(bits(b), bits(kept))
+
+    # one unpadded matrix hands a float rhs to dgttrs as it is, whatever
+    # its order, and dgttrs solves a copy it makes, so a 2-D solution comes
+    # back in Fortran order; a stack of matrices, or a system padded to
+    # MIN_ROWS, is staged in a Fortran buffer that dgttrs solves in place
+    @pytest.mark.parametrize("shape, rhs, layout", [
+        ((3,), (3,), "C"), ((48,), (48,), "C"), ((48,), (48, 5), "C"), ((48,), (48, 5), "F"),
+        ((2,), (2,), "C"), ((2,), (2, 5), "C"), ((48, 4), (48, 4), "C"), ((48, 4), (48, 5, 4), "C"),
+    ])
+    def test_one_unpadded_matrix_hands_rhs_to_dgttrs(self, shape, rhs, layout, monkeypatch):
+        real, calls = tridiag.dgttrs, []
+
+        def standin(*args, **kwargs):
+            calls.append((args[5], kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tridiag, "dgttrs", standin)
+        rng = np.random.default_rng(12)
+        lower, upper = -rng.uniform(0, 1, shape), -rng.uniform(0, 1, shape)
+        fac = factor_tridiag(lower, np.abs(lower) + np.abs(upper) + 1.0, upper)
+        b = laid_out(rng.normal(size=rhs), layout)
+        out = fac.solve(b)
+        (passed, kwargs), = calls
+        direct = len(shape) == 1 and shape[0] >= tridiag.MIN_ROWS
+        assert (passed is b) == direct
+        if direct:
+            assert kwargs == {} and (out.ndim == 1 or out.flags.f_contiguous)
+        else:
+            assert kwargs == {"overwrite_b": 1} and passed.flags.f_contiguous
+            assert not np.shares_memory(passed, b)
 
     # the factors are the Thomas loop's, on Python floats, and the solves
     # keep its bits; bands with no coupling (every draw at n = 1, and zero
@@ -188,7 +243,7 @@ class TestFactorSolve:
         if uncoupled:
             np.testing.assert_array_equal(bits(fac.piv), bits(piv))
         else:
-            np.testing.assert_array_equal(bits(unstacked(fac, fac.mult)), bits(mult))
+            np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
             np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
         np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
 
@@ -240,7 +295,7 @@ class TestFactorSolve:
         lower, diag, upper = map(np.array, (lower, diag, upper))
         fac = factor_tridiag(lower, diag, upper)
         mult, piv = thomas_factor(lower, diag, upper)
-        np.testing.assert_array_equal(bits(unstacked(fac, fac.mult)), bits(mult))
+        np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
         np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
         rhs = np.arange(float(diag.size))
         np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
@@ -273,14 +328,15 @@ class TestFactorSolve:
                 with pytest.raises(SingularTridiagError, match=f"^{re.escape(message)}$"):
                     factor_tridiag(lower, diag, upper)
 
-    # the zero multiplier of a matrix's first row is +0.0, as in the loop,
-    # below a negative diagonal entry of the matrix above it in the stack
+    # the zero multiplier of the second matrix's first row (mult[1], as
+    # mult starts at row 1) is +0.0, as in the loop, below a negative
+    # diagonal entry of the matrix above it in the stack
     def test_first_row_multiplier_is_plus_zero(self):
         lower = np.array([[0.0, 0.0], [1.0, 1.0]])
         diag = np.array([[1.0, 1.0], [-1.0, -1.0]])
         upper = np.array([[-3.0, -3.0], [0.0, 0.0]])
         fac = factor_tridiag(lower, diag, upper)
-        np.testing.assert_array_equal(bits(fac.mult), bits([0.0, 1.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(bits(fac.mult), bits([1.0, 0.0, 1.0]))
         np.testing.assert_array_equal(fac.piv, [1.0, 2.0, 1.0, 2.0])
 
     # the second matrix's pivot of row 1 is 1 - (-0.5)(-8) = -3; the error
@@ -291,14 +347,16 @@ class TestFactorSolve:
         with pytest.raises(SingularTridiagError, match=r"^nonpositive pivot -3\.0 at row 1$"):
             factor_tridiag(lower, np.ones((3, 2)), upper)
 
-    def test_lapack_error_is_raised(self, monkeypatch):
+    # on the direct and the staged path alike
+    @pytest.mark.parametrize("bands, rhs", [(COUPLED, (4,)), (np.stack([COUPLED] * 2, axis=-1), (4, 2))])
+    def test_lapack_error_is_raised(self, bands, rhs, monkeypatch):
         def rejecting(*args, **kwargs):
             return args[5], -6
 
         monkeypatch.setattr(tridiag, "dgttrs", rejecting)
-        fac = factor_tridiag(*COUPLED)
+        fac = factor_tridiag(*bands)
         with pytest.raises(RuntimeError, match="argument 6"):
-            fac.solve(np.ones(4))
+            fac.solve(np.ones(rhs))
 
     def test_reusable_factorization(self):
         fac = factor_tridiag(np.zeros(3), np.full(3, 2.0), np.zeros(3))
@@ -483,7 +541,7 @@ rng = np.random.default_rng(40)
 fac = tridiag.factor_tridiag(-rng.uniform(0, 1, 40), rng.uniform(2.5, 3, 40), -rng.uniform(0, 1, 40))
 b = rng.uniform(0, 1, (40, 2))
 def run(routines):
-    x, info = routines.dgttrs(fac.mult[1:], fac.piv, fac.upper[:-1], *tridiag._no_pivoting(40)[::-1], b)
+    x, info = routines.dgttrs(fac.mult, fac.piv, fac.upper, *tridiag._no_pivoting(40)[::-1], b)
     assert info == 0
     return x.tobytes()
 print(run(tridiag) == run(lapack))
