@@ -232,9 +232,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     n, eps, r_Qu = column["n"], column["eps"], column["r_Qu"]
 
     failures: list[str] = []
-    # the rows the profile replay skips: each stores the zero field, whose
-    # birth residual is 0
-    trivial = [idx for idx, e in enumerate(eps) if e <= 1e-12]
+    # the trivial rows, which the profile replay skips, each store the zero
+    # field, whose birth residual is 0; the replay takes the others
+    trivial: list[int] = []
+    nontrivial: list[int] = []
+    for idx, e in enumerate(eps):
+        (trivial if e <= 1e-12 else nontrivial).append(idx)
     nonzero_direct = [idx for idx in trivial if column["residual_direct"][idx] != 0.0]
     nonzero_profile = [idx for idx in trivial if np.any(_read_field_csv(_profile_path(args.branch, idx), *problem[1:]))]
     _check(
@@ -255,7 +258,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     worst = min(column["min_u"])
     _check("nonnegative densities", worst >= -1e-10, f"min {worst:.3e}", failures)
 
-    nontrivial = [idx for idx, e in enumerate(eps) if e > 1e-12]
     if nontrivial:
         ns, rs = [n[idx] for idx in nontrivial], [r_Qu[idx] for idx in nontrivial]
         cross = max(abs(max(ns) * min(rs) - 1.0), abs(min(ns) * max(rs) - 1.0))

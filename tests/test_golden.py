@@ -106,8 +106,8 @@ RUNS = {
     ),
 }
 
-# the cb a case gives its bundled model, in a copy written into the run's
-# directory
+# the cb a case gives its bundled model, in a copy written beside the run's
+# directory, so that directory holds only what the run writes
 CB = {"fixedpoint-diffusion": "4.0"}
 
 STDOUT = {
@@ -119,18 +119,19 @@ STDOUT = {
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_outputs_match_golden_digests(name, tmp_path, capsys):
+def test_outputs_match_golden_digests(name, tmp_path, tmp_path_factory, capsys):
     argv, expected = RUNS[name]
     if name in CB:
         model = Path(argv[2])
         config, count = re.subn(r"(?m)^cb = .*$", f"cb = {CB[name]}", model.read_text())
         assert count == 1
-        (tmp_path / model.name).write_text(config)
-        argv = [*argv[:2], str(tmp_path / model.name), *argv[3:]]
+        copy = tmp_path_factory.mktemp("model") / model.name
+        copy.write_text(config)
+        argv = [*argv[:2], str(copy), *argv[3:]]
     assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
     actual = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(tmp_path.glob("out*"))
+        for path in sorted(tmp_path.iterdir())
     }
     assert actual == expected, f"{name} digests changed; actual: {actual}"
     # stdout carries values no output file holds, such as r(Q0) before
