@@ -7,7 +7,7 @@ accuracy and the M-matrix sign pattern.  Diffusion uses conservative
 fluxes with arithmetic-mean coefficients at half nodes; the drift term is
 upwinded per node by the sign of g, which is what makes the one-step
 inverses of the age stepping entrywise nonnegative.  A cached plan keeps
-what does not depend on the density slice, for every call on its mesh.
+what does not depend on the density slice; pure decay needs none.
 """
 
 from __future__ import annotations
@@ -59,11 +59,11 @@ def gradient_of_slice(u: np.ndarray, dx: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _plan(D: Expr, g: Expr, h: Expr, pure_decay: bool, mesh: SpatialMesh) -> tuple[bool, dict]:
+def _plan(D: Expr, g: Expr, h: Expr, mesh: SpatialMesh) -> tuple[bool, dict]:
     """What every slice's assembly shares: whether g or h reads p, and the
     read-only diffusion bands of each age (_static_bands), filled as asked for.
     Keyed by what it reads, so a model and its renormalization share one."""
-    return "p" in variables(h) | (frozenset() if pure_decay else variables(g)), {}
+    return "p" in variables(h) | variables(g), {}
 
 
 def _static_bands(D: Expr, mesh: SpatialMesh, a: float) -> tuple[np.ndarray, float, bool]:
@@ -89,19 +89,21 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray)
 
     A slice of shape (nx, k) gives k matrices side by side: column j of
     each row is, bit for bit, the band of column j alone.  Every call
-    returns a fresh writable array.  What does not depend on the slice
-    comes from the plan of the model's D, g, h and pure_decay on the mesh.
+    returns a fresh writable array.  Parts that do not depend on the slice
+    come from the plan of the model's D, g and h on the mesh; a pure-decay
+    model, zero but for h + mu on the diagonal, has no plan to look up.
     """
     nx, dx, a = mesh.nx, mesh.dx, float(a)
     u = np.asarray(u_slice, dtype=float)
     if u.ndim not in (1, 2) or u.shape[0] != nx:
         raise AssemblyError(f"u_slice has shape {u.shape}, expected ({nx},) or ({nx}, k)")
-    reads_p, static = _plan(model.D, model.g, model.h, model.pure_decay, mesh)
+    reads_p, static = ("p" in variables(model.h), None) if model.pure_decay else _plan(model.D, model.g, model.h, mesh)
     env = {"u": u, "p": gradient_of_slice(u, dx)} if reads_p else {"u": u}
     shape = u.shape
 
     if model.pure_decay:
-        lower, diag, upper = bands = np.zeros((3,) + shape)
+        bands = np.zeros((3,) + shape)
+        diag = bands[1]
     else:
         diffusion, east, signs_kept = static.get(a) or static.setdefault(a, _static_bands(model.D, mesh, a))
         lower, diag, upper = bands = np.empty((3,) + shape)

@@ -123,7 +123,7 @@ def build_evolution(
         bands *= da
         bands[1] += 1.0  # the bits of 1.0 + da * diag
         try:
-            step = factor_tridiag(*bands)
+            step = factor_tridiag(bands[0], bands[1], bands[2])  # indexing costs less than *bands
         except SingularTridiagError as exc:
             raise EvolutionError(f"singular one-step matrix at age index {k + 1}: {exc}") from exc
         steps.append(step)

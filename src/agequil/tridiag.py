@@ -12,8 +12,9 @@ LAPACK's dgttrs on them with identity pivots and a zero second
 superdiagonal, so LAPACK applies them as they are: the loop's forward
 and backward sweeps, in compiled code, on the right-hand side as given
 for one matrix of MIN_ROWS rows or more, else staged in a buffer.
-Bands with no coupling (every step of a pure-decay model) skip both: the
-loop's multipliers are zero and its pivots are the diagonal, so the
+Bands with no coupling (every step of a pure-decay model) skip both:
+where count_nonzero finds none and the pivot check passes the diagonal,
+the loop's multipliers are zero and its pivots are the diagonal, so the
 solve is one division by it.
 
 dgttrs is scipy.linalg.lapack's, from scipy's compiled module
@@ -28,7 +29,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -87,15 +87,14 @@ def _stack(band: np.ndarray, pad: float) -> np.ndarray:
 
 
 def _positive_finite(a: np.ndarray) -> bool:
-    # ufunc.reduce costs less than .min(), and unlike Python's min and max
-    # it keeps a NaN
-    return 0 < np.minimum.reduce(a, axis=None) and np.maximum.reduce(a, axis=None) < np.inf
+    # a NaN (which ufunc.reduce keeps and Python's min may not), a zero of
+    # either sign or a negative entry fails the least entry; isinf finds +inf
+    return 0 < np.minimum.reduce(a, None) and not np.count_nonzero(np.isinf(a))
 
 
 def _uncoupled(lower, diag, upper) -> bool:
-    # a coupled band, as every diffusion step has, stops at the first test;
-    # count_nonzero costs a fifth of np.any
-    return not np.count_nonzero(lower[1:]) and not np.count_nonzero(upper[:-1]) and _positive_finite(diag)
+    # a coupled band, as every diffusion step has, stops at the first test
+    return not (np.count_nonzero(lower[1:]) or np.count_nonzero(upper[:-1])) and _positive_finite(diag)
 
 
 def _solved(x: np.ndarray, info: int) -> np.ndarray:
@@ -104,7 +103,6 @@ def _solved(x: np.ndarray, info: int) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
 class FactoredTridiag:
     """LU factors of a tridiagonal matrix, reusable across solves.
 
@@ -120,7 +118,8 @@ class FactoredTridiag:
     lower[1:] and upper[:-1] are zeros of either sign and the diagonal is
     positive and finite, mult and upper are None and piv, the loop's
     pivots, is a copy of the diagonal in the bands' (n,) or (n, k) shape;
-    a solve divides by it.
+    a solve divides by it.  Every step of a build makes one, so the class
+    has __slots__ and a plain __init__, and its fields are not frozen.
 
     A solve has the bits of the Thomas loop on each matrix, except that
     a -0.0 in rhs may give a zero of either sign, and a non-finite entry
@@ -129,10 +128,10 @@ class FactoredTridiag:
     is in Fortran order; other factors stage it in a buffer.
     """
 
-    shape: tuple[int, ...]
-    mult: np.ndarray | None
-    piv: np.ndarray
-    upper: np.ndarray | None
+    __slots__ = ("shape", "mult", "piv", "upper")
+
+    def __init__(self, shape: tuple[int, ...], mult: np.ndarray | None, piv: np.ndarray, upper: np.ndarray | None):
+        self.shape, self.mult, self.piv, self.upper = shape, mult, piv, upper
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -157,11 +156,10 @@ class FactoredTridiag:
 
 def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> FactoredTridiag:
     """Factor once; raises SingularTridiagError on a bad pivot."""
-    lower = np.ascontiguousarray(lower, dtype=float)
-    diag = np.ascontiguousarray(diag, dtype=float)
+    diag = np.array(diag, dtype=float, order="C")  # a copy: a diagonal's pivots
     if _uncoupled(lower, diag, upper):
-        return FactoredTridiag(diag.shape, None, diag.copy(), None)
-    upper = np.array(upper, dtype=float)
+        return FactoredTridiag(diag.shape, None, diag, None)
+    lower, upper = np.ascontiguousarray(lower, dtype=float), np.array(upper, dtype=float)
     upper[-1] = 0.0
     n, stacked_lower, stacked_upper = diag.shape[0], _stack(lower, 0.0), _stack(upper, 0.0)
     lows, diags, ups = stacked_lower.tolist(), _stack(diag, 1.0).tolist(), stacked_upper.tolist()

@@ -182,6 +182,8 @@ ORACLE_MODELS = {
     "robin": make_model(D="1 + x", g="p - 2 * u * exp(-u)", h="p + u", mu="1 + u * exp(a)", nu0=0.7),
     "D_of_a_and_x": make_model(D="1 + a * x + exp(-a)", g="0.1 * p", h="0.2 * u", mu="1 + a * u^2", nu0=0.3),
     "no_drift": make_model(D="0.2", g="0", h="u", mu="1 + u"),
+    # pure decay needs no plan, but h still reads the gradient
+    "pure_decay_of_p": make_model(D="2 + x", g="u", h="0.5 * p - u * p", mu="1 + a * u", pure_decay=True),
 }
 
 
@@ -237,6 +239,17 @@ class TestPlan:
         original = getattr(discretize, name)
         monkeypatch.setattr(discretize, name, lambda *args, **kwargs: calls.append(args[0]) or original(*args, **kwargs))
         return calls
+
+    @pytest.mark.parametrize("name", ["logistic_decay", "pure_decay_of_p"])
+    def test_pure_decay_looks_up_no_plan_and_takes_the_gradient_h_reads(self, name, monkeypatch):
+        model, mesh = ORACLE_MODELS[name], SpatialMesh(nx=5)
+        gradients = self._count_calls(monkeypatch, "gradient_of_slice")
+        before = discretize._plan.cache_info()
+        for u in (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 15).reshape(5, 3)):
+            assemble(model, mesh, 0.5, u)
+        info = discretize._plan.cache_info()
+        assert (info.hits, info.misses) == (before.hits, before.misses)
+        assert len(gradients) == (2 if name == "pure_decay_of_p" else 0)
 
     @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_decay.cfg"])
     def test_pure_decay_march_takes_no_gradient_and_evaluates_on_nothing(self, name, monkeypatch):

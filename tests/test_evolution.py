@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from agequil import evolution
+from agequil import evolution, linearized
 from agequil.discretize import SpatialMesh
 from agequil.evolution import (
     AgeGrid,
@@ -13,6 +13,7 @@ from agequil.evolution import (
     propagate,
 )
 from agequil.expr import Num, parse_expr
+from agequil.linearized import build_linearized, reformulation_residual
 from agequil.model import ModelSpec
 from agequil.tridiag import factor_tridiag
 
@@ -108,6 +109,17 @@ class TestPropagate:
         with pytest.raises(EvolutionError, match="singular one-step"):
             build_evolution(decay_model(mu="0 - 200"), mesh, grid)
 
+    # mu = u exp(1000 a) overflows at a = 0.75, age index 6 of 8, where a
+    # positive march makes the diagonal +inf and the zero march 0 * inf,
+    # a NaN; the diagonal test passes neither, and the pivot check names both
+    @pytest.mark.parametrize("birth, pivot", [(1.0, "inf"), (0.0, "nan")])
+    def test_mortality_overflowing_on_the_march_names_the_age(self, birth, pivot):
+        model = decay_model(mu="u * exp(1000 * a)")
+        mesh, grid = SpatialMesh(nx=3), AgeGrid(na=8, a_max=1.0)
+        message = f"^singular one-step matrix at age index 6: nonpositive pivot {pivot} at row 0$"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvolutionError, match=message):
+            build_evolution(model, mesh, grid, birth=np.full(mesh.nx, birth))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_exact_nonnegativity_with_diffusion(self, seed):
@@ -172,27 +184,56 @@ class TestSteps:
 
 class TestCallsPerBuild:
     """Every build, marched or frozen, single or batched, calls assemble
-    and factor_tridiag once per age; the benchmark's tracer counts the
-    work of a build by these calls."""
+    and factor_tridiag once per age, and build_linearized and
+    reformulation_residual each assemble once more per age.  The
+    benchmark's tracer counts the work of a run by these calls: assemble
+    is na * (builds + build_linearized + reformulation_residual) calls and
+    factor_tridiag na * builds, so a change that skips one of them must
+    change the tracer with it."""
 
-    @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_diffusion.cfg"])
+    @staticmethod
+    def counted(monkeypatch, *targets):
+        calls = {}
+        for module, name in targets:
+            key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+            calls[key] = 0
+
+            def counting(*args, _key=key, _real=getattr(module, name), **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_decay.cfg", "logistic_diffusion.cfg"])
     @pytest.mark.parametrize("kind", ["march", "frozen", "batched"])
     def test_one_assemble_and_one_factor_per_age(self, name, kind, monkeypatch):
         model, mesh, grid = load_problem(name)
-        calls = {"assemble": 0, "factor_tridiag": 0}
-        for fn in calls:
-            def counting(*args, _fn=fn, _real=getattr(evolution, fn)):
-                calls[_fn] += 1
-                return _real(*args)
-
-            monkeypatch.setattr(evolution, fn, counting)
+        calls = self.counted(monkeypatch, (evolution, "assemble"), (evolution, "factor_tridiag"))
         rng = np.random.default_rng(8)
         if kind == "march":
             build_evolution(model, mesh, grid, birth=rng.uniform(0.5, 1.5, mesh.nx))
         else:
             shape = (grid.na + 1, mesh.nx) + ((4,) if kind == "batched" else ())
             build_evolution(model, mesh, grid, rng.uniform(0.0, 1.5, shape))
-        assert calls == {"assemble": grid.na, "factor_tridiag": grid.na}
+        assert calls == {"evolution.assemble": grid.na, "evolution.factor_tridiag": grid.na}, (
+            f"a build of {grid.na} ages made {calls}; the tracer's identities need one call of each per age")
+
+    @pytest.mark.parametrize("name", ["logistic_decay.cfg", "logistic_diffusion.cfg"])
+    def test_linearized_layers_assemble_once_per_age(self, name, monkeypatch):
+        model, mesh, grid = load_problem(name)
+        calls = self.counted(monkeypatch, (linearized, "build_evolution"), (evolution, "assemble"),
+                             (evolution, "factor_tridiag"), (linearized, "assemble"))
+        lin = build_linearized(model, mesh, grid)
+        na = grid.na
+        want = {"linearized.build_evolution": 1, "evolution.assemble": na, "evolution.factor_tridiag": na,
+                "linearized.assemble": na}
+        assert calls == want, f"build_linearized made {calls}; the tracer's identities need {want}"
+        calls.update(dict.fromkeys(calls, 0))
+        u = np.random.default_rng(9).uniform(0.0, 0.5, (na + 1, mesh.nx))
+        reformulation_residual(lin, 1.2, u)
+        want = dict.fromkeys(calls, 0) | {"linearized.assemble": na}
+        assert calls == want, f"reformulation_residual made {calls}; the tracer's identities need {want}"
 
 
 class TestDuhamel:

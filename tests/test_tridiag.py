@@ -283,6 +283,45 @@ class TestFactorSolve:
             with pytest.raises(SingularTridiagError, match=f"^{re.escape(str(banded.value))}$"):
                 factor_tridiag(zero, diag_bad, zero)
 
+    # one entry, in a (n,) band or in a column j > 0 of an (n, k) one,
+    # decides the path: a NaN, an infinity, a zero of either sign or a
+    # negative entry on the diagonal raises what the banded path raises; a
+    # subnormal one, or a -0.0 coupling, divides; a subnormal coupling is
+    # a coupling, and goes to the loop
+    @pytest.mark.parametrize("shape, column", [((5,), ()), ((5, 3), (1,)), ((5, 3), (2,))])
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("band, value", [
+        *(("diag", value) for value in (np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 5e-324)),
+        *((band, value) for band in ("lower", "upper") for value in (-0.0, 5e-324)),
+    ])
+    def test_one_entry_anywhere_decides_the_path(self, shape, column, last, band, value, monkeypatch):
+        n = shape[0]
+        bands = {"lower": np.zeros(shape), "diag": np.linspace(0.5, 2.0, np.prod(shape)).reshape(shape),
+                 "upper": np.zeros(shape)}
+        rows = {"lower": (1, n - 1), "diag": (0, n - 1), "upper": (0, n - 2)}[band]
+        bands[band][(rows[last], *column)] = value
+        lower, diag, upper = bands.values()
+        if band == "diag" and not 0 < value < np.inf:
+            with monkeypatch.context() as patch:
+                patch.setattr(tridiag, "_uncoupled", lambda *bands: False)
+                with pytest.raises(SingularTridiagError) as banded:
+                    factor_tridiag(lower, diag, upper)
+            with pytest.raises(SingularTridiagError, match=f"^{re.escape(str(banded.value))}$"):
+                factor_tridiag(lower, diag, upper)
+            return
+        fac = factor_tridiag(lower, diag, upper)
+        divides = band == "diag" or value == 0.0
+        assert (fac.mult is None) == divides
+        mult, piv = thomas_factor(lower, diag, upper)
+        np.testing.assert_array_equal(bits(fac.piv if divides else unstacked(fac, fac.piv)), bits(piv))
+        if not divides:
+            np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
+        # a zero where the entry sits: x / 5e-324 overflows, and the loop
+        # would spread the infinity's NaN where the division does not
+        rhs = np.linspace(-1.0, 1.0, np.prod(shape)).reshape(shape) + 0.25
+        rhs[(rows[last], *column)] = 0.0
+        np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
+
     # bands on which a pivoting LU would interchange rows keep the loop's
     # bits: an M-matrix with |lower[1]| > diag[0], whose interchange gives
     # a negative pivot, and bands whose two interchanges would leave every
