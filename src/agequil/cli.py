@@ -31,8 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .continuation import (
+    TOL_IDENTITY,
+    TOL_POSITIVITY,
     ContinuationError,
-    birth_residual,
+    branch_point,
     branch_stats,
     check_trace_flags,
     first_step,
@@ -46,9 +48,9 @@ from .fixedpoint import (
     check_solve_flags,
     multistart_fixedpoint,
 )
-from .linearized import LinearizedError, build_linearized, reformulation_residual
+from .linearized import LinearizedError, build_linearized
 from .model import ModelError, ModelSpec, parse_grid, parse_model, serialize_model
-from .reproduction import PowerIterationError, ReproductionError, assemble_Q, spectral_radius
+from .reproduction import PowerIterationError, ReproductionError
 
 # after index, each column is the BranchPoint field of its name
 BRANCH_COLUMNS = (
@@ -57,6 +59,10 @@ BRANCH_COLUMNS = (
 )
 # every float the CLI writes, repr-faithful
 FLOAT = "%.17g"
+# verify's bound on a reformulation residual, and how far, relative to its
+# scale, a stored eps or residual_direct may be from its replay
+REFORM_BOUND = 1e-5
+REPLAY_ALLOWANCE = 1e-12
 
 _COMPUTE_ERRORS = (
     ContinuationError, FixedPointError, ReproductionError, PowerIterationError,
@@ -224,66 +230,63 @@ def _check(label: str, ok: bool, detail: str, failures: list[str]) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    problem = _load_problem(args.model, args.nx, args.na)
+    model, mesh, grid = _load_problem(args.model, args.nx, args.na)
     _, table = _read_table(Path(args.branch), lambda first: tuple(first) == BRANCH_COLUMNS)
     column = dict(zip(BRANCH_COLUMNS, table.T.tolist()))
     if column["index"] != list(range(len(table))):
         raise ValueError(f"{args.branch} has an index that is not the row number")
-    n, eps, r_Qu = column["n"], column["eps"], column["r_Qu"]
+    n, eps, r_Qu, direct = column["n"], column["eps"], column["r_Qu"], column["residual_direct"]
+    # every profile is read before the first check, so a malformed one
+    # fails as a malformed file; each row's columns are then recomputed by
+    # the function trace wrote them with, on a frozen build of its profile
+    profiles = [_read_field_csv(_profile_path(args.branch, idx), mesh, grid) for idx in range(len(table))]
+    lin = build_linearized(model, mesh, grid)
+    points = [branch_point(lin, ni, build_evolution(lin.model, mesh, grid, u)) for ni, u in zip(n, profiles)]
+    trivial = [idx for idx, p in enumerate(points) if p.trivial]
+    nontrivial = [idx for idx, p in enumerate(points) if not p.trivial]
 
     failures: list[str] = []
-    # the trivial rows, which the profile replay skips, each store the zero
-    # field, whose birth residual is 0; the replay takes the others
-    trivial: list[int] = []
-    nontrivial: list[int] = []
-    for idx, e in enumerate(eps):
-        (trivial if e <= 1e-12 else nontrivial).append(idx)
-    nonzero_direct = [idx for idx in trivial if column["residual_direct"][idx] != 0.0]
-    nonzero_profile = [idx for idx in trivial if np.any(_read_field_csv(_profile_path(args.branch, idx), *problem[1:]))]
+    # a trivial row stores the trivial point exactly: the zero field, whose
+    # eps and birth residual are 0; only a failure names the rows
+    stray = [(name, rows) for name, rows in (
+        ("eps", [idx for idx in trivial if eps[idx] != points[idx].eps]),
+        ("residual_direct", [idx for idx in trivial if direct[idx] != points[idx].residual_direct]),
+        ("profile", [idx for idx in trivial if np.any(profiles[idx] != points[idx].u)]),
+    ) if rows]
     _check(
         "row 0 is the trivial point",
-        abs(n[0] - 1.0) <= 1e-9 and abs(eps[0]) <= 1e-12 and not nonzero_direct and not nonzero_profile,
-        f"n={n[0]!r}, eps={eps[0]!r}"
-        + (f", nonzero residual_direct in rows {nonzero_direct}" if nonzero_direct else "")
-        + (f", nonzero profile in rows {nonzero_profile}" if nonzero_profile else ""),
+        abs(n[0] - 1.0) <= 1e-9 and points[0].trivial and not stray,
+        f"n={n[0]!r}, eps={eps[0]!r}" + "".join(f", nonzero {name} in rows {rows}" for name, rows in stray),
         failures,
     )
     # trace wrote identity_residual as this very product
     identity = [abs(ni * ri - 1.0) for ni, ri in zip(n, r_Qu)]
     worst, kept = max(identity), identity == column["identity_residual"]
-    _check("columns satisfy n r(Q_u) = 1", worst <= 1e-6 and kept,
+    _check("columns satisfy n r(Q_u) = 1", worst <= TOL_IDENTITY and kept,
            f"max residual {worst:.3e}" + ("" if kept else ", not the identity_residual column"), failures)
     worst = max(column["reform_residual"])
-    _check("reformulation residuals", worst <= 1e-5, f"max {worst:.3e}", failures)
-    worst = min(column["min_u"])
-    _check("nonnegative densities", worst >= -1e-10, f"min {worst:.3e}", failures)
+    _check("reformulation residuals", worst <= REFORM_BOUND, f"max {worst:.3e}", failures)
+    worst, kept = min(column["min_u"]), column["min_u"] == [p.min_u for p in points]
+    _check("nonnegative densities", worst >= -TOL_POSITIVITY and kept,
+           f"min {worst:.3e}" + ("" if kept else ", not the min_u of each profile"), failures)
 
     if nontrivial:
         ns, rs = [n[idx] for idx in nontrivial], [r_Qu[idx] for idx in nontrivial]
         cross = max(abs(max(ns) * min(rs) - 1.0), abs(min(ns) * max(rs) - 1.0))
-        _check("branch extreme identities", cross <= 1e-6, f"residual {cross:.3e}", failures)
-
-    # profile replay: rebuild the reproduction operator from each stored
-    # field and recheck the identity, the reformulation residual and the
-    # birth residual, which another BLAS may sum a few ulps apart
-    lin = build_linearized(*problem)
-    recompute_worst = reform_worst = direct_off = 0.0
-    for idx in nontrivial:
-        u = _read_field_csv(_profile_path(args.branch, idx), lin.mesh, lin.grid)
-        ev = build_evolution(lin.model, lin.mesh, lin.grid, u)
-        r, _ = spectral_radius(assemble_Q(lin.model, ev))
-        recompute_worst = max(recompute_worst, abs(n[idx] * r - 1.0))
-        reform_worst = max(reform_worst, reformulation_residual(lin, n[idx], u))
-        direct_off = max(direct_off, abs(birth_residual(lin, n[idx], u) - column["residual_direct"][idx]))
-    if nontrivial:
+        _check("branch extreme identities", cross <= TOL_IDENTITY, f"residual {cross:.3e}", failures)
+        # the profile replay rechecks the radius and the reformulation; a
+        # stored eps and residual_direct may each be off by REPLAY_ALLOWANCE
+        # relative to its scale, as another BLAS may sum a few ulps apart
+        worst = max(points[idx].identity_residual for idx in nontrivial)
+        _check("profiles satisfy n r(Q_u) = 1", worst <= TOL_IDENTITY, f"max residual {worst:.3e}", failures)
+        worst = max(points[idx].reform_residual for idx in nontrivial)
+        direct_off = max(abs(direct[idx] - points[idx].residual_direct) for idx in nontrivial)
+        eps_off = max(abs(eps[idx] - points[idx].eps) / points[idx].eps for idx in nontrivial)
+        off = [(name, value) for name, value in (("residual_direct", direct_off), ("eps", eps_off))
+               if value > REPLAY_ALLOWANCE]
         _check(
-            "profiles satisfy n r(Q_u) = 1",
-            recompute_worst <= 1e-6, f"max residual {recompute_worst:.3e}", failures,
-        )
-        _check(
-            "profiles satisfy the reformulation", reform_worst <= 1e-5 and direct_off <= 1e-12,
-            f"max residual {reform_worst:.3e}"
-            + (f", residual_direct off by {direct_off:.3e}" if direct_off > 1e-12 else ""), failures,
+            "profiles satisfy the reformulation", worst <= REFORM_BOUND and not off,
+            f"max residual {worst:.3e}" + "".join(f", {name} off by {value:.3e}" for name, value in off), failures,
         )
 
     # local expansion replay: the offset n - 1 must shrink in proportion

@@ -31,14 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import AssemblyError, gradient_of_slice, slice_derivative
-from .evolution import EvolutionError, EvolutionOperator, build_evolution
+from .evolution import EvolutionError, EvolutionOperator, build_evolution, is_trivial
 from .expr import diff, evaluate_on
 from .linearized import LinearizedOperators, reformulation_residual
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
 TOL_IDENTITY = 1e-6
 TOL_POSITIVITY = 1e-10
-TRIVIAL_THRESHOLD = 1e-12
 
 
 class ContinuationError(RuntimeError):
@@ -123,11 +122,12 @@ def correct(
     Solves G(B, n) = 0 and the plane's equation from (B_guess, n); a
     fixed n is the plane n = const, Plane(0, 1, B, n).  Each evaluation of
     G is one march of B, each Newton step one solve with the exact
-    Jacobian (_corrector_jacobian).  Raises ContinuationError on
-    divergence, a non-finite or singular Jacobian, a stalled line search,
-    an exhausted iteration budget, or a converged point with negative
-    density.  ReproductionError, AssemblyError and EvolutionError from
-    the first evaluation pass through; a line-search trial that raises
+    Jacobian (_corrector_jacobian); branch_point gives the columns of the
+    last march.  Raises ContinuationError on divergence, a non-finite or
+    singular Jacobian, a stalled line search, an exhausted iteration
+    budget, or a converged point with negative density.
+    ReproductionError, AssemblyError and EvolutionError from the first
+    evaluation pass through; a line-search trial that raises
     AssemblyError or EvolutionError counts as a failed trial.
     """
     model, mesh, grid = lin.model, lin.mesh, lin.grid
@@ -170,7 +170,11 @@ def correct(
                 break
         else:
             raise ContinuationError(f"corrector stalled at residual {res_norm:.3e}")
-    return _finalize(lin, n_cur, B, ev, iters)
+    point = branch_point(lin, n_cur, ev)
+    if point.min_u < -TOL_POSITIVITY:
+        raise ContinuationError(f"corrected point has negative density (min {point.min_u:.3e})")
+    point.newton_iters = iters
+    return point
 
 
 def _corrector_jacobian(lin: LinearizedOperators, n: float, ev: EvolutionOperator, plane: Plane) -> np.ndarray:
@@ -212,41 +216,34 @@ def birth_residual(lin: LinearizedOperators, n: float, u: np.ndarray) -> float:
     return float(np.max(np.abs(u[0] - n * birth_functional(lin.model, lin.grid, u)))) / scale
 
 
-def _finalize(
-    lin: LinearizedOperators,
-    n: float,
-    B: np.ndarray,
-    ev: EvolutionOperator,
-    iters: int,
-) -> BranchPoint:
-    """Branch point at (B, n) from ev, the march of B."""
-    model, mesh, grid = lin.model, lin.mesh, lin.grid
-    if float(np.max(np.abs(B))) < TRIVIAL_THRESHOLD:
+def branch_point(lin: LinearizedOperators, n: float, ev: EvolutionOperator) -> BranchPoint:
+    """Every column trace writes for the point at n whose field ev is built on.
+
+    B is row 0 of ev.source.  The corrector passes the march of B; verify
+    passes a frozen build of a stored profile, which gives the same bits.
+    A trivial B gives the trivial point, with the zero field.
+    """
+    model, mesh, grid, u = lin.model, lin.mesh, lin.grid, ev.source
+    if is_trivial(u[0]):
+        zero = np.zeros((grid.na + 1, mesh.nx))
         return BranchPoint(
-            n=n, u=np.zeros((grid.na + 1, mesh.nx)), B=np.zeros(mesh.nx), eps=0.0, r_Qu=lin.r0,
-            identity_residual=abs(n * lin.r0 - 1.0), residual_direct=0.0,
-            reform_residual=0.0, min_u=0.0, trivial=True, newton_iters=iters,
+            n=n, u=zero, B=zero[0], eps=0.0, r_Qu=lin.r0, identity_residual=abs(n * lin.r0 - 1.0),
+            residual_direct=0.0, reform_residual=0.0, min_u=0.0, trivial=True,
         )
-    # ev marched B into its self-consistent field, so the birth defect is
-    # the whole residual
-    u = ev.source
+    # u is the self-consistent field of B, so the birth defect is the whole
+    # residual
     r, _ = spectral_radius(assemble_Q(model, ev))
-    point = BranchPoint(
+    return BranchPoint(
         n=n,
         u=u,
-        B=B,
+        B=u[0],
         eps=grid.norm(u),
         r_Qu=r,
         identity_residual=abs(n * r - 1.0),
         residual_direct=birth_residual(lin, n, u),
         reform_residual=reformulation_residual(lin, n, u),
         min_u=float(np.min(u)),
-        trivial=False,
-        newton_iters=iters,
     )
-    if point.min_u < -TOL_POSITIVITY:
-        raise ContinuationError(f"corrected point has negative density (min {point.min_u:.3e})")
-    return point
 
 
 def first_step(lin: LinearizedOperators, eps0: float, *, tol: float = 1e-9) -> BranchPoint:
@@ -261,7 +258,7 @@ def first_step(lin: LinearizedOperators, eps0: float, *, tol: float = 1e-9) -> B
     if eps0 < 0:
         raise ContinuationError("eps0 must be nonnegative")
     if eps0 == 0.0:
-        return _finalize(lin, 1.0, np.zeros(lin.mesh.nx), lin.ev0, 0)
+        return branch_point(lin, 1.0, lin.ev0)
     B0 = eps0 * lin.perron0
     plane = Plane(
         normal_B=lin.perron0 / float(np.linalg.norm(lin.perron0)),
@@ -312,24 +309,22 @@ def trace_branch(
     _require_invariants(p1)
     branch.points.append(p1)
 
-    z_prev = (np.zeros(lin.mesh.nx), 1.0)
-    z_cur = (p1.B, p1.n)
     step_cur = float(step)
     step_min = step / 256.0
     fails_at_min = 0
     branch.terminated = "max_points reached"
     while len(branch.nontrivial()) < max_points:
-        last = branch.points[-1]
+        prev, last = branch.points[-2:]
         if last.n > n_cap:
             branch.terminated = f"n cap {n_cap} exceeded"
             break
         if last.eps > norm_cap:
             branch.terminated = f"amplitude cap {norm_cap} exceeded"
             break
-        tangent = np.append(z_cur[0] - z_prev[0], z_cur[1] - z_prev[1])
+        tangent = np.append(last.B - prev.B, last.n - prev.n)
         tangent /= float(np.linalg.norm(tangent))
-        pred_B = z_cur[0] + step_cur * tangent[:-1]
-        pred_n = z_cur[1] + step_cur * float(tangent[-1])
+        pred_B = last.B + step_cur * tangent[:-1]
+        pred_n = last.n + step_cur * float(tangent[-1])
         plane = Plane(tangent[:-1], float(tangent[-1]), pred_B, pred_n)
         try:
             point = correct(lin, pred_n, pred_B, plane, tol=tol)
@@ -352,7 +347,6 @@ def trace_branch(
             )
             break
         branch.points.append(point)
-        z_prev, z_cur = z_cur, (point.B, point.n)
         fails_at_min = 0
         if point.newton_iters <= 3:
             step_cur = min(step_cur * 1.4, step * 8.0)

@@ -134,6 +134,11 @@ def build_evolution(
     return EvolutionOperator(steps, grid, mesh, u, all(step.mult is None for step in steps))
 
 
+def is_trivial(B: np.ndarray) -> bool:
+    """Whether a birth vector is the trivial equilibrium's: max |B| below 1e-12."""
+    return float(np.max(np.abs(B))) < 1e-12
+
+
 def _birth_array(B: np.ndarray, nx: int) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     if B.shape != (nx,):

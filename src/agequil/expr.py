@@ -88,12 +88,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if text[pos:].strip() == "":
                 break
             raise ExprError(f"unexpected character {text[pos]!r} at position {pos} in {text!r}")
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -112,6 +107,12 @@ def _checked(depth: int) -> int:
     if depth > MAX_DEPTH:
         raise ExprError(f"expression nests deeper than {MAX_DEPTH} levels")
     return depth
+
+
+# binary operators by precedence, loosest first: expr parses a
+# left-associative chain of one level's operators over the next level, and
+# of the last level's over unary
+_BINARY = ({"+": Add, "-": Sub}, {"*": Mul})
 
 
 class _Parser:
@@ -140,25 +141,16 @@ class _Parser:
             raise ExprError(f"trailing input {val!r} at position {pos} in {self.text!r}")
         return node
 
-    def expr(self, level: int) -> tuple[Expr, int]:
-        node, height = self.term(level)
+    def expr(self, level: int, prec: int = 0) -> tuple[Expr, int]:
+        if prec == len(_BINARY):
+            return self.unary(level)
+        node, height = self.expr(level, prec + 1)
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
+            if kind == "op" and val in _BINARY[prec]:
                 self.advance()
-                rhs, h = self.term(level)
-                node, height = (Add if val == "+" else Sub)(node, rhs), _checked(1 + max(height, h))
-            else:
-                return node, height
-
-    def term(self, level: int) -> tuple[Expr, int]:
-        node, height = self.unary(level)
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                rhs, h = self.unary(level)
-                node, height = Mul(node, rhs), _checked(1 + max(height, h))
+                rhs, h = self.expr(level, prec + 1)
+                node, height = _BINARY[prec][val](node, rhs), _checked(1 + max(height, h))
             else:
                 return node, height
 
@@ -207,25 +199,19 @@ def parse_expr(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-# precedence levels used for minimal re-parenthesization
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node: Expr) -> int:
-    if isinstance(node, (Num, Var, Exp)):
-        return _PREC_ATOM
-    if isinstance(node, Pow):
-        return _PREC_POW
-    if isinstance(node, Neg):
-        return _PREC_NEG
-    if isinstance(node, Mul):
-        return _PREC_MUL
-    return _PREC_ADD
+# precedence levels used for minimal re-parenthesization; a binary
+# operator's level is its place in _BINARY, counted from 1
+_PREC_NEG, _PREC_POW, _PREC_ATOM = 3, 4, 5
+_PREC = {
+    Neg: _PREC_NEG, Pow: _PREC_POW, Num: _PREC_ATOM, Var: _PREC_ATOM, Exp: _PREC_ATOM,
+    **{cls: level for level, ops in enumerate(_BINARY, start=1) for cls in ops.values()},
+}
+_SYMBOL = {cls: symbol for ops in _BINARY for symbol, cls in ops.items()}
 
 
 def _wrap(node: Expr, parent_prec: int, right_side: bool = False) -> str:
     text = to_text(node)
-    p = _prec(node)
+    p = _PREC[type(node)]
     if p < parent_prec or (right_side and p == parent_prec):
         return f"({text})"
     return text
@@ -239,12 +225,9 @@ def to_text(node: Expr) -> str:
         return node.name
     if isinstance(node, Neg):
         return "-" + _wrap(node.arg, _PREC_NEG)
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, _PREC_ADD)} + {_wrap(node.right, _PREC_ADD, True)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, _PREC_ADD)} - {_wrap(node.right, _PREC_ADD, True)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, _PREC_MUL)} * {_wrap(node.right, _PREC_MUL, True)}"
+    if isinstance(node, (Add, Sub, Mul)):
+        prec = _PREC[type(node)]
+        return f"{_wrap(node.left, prec)} {_SYMBOL[type(node)]} {_wrap(node.right, prec, True)}"
     if isinstance(node, Pow):
         return f"{_wrap(node.base, _PREC_ATOM)}^{node.exponent}"
     if isinstance(node, Exp):

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import SpatialMesh
-from .evolution import AgeGrid, build_evolution
+from .evolution import AgeGrid, build_evolution, is_trivial
 from .model import ModelSpec
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
-COLLAPSE_THRESHOLD = 1e-12
+MAX_RADIUS = 1.0 + 1e-9  # a spectral radius at most this is at most one, up to roundoff
 ANDERSON_DEPTH = 3  # Anderson mixing fits the last 3 differences of iterates and residuals
 
 
@@ -120,7 +120,7 @@ def solve_fixedpoint(
                 Bs, fs = [B], [f]
         change = float(np.max(np.abs(B_next - B)))
         B = B_next
-        if float(np.max(np.abs(B))) < COLLAPSE_THRESHOLD:
+        if is_trivial(B):
             return _diagnose(model, mesh, grid, B, False, it, change)
         if change <= tol:
             return _diagnose(model, mesh, grid, B, True, it, change)
@@ -148,7 +148,7 @@ def _diagnose(
                 break
         # a slow slide toward zero can pass the change test well above
         # the collapse threshold; the polish exposes it
-        if float(np.max(np.abs(B))) < COLLAPSE_THRESHOLD:
+        if is_trivial(B):
             converged = False
     if not converged:
         B = np.zeros(mesh.nx)
@@ -156,7 +156,7 @@ def _diagnose(
     u = ev.source
     residual = float(np.max(np.abs(B - birth_functional(model, grid, u))))
     r, _ = spectral_radius(assemble_Q(model, ev))
-    if not converged and r > 1.0 + 1e-9:
+    if not converged and r > MAX_RADIUS:
         raise FixedPointError(f"iterate fell into the trivial equilibrium, which repels: r(Q0) = {r!r}")
     return FixedPointResult(
         u=u, B=B, converged=converged,
@@ -258,7 +258,7 @@ def check_shell_conditions(
         tau0=tau0,
         tau1=tau1,
         verdict_small_densities=bool(min_excess >= -1e-12),
-        verdict_large_densities=bool(max_radius <= 1.0 + 1e-9),
+        verdict_large_densities=bool(max_radius <= MAX_RADIUS),
         min_small_excess=min_excess,
         max_large_radius=float(max_radius),
     )

@@ -64,7 +64,7 @@ _COEFF_VARS = {
 
 _SECTIONS = {
     "domain": {"a_max", "nx", "na", "pure_decay"},
-    "coefficients": {"d", "g", "h", "mu", "b"},
+    "coefficients": {name.lower() for name in _COEFF_VARS},  # configparser lowercases keys
     "boundary": {"nu0"},
     "normalization": {"cb"},
 }
@@ -117,18 +117,18 @@ def _get_float(cp: configparser.ConfigParser, section: str, key: str, default=No
 
 
 def _get_expr(cp: configparser.ConfigParser, name: str) -> Expr:
-    if not cp.has_option("coefficients", name):
-        raise ModelError(f"missing coefficient {name!r} in section [coefficients]")
-    text = cp.get("coefficients", name)
+    key = name.lower()  # the key configparser keeps, which errors name
+    if not cp.has_option("coefficients", key):
+        raise ModelError(f"missing coefficient {key!r} in section [coefficients]")
     try:
-        node = parse_expr(text)
+        node = parse_expr(cp.get("coefficients", key))
     except ExprError as exc:
-        raise ModelError(f"coefficient {name!r}: {exc}") from exc
-    stray = variables(node) - _COEFF_VARS[name if name != "d" else "D"]
+        raise ModelError(f"coefficient {key!r}: {exc}") from exc
+    stray = variables(node) - _COEFF_VARS[name]
     if stray:
-        allowed = ", ".join(sorted(_COEFF_VARS[name if name != "d" else "D"])) or "none"
+        allowed = ", ".join(sorted(_COEFF_VARS[name])) or "none"
         raise ModelError(
-            f"coefficient {name!r} uses variable {sorted(stray)[0]!r}; allowed: {allowed}"
+            f"coefficient {key!r} uses variable {sorted(stray)[0]!r}; allowed: {allowed}"
         )
     return node
 
@@ -147,11 +147,7 @@ def parse_model(text: str) -> ModelSpec:
             raise ModelError(f"pure_decay must be a boolean: {exc}") from exc
     spec = ModelSpec(
         a_max=a_max,
-        D=_get_expr(cp, "d"),
-        g=_get_expr(cp, "g"),
-        h=_get_expr(cp, "h"),
-        mu=_get_expr(cp, "mu"),
-        b=_get_expr(cp, "b"),
+        **{name: _get_expr(cp, name) for name in _COEFF_VARS},
         nu0=_get_float(cp, "boundary", "nu0", 0.0) if cp.has_section("boundary") else 0.0,
         cb=_get_float(cp, "normalization", "cb", 1.0) if cp.has_section("normalization") else 1.0,
         pure_decay=pure_decay,
@@ -190,11 +186,7 @@ def serialize_model(spec: ModelSpec, nx: int | None = None, na: int | None = Non
     lines += [
         "",
         "[coefficients]",
-        f"D = {to_text(spec.D)}",
-        f"g = {to_text(spec.g)}",
-        f"h = {to_text(spec.h)}",
-        f"mu = {to_text(spec.mu)}",
-        f"b = {to_text(spec.b)}",
+        *(f"{name} = {to_text(getattr(spec, name))}" for name in _COEFF_VARS),
         "",
         "[boundary]",
         f"nu0 = {spec.nu0!r}",

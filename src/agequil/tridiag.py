@@ -122,8 +122,12 @@ class FactoredTridiag:
     has __slots__ and a plain __init__, and its fields are not frozen.
 
     A solve has the bits of the Thomas loop on each matrix, except that
-    a -0.0 in rhs may give a zero of either sign, and a non-finite entry
-    may spread NaN to the rest of a stack.  It never writes rhs: unpadded
+    a -0.0 in rhs may give a zero of either sign, a non-finite entry may
+    spread NaN to the rest of a stack, and on diagonal factors a quotient
+    that overflows stays in its own row, where the loop spreads it as NaN
+    (0 * inf) to the rows above: the diagonal [2, 2, 5e-324, 2, 2] solves
+    ones to [0.5, 0.5, inf, 0.5, 0.5], the loop to [nan, nan, inf, 0.5,
+    0.5].  It never writes rhs: unpadded
     (n,) factors hand it to dgttrs, which solves a copy, so a 2-D solution
     is in Fortran order; other factors stage it in a buffer.
     """

@@ -14,8 +14,9 @@ from hypothesis.extra.numpy import arrays
 
 from agequil import cli, fixedpoint, linearized, reproduction, tridiag
 from agequil.cli import BRANCH_COLUMNS, main
+from agequil.continuation import branch_point
 from agequil.discretize import SpatialMesh
-from agequil.evolution import AgeGrid
+from agequil.evolution import AgeGrid, build_evolution
 from agequil.linearized import build_linearized
 from agequil.model import parse_grid, parse_model
 
@@ -35,9 +36,9 @@ def src_env() -> dict[str, str]:
     return env
 
 
-def run_trace(out_dir: Path) -> Path:
+def run_trace(out_dir: Path, *flags: str) -> Path:
     branch = out_dir / "branch.csv"
-    rc = main(["trace", "--model", DECAY, "--out", str(branch), *TRACE_FLAGS])
+    rc = main(["trace", "--model", DECAY, "--out", str(branch), *TRACE_FLAGS, *flags])
     assert rc == 0
     return branch
 
@@ -45,6 +46,13 @@ def run_trace(out_dir: Path) -> Path:
 @pytest.fixture(scope="module")
 def traced(tmp_path_factory) -> Path:
     return run_trace(tmp_path_factory.mktemp("trace"))
+
+
+# row 1 of this branch has eps 7.65e-13 but max B about 1.2e-12: trivial
+# by an eps <= 1e-12 rule, nontrivial by the solver's test on B
+@pytest.fixture(scope="module")
+def traced_tiny(tmp_path_factory) -> Path:
+    return run_trace(tmp_path_factory.mktemp("trace_tiny"), "--eps0", "1.2e-12")
 
 
 class TestNormalize:
@@ -143,7 +151,8 @@ class TestVerify:
 
     # row 2's index must be its row number, or the file is malformed; its
     # identity_residual must be |n r_Qu - 1| of its own row to the bit,
-    # and its residual_direct the birth residual of its profile
+    # its residual_direct and eps those of its profile, and its min_u the
+    # profile's minimum to the bit
     @pytest.mark.parametrize("column, tamper, failed", [
         ("index", lambda v: 77.0, None),
         ("index", lambda v: v + 0.5, None),
@@ -151,7 +160,9 @@ class TestVerify:
         ("identity_residual", lambda v: np.nextafter(v, 1.0), "columns satisfy n r(Q_u) = 1"),
         ("residual_direct", lambda v: 1000.0, "profiles satisfy the reformulation"),
         ("residual_direct", lambda v: v + 2e-12, "profiles satisfy the reformulation"),
-    ], ids=["index", "index-half", "identity", "identity-ulp", "direct", "direct-2e-12"])
+        ("eps", lambda v: 2.0 * v, "profiles satisfy the reformulation"),
+        ("min_u", lambda v: 2.0 * v + 1e-3, "nonnegative densities"),
+    ], ids=["index", "index-half", "identity", "identity-ulp", "direct", "direct-2e-12", "eps", "min_u"])
     def test_tampered_column(self, traced, tmp_path, capsys, column, tamper, failed):
         branch = self.copy_run(traced, tmp_path / "run")
         lines = branch.read_text().splitlines()
@@ -190,10 +201,31 @@ class TestVerify:
             f"FAIL row 0 is the trivial point: n=1.0, eps=0.0, {detail}"
         ]
 
+    def test_trivial_rows_are_the_solvers(self, traced_tiny, capsys):
+        _, table = cli._read_table(traced_tiny, lambda first: True)
+        B = cli._read_field_csv(cli._profile_path(str(traced_tiny), 1), *cli._load_problem(DECAY, 6, 24)[1:])[0]
+        assert table[1, BRANCH_COLUMNS.index("eps")] < 1e-12 <= np.max(np.abs(B))
+        assert self.verify(traced_tiny) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    # in one process, trace's columns are branch_point's on a frozen build
+    # of each written profile, bit for bit
+    @pytest.mark.parametrize("branch", ["traced", "traced_tiny"])
+    def test_branch_point_gives_the_written_columns(self, branch, request):
+        branch = request.getfixturevalue(branch)
+        model, mesh, grid = cli._load_problem(DECAY, 6, 24)
+        lin = build_linearized(model, mesh, grid)
+        _, table = cli._read_table(branch, lambda first: True)
+        for idx, row in enumerate(table.tolist()):
+            u = cli._read_field_csv(cli._profile_path(str(branch), idx), mesh, grid)
+            point = branch_point(lin, row[1], build_evolution(lin.model, mesh, grid, u))
+            columns = [idx, *(getattr(point, col) for col in BRANCH_COLUMNS[1:])]
+            assert [cli.FLOAT % v for v in columns] == [cli.FLOAT % v for v in row]
+
     def test_missing_profile(self, traced, tmp_path, capsys):
         branch = self.copy_run(traced, tmp_path / "run")
         (branch.parent / "branch_profile_001.csv").unlink()
-        assert self.verify(branch) == 2
+        self.assert_malformed(branch, branch.parent / "branch_profile_001.csv", capsys)
 
     @pytest.mark.parametrize("text", ["a,b,c\n1,2,3\n", "\n" + ",".join(BRANCH_COLUMNS) + "\n", ""],
                              ids=["foreign", "empty-first-line", "empty-file"])
@@ -202,9 +234,11 @@ class TestVerify:
         bad.write_text(text)
         self.assert_malformed(bad, bad, capsys)
 
+    # a malformed file fails before any check prints
     def assert_malformed(self, branch: Path, bad: Path, capsys) -> None:
         assert self.verify(branch) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert str(bad) in err
 

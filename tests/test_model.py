@@ -1,3 +1,5 @@
+import configparser
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -60,6 +62,32 @@ def cfg(**overrides) -> str:
     return "\n".join(lines)
 
 
+# malformed expressions and the exact text each one raises
+EXPR_ERRORS = [
+    ("", "unexpected token '' at position 0 in ''"),
+    ("1 +", "unexpected token '' at position 3 in '1 +'"),
+    ("u +", "unexpected token '' at position 3 in 'u +'"),
+    ("u / 2", "unexpected character ' ' at position 1 in 'u / 2'"),
+    ("2 $ u", "unexpected character ' ' at position 1 in '2 $ u'"),
+    ("$", "unexpected character '$' at position 0 in '$'"),
+    ("sin(u)", "unknown name 'sin' at position 0 in 'sin(u)'"),
+    ("y", "unknown name 'y' at position 0 in 'y'"),
+    ("foo", "unknown name 'foo' at position 0 in 'foo'"),
+    ("u^-1", "exponent must be a nonnegative integer at position 2 in 'u^-1'"),
+    ("u^p", "exponent must be a nonnegative integer at position 2 in 'u^p'"),
+    ("u^1.5", "exponent must be a nonnegative integer at position 2 in 'u^1.5'"),
+    ("u ^ 2.0", "exponent must be a nonnegative integer at position 4 in 'u ^ 2.0'"),
+    ("(1 + u", "expected ')' at position 6 in '(1 + u'"),
+    ("(u", "expected ')' at position 2 in '(u'"),
+    ("exp u", "expected '(' at position 4 in 'exp u'"),
+    ("1 2", "trailing input '2' at position 2 in '1 2'"),
+    ("1..2", "trailing input '.2' at position 2 in '1..2'"),
+    ("u)", "trailing input ')' at position 1 in 'u)'"),
+    ("u ** 2 ** 3", "trailing input '**' at position 7 in 'u ** 2 ** 3'"),
+    ("+".join(["u"] * (MAX_DEPTH + 1)), f"expression nests deeper than {MAX_DEPTH} levels"),
+]
+
+
 class TestExprParsing:
     def test_literal_and_variables(self):
         assert parse_expr("2.5") == Num(2.5)
@@ -79,13 +107,11 @@ class TestExprParsing:
         assert parse_expr("1e-3") == Num(1e-3)
         assert parse_expr("2.5E+2") == Num(250.0)
 
-    @pytest.mark.parametrize("bad", [
-        "", "1 +", "u / 2", "sin(u)", "y", "u^-1", "u^p", "u^1.5",
-        "(1 + u", "1 2", "exp u", "$", "1..2",
-    ])
-    def test_rejects(self, bad):
-        with pytest.raises(ExprError):
+    @pytest.mark.parametrize("bad, message", EXPR_ERRORS, ids=[bad[:12] for bad, _ in EXPR_ERRORS])
+    def test_rejects(self, bad, message):
+        with pytest.raises(ExprError) as err:
             parse_expr(bad)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("text", [
         "-" * 3000 + "u",
@@ -267,30 +293,43 @@ class TestParseModel:
         spec = parse_model(cfg(mu="1 + u  # logistic"))
         assert spec.mu == Add(Num(1.0), Var("u"))
 
-    @pytest.mark.parametrize("text,needle", [
-        (cfg(a_max="-1"), "a_max"),
+    @pytest.mark.parametrize("text, message", [
+        (cfg(a_max="-1"), "a_max must be positive and finite"),
         (cfg(D="0"), "D must be positive"),
         (cfg(D="x - 2"), "D must be positive"),
         (cfg(g="1"), "g(0,0) must vanish"),
-        (cfg(mu="u - 1"), "mu must be nonnegative"),
-        (cfg(mu="u"), "theta"),
-        (cfg(b="0"), "b must be positive"),
-        (cfg(b="u - 1"), "b must be positive"),
-        (cfg(D="u"), "uses variable"),
-        (cfg(mu="1 + x"), "uses variable"),
-        (cfg(b="1 + a"), "uses variable"),
-        (cfg(mu="1 +"), "coefficient"),
-        (BASE_CFG + "\n[boundary]\nnu0 = -1\n", "nu0"),
-        (BASE_CFG + "\n[normalization]\ncb = 0\n", "cb"),
-        (BASE_CFG + "\nbogus = 3\n", "unknown key"),
-        (BASE_CFG + "\n[extra]\nk = 1\n", "unknown section"),
-        ("[domain]\na_max = 1.0\n", "coefficients"),
-        ("not an ini file", "syntax"),
+        (cfg(mu="u - 1"), "mu must be nonnegative on sampled nonnegative densities"),
+        (cfg(mu="u"), "theta(a) = mu(0,a) + h(0,0) must be positive"),
+        (cfg(b="0"), "b must be positive on sampled nonnegative densities"),
+        (cfg(b="u - 1"), "b must be positive on sampled nonnegative densities"),
+        (cfg(D="u"), "coefficient 'd' uses variable 'u'; allowed: a, x"),
+        (cfg(mu="1 + x"), "coefficient 'mu' uses variable 'x'; allowed: a, u"),
+        (cfg(b="1 + a"), "coefficient 'b' uses variable 'a'; allowed: u"),
+        (cfg(h="x"), "coefficient 'h' uses variable 'x'; allowed: p, u"),
+        (cfg(mu="1 +"), "coefficient 'mu': unexpected token '' at position 3 in '1 +'"),
+        (cfg(D="1 +"), "coefficient 'd': unexpected token '' at position 3 in '1 +'"),
+        (cfg(g="y"), "coefficient 'g': unknown name 'y' at position 0 in 'y'"),
+        (BASE_CFG.replace("D = 1\n", ""), "missing coefficient 'd' in section [coefficients]"),
+        (BASE_CFG.replace("mu = 1 + u\n", ""), "missing coefficient 'mu' in section [coefficients]"),
+        (BASE_CFG + "\n[boundary]\nnu0 = -1\n", "nu0 must be nonnegative and finite"),
+        (BASE_CFG + "\n[boundary]\nnu0 = abc\n",
+         "key 'nu0' in [boundary] is not a number: could not convert string to float: 'abc'"),
+        (BASE_CFG + "\n[normalization]\ncb = 0\n", "cb must be positive and finite"),
+        (BASE_CFG + "\nbogus = 3\n", "unknown key 'bogus' in section [coefficients]"),
+        (BASE_CFG + "\n[extra]\nk = 1\n", "unknown section [extra]"),
+        ("[domain]\na_max = 1.0\n", "config requires [domain] and [coefficients] sections"),
+        ("not an ini file", "config syntax error: "
+         + str(configparser.MissingSectionHeaderError("<???>", 1, "not an ini file"))),
+    ], ids=[
+        "a_max", "D-zero", "D-negative", "g00", "mu-negative", "theta", "b-zero", "b-negative",
+        "D-reads-u", "mu-reads-x", "b-reads-a", "h-reads-x", "mu-syntax", "D-syntax", "g-unknown-name",
+        "missing-D", "missing-mu", "nu0", "nu0-not-a-number", "cb", "unknown-key", "unknown-section",
+        "no-coefficients", "syntax",
     ])
-    def test_rejects(self, text, needle):
-        with pytest.raises(ModelError, match=None) as err:
+    def test_rejects(self, text, message):
+        with pytest.raises(ModelError) as err:
             parse_model(text)
-        assert needle in str(err.value)
+        assert str(err.value) == message
 
     def test_missing_coefficient(self):
         text = "\n".join(
