@@ -28,6 +28,7 @@ from .evolution import (
     EvolutionOperator,
     apply_K0,
     build_evolution,
+    march,
     propagate,
 )
 from .fixedpoint import (
@@ -99,6 +100,7 @@ __all__ = [
     "check_shell_conditions",
     "correct",
     "first_step",
+    "march",
     "multistart_fixedpoint",
     "normalize",
     "parse_grid",

@@ -60,7 +60,7 @@ BRANCH_COLUMNS = (
 # every float the CLI writes, repr-faithful
 FLOAT = "%.17g"
 # verify's bound on a reformulation residual, and how far, relative to its
-# scale, a stored eps or residual_direct may be from its replay
+# scale, a stored eps, r_Qu or residual_direct may be from its replay
 REFORM_BOUND = 1e-5
 REPLAY_ALLOWANCE = 1e-12
 
@@ -275,10 +275,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         cross = max(abs(max(ns) * min(rs) - 1.0), abs(min(ns) * max(rs) - 1.0))
         _check("branch extreme identities", cross <= TOL_IDENTITY, f"residual {cross:.3e}", failures)
         # the profile replay rechecks the radius and the reformulation; a
-        # stored eps and residual_direct may each be off by REPLAY_ALLOWANCE
-        # relative to its scale, as another BLAS may sum a few ulps apart
+        # stored eps, r_Qu and residual_direct may each be off by
+        # REPLAY_ALLOWANCE relative to its scale, as another BLAS may sum a
+        # few ulps apart, and power iteration stop 1e-13 apart
         worst = max(points[idx].identity_residual for idx in nontrivial)
-        _check("profiles satisfy n r(Q_u) = 1", worst <= TOL_IDENTITY, f"max residual {worst:.3e}", failures)
+        r_off = max(abs(r_Qu[idx] - points[idx].r_Qu) / points[idx].r_Qu for idx in nontrivial)
+        _check("profiles satisfy n r(Q_u) = 1", worst <= TOL_IDENTITY and r_off <= REPLAY_ALLOWANCE,
+               f"max residual {worst:.3e}" + (f", r_Qu off by {r_off:.3e}" if r_off > REPLAY_ALLOWANCE else ""),
+               failures)
         worst = max(points[idx].reform_residual for idx in nontrivial)
         direct_off = max(abs(direct[idx] - points[idx].residual_direct) for idx in nontrivial)
         eps_off = max(abs(eps[idx] - points[idx].eps) / points[idx].eps for idx in nontrivial)

@@ -6,10 +6,10 @@ The branch lives in (n, B) space: a corrected point solves
     G(B, n) = B - n * l(u(B)) = 0
 
 where u(B), the self-consistent field of B, is one forward march
-(build_evolution with birth=B): each age step is frozen at the previous
-age slice.  That causality makes the exact Jacobian a tangent march on
-the march's own factored steps, only of its diagonal where the tangent
-stays diagonal, so a Newton step assembles and factors nothing new.  The
+(evolution.march): each age step is frozen at the previous age slice.
+That causality makes the exact Jacobian a tangent march on the march's
+own factored steps, only of its diagonal where the tangent stays
+diagonal, so a Newton step assembles and factors nothing new.  The
 trivial solution exists for every n; the nontrivial branch leaves it at
 n = 1 along the Perron direction of Q0.  The first step pins the
 amplitude along that direction and frees n; later steps are
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretize import AssemblyError, gradient_of_slice, slice_derivative
-from .evolution import EvolutionError, EvolutionOperator, build_evolution, is_trivial
+from .evolution import EvolutionError, EvolutionOperator, is_trivial, march
 from .expr import diff, evaluate_on
 from .linearized import LinearizedOperators, reformulation_residual
 from .reproduction import assemble_Q, birth_functional, spectral_radius
@@ -136,7 +136,7 @@ def correct(
     n_cur = float(n)
 
     def evaluate(Bv: np.ndarray, nv: float) -> tuple[np.ndarray, EvolutionOperator]:
-        ev = build_evolution(model, mesh, grid, birth=Bv)
+        ev = march(model, mesh, grid, Bv)
         # an overflow shows as a non-finite residual, which is caught below
         with np.errstate(over="ignore", invalid="ignore"):
             res = np.append(Bv - nv * birth_functional(model, grid, ev.source), plane.value(Bv, nv))

@@ -12,10 +12,10 @@ the nonnegative orthant into itself exactly.
 Because step k reads only the slice at a_k, the self-consistent field of
 a birth vector B, the field that its own evolution propagates B into, is
 a causal recursion: u_0 = B, u_{k+1} = (I + da * A_h(u_k, a_{k+1}))^{-1} u_k.
-build_evolution(..., birth=B) marches it in one forward pass for one
-birth vector (nx,), factoring each step as it goes.  The linear
-evolution Pi_0 is the build on the zero field, by the same code as any
-other.
+march(model, mesh, grid, B) runs it in one forward pass for one birth
+vector (nx,): one division per age on a pure-decay model, and on any
+other build_evolution(..., birth=B), which factors each step as it goes.
+The linear evolution Pi_0 is the build on the zero field.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretize import SpatialMesh, assemble
+from .discretize import SpatialMesh, assemble, gradient_of_slice
+from .expr import evaluate, variables
 from .model import ModelSpec
-from .tridiag import FactoredTridiag, SingularTridiagError, factor_tridiag
+from .tridiag import FactoredTridiag, SingularTridiagError, factor_tridiag, positive_finite
 
 
 class EvolutionError(ValueError):
@@ -75,8 +76,9 @@ class EvolutionOperator:
     A field is an array whose row k is the slice at age a_k: (na+1, nx),
     or (na+1, nx, k) for k fields side by side along a trailing batch
     axis.  source is the field the quasilinear coefficients were evaluated
-    on; the zero field gives the linear evolution Pi_0.  diagonal says
-    that every step is diagonal (mult is None), and so every Pi(a_k, 0).
+    on: zero for the linear evolution Pi_0, or march's field.  diagonal
+    says that every step is diagonal (mult is None), as a pure-decay
+    march's are, and so every Pi(a_k, 0).
     """
 
     steps: list[FactoredTridiag]
@@ -122,16 +124,45 @@ def build_evolution(
         bands = assemble(model, mesh, a, u[k])
         bands *= da
         bands[1] += 1.0  # the bits of 1.0 + da * diag
-        try:
-            step = factor_tridiag(bands[0], bands[1], bands[2])  # indexing costs less than *bands
-        except SingularTridiagError as exc:
-            raise EvolutionError(f"singular one-step matrix at age index {k + 1}: {exc}") from exc
-        steps.append(step)
-        if birth is not None and step.mult is None:  # the bits of step.solve, without its checks
-            np.divide(u[k], step.piv, out=u[k + 1])
-        elif birth is not None:
+        steps.append(step := _factor(k, bands))
+        if birth is not None:
             u[k + 1] = step.solve(u[k])
     return EvolutionOperator(steps, grid, mesh, u, all(step.mult is None for step in steps))
+
+
+def _factor(k: int, bands) -> FactoredTridiag:
+    try:
+        return factor_tridiag(bands[0], bands[1], bands[2])  # indexing costs less than *bands
+    except SingularTridiagError as exc:
+        raise EvolutionError(f"singular one-step matrix at age index {k + 1}: {exc}") from exc
+
+
+def march(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, B: np.ndarray) -> EvolutionOperator:
+    """The evolution of the self-consistent field of a birth vector B (nx,):
+    build_evolution(..., birth=B), but on a pure-decay model one division
+    of u_k per age by (h + mu)(u_k, a_{k+1}) * da + 1.0, the build's
+    diagonal to the bit (0.0 + x only changes the sign of a zero, and
+    + 1.0 removes it).  The divisors, one (na, nx) array whose rows are
+    the steps' pivots, are checked once: the first bad age raises the
+    build's error, also where a later age raised first."""
+    if not model.pure_decay:
+        return build_evolution(model, mesh, grid, birth=B)
+    u = np.empty((grid.na + 1, mesh.nx))
+    u[0] = _birth_array(B, mesh.nx)
+    divisors = np.ones((grid.na, mesh.nx))  # ages an exception leaves unmarched pass the check
+    reads_p, da = "p" in variables(model.h), grid.da
+    try:
+        for k, a in enumerate(grid.ages[1:].tolist()):
+            env = {"u": u[k], "p": gradient_of_slice(u[k], mesh.dx)} if reads_p else {"u": u[k]}
+            divisors[k] = (evaluate(model.h, env) + evaluate(model.mu, {"u": u[k], "a": a})) * da + 1.0
+            np.divide(u[k], divisors[k], out=u[k + 1])
+    finally:
+        if not positive_finite(divisors):  # tridiag's rule on all ages; the first bad one's factor raises
+            zero = np.zeros(mesh.nx)
+            for k, row in enumerate(divisors):
+                _factor(k, (zero, row, zero))
+    divisors.flags.writeable = False
+    return EvolutionOperator([FactoredTridiag((mesh.nx,), None, row, None) for row in divisors], grid, mesh, u, True)
 
 
 def is_trivial(B: np.ndarray) -> bool:

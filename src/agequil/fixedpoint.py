@@ -4,7 +4,7 @@ This is the second, independent route to an equilibrium: no continuation,
 no Newton, no linearization.  The map sends a birth vector B to the birth
 functional of its self-consistent field,
 
-    B  <-  l(u(B)),    u(B) = build_evolution(..., birth=B).source,
+    B  <-  l(u(B)),    u(B) = march(model, mesh, grid, B).source,
 
 the same one-pass march the continuation corrector evaluates; Anderson
 mixing (Walker and Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735) only
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import SpatialMesh
-from .evolution import AgeGrid, build_evolution, is_trivial
+from .evolution import AgeGrid, build_evolution, is_trivial, march
 from .model import ModelSpec
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
@@ -104,7 +104,7 @@ def solve_fixedpoint(
     change = np.inf
     Bs, fs = [], []
     for it in range(1, max_iter + 1):
-        u = build_evolution(model, mesh, grid, birth=B).source
+        u = march(model, mesh, grid, B).source
         image = birth_functional(model, grid, u)
         f = image - B
         Bs, fs = (Bs + [B])[-ANDERSON_DEPTH - 1:], (fs + [f])[-ANDERSON_DEPTH - 1:]
@@ -140,7 +140,7 @@ def _diagnose(
     # before the residual and the reproduction radius are measured
     if converged:
         for _ in range(200):
-            u = build_evolution(model, mesh, grid, birth=B).source
+            u = march(model, mesh, grid, B).source
             B_prop = birth_functional(model, grid, u)
             delta = float(np.max(np.abs(B_prop - B)))
             B = B_prop
@@ -152,7 +152,7 @@ def _diagnose(
             converged = False
     if not converged:
         B = np.zeros(mesh.nx)
-    ev = build_evolution(model, mesh, grid, birth=B)
+    ev = march(model, mesh, grid, B)
     u = ev.source
     residual = float(np.max(np.abs(B - birth_functional(model, grid, u))))
     r, _ = spectral_radius(assemble_Q(model, ev))

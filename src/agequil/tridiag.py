@@ -86,7 +86,7 @@ def _stack(band: np.ndarray, pad: float) -> np.ndarray:
     return flat
 
 
-def _positive_finite(a: np.ndarray) -> bool:
+def positive_finite(a: np.ndarray) -> bool:
     # a NaN (which ufunc.reduce keeps and Python's min may not), a zero of
     # either sign or a negative entry fails the least entry; isinf finds +inf
     return 0 < np.minimum.reduce(a, None) and not np.count_nonzero(np.isinf(a))
@@ -94,7 +94,7 @@ def _positive_finite(a: np.ndarray) -> bool:
 
 def _uncoupled(lower, diag, upper) -> bool:
     # a coupled band, as every diffusion step has, stops at the first test
-    return not (np.count_nonzero(lower[1:]) or np.count_nonzero(upper[:-1])) and _positive_finite(diag)
+    return not (np.count_nonzero(lower[1:]) or np.count_nonzero(upper[:-1])) and positive_finite(diag)
 
 
 def _solved(x: np.ndarray, info: int) -> np.ndarray:
@@ -176,7 +176,7 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
             p = dia - (low / p if p else (low * math.copysign(math.inf, p) if low else math.nan)) * up
             piv.append(p)
     piv = np.fromiter(piv, float, len(piv))
-    if not _positive_finite(piv):
+    if not positive_finite(piv):
         # name the pivot that argmin finds among the k matrices' (n, k) rows
         piv = piv[:diag.size].reshape(diag.shape[::-1]).T
         bad = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)

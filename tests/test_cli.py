@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis.extra.numpy import arrays
 
-from agequil import cli, fixedpoint, linearized, reproduction, tridiag
+from agequil import cli, continuation, fixedpoint, linearized, reproduction, tridiag
 from agequil.cli import BRANCH_COLUMNS, main
 from agequil.continuation import branch_point
 from agequil.discretize import SpatialMesh
@@ -151,8 +151,9 @@ class TestVerify:
 
     # row 2's index must be its row number, or the file is malformed; its
     # identity_residual must be |n r_Qu - 1| of its own row to the bit,
-    # its residual_direct and eps those of its profile, and its min_u the
-    # profile's minimum to the bit
+    # its residual_direct, eps and r_Qu those of its profile, and its min_u
+    # the profile's minimum to the bit.  A raised r_Qu comes with the
+    # identity_residual it implies, so only the replay can catch it
     @pytest.mark.parametrize("column, tamper, failed", [
         ("index", lambda v: 77.0, None),
         ("index", lambda v: v + 0.5, None),
@@ -162,12 +163,16 @@ class TestVerify:
         ("residual_direct", lambda v: v + 2e-12, "profiles satisfy the reformulation"),
         ("eps", lambda v: 2.0 * v, "profiles satisfy the reformulation"),
         ("min_u", lambda v: 2.0 * v + 1e-3, "nonnegative densities"),
-    ], ids=["index", "index-half", "identity", "identity-ulp", "direct", "direct-2e-12", "eps", "min_u"])
+        ("r_Qu", lambda v: v * (1.0 + 1e-7), "profiles satisfy n r(Q_u) = 1"),
+    ], ids=["index", "index-half", "identity", "identity-ulp", "direct", "direct-2e-12", "eps", "min_u", "r_Qu"])
     def test_tampered_column(self, traced, tmp_path, capsys, column, tamper, failed):
         branch = self.copy_run(traced, tmp_path / "run")
         lines = branch.read_text().splitlines()
         cells = lines[3].split(",")
         cells[BRANCH_COLUMNS.index(column)] = repr(float(tamper(float(cells[BRANCH_COLUMNS.index(column)]))))
+        if column == "r_Qu":
+            n, r_Qu = float(cells[BRANCH_COLUMNS.index("n")]), float(cells[BRANCH_COLUMNS.index("r_Qu")])
+            cells[BRANCH_COLUMNS.index("identity_residual")] = repr(abs(n * r_Qu - 1.0))
         lines[3] = ",".join(cells)
         branch.write_text("\n".join(lines) + "\n")
         if failed is None:
@@ -363,7 +368,8 @@ def counted_paths(monkeypatch) -> dict[bool, int]:
 
 class TestFactorPaths:
     """Every one-step matrix of a pure-decay model is diagonal, and
-    dividing by it writes the bytes of the banded path."""
+    dividing by it, in a factor or in march, writes the bytes of the
+    banded path."""
 
     @pytest.mark.parametrize("argv", [
         ["fixedpoint", "--model", SHELL],
@@ -375,6 +381,8 @@ class TestFactorPaths:
         divided = written(argv, tmp_path / "divided")
         assert paths[True] > 0 and paths[False] == 0
         monkeypatch.setattr(tridiag, "_uncoupled", lambda *bands: False)
+        for module in (continuation, fixedpoint):  # each march a banded build
+            monkeypatch.setattr(module, "march", lambda model, mesh, grid, B: build_evolution(model, mesh, grid, birth=B))
         assert written(argv, tmp_path / "banded") == divided
 
 

@@ -13,7 +13,7 @@ from agequil.continuation import (
     trace_branch,
 )
 from agequil.discretize import SpatialMesh, gradient_of_slice
-from agequil.evolution import AgeGrid, EvolutionError, build_evolution, propagate
+from agequil.evolution import AgeGrid, EvolutionError, build_evolution, march, propagate
 from agequil.expr import evaluate_on
 from agequil.linearized import build_linearized
 from agequil.model import parse_model
@@ -34,7 +34,7 @@ def fixed_n(B: np.ndarray, n: float) -> Plane:
 
 def jacobian_at(lin, B: np.ndarray, n: float) -> np.ndarray:
     """The corrector's exact Jacobian of G(B, n), without the plane row."""
-    ev = build_evolution(lin.model, lin.mesh, lin.grid, birth=B)
+    ev = march(lin.model, lin.mesh, lin.grid, B)
     return continuation._corrector_jacobian(lin, n, ev, fixed_n(B, n))[:-1]
 
 
@@ -141,8 +141,8 @@ class TestCorrect:
         self, decay_branch, decay_lin, monkeypatch, pinned
     ):
         # each Newton step builds the exact Jacobian on the march it
-        # already has and solves with it once; nothing marches a batch.
-        # Every other solve is with the (nx, nx) birth block I - Q0/2,
+        # already has and solves with it once; each evaluation of G is one
+        # march of one birth vector, never a batch.  Every other solve is with the (nx, nx) birth block I - Q0/2,
         # inside the reformulation residual of the corrected point
         nx = decay_lin.mesh.nx
         p = decay_branch.nontrivial()[4]
@@ -150,12 +150,11 @@ class TestCorrect:
             plane = fixed_n(p.B, p.n)
         else:
             plane = Plane(p.B / float(np.linalg.norm(p.B)), 0.0, p.B, p.n)
-        batches, jacobians, solves = [], [], []
+        marches, jacobians, solves = [], [], []
 
-        def counting_build(*args, birth=None, **kwargs):
-            if np.ndim(birth) == 2:
-                batches.append(np.shape(birth))
-            return build_evolution(*args, birth=birth, **kwargs)
+        def counting_march(model, mesh, grid, B):
+            marches.append(np.shape(B))
+            return march(model, mesh, grid, B)
 
         def counting_jacobian(*args, **kwargs):
             jacobians.append(real_jacobian(*args, **kwargs))
@@ -166,20 +165,21 @@ class TestCorrect:
             return real_solve(a, b)
 
         real_jacobian, real_solve = continuation._corrector_jacobian, np.linalg.solve
-        monkeypatch.setattr(continuation, "build_evolution", counting_build)
+        monkeypatch.setattr(continuation, "march", counting_march)
         monkeypatch.setattr(continuation, "_corrector_jacobian", counting_jacobian)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         got = correct(decay_lin, p.n, 1.02 * p.B, plane)
         assert got.newton_iters >= 1
-        assert batches == []
+        assert len(marches) >= got.newton_iters + 1 and set(marches) == {(nx,)}
         assert len(jacobians) == got.newton_iters
         assert solves.count((nx + 1, nx + 1)) == got.newton_iters
         assert set(solves) <= {(nx + 1, nx + 1), (nx, nx)}
         # a converged start takes no step and builds no Jacobian
+        marches.clear()
         jacobians.clear()
         solves.clear()
         assert correct(decay_lin, got.n, got.B, plane).newton_iters == 0
-        assert jacobians == [] and batches == []
+        assert jacobians == [] and marches == [(nx,)]
         assert set(solves) <= {(nx, nx)}
 
     @pytest.mark.parametrize("start", [1.01, 1.1, 1.3])

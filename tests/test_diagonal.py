@@ -13,7 +13,7 @@ import pytest
 from agequil import continuation, tridiag
 from agequil.continuation import ContinuationError, Plane, first_step
 from agequil.discretize import SpatialMesh
-from agequil.evolution import AgeGrid, build_evolution, propagate
+from agequil.evolution import AgeGrid, build_evolution, march, propagate
 from agequil.fixedpoint import check_shell_conditions
 from agequil.linearized import build_linearized
 from agequil.model import parse_model
@@ -62,7 +62,7 @@ class TestDiagonalPaths:
         assert lin.ev0.diagonal
         assert same_bits(assemble_Q(model, lin.ev0), assemble_Q_columns(model, lin.ev0))
         for B in births(lin):
-            ev = build_evolution(model, mesh, grid, birth=B)
+            ev = march(model, mesh, grid, B)
             assert ev.diagonal
             plane = Plane(B / np.linalg.norm(B), 0.3, B, 1.1)
             for n in (1.1, -0.7):
@@ -84,7 +84,7 @@ class TestDiagonalPaths:
     def test_a_gradient_term_takes_the_dense_jacobian(self, h_reads_p_lin, monkeypatch):
         lin = h_reads_p_lin
         B = births(lin)[2]
-        ev = build_evolution(lin.model, lin.mesh, lin.grid, birth=B)
+        ev = march(lin.model, lin.mesh, lin.grid, B)
         shapes = solved_shapes(monkeypatch)
         continuation._corrector_jacobian(lin, 1.0, ev, Plane(np.zeros(lin.mesh.nx), 1.0, B, 1.0))
         assert shapes == [(lin.mesh.nx, lin.mesh.nx)] * lin.grid.na
@@ -114,7 +114,7 @@ class TestDiagonalPaths:
     def test_non_finite_fertility_raises_the_same_text(self, h):
         lin = decay_variant(h=h, b="exp(100 * u)")
         B = np.random.default_rng(3).uniform(10.0, 15.0, lin.mesh.nx)
-        ev = build_evolution(lin.model, lin.mesh, lin.grid, birth=B)
+        ev = march(lin.model, lin.mesh, lin.grid, B)
         plane = Plane(np.zeros(lin.mesh.nx), 1.0, B, 1.0)
         with np.errstate(over="ignore", invalid="ignore"):
             for jacobian in (continuation._corrector_jacobian, corrector_jacobian_columns):

@@ -10,6 +10,7 @@ from agequil.evolution import (
     EvolutionError,
     apply_K0,
     build_evolution,
+    march,
     propagate,
 )
 from agequil.expr import Num, parse_expr
@@ -111,14 +112,17 @@ class TestPropagate:
 
     # mu = u exp(1000 a) overflows at a = 0.75, age index 6 of 8, where a
     # positive march makes the diagonal +inf and the zero march 0 * inf,
-    # a NaN; the diagonal test passes neither, and the pivot check names both
+    # a NaN; the diagonal test passes neither, and the pivot check names
+    # both, in the build and in march, which checks all ages at the end
     @pytest.mark.parametrize("birth, pivot", [(1.0, "inf"), (0.0, "nan")])
     def test_mortality_overflowing_on_the_march_names_the_age(self, birth, pivot):
         model = decay_model(mu="u * exp(1000 * a)")
         mesh, grid = SpatialMesh(nx=3), AgeGrid(na=8, a_max=1.0)
         message = f"^singular one-step matrix at age index 6: nonpositive pivot {pivot} at row 0$"
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvolutionError, match=message):
-            build_evolution(model, mesh, grid, birth=np.full(mesh.nx, birth))
+        B = np.full(mesh.nx, birth)
+        for run in (lambda: build_evolution(model, mesh, grid, birth=B), lambda: march(model, mesh, grid, B)):
+            with np.errstate(all="ignore"), pytest.raises(EvolutionError, match=message):
+                run()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -182,6 +186,62 @@ class TestSteps:
                     assert np.array_equal(got_f, want_f) and np.array_equal(np.signbit(got_f), np.signbit(want_f))
 
 
+PURE_DECAY_OF_P = ModelSpec(
+    a_max=1.0, D=Num(2.0), g=Num(0.0), h=parse_expr("0.5 * p - u * p"), mu=parse_expr("1 + a * u"), b=Num(1.0),
+    pure_decay=True,
+)
+
+
+def march_problem(name: str) -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
+    if name == "pure_decay_of_p":
+        return PURE_DECAY_OF_P, SpatialMesh(nx=9), AgeGrid(na=40, a_max=1.0)
+    return load_problem(f"{name}.cfg")
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestMarch:
+    """march against build_evolution(..., birth=B): on a pure-decay model
+    one division per age gives the build's field, pivots and errors."""
+
+    @pytest.mark.parametrize("name", ["shell_decay", "logistic_decay", "pure_decay_of_p", "logistic_diffusion"])
+    def test_has_the_bits_of_the_build(self, name):
+        model, mesh, grid = march_problem(name)
+        rng = np.random.default_rng(4)
+        for B in (np.linspace(1.5, 0.5, mesh.nx), 0.01 * rng.uniform(0.0, 1.0, mesh.nx), np.zeros(mesh.nx),
+                  -np.zeros(mesh.nx), rng.uniform(-0.01, 0.03, mesh.nx)):
+            got, want = march(model, mesh, grid, B), build_evolution(model, mesh, grid, birth=B)
+            assert same_bits(got.source, want.source) and got.diagonal == want.diagonal == model.pure_decay
+            assert len(got.steps) == len(want.steps) == grid.na
+            for step, built in zip(got.steps, want.steps):
+                assert (step.mult is None) == (built.mult is None) and step.shape == built.shape
+                assert same_bits(step.piv, built.piv)
+            if model.pure_decay:
+                # the divisors are one read-only (na, nx) array, row k step k's pivots
+                divisors = got.steps[0].piv.base
+                assert divisors.shape == (grid.na, mesh.nx) and not divisors.flags.writeable
+                assert all(step.piv.base is divisors for step in got.steps)
+                assert same_bits(divisors, np.stack([step.piv for step in want.steps]))
+
+    @pytest.mark.parametrize("mu, B, message", [
+        # every age's divisor is 1 - 200 da, negative
+        ("0 - 200", 1.0, "age index 1: nonpositive pivot -24.0 at row 0"),
+        # a divisor of zero in row 1: the Thomas loop names the NaN it makes in row 2
+        ("0 - 8 * u", [0.0, 1.0, 0.0], "age index 1: nonpositive pivot nan at row 2"),
+        # age 6 has divisor 1 - 9 da; at age 8 a power of a Python float raises OverflowError
+        ("(1.4e154 * a)^2 - (1.4e154 * a)^2 - 9 * (1.3333333333333333 * a)^20", 1.0,
+         "age index 6: nonpositive pivot -0.125 at row 0"),
+    ], ids=["negative", "zero", "raised-later"])
+    def test_bad_divisors_raise_the_builds_text(self, mu, B, message):
+        model, mesh, grid = decay_model(mu), SpatialMesh(nx=3), AgeGrid(na=8, a_max=1.0)
+        B = np.broadcast_to(B, mesh.nx).astype(float)
+        for run in (lambda: build_evolution(model, mesh, grid, birth=B), lambda: march(model, mesh, grid, B)):
+            with np.errstate(all="ignore"), pytest.raises(EvolutionError, match=f"^singular one-step matrix at {message}$"):
+                run()
+
+
 class TestCallsPerBuild:
     """Every build, marched or frozen, single or batched, calls assemble
     and factor_tridiag once per age, and build_linearized and
@@ -189,7 +249,8 @@ class TestCallsPerBuild:
     benchmark's tracer counts the work of a run by these calls: assemble
     is na * (builds + build_linearized + reformulation_residual) calls and
     factor_tridiag na * builds, so a change that skips one of them must
-    change the tracer with it."""
+    change the tracer with it.  A march on a coupled model is one build;
+    a pure-decay march is not a build, and calls neither."""
 
     @staticmethod
     def counted(monkeypatch, *targets):
@@ -218,6 +279,19 @@ class TestCallsPerBuild:
             build_evolution(model, mesh, grid, rng.uniform(0.0, 1.5, shape))
         assert calls == {"evolution.assemble": grid.na, "evolution.factor_tridiag": grid.na}, (
             f"a build of {grid.na} ages made {calls}; the tracer's identities need one call of each per age")
+
+    @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_decay.cfg", "logistic_diffusion.cfg"])
+    def test_a_march_is_a_build_only_on_a_coupled_model(self, name, monkeypatch):
+        model, mesh, grid = load_problem(name)
+        builds, real = [], evolution.build_evolution
+        monkeypatch.setattr(evolution, "build_evolution", lambda *args, **kwargs: builds.append(
+            (args, sorted(kwargs), kwargs.get("birth") is B)) or real(*args, **kwargs))
+        calls = self.counted(monkeypatch, (evolution, "assemble"), (evolution, "factor_tridiag"))
+        B = np.random.default_rng(8).uniform(0.5, 1.5, mesh.nx)
+        march(model, mesh, grid, B)
+        per_age = 0 if model.pure_decay else grid.na
+        assert builds == ([] if model.pure_decay else [((model, mesh, grid), ["birth"], True)])
+        assert calls == {"evolution.assemble": per_age, "evolution.factor_tridiag": per_age}
 
     @pytest.mark.parametrize("name", ["logistic_decay.cfg", "logistic_diffusion.cfg"])
     def test_linearized_layers_assemble_once_per_age(self, name, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agequil import fixedpoint
-from agequil.evolution import EvolutionError, build_evolution
+from agequil.evolution import EvolutionError, build_evolution, march
 from agequil.expr import parse_expr
 from agequil.fixedpoint import (
     FixedPointError,
@@ -60,14 +60,14 @@ class TestShellEquilibrium:
         # alone takes 47 steps at damping 0.5 and 19 at 1.0
         marches = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             marches.append(1)
-            return build_evolution(*args, **kwargs)
+            return march(*args)
 
-        monkeypatch.setattr(fixedpoint, "build_evolution", counting)
+        monkeypatch.setattr(fixedpoint, "march", counting)
         model, mesh, grid = shell_problem
         assert solve_fixedpoint(model, mesh, grid, damping=damping).converged
-        assert len(marches) <= 10
+        assert 1 <= len(marches) <= 10
 
     def test_multistart_agrees_and_is_deterministic(self, shell_problem, shell_result):
         model, mesh, grid = shell_problem
