@@ -8,8 +8,8 @@ The branch lives in (n, B) space: a corrected point solves
 where u(B), the self-consistent field of B, is one forward march
 (evolution.march): each age step is frozen at the previous age slice.
 That causality makes the exact Jacobian a tangent march on the march's
-own factored steps, only of its diagonal where the tangent stays
-diagonal, so a Newton step assembles and factors nothing new.  The
+own steps, only of its diagonal where the tangent stays diagonal, so a
+Newton step assembles and factors nothing new.  The
 trivial solution exists for every n; the nontrivial branch leaves it at
 n = 1 along the Perron direction of Q0.  The first step pins the
 amplitude along that direction and frees n; later steps are
@@ -183,7 +183,8 @@ def _corrector_jacobian(lin: LinearizedOperators, n: float, ev: EvolutionOperato
     The march solves (I + da A(u_k, a_{k+1})) u_{k+1} = u_k; its tangent
     dU_0 = I, dU_{k+1} = S_k^{-1} (dU_k - da J_k dU_k) runs on the march's
     factored steps S_k, J_k from slice_derivative (no G term if beta = 0;
-    then on diagonal steps only the diagonal of dU_k is marched).  B block
+    then on a diagonal evolution only the diagonal of dU_k is marched).
+    Where ev has divisors, S_k^{-1} divides by row k + 1 of them.  B block
     I - n dl, dl = sum_k w_k cb (b + b' u)(u_k) dU_k; n column -l(u).  A
     non-finite entry raises ContinuationError.
     """
@@ -192,16 +193,16 @@ def _corrector_jacobian(lin: LinearizedOperators, n: float, ev: EvolutionOperato
     keep, shift = 1.0 - grid.da * alpha, grid.da * beta if np.any(beta) else None
     b_slope = evaluate_on(model.b, u.shape, u=u) + u * evaluate_on(diff(model.b, "u"), u.shape, u=u)
     weight = model.cb * grid.weights[:, None] * b_slope
-    diagonal = ev.diagonal and shift is None
+    diagonal = ev.divisors is not None and shift is None
     rows = np.s_[:] if diagonal else np.s_[:, None]
     du, dl = (np.ones(mesh.nx), weight[0].copy()) if diagonal else (np.eye(mesh.nx), np.diag(weight[0]))
     # an overflow in the tangent march shows as a non-finite entry
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, step in enumerate(ev.steps):
+        for k in range(grid.na):
             rhs = keep[k][rows] * du
             if shift is not None:
                 rhs -= shift[k][:, None] * gradient_of_slice(du, mesh.dx)
-            du = rhs / step.piv if diagonal else step.solve(rhs)
+            du = ev.steps[k].solve(rhs) if ev.divisors is None else rhs / ev.divisors[k + 1][rows]
             dl += weight[k + 1][rows] * du
         top = np.column_stack([np.eye(mesh.nx) - n * (np.diag(dl) if diagonal else dl), -birth_functional(model, grid, u)])
     jac = np.vstack([top, np.append(plane.normal_B, plane.normal_n)])

@@ -76,16 +76,19 @@ class EvolutionOperator:
     A field is an array whose row k is the slice at age a_k: (na+1, nx),
     or (na+1, nx, k) for k fields side by side along a trailing batch
     axis.  source is the field the quasilinear coefficients were evaluated
-    on: zero for the linear evolution Pi_0, or march's field.  diagonal
-    says that every step is diagonal (mult is None), as a pure-decay
-    march's are, and so every Pi(a_k, 0).
+    on: zero for the linear evolution Pi_0, or march's field.  Where every
+    step is diagonal, as on a pure-decay model, divisors holds them all as
+    one read-only array of source's shape, row k + 1 the diagonal of step
+    k and row 0 ones, so np.divide.accumulate(divisors, axis=0) is the
+    diagonal of every Pi(a_k, 0), and steps is empty.  Otherwise divisors
+    is None and steps holds every step's factors, diagonal or not.
     """
 
     steps: list[FactoredTridiag]
     grid: AgeGrid
     mesh: SpatialMesh
     source: np.ndarray = field(repr=False)
-    diagonal: bool
+    divisors: np.ndarray | None = field(repr=False)
 
 
 def build_evolution(
@@ -106,12 +109,14 @@ def build_evolution(
     is assembled on row k and solves row k+1, so the source is the
     self-consistent field of that birth vector, and propagating the birth
     vector through its own evolution returns it bit for bit.
+
+    Where every step comes out diagonal, the pivots of all ages are
+    stacked once into the evolution's divisors, and no factors are kept.
     """
     if u is not None and birth is not None:
         raise EvolutionError("give a frozen field or a birth vector to march, not both")
     if birth is not None:
-        u = np.empty((grid.na + 1, mesh.nx))
-        u[0] = _birth_array(birth, mesh.nx)
+        u = _birth_field(birth, grid, mesh.nx)
     elif u is None:
         u = np.zeros((grid.na + 1, mesh.nx))
     else:
@@ -127,7 +132,11 @@ def build_evolution(
         steps.append(step := _factor(k, bands))
         if birth is not None:
             u[k + 1] = step.solve(u[k])
-    return EvolutionOperator(steps, grid, mesh, u, all(step.mult is None for step in steps))
+    if any(step.mult is not None for step in steps):
+        return EvolutionOperator(steps, grid, mesh, u, None)
+    divisors = np.stack([np.ones(u.shape[1:]), *(step.piv for step in steps)])
+    divisors.flags.writeable = False
+    return EvolutionOperator([], grid, mesh, u, divisors)
 
 
 def _factor(k: int, bands) -> FactoredTridiag:
@@ -142,27 +151,27 @@ def march(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, B: np.ndarray) -> 
     build_evolution(..., birth=B), but on a pure-decay model one division
     of u_k per age by (h + mu)(u_k, a_{k+1}) * da + 1.0, the build's
     diagonal to the bit (0.0 + x only changes the sign of a zero, and
-    + 1.0 removes it).  The divisors, one (na, nx) array whose rows are
-    the steps' pivots, are checked once: the first bad age raises the
-    build's error, also where a later age raised first."""
+    + 1.0 removes it).  The array of these divisors becomes the
+    evolution's divisors as it is, and no step is factored.  It is checked
+    once: the first bad age raises the build's error, also where a later
+    age raised first."""
     if not model.pure_decay:
         return build_evolution(model, mesh, grid, birth=B)
-    u = np.empty((grid.na + 1, mesh.nx))
-    u[0] = _birth_array(B, mesh.nx)
-    divisors = np.ones((grid.na, mesh.nx))  # ages an exception leaves unmarched pass the check
+    u = _birth_field(B, grid, mesh.nx)
+    divisors = np.ones(u.shape)  # row 0, and ages an exception leaves unmarched, pass the check
     reads_p, da = "p" in variables(model.h), grid.da
     try:
         for k, a in enumerate(grid.ages[1:].tolist()):
             env = {"u": u[k], "p": gradient_of_slice(u[k], mesh.dx)} if reads_p else {"u": u[k]}
-            divisors[k] = (evaluate(model.h, env) + evaluate(model.mu, {"u": u[k], "a": a})) * da + 1.0
-            np.divide(u[k], divisors[k], out=u[k + 1])
+            divisors[k + 1] = (evaluate(model.h, env) + evaluate(model.mu, {"u": u[k], "a": a})) * da + 1.0
+            np.divide(u[k], divisors[k + 1], out=u[k + 1])
     finally:
         if not positive_finite(divisors):  # tridiag's rule on all ages; the first bad one's factor raises
             zero = np.zeros(mesh.nx)
-            for k, row in enumerate(divisors):
+            for k, row in enumerate(divisors[1:]):
                 _factor(k, (zero, row, zero))
     divisors.flags.writeable = False
-    return EvolutionOperator([FactoredTridiag((mesh.nx,), None, row, None) for row in divisors], grid, mesh, u, True)
+    return EvolutionOperator([], grid, mesh, u, divisors)
 
 
 def is_trivial(B: np.ndarray) -> bool:
@@ -170,24 +179,27 @@ def is_trivial(B: np.ndarray) -> bool:
     return float(np.max(np.abs(B))) < 1e-12
 
 
-def _birth_array(B: np.ndarray, nx: int) -> np.ndarray:
+def _birth_field(B: np.ndarray, grid: AgeGrid, nx: int) -> np.ndarray:
+    """An unwritten field (na+1, nx) with row 0 the checked birth vector B."""
     B = np.asarray(B, dtype=float)
     if B.shape != (nx,):
         raise EvolutionError(f"birth vector has shape {B.shape}, expected ({nx},)")
     if not np.all(np.isfinite(B)):
         raise EvolutionError("birth vector has non-finite entries")
-    return B
+    u = np.empty((grid.na + 1, nx))
+    u[0] = B
+    return u
 
 
 def propagate(ev: EvolutionOperator, B: np.ndarray) -> np.ndarray:
     """Field with rows Pi(a_k, 0) B, B (nx,); exactly nonnegative when B is."""
-    B = _birth_array(B, ev.mesh.nx)
-    if ev.diagonal:
-        # B / piv_0 / piv_1 / ..., the bits of one solve per step
-        values = np.stack([B, *(step.piv for step in ev.steps)])
+    if ev.source.ndim != 2:
+        raise EvolutionError(f"cannot propagate an evolution batched over {ev.source.shape[2]} frozen fields")
+    values = _birth_field(B, ev.grid, ev.mesh.nx)
+    if ev.divisors is not None:
+        # B / d_1 / d_2 / ..., the bits of one solve per step
+        values[1:] = ev.divisors[1:]
         return np.divide.accumulate(values, axis=0, out=values)
-    values = np.empty((ev.grid.na + 1, ev.mesh.nx))
-    values[0] = B
     for k, step in enumerate(ev.steps):
         values[k + 1] = step.solve(values[k])
     return values
@@ -206,8 +218,8 @@ def apply_K0(ev: EvolutionOperator, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if f.shape != (ev.grid.na + 1, ev.mesh.nx):
         raise EvolutionError(f"source field of shape {f.shape} does not match the grids")
-    da = ev.grid.da
     values = np.zeros((ev.grid.na + 1, ev.mesh.nx))
-    for k, step in enumerate(ev.steps):
-        values[k + 1] = step.solve(values[k] + da * f[k])
+    for k in range(ev.grid.na):
+        rhs = values[k] + ev.grid.da * f[k]
+        values[k + 1] = ev.steps[k].solve(rhs) if ev.divisors is None else rhs / ev.divisors[k + 1]
     return values

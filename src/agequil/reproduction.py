@@ -66,16 +66,16 @@ def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
 
     Every unit basis vector is pushed through the ages in one pass, with
     the fertility weights evaluated on ev.source; on a diagonal evolution
-    only the diagonal is, all ages at once, summed in the pass's order.
+    only the diagonal is, all ages at once from ev.divisors, summed in the
+    pass's order.
     An evolution batched over k fields gives (nx, nx, k), each matrix with
     the bits of its own single build.
     """
     nx = ev.mesh.nx
     w = ev.grid.weights
     bvals = birth_density(model, ev.source)
-    if ev.diagonal:
-        terms = np.stack([np.ones(bvals.shape[1:]), *(step.piv for step in ev.steps)])
-        np.divide.accumulate(terms, axis=0, out=terms)
+    if ev.divisors is not None:
+        terms = np.divide.accumulate(ev.divisors, axis=0)
         terms *= bvals
         terms *= w.reshape((-1,) + (1,) * (bvals.ndim - 1))
         q = np.zeros((nx, nx) + bvals.shape[2:])

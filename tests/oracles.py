@@ -24,11 +24,14 @@ probes' sampled fields, and the corrector and branch tracer
 corrector_jacobian_cd differences the corrector's residual through
 whole marches, the reference for its exact Jacobian.
 
-assemble_Q_columns, corrector_jacobian_columns and propagate_by_steps
-push a dense basis or one vector through every step's solve, one age at
-a time, whether or not the steps are diagonal: the references that the
-diagonal paths of assemble_Q, _corrector_jacobian and propagate must
-match bit for bit.  power_iteration_loop is power iteration from the
+assemble_Q_columns, corrector_jacobian_columns, propagate_by_steps and
+apply_K0_by_steps push a dense basis or one vector through every step's
+solve, one age at a time, whether or not the steps are diagonal: the
+references that the diagonal paths of assemble_Q, _corrector_jacobian,
+propagate and apply_K0 must match bit for bit.  On an evolution that
+keeps only its divisors, factored_steps factors each age's row as a
+diagonal matrix, so these still solve one step at a time and never
+divide all ages at once.  power_iteration_loop is power iteration from the
 all-ones vector with its dense fallback on any matrix, the reference
 that the closed form of _power_iteration on a nonnegative diagonal
 matrix must match bit for bit.
@@ -463,6 +466,15 @@ def solve_at_norm(lin: LinearizedOperators, target: float) -> BranchPoint:
     )
 
 
+def factored_steps(ev) -> list:
+    """ev's steps, or on a diagonal evolution each row of its divisors
+    factored as the diagonal of a tridiagonal matrix with zero couplings."""
+    if ev.divisors is None:
+        return ev.steps
+    zero = np.zeros(ev.divisors.shape[1:])
+    return [factor_tridiag(zero, row, zero) for row in ev.divisors[1:]]
+
+
 def assemble_Q_columns(model, ev) -> np.ndarray:
     """assemble_Q by an identity basis pushed through every step's solve."""
     nx = ev.mesh.nx
@@ -471,8 +483,8 @@ def assemble_Q_columns(model, ev) -> np.ndarray:
     basis = np.zeros((nx, nx) + bvals.shape[2:])
     basis[np.arange(nx), np.arange(nx)] = 1.0
     q = w[0] * (bvals[0][:, None] * basis)
-    for k in range(ev.grid.na):
-        basis = ev.steps[k].solve(basis)
+    for k, step in enumerate(factored_steps(ev)):
+        basis = step.solve(basis)
         q += w[k + 1] * (bvals[k + 1][:, None] * basis)
     return q
 
@@ -487,7 +499,7 @@ def corrector_jacobian_columns(lin: LinearizedOperators, n: float, ev, plane: Pl
     weight = model.cb * grid.weights[:, None] * b_slope
     du, dl = np.eye(mesh.nx), np.diag(weight[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, step in enumerate(ev.steps):
+        for k, step in enumerate(factored_steps(ev)):
             rhs = keep[k][:, None] * du
             if shift is not None:
                 rhs -= shift[k][:, None] * gradient_of_slice(du, mesh.dx)
@@ -504,8 +516,16 @@ def propagate_by_steps(ev, B: np.ndarray) -> np.ndarray:
     """propagate by one solve per step."""
     values = np.empty((ev.grid.na + 1, ev.mesh.nx))
     values[0] = B
-    for k, step in enumerate(ev.steps):
+    for k, step in enumerate(factored_steps(ev)):
         values[k + 1] = step.solve(values[k])
+    return values
+
+
+def apply_K0_by_steps(ev, f: np.ndarray) -> np.ndarray:
+    """apply_K0 by one solve per step."""
+    values = np.zeros((ev.grid.na + 1, ev.mesh.nx))
+    for k, step in enumerate(factored_steps(ev)):
+        values[k + 1] = step.solve(values[k] + ev.grid.da * f[k])
     return values
 
 

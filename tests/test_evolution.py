@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from agequil import evolution, linearized
+from agequil import evolution, linearized, tridiag
 from agequil.discretize import SpatialMesh
 from agequil.evolution import (
     AgeGrid,
@@ -92,6 +92,17 @@ class TestPropagate:
         with pytest.raises(EvolutionError, match="finite"):
             propagate(ev, np.array([1.0, np.nan, 0.0]))
 
+    @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_diffusion.cfg"])
+    def test_a_batched_evolution_is_refused(self, name):
+        # a diagonal batch and a coupled one fail alike, before any step
+        model, mesh, grid = load_problem(name)
+        u = np.random.default_rng(2).uniform(0.0, 1.0, (grid.na + 1, mesh.nx, 3))
+        ev = build_evolution(model, mesh, grid, u)
+        message = "^cannot propagate an evolution batched over 3 frozen fields$"
+        for B in (np.ones(mesh.nx), np.ones((mesh.nx, 3))):
+            with pytest.raises(EvolutionError, match=message):
+                propagate(ev, B)
+
     @pytest.mark.parametrize("shape", [(6,), (6, 3, 2, 1), (5, 3), (6, 4), (6, 4, 2)])
     def test_field_shape_checked(self, shape):
         # a field is (na+1, nx) or (na+1, nx, k); apply_K0 takes no batch
@@ -167,7 +178,9 @@ class TestSteps:
     @pytest.mark.parametrize("batched", [False, True])
     def test_factors_have_the_bits_of_the_scaled_oracle_bands(self, name, batched):
         # step k is factor_tridiag(da * lower, 1 + da * diag, da * upper) of
-        # A(u_k, a_{k+1}), on a march or on a frozen field of 3 columns
+        # A(u_k, a_{k+1}), on a march or on a frozen field of 3 columns; a
+        # build whose steps are all diagonal keeps only their pivots, row
+        # k + 1 of its divisors
         model = self.ROBIN if name == "robin" else load_problem(name)[0]
         mesh, grid = SpatialMesh(nx=9), AgeGrid(na=8, a_max=model.a_max)
         if batched:
@@ -176,9 +189,15 @@ class TestSteps:
         else:
             ev = build_evolution(model, mesh, grid, birth=np.linspace(0.2, 1.0, mesh.nx))
         da = grid.da
-        for k, step in enumerate(ev.steps):
+        assert (ev.divisors is not None) == model.pure_decay
+        assert len(ev.steps) == (0 if model.pure_decay else grid.na)
+        for k in range(grid.na):
             lower, diag, upper = assemble_general(model, mesh, grid.ages[k + 1], ev.source[k])
             want = factor_tridiag(da * lower, 1.0 + da * diag, da * upper)
+            if ev.divisors is not None:
+                assert want.mult is None and same_bits(ev.divisors[k + 1], want.piv)
+                continue
+            step = ev.steps[k]
             assert step.shape == want.shape == ev.source.shape[1:]
             for got_f, want_f in ((step.mult, want.mult), (step.piv, want.piv), (step.upper, want.upper)):
                 assert (got_f is None) == (want_f is None)
@@ -204,26 +223,36 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestMarch:
     """march against build_evolution(..., birth=B): on a pure-decay model
-    one division per age gives the build's field, pivots and errors."""
+    one division per age gives the build's field, divisors and errors."""
 
     @pytest.mark.parametrize("name", ["shell_decay", "logistic_decay", "pure_decay_of_p", "logistic_diffusion"])
-    def test_has_the_bits_of_the_build(self, name):
+    def test_has_the_bits_of_the_build(self, name, monkeypatch):
         model, mesh, grid = march_problem(name)
+        made, real_init = [], tridiag.FactoredTridiag.__init__
+        monkeypatch.setattr(tridiag.FactoredTridiag, "__init__",
+                            lambda self, *args: made.append(args[0]) or real_init(self, *args))
         rng = np.random.default_rng(4)
         for B in (np.linspace(1.5, 0.5, mesh.nx), 0.01 * rng.uniform(0.0, 1.0, mesh.nx), np.zeros(mesh.nx),
                   -np.zeros(mesh.nx), rng.uniform(-0.01, 0.03, mesh.nx)):
-            got, want = march(model, mesh, grid, B), build_evolution(model, mesh, grid, birth=B)
-            assert same_bits(got.source, want.source) and got.diagonal == want.diagonal == model.pure_decay
+            made.clear()
+            got = march(model, mesh, grid, B)
+            marched_factors = len(made)
+            want = build_evolution(model, mesh, grid, birth=B)
+            assert same_bits(got.source, want.source)
+            if model.pure_decay:
+                # the divisors are one read-only (na+1, nx) array, row 0 ones
+                # and row k + 1 step k's pivots, and the march makes no factors
+                assert marched_factors == 0 and got.steps == want.steps == []
+                for divisors in (got.divisors, want.divisors):
+                    assert divisors.shape == (grid.na + 1, mesh.nx) and not divisors.flags.writeable
+                assert same_bits(got.divisors, want.divisors) and same_bits(got.divisors[0], np.ones(mesh.nx))
+                continue
+            assert got.divisors is want.divisors is None and marched_factors == grid.na
             assert len(got.steps) == len(want.steps) == grid.na
             for step, built in zip(got.steps, want.steps):
-                assert (step.mult is None) == (built.mult is None) and step.shape == built.shape
-                assert same_bits(step.piv, built.piv)
-            if model.pure_decay:
-                # the divisors are one read-only (na, nx) array, row k step k's pivots
-                divisors = got.steps[0].piv.base
-                assert divisors.shape == (grid.na, mesh.nx) and not divisors.flags.writeable
-                assert all(step.piv.base is divisors for step in got.steps)
-                assert same_bits(divisors, np.stack([step.piv for step in want.steps]))
+                assert step.shape == built.shape
+                for got_f, want_f in ((step.mult, built.mult), (step.piv, built.piv), (step.upper, built.upper)):
+                    assert (got_f is None) == (want_f is None) and (want_f is None or same_bits(got_f, want_f))
 
     @pytest.mark.parametrize("mu, B, message", [
         # every age's divisor is 1 - 200 da, negative
