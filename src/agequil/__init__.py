@@ -28,6 +28,7 @@ from .evolution import (
     EvolutionOperator,
     apply_K0,
     build_evolution,
+    freeze,
     march,
     propagate,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "check_shell_conditions",
     "correct",
     "first_step",
+    "freeze",
     "march",
     "multistart_fixedpoint",
     "normalize",

@@ -41,7 +41,7 @@ from .continuation import (
     trace_branch,
 )
 from .discretize import AssemblyError, SpatialMesh
-from .evolution import AgeGrid, EvolutionError, build_evolution
+from .evolution import AgeGrid, EvolutionError, freeze
 from .fixedpoint import (
     FixedPointError,
     check_shell_conditions,
@@ -238,10 +238,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     n, eps, r_Qu, direct = column["n"], column["eps"], column["r_Qu"], column["residual_direct"]
     # every profile is read before the first check, so a malformed one
     # fails as a malformed file; each row's columns are then recomputed by
-    # the function trace wrote them with, on a frozen build of its profile
+    # the function trace wrote them with, on the evolution frozen at its profile
     profiles = [_read_field_csv(_profile_path(args.branch, idx), mesh, grid) for idx in range(len(table))]
     lin = build_linearized(model, mesh, grid)
-    points = [branch_point(lin, ni, build_evolution(lin.model, mesh, grid, u)) for ni, u in zip(n, profiles)]
+    points = [branch_point(lin, ni, freeze(lin.model, mesh, grid, u)) for ni, u in zip(n, profiles)]
     trivial = [idx for idx, p in enumerate(points) if p.trivial]
     nontrivial = [idx for idx, p in enumerate(points) if not p.trivial]
 

@@ -221,7 +221,7 @@ def branch_point(lin: LinearizedOperators, n: float, ev: EvolutionOperator) -> B
     """Every column trace writes for the point at n whose field ev is built on.
 
     B is row 0 of ev.source.  The corrector passes the march of B; verify
-    passes a frozen build of a stored profile, which gives the same bits.
+    passes the freeze of a stored profile, which gives the same bits.
     A trivial B gives the trivial point, with the zero field.
     """
     model, mesh, grid, u = lin.model, lin.mesh, lin.grid, ev.source

@@ -15,7 +15,10 @@ a causal recursion: u_0 = B, u_{k+1} = (I + da * A_h(u_k, a_{k+1}))^{-1} u_k.
 march(model, mesh, grid, B) runs it in one forward pass for one birth
 vector (nx,): one division per age on a pure-decay model, and on any
 other build_evolution(..., birth=B), which factors each step as it goes.
-The linear evolution Pi_0 is the build on the zero field.
+A given field is not marched, so freeze(model, mesh, grid, u) takes the
+divisors of all ages of a pure-decay model from one evaluation, and is
+build_evolution(model, mesh, grid, u) on any other.  The linear
+evolution Pi_0 is the build on the zero field.
 """
 
 from __future__ import annotations
@@ -117,12 +120,8 @@ def build_evolution(
         raise EvolutionError("give a frozen field or a birth vector to march, not both")
     if birth is not None:
         u = _birth_field(birth, grid, mesh.nx)
-    elif u is None:
-        u = np.zeros((grid.na + 1, mesh.nx))
     else:
-        u = np.asarray(u, dtype=float)
-        if u.ndim not in (2, 3) or u.shape[:2] != (grid.na + 1, mesh.nx):
-            raise EvolutionError(f"frozen field of shape {u.shape} does not match the grids")
+        u = np.zeros((grid.na + 1, mesh.nx)) if u is None else _frozen_field(u, grid, mesh.nx)
     da = grid.da
     steps: list[FactoredTridiag] = []
     for k, a in enumerate(grid.ages[1:].tolist()):
@@ -146,6 +145,17 @@ def _factor(k: int, bands) -> FactoredTridiag:
         raise EvolutionError(f"singular one-step matrix at age index {k + 1}: {exc}") from exc
 
 
+def _checked(divisors: np.ndarray) -> np.ndarray:
+    """divisors, read-only, once tridiag's rule passes them on all ages;
+    where it fails, the first bad age's factor raises the build's error."""
+    if not positive_finite(divisors):
+        for k, row in enumerate(divisors[1:]):
+            zero = np.zeros_like(row)
+            _factor(k, (zero, row, zero))
+    divisors.flags.writeable = False
+    return divisors
+
+
 def march(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, B: np.ndarray) -> EvolutionOperator:
     """The evolution of the self-consistent field of a birth vector B (nx,):
     build_evolution(..., birth=B), but on a pure-decay model one division
@@ -166,12 +176,35 @@ def march(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, B: np.ndarray) -> 
             divisors[k + 1] = (evaluate(model.h, env) + evaluate(model.mu, {"u": u[k], "a": a})) * da + 1.0
             np.divide(u[k], divisors[k + 1], out=u[k + 1])
     finally:
-        if not positive_finite(divisors):  # tridiag's rule on all ages; the first bad one's factor raises
-            zero = np.zeros(mesh.nx)
-            for k, row in enumerate(divisors[1:]):
-                _factor(k, (zero, row, zero))
-    divisors.flags.writeable = False
+        _checked(divisors)
     return EvolutionOperator([], grid, mesh, u, divisors)
+
+
+def freeze(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: np.ndarray) -> EvolutionOperator:
+    """The evolution frozen at a field u, (na+1, nx) or (na+1, nx, k):
+    build_evolution(model, mesh, grid, u), but on a pure-decay model the
+    divisors (h + mu)(u_k, a_{k+1}) * da + 1.0 of all ages from one
+    evaluation on rows 0..na-1 at once, since a frozen field is not
+    marched.  They are the build's divisors to the bit, checked once as
+    march's are, and no step is assembled or factored.  A mu that reads a
+    is evaluated age by age on Python floats, as in the build: a power of
+    an array of ages may round otherwise than the same power of a float."""
+    if not model.pure_decay:
+        return build_evolution(model, mesh, grid, u)
+    u = _frozen_field(u, grid, mesh.nx)
+    rows, divisors = u[:-1], np.ones(u.shape)
+    env = {"u": rows}
+    if "p" in variables(model.h):
+        env["p"] = gradient_of_slice(rows.swapaxes(0, 1), mesh.dx).swapaxes(0, 1)  # along x
+    divisors[1:] = evaluate(model.h, env)
+    if "a" in variables(model.mu):
+        for row, u_k, a in zip(divisors[1:], rows, grid.ages[1:].tolist()):
+            row += evaluate(model.mu, {"u": u_k, "a": a})
+    else:
+        divisors[1:] += evaluate(model.mu, {"u": rows})
+    divisors[1:] *= grid.da
+    divisors[1:] += 1.0
+    return EvolutionOperator([], grid, mesh, u, _checked(divisors))
 
 
 def is_trivial(B: np.ndarray) -> bool:
@@ -188,6 +221,14 @@ def _birth_field(B: np.ndarray, grid: AgeGrid, nx: int) -> np.ndarray:
         raise EvolutionError("birth vector has non-finite entries")
     u = np.empty((grid.na + 1, nx))
     u[0] = B
+    return u
+
+
+def _frozen_field(u: np.ndarray, grid: AgeGrid, nx: int) -> np.ndarray:
+    """u as a float array, checked to be a field (na+1, nx) or (na+1, nx, k)."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim not in (2, 3) or u.shape[:2] != (grid.na + 1, nx):
+        raise EvolutionError(f"frozen field of shape {u.shape} does not match the grids")
     return u
 
 

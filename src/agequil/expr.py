@@ -265,7 +265,11 @@ def evaluate(node: Expr, env: dict[str, object]):
     if isinstance(node, Mul):
         return evaluate(node.left, env) * evaluate(node.right, env)
     if isinstance(node, Pow):
-        return evaluate(node.base, env) ** node.exponent
+        base = evaluate(node.base, env)
+        try:
+            return base ** node.exponent
+        except OverflowError:  # a Python float's; numpy's power gives the infinity, as on arrays
+            return np.float64(base) ** node.exponent
     if isinstance(node, Exp):
         return np.exp(evaluate(node.arg, env))
     raise TypeError(f"not an expression node: {node!r}")

@@ -13,7 +13,9 @@ shell conditions (the reproduction operator exceeds the identity at
 small amplitudes and has spectral radius below one at large amplitudes),
 the iteration is pushed away from zero and pulled back from infinity,
 and a nontrivial fixed point exists between the shells.
-check_shell_conditions probes both shells on sampled fields.
+check_shell_conditions probes both shells on sampled fields, each set of
+six frozen side by side in one freeze, which on a pure-decay model
+assembles and factors nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import SpatialMesh
-from .evolution import AgeGrid, build_evolution, is_trivial, march
+from .evolution import AgeGrid, freeze, is_trivial, march
 from .model import ModelSpec
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
@@ -247,7 +249,7 @@ def check_shell_conditions(
     def probes(amplitudes: list[float]) -> np.ndarray:
         # one evolution on the fields side by side; each Q has the bits of its own probe
         u = np.stack([f * (a / grid.norm(f)) for f, a in zip(fields, amplitudes)], axis=2)
-        q = assemble_Q(model, build_evolution(model, mesh, grid, u))
+        q = assemble_Q(model, freeze(model, mesh, grid, u))
         return np.ascontiguousarray(np.moveaxis(q, 2, 0))
 
     small = probes([tau0 / (1.0, 2.0, 10.0)[i % 3] for i in range(len(fields))])

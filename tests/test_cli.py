@@ -16,7 +16,7 @@ from agequil import cli, continuation, fixedpoint, linearized, reproduction, tri
 from agequil.cli import BRANCH_COLUMNS, main
 from agequil.continuation import branch_point
 from agequil.discretize import SpatialMesh
-from agequil.evolution import AgeGrid, build_evolution
+from agequil.evolution import AgeGrid, build_evolution, freeze
 from agequil.linearized import build_linearized
 from agequil.model import parse_grid, parse_model
 
@@ -213,8 +213,8 @@ class TestVerify:
         assert self.verify(traced_tiny) == 0
         assert "all checks passed" in capsys.readouterr().out
 
-    # in one process, trace's columns are branch_point's on a frozen build
-    # of each written profile, bit for bit
+    # in one process, trace's columns are branch_point's on verify's
+    # freeze of each written profile, bit for bit
     @pytest.mark.parametrize("branch", ["traced", "traced_tiny"])
     def test_branch_point_gives_the_written_columns(self, branch, request):
         branch = request.getfixturevalue(branch)
@@ -223,7 +223,7 @@ class TestVerify:
         _, table = cli._read_table(branch, lambda first: True)
         for idx, row in enumerate(table.tolist()):
             u = cli._read_field_csv(cli._profile_path(str(branch), idx), mesh, grid)
-            point = branch_point(lin, row[1], build_evolution(lin.model, mesh, grid, u))
+            point = branch_point(lin, row[1], freeze(lin.model, mesh, grid, u))
             columns = [idx, *(getattr(point, col) for col in BRANCH_COLUMNS[1:])]
             assert [cli.FLOAT % v for v in columns] == [cli.FLOAT % v for v in row]
 
@@ -368,21 +368,23 @@ def counted_paths(monkeypatch) -> dict[bool, int]:
 
 class TestFactorPaths:
     """Every one-step matrix of a pure-decay model is diagonal, and
-    dividing by it, in a factor or in march, writes the bytes of the
-    banded path."""
+    dividing by it, in a factor, in march or in freeze, writes the bytes
+    of the banded path.  fixedpoint marches and freezes only, so it makes
+    no factor at all; trace still factors its linear evolution."""
 
-    @pytest.mark.parametrize("argv", [
-        ["fixedpoint", "--model", SHELL],
-        ["fixedpoint", "--model", SHELL, "--nx", "48", "--tau1", "20", "--seed", "301"],
-        ["trace", "--model", DECAY, "--max-points", "3"],
+    @pytest.mark.parametrize("argv, factors", [
+        (["fixedpoint", "--model", SHELL], False),
+        (["fixedpoint", "--model", SHELL, "--nx", "48", "--tau1", "20", "--seed", "301"], False),
+        (["trace", "--model", DECAY, "--max-points", "3"], True),
     ], ids=["fixedpoint", "fixedpoint-wide", "trace"])
-    def test_division_writes_the_bytes_of_the_banded_path(self, argv, tmp_path, monkeypatch, capsys):
+    def test_division_writes_the_bytes_of_the_banded_path(self, argv, factors, tmp_path, monkeypatch, capsys):
         paths = counted_paths(monkeypatch)
         divided = written(argv, tmp_path / "divided")
-        assert paths[True] > 0 and paths[False] == 0
+        assert (paths[True] > 0 and paths[False] == 0) if factors else paths == {True: 0, False: 0}
         monkeypatch.setattr(tridiag, "_uncoupled", lambda *bands: False)
         for module in (continuation, fixedpoint):  # each march a banded build
             monkeypatch.setattr(module, "march", lambda model, mesh, grid, B: build_evolution(model, mesh, grid, birth=B))
+        monkeypatch.setattr(fixedpoint, "freeze", build_evolution)  # and each frozen field
         assert written(argv, tmp_path / "banded") == divided
 
 
@@ -523,6 +525,14 @@ class TestErrorsAndEntryPoints:
         # validate_model samples mu at u = 4, where exp(4000) overflows to inf
         proc = self._run_edited_decay(tmp_path, {"\nmu = 1 + u\n": "\nmu = 1 + exp(1000 * u)\n"}, "normalize")
         assert proc.returncode == 0 and proc.stderr == ""
+
+    def test_overflowing_power_is_refused_in_one_line(self, tmp_path, capsys):
+        # ((65536^4)^4)^4 overflows a Python float's power; its inf makes
+        # mu(0, a) = 0 * inf a NaN, which validate_model refuses
+        cfg = tmp_path / "power.cfg"
+        cfg.write_text(Path(DECAY).read_text().replace("\nmu = 1 + u\n", "\nmu = 1 + u * ((65536^4)^4)^4\n"))
+        assert main(["fixedpoint", "--model", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == "error: mu must be nonnegative on sampled nonnegative densities\n"
 
     def test_broken_sign_pattern_exits_1(self, tmp_path, capsys):
         # D is positive at every point validate_model samples but -2.9 at

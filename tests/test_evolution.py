@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from agequil.evolution import (
     EvolutionError,
     apply_K0,
     build_evolution,
+    freeze,
     march,
     propagate,
 )
@@ -109,8 +112,9 @@ class TestPropagate:
         mesh = SpatialMesh(nx=3)
         grid = AgeGrid(na=5, a_max=1.0)
         ev = build_evolution(decay_model(), mesh, grid)
-        with pytest.raises(EvolutionError, match="does not match the grids"):
-            build_evolution(decay_model(), mesh, grid, np.zeros(shape))
+        for frozen in (build_evolution, freeze):
+            with pytest.raises(EvolutionError, match=f"^frozen field of shape {re.escape(str(shape))} does not match the grids$"):
+                frozen(decay_model(), mesh, grid, np.zeros(shape))
         with pytest.raises(EvolutionError, match="does not match the grids"):
             apply_K0(ev, np.zeros(shape))
         assert build_evolution(decay_model(), mesh, grid, np.zeros((6, 3, 2))).source.shape == (6, 3, 2)
@@ -259,7 +263,8 @@ class TestMarch:
         ("0 - 200", 1.0, "age index 1: nonpositive pivot -24.0 at row 0"),
         # a divisor of zero in row 1: the Thomas loop names the NaN it makes in row 2
         ("0 - 8 * u", [0.0, 1.0, 0.0], "age index 1: nonpositive pivot nan at row 2"),
-        # age 6 has divisor 1 - 9 da; at age 8 a power of a Python float raises OverflowError
+        # age 6 has divisor 1 - 9 da; at age 8 a power of a Python float
+        # overflows, which np.errstate(over="raise") makes raise
         ("(1.4e154 * a)^2 - (1.4e154 * a)^2 - 9 * (1.3333333333333333 * a)^20", 1.0,
          "age index 6: nonpositive pivot -0.125 at row 0"),
     ], ids=["negative", "zero", "raised-later"])
@@ -267,8 +272,63 @@ class TestMarch:
         model, mesh, grid = decay_model(mu), SpatialMesh(nx=3), AgeGrid(na=8, a_max=1.0)
         B = np.broadcast_to(B, mesh.nx).astype(float)
         for run in (lambda: build_evolution(model, mesh, grid, birth=B), lambda: march(model, mesh, grid, B)):
-            with np.errstate(all="ignore"), pytest.raises(EvolutionError, match=f"^singular one-step matrix at {message}$"):
+            with np.errstate(all="ignore", over="raise"), \
+                    pytest.raises(EvolutionError, match=f"^singular one-step matrix at {message}$"):
                 run()
+
+
+# mu reads a through powers of it alone, which a Python float and an
+# array of ages may round apart
+AGE_POWERS = ModelSpec(
+    a_max=1.0, D=Num(2.0), g=Num(0.0), h=parse_expr("u^3 - 0.1 * p"), mu=parse_expr("(1.3 * a)^7 * u + a^3"),
+    b=Num(1.0), pure_decay=True,
+)
+
+
+class TestFreeze:
+    """freeze against build_evolution(model, mesh, grid, u): on a pure-decay
+    model one evaluation over all ages gives the build's divisors and errors."""
+
+    @pytest.mark.parametrize("name", ["shell_decay", "logistic_decay", "pure_decay_of_p", "age_powers"])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
+    def test_has_the_bits_of_the_build(self, name, batch, monkeypatch):
+        if name == "age_powers":
+            model, mesh, grid = AGE_POWERS, SpatialMesh(nx=7), AgeGrid(na=60, a_max=1.0)
+        else:
+            model, mesh, grid = march_problem(name)
+        made, real_init = [], tridiag.FactoredTridiag.__init__
+        monkeypatch.setattr(tridiag.FactoredTridiag, "__init__",
+                            lambda self, *args: made.append(args[0]) or real_init(self, *args))
+        shape = (grid.na + 1, mesh.nx) + batch
+        rng = np.random.default_rng(6)
+        for u in (rng.uniform(0.0, 1.5, shape), np.zeros(shape), -np.zeros(shape), rng.uniform(-0.01, 0.03, shape)):
+            made.clear()
+            got = freeze(model, mesh, grid, u)
+            assert made == []
+            want = build_evolution(model, mesh, grid, u)
+            assert got.source is want.source is u and got.steps == want.steps == []
+            assert got.divisors.shape == shape and not got.divisors.flags.writeable
+            assert same_bits(got.divisors, want.divisors) and same_bits(got.divisors[0], np.ones(shape[1:]))
+
+    # each age's divisor is (1 - 16 u) da + 1 = 1.125 - 2 u on the rows given, 1.125 elsewhere
+    @pytest.mark.parametrize("rows, message", [
+        ({0: [1.0, 1.0, 1.0]}, "age index 1: nonpositive pivot -0.875 at row 0"),
+        # a zero divisor: the Thomas loop names the NaN it makes in the next row
+        ({3: [0.0, 0.5625, 0.0]}, "age index 4: nonpositive pivot nan at row 2"),
+        ({5: [0.0, np.nan, 0.0]}, "age index 6: nonpositive pivot nan at row 1"),
+        ({2: [-np.inf, 0.0, 0.0]}, "age index 3: nonpositive pivot inf at row 0"),
+        # the first bad age is named, not a worse later one
+        ({4: [0.0, 0.0, 1.0], 6: [0.0, np.nan, 0.0]}, "age index 5: nonpositive pivot -0.875 at row 2"),
+    ], ids=["negative", "zero", "nan", "inf", "first"])
+    @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batched"])
+    def test_bad_divisors_raise_the_builds_text(self, rows, message, batch):
+        mesh, grid = SpatialMesh(nx=3), AgeGrid(na=8, a_max=1.0)
+        u = np.zeros((grid.na + 1, mesh.nx) + batch)
+        for k, row in rows.items():
+            u[k] = np.reshape(row, (mesh.nx,) + (1,) * len(batch))
+        for run in (build_evolution, freeze):
+            with np.errstate(all="ignore"), pytest.raises(EvolutionError, match=f"^singular one-step matrix at {message}$"):
+                run(decay_model("1 - 16 * u"), mesh, grid, u)
 
 
 class TestCallsPerBuild:
@@ -279,7 +339,8 @@ class TestCallsPerBuild:
     is na * (builds + build_linearized + reformulation_residual) calls and
     factor_tridiag na * builds, so a change that skips one of them must
     change the tracer with it.  A march on a coupled model is one build;
-    a pure-decay march is not a build, and calls neither."""
+    a pure-decay march is not a build, and calls neither.  So is freeze:
+    on a pure-decay model it calls neither assemble nor factor_tridiag."""
 
     @staticmethod
     def counted(monkeypatch, *targets):
@@ -320,6 +381,20 @@ class TestCallsPerBuild:
         march(model, mesh, grid, B)
         per_age = 0 if model.pure_decay else grid.na
         assert builds == ([] if model.pure_decay else [((model, mesh, grid), ["birth"], True)])
+        assert calls == {"evolution.assemble": per_age, "evolution.factor_tridiag": per_age}
+
+    @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_decay.cfg", "logistic_diffusion.cfg"])
+    @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batched"])
+    def test_a_freeze_is_a_build_only_on_a_coupled_model(self, name, batch, monkeypatch):
+        model, mesh, grid = load_problem(name)
+        builds, real = [], evolution.build_evolution
+        monkeypatch.setattr(evolution, "build_evolution", lambda *args, **kwargs: builds.append(
+            (args[:3], args[3] is u, kwargs)) or real(*args, **kwargs))
+        calls = self.counted(monkeypatch, (evolution, "assemble"), (evolution, "factor_tridiag"))
+        u = np.random.default_rng(8).uniform(0.0, 1.5, (grid.na + 1, mesh.nx) + batch)
+        freeze(model, mesh, grid, u)
+        per_age = 0 if model.pure_decay else grid.na
+        assert builds == ([] if model.pure_decay else [((model, mesh, grid), True, {})])
         assert calls == {"evolution.assemble": per_age, "evolution.factor_tridiag": per_age}
 
     @pytest.mark.parametrize("name", ["logistic_decay.cfg", "logistic_diffusion.cfg"])
