@@ -84,33 +84,30 @@ def _static_bands(D: Expr, mesh: SpatialMesh, a: float) -> tuple[np.ndarray, flo
 
 
 def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray) -> np.ndarray:
-    """Bands of A(u, a) + mu(u, a), one (3,) + u_slice.shape array whose rows
-    are lower, diag and upper, as tridiag takes them.
+    """Bands of A(u, a) + mu(u, a) on one slice u_slice (nx,), one (3, nx)
+    array whose rows are lower, diag and upper, as tridiag takes them.
 
-    A slice of shape (nx, k) gives k matrices side by side: column j of
-    each row is, bit for bit, the band of column j alone.  Every call
-    returns a fresh writable array.  Parts that do not depend on the slice
-    come from the plan of the model's D, g and h on the mesh; a pure-decay
-    model, zero but for h + mu on the diagonal, has no plan to look up.
+    Every call returns a fresh writable array.  Parts that do not depend
+    on the slice come from the plan of the model's D, g and h on the mesh;
+    a pure-decay model, zero but for h + mu on the diagonal, has no plan
+    to look up.
     """
     nx, dx, a = mesh.nx, mesh.dx, float(a)
     u = np.asarray(u_slice, dtype=float)
-    if u.ndim not in (1, 2) or u.shape[0] != nx:
-        raise AssemblyError(f"u_slice has shape {u.shape}, expected ({nx},) or ({nx}, k)")
+    if u.shape != (nx,):
+        raise AssemblyError(f"u_slice has shape {u.shape}, expected ({nx},)")
     reads_p, static = ("p" in variables(model.h), None) if model.pure_decay else _plan(model.D, model.g, model.h, mesh)
     env = {"u": u, "p": gradient_of_slice(u, dx)} if reads_p else {"u": u}
-    shape = u.shape
 
     if model.pure_decay:
-        bands = np.zeros((3,) + shape)
+        bands = np.zeros((3, nx))
         diag = bands[1]
     else:
         diffusion, east, signs_kept = static.get(a) or static.setdefault(a, _static_bands(model.D, mesh, a))
-        lower, diag, upper = bands = np.empty((3,) + shape)
-        bands.T[...] = diffusion.T  # each column of a batch gets the same bands
+        lower, diag, upper = bands = diffusion.copy()
 
         # drift, upwinded per node by the sign of g
-        g_vals = evaluate_on(model.g, shape, **env)
+        g_vals = evaluate_on(model.g, (nx,), **env)
         g_pos = np.maximum(g_vals, 0.0)
         g_neg = np.minimum(g_vals, 0.0)
         diag += (g_pos - g_neg) / dx
@@ -124,7 +121,7 @@ def assemble(model: ModelSpec, mesh: SpatialMesh, a: float, u_slice: np.ndarray)
 
         # only couplings can break the sign pattern, and the drift adds nonpositive ones
         if not signs_kept and (np.any(lower[1:] > 0) or np.any(upper[:-1] > 0)):
-            bad = int(np.argmax(bands[::2].reshape(2 * nx, -1).max(axis=1)))
+            bad = int(np.argmax(bands[::2]))
             raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
 
     diag += evaluate(model.h, env) + evaluate(model.mu, {"u": u, "a": a})

@@ -13,12 +13,10 @@ Because step k reads only the slice at a_k, the self-consistent field of
 a birth vector B, the field that its own evolution propagates B into, is
 a causal recursion: u_0 = B, u_{k+1} = (I + da * A_h(u_k, a_{k+1}))^{-1} u_k.
 march(model, mesh, grid, B) runs it in one forward pass for one birth
-vector (nx,): one division per age on a pure-decay model, and on any
-other build_evolution(..., birth=B), which factors each step as it goes.
-A given field is not marched, so freeze(model, mesh, grid, u) takes the
-divisors of all ages of a pure-decay model from one evaluation, and is
-build_evolution(model, mesh, grid, u) on any other.  The linear
-evolution Pi_0 is the build on the zero field.
+vector (nx,); freeze(model, mesh, grid, u) takes one given field
+(na+1, nx), which is not marched.  On a pure-decay model both keep only
+divisors, with no step assembled or factored; on any other both are
+build_evolution.  The linear evolution Pi_0 is the build on the zero field.
 """
 
 from __future__ import annotations
@@ -76,13 +74,12 @@ class AgeGrid:
 class EvolutionOperator:
     """Factored one-step solves for k = 0..na-1, frozen at one density field.
 
-    A field is an array whose row k is the slice at age a_k: (na+1, nx),
-    or (na+1, nx, k) for k fields side by side along a trailing batch
-    axis.  source is the field the quasilinear coefficients were evaluated
-    on: zero for the linear evolution Pi_0, or march's field.  Where every
+    A field is one array (na+1, nx) whose row k is the slice at age a_k.
+    source is the field the quasilinear coefficients were evaluated on:
+    zero for the linear evolution Pi_0, or march's field.  Where every
     step is diagonal, as on a pure-decay model, divisors holds them all as
-    one read-only array of source's shape, row k + 1 the diagonal of step
-    k and row 0 ones, so np.divide.accumulate(divisors, axis=0) is the
+    one read-only array (na+1, nx), row k + 1 the diagonal of step k and
+    row 0 ones, so np.divide.accumulate(divisors, axis=0) is the
     diagonal of every Pi(a_k, 0), and steps is empty.  Otherwise divisors
     is None and steps holds every step's factors, diagonal or not.
     """
@@ -102,19 +99,15 @@ def build_evolution(
     *,
     birth: np.ndarray | None = None,
 ) -> EvolutionOperator:
-    """Assemble and factor the implicit Euler steps for one frozen field.
+    """Assemble and factor the implicit Euler steps for one field (na+1, nx).
 
     With neither u nor birth the field is zero, which gives the linear
-    evolution.  A batched field, (na+1, nx, k), gives steps that each hold
-    k matrices, one per column, for assemble_Q to push a basis through.
-
-    With a birth vector (nx,) in place of u, the field is marched: step k
-    is assembled on row k and solves row k+1, so the source is the
-    self-consistent field of that birth vector, and propagating the birth
-    vector through its own evolution returns it bit for bit.
-
-    Where every step comes out diagonal, the pivots of all ages are
-    stacked once into the evolution's divisors, and no factors are kept.
+    evolution.  With a birth vector (nx,) in place of u, the field is
+    marched: step k is assembled on row k and solves row k+1, so the
+    source is the self-consistent field of that birth vector, and
+    propagating the birth vector through its own evolution returns it bit
+    for bit.  Where every step comes out diagonal, the pivots of all ages
+    are stacked once into the evolution's divisors, and no factors are kept.
     """
     if u is not None and birth is not None:
         raise EvolutionError("give a frozen field or a birth vector to march, not both")
@@ -133,7 +126,7 @@ def build_evolution(
             u[k + 1] = step.solve(u[k])
     if any(step.mult is not None for step in steps):
         return EvolutionOperator(steps, grid, mesh, u, None)
-    divisors = np.stack([np.ones(u.shape[1:]), *(step.piv for step in steps)])
+    divisors = np.stack([np.ones(mesh.nx), *(step.piv for step in steps)])
     divisors.flags.writeable = False
     return EvolutionOperator([], grid, mesh, u, divisors)
 
@@ -181,7 +174,7 @@ def march(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, B: np.ndarray) -> 
 
 
 def freeze(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: np.ndarray) -> EvolutionOperator:
-    """The evolution frozen at a field u, (na+1, nx) or (na+1, nx, k):
+    """The evolution frozen at one field u, (na+1, nx):
     build_evolution(model, mesh, grid, u), but on a pure-decay model the
     divisors (h + mu)(u_k, a_{k+1}) * da + 1.0 of all ages from one
     evaluation on rows 0..na-1 at once, since a frozen field is not
@@ -195,7 +188,7 @@ def freeze(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: np.ndarray) ->
     rows, divisors = u[:-1], np.ones(u.shape)
     env = {"u": rows}
     if "p" in variables(model.h):
-        env["p"] = gradient_of_slice(rows.swapaxes(0, 1), mesh.dx).swapaxes(0, 1)  # along x
+        env["p"] = gradient_of_slice(rows.T, mesh.dx).T  # along x
     divisors[1:] = evaluate(model.h, env)
     if "a" in variables(model.mu):
         for row, u_k, a in zip(divisors[1:], rows, grid.ages[1:].tolist()):
@@ -225,17 +218,15 @@ def _birth_field(B: np.ndarray, grid: AgeGrid, nx: int) -> np.ndarray:
 
 
 def _frozen_field(u: np.ndarray, grid: AgeGrid, nx: int) -> np.ndarray:
-    """u as a float array, checked to be a field (na+1, nx) or (na+1, nx, k)."""
+    """u as a float array, checked to be a field (na+1, nx)."""
     u = np.asarray(u, dtype=float)
-    if u.ndim not in (2, 3) or u.shape[:2] != (grid.na + 1, nx):
+    if u.shape != (grid.na + 1, nx):
         raise EvolutionError(f"frozen field of shape {u.shape} does not match the grids")
     return u
 
 
 def propagate(ev: EvolutionOperator, B: np.ndarray) -> np.ndarray:
     """Field with rows Pi(a_k, 0) B, B (nx,); exactly nonnegative when B is."""
-    if ev.source.ndim != 2:
-        raise EvolutionError(f"cannot propagate an evolution batched over {ev.source.shape[2]} frozen fields")
     values = _birth_field(B, ev.grid, ev.mesh.nx)
     if ev.divisors is not None:
         # B / d_1 / d_2 / ..., the bits of one solve per step
@@ -254,7 +245,7 @@ def apply_K0(ev: EvolutionOperator, f: np.ndarray) -> np.ndarray:
     f, matching the stepping convention of propagate, so a solution of
     the stepped equations is reproduced without quadrature drift.
     """
-    if ev.source.ndim != 2 or np.any(ev.source):
+    if np.any(ev.source):
         raise EvolutionError("apply_K0 requires the linear evolution (zero frozen field)")
     f = np.asarray(f, dtype=float)
     if f.shape != (ev.grid.na + 1, ev.mesh.nx):

@@ -198,6 +198,14 @@ def serialize_model(spec: ModelSpec, nx: int | None = None, na: int | None = Non
     return "\n".join(lines)
 
 
+def _sampled(name: str, values, where: str) -> np.ndarray:
+    # an overflow or a NaN is refused as such, before a sign test misnames it
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ModelError(f"{name} is not finite on sampled {where}")
+    return values
+
+
 def validate_model(spec: ModelSpec) -> None:
     """Sampled invariant checks; raises ModelError naming the violated one."""
     if not (math.isfinite(spec.a_max) and spec.a_max > 0):
@@ -210,7 +218,7 @@ def validate_model(spec: ModelSpec) -> None:
     a_s = np.linspace(0.0, spec.a_max, _N_AXIS_SAMPLES)
     x_s = np.linspace(0.0, 1.0, _N_AXIS_SAMPLES)
     aa, xx = np.meshgrid(a_s, x_s)
-    d_vals = np.broadcast_to(np.asarray(evaluate(spec.D, {"a": aa, "x": xx}), dtype=float), aa.shape)
+    d_vals = _sampled("D", evaluate(spec.D, {"a": aa, "x": xx}), "ages and positions")
     if not np.all(d_vals > 0):
         raise ModelError("D must be positive")
 
@@ -219,16 +227,16 @@ def validate_model(spec: ModelSpec) -> None:
         raise ModelError("g(0,0) must vanish")
 
     uu, aa2 = np.meshgrid(_U_SAMPLES, a_s)
-    mu_vals = np.broadcast_to(np.asarray(evaluate(spec.mu, {"u": uu, "a": aa2}), dtype=float), uu.shape)
+    mu_vals = _sampled("mu", evaluate(spec.mu, {"u": uu, "a": aa2}), "nonnegative densities")
     if not np.all(mu_vals >= 0):
         raise ModelError("mu must be nonnegative on sampled nonnegative densities")
 
     h00 = float(evaluate(spec.h, {"u": 0.0, "p": 0.0}))
-    theta = np.asarray(evaluate(spec.mu, {"u": 0.0, "a": a_s}), dtype=float) + h00
+    theta = _sampled("theta(a) = mu(0,a) + h(0,0)", evaluate(spec.mu, {"u": 0.0, "a": a_s}) + h00, "ages")
     if not np.all(theta > 0):
         raise ModelError("theta(a) = mu(0,a) + h(0,0) must be positive")
 
-    b_vals = np.asarray(evaluate(spec.b, {"u": _U_SAMPLES}), dtype=float)
+    b_vals = _sampled("b", evaluate(spec.b, {"u": _U_SAMPLES}), "nonnegative densities")
     if not np.all(b_vals > 0):
         raise ModelError("b must be positive on sampled nonnegative densities")
 

@@ -62,27 +62,21 @@ def birth_star(model: ModelSpec, grid: AgeGrid, values: np.ndarray) -> np.ndarra
 
 
 def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
-    """Dense (nx, nx) matrix of Q(u), u being the field ev was frozen at.
+    """Dense (nx, nx) matrix of Q(u), u being the one field ev was frozen at.
 
     Every unit basis vector is pushed through the ages in one pass, with
     the fertility weights evaluated on ev.source; on a diagonal evolution
     only the diagonal is, all ages at once from ev.divisors, summed in the
     pass's order.
-    An evolution batched over k fields gives (nx, nx, k), each matrix with
-    the bits of its own single build.
     """
-    nx = ev.mesh.nx
     w = ev.grid.weights
     bvals = birth_density(model, ev.source)
     if ev.divisors is not None:
         terms = np.divide.accumulate(ev.divisors, axis=0)
         terms *= bvals
-        terms *= w.reshape((-1,) + (1,) * (bvals.ndim - 1))
-        q = np.zeros((nx, nx) + bvals.shape[2:])
-        q[np.arange(nx), np.arange(nx)] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-        return q
-    basis = np.zeros((nx, nx) + bvals.shape[2:])
-    basis[np.arange(nx), np.arange(nx)] = 1.0
+        terms *= w[:, None]
+        return np.diag(np.add.accumulate(terms, axis=0, out=terms)[-1])
+    basis = np.eye(ev.mesh.nx)
     q = w[0] * (bvals[0][:, None] * basis)
     for k in range(ev.grid.na):
         basis = ev.steps[k].solve(basis)

@@ -12,8 +12,8 @@ thomas_factor and thomas_solve are the Thomas recurrence as plain
 Python loops, the reference that the package's factor and solve
 must match bit for bit.  assemble_general assembles every coefficient
 on every call, with no plan, the reference that assemble must match bit
-for bit; like assemble it returns bands (3,) + u_slice.shape, rows
-lower, diag and upper.  perturbation_source_per_age forms the
+for bit; like assemble it returns bands (3, nx), rows lower, diag and
+upper.  perturbation_source_per_age forms the
 perturbation source one age at a time on those bands, the reference
 for the product over all ages.  The solvers from operator_matvec on
 serve only the tests and, unlike the recursions, reuse the package's
@@ -155,12 +155,8 @@ def dense_eigenvalues(matrix: np.ndarray) -> np.ndarray:
 
 
 def thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Thomas factorization as a plain Python loop: multipliers and pivots.
-
-    Bands are (n,) or (n, k), one matrix per column; each step is one row
-    operation across the trailing axis, so every entry sees the IEEE
-    operations of the 1-D recurrence on its own column.
-    """
+    """The Thomas factorization of bands (n,) as a plain Python loop:
+    multipliers and pivots."""
     n = diag.shape[0]
     mult = np.zeros(diag.shape)
     piv = np.empty(diag.shape)
@@ -174,7 +170,7 @@ def thomas_factor(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> tup
 def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The Thomas recurrence as a plain Python loop: the reference solve.
 
-    Bands are as for thomas_factor; rhs is 1-D to 3-D as for
+    Bands are as for thomas_factor; rhs is (n,) or (n, m), as for
     FactoredTridiag.solve.
     """
     n = diag.shape[0]
@@ -203,7 +199,6 @@ def assemble_general(model, mesh, a: float, u_slice: np.ndarray) -> np.ndarray:
     lower, diag, upper = np.zeros(shape), np.zeros(shape), np.zeros(shape)
     if not model.pure_decay:
         d_nodes = _evaluate_on(model.D, (nx + 1,), a=float(a), x=mesh.nodes_with_origin)
-        d_nodes = d_nodes.reshape((nx + 1,) + (1,) * (u.ndim - 1))
         d_west = 0.5 * (d_nodes[:-1] + d_nodes[1:])
         d_east = np.empty_like(d_west)
         d_east[:-1] = d_west[1:]
@@ -222,8 +217,7 @@ def assemble_general(model, mesh, a: float, u_slice: np.ndarray) -> np.ndarray:
         lower[-1] += east_end
         diag[-1] -= 2.0 * dx * model.nu0 * east_end
         if np.any(lower[1:] > 0) or np.any(upper[:-1] > 0):
-            bands = np.concatenate([lower, upper]).reshape(2 * nx, -1)
-            bad = int(np.argmax(bands.max(axis=1)))
+            bad = int(np.argmax(np.concatenate([lower, upper])))
             raise AssemblyError(f"M-matrix sign pattern violated near row {bad % nx}")
     h_vals = _evaluate_on(model.h, shape, u=u, p=p)
     mu_vals = _evaluate_on(model.mu, shape, u=u, a=float(a))
@@ -293,7 +287,8 @@ def picard_field(model, mesh, grid, B: np.ndarray, u_start, tol: float, max_swee
 
 def shell_probes_one_by_one(model, mesh, grid, tau0: float, tau1: float, seed: int) -> tuple[float, float]:
     """(min_small_excess, max_large_radius) of check_shell_conditions, one
-    evolution and one Q per probe field: the reference for the batched probes."""
+    build_evolution and one Q per probe field, by the build rather than by
+    freeze: the reference for the shell probes."""
     fields = _sample_fields(mesh, grid, np.random.default_rng(seed))
 
     def probe(i: int, amplitude: float) -> np.ndarray:

@@ -521,18 +521,20 @@ class TestErrorsAndEntryPoints:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
-    def test_overflow_in_validation_sample_keeps_stderr_empty(self, tmp_path):
-        # validate_model samples mu at u = 4, where exp(4000) overflows to inf
+    def test_overflow_in_validation_sample_is_refused_without_a_warning(self, tmp_path):
+        # validate_model samples mu at u = 4, where exp(4000) overflows to
+        # inf: the model is refused at load, with no overflow warning
         proc = self._run_edited_decay(tmp_path, {"\nmu = 1 + u\n": "\nmu = 1 + exp(1000 * u)\n"}, "normalize")
-        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.returncode == 2
+        assert proc.stderr == "error: mu is not finite on sampled nonnegative densities\n"
 
     def test_overflowing_power_is_refused_in_one_line(self, tmp_path, capsys):
         # ((65536^4)^4)^4 overflows a Python float's power; its inf makes
-        # mu(0, a) = 0 * inf a NaN, which validate_model refuses
+        # mu(0, a) = 0 * inf a NaN, which validate_model refuses as not finite
         cfg = tmp_path / "power.cfg"
         cfg.write_text(Path(DECAY).read_text().replace("\nmu = 1 + u\n", "\nmu = 1 + u * ((65536^4)^4)^4\n"))
         assert main(["fixedpoint", "--model", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
-        assert capsys.readouterr().err == "error: mu must be nonnegative on sampled nonnegative densities\n"
+        assert capsys.readouterr().err == "error: mu is not finite on sampled nonnegative densities\n"
 
     def test_broken_sign_pattern_exits_1(self, tmp_path, capsys):
         # D is positive at every point validate_model samples but -2.9 at

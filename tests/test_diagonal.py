@@ -86,13 +86,11 @@ class TestDiagonalPaths:
             assert same_bits(propagate(lin.ev0, B), propagate_by_steps(lin.ev0, B))
             assert same_bits(propagate(ev, B), ev.source)
 
-    @pytest.mark.parametrize("batch", [None, 5])
-    def test_frozen_shell_fields_single_and_batched(self, shell_lin, batch):
+    def test_frozen_shell_field(self, shell_lin):
         model, mesh, grid = shell_lin.model, shell_lin.mesh, shell_lin.grid
-        shape = (grid.na + 1, mesh.nx) + ((batch,) if batch else ())
-        u = np.random.default_rng(8).uniform(0.0, 3.0, shape)
+        u = np.random.default_rng(8).uniform(0.0, 3.0, (grid.na + 1, mesh.nx))
         ev = build_evolution(model, mesh, grid, u)
-        assert is_diagonal(ev) and ev.divisors.shape == shape
+        assert is_diagonal(ev) and ev.divisors.shape == u.shape
         assert same_bits(assemble_Q(model, ev), assemble_Q_columns(model, ev))
 
     def test_a_gradient_term_takes_the_dense_jacobian(self, h_reads_p_lin):
@@ -120,7 +118,7 @@ class TestDiagonalPaths:
 
     def test_no_solve_takes_a_basis(self, decay_lin, shell_problem, monkeypatch):
         # a branch point, with its reformulation residual, and the shell
-        # probes, batched over six fields, call no solve at all
+        # probes, six fields one at a time, call no solve at all
         shapes = solved_shapes(monkeypatch)
         first_step(decay_lin, 1e-2)
         model, _, grid = shell_problem

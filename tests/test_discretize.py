@@ -132,22 +132,6 @@ class TestAssemble:
         base = assemble(make_model(), mesh, 0.25, np.zeros(4))
         np.testing.assert_allclose(mat[1] - base[1], 0.25)
 
-    def test_batched_slice_matches_single_columns(self):
-        # (nx, k) bands must hold, bit for bit, the k single-column matrices;
-        # the drift changes sign across nodes and columns, and nu0 > 0
-        # exercises the Robin row
-        mesh = SpatialMesh(nx=7)
-        model = make_model(D="1 + x", g="p - 2 * u * exp(-u)", h="u^2", mu="1 + u * exp(a)", nu0=0.7)
-        u = np.random.default_rng(12).uniform(0, 2, (mesh.nx, 4))
-        g = np.gradient(u, mesh.dx, axis=0) - 2 * u * np.exp(-u)
-        assert np.any(g > 0) and np.any(g < 0)
-        mat = assemble(model, mesh, 0.3, u)
-        assert mat.shape == (3,) + u.shape
-        for j in range(u.shape[1]):
-            one = assemble(model, mesh, 0.3, u[:, j].copy())
-            for band in range(3):
-                assert mat[band, :, j].tobytes() == one[band].tobytes()
-
     def test_bad_slice_shape(self):
         mesh = SpatialMesh(nx=4)
         with pytest.raises(AssemblyError, match="shape"):
@@ -194,7 +178,7 @@ class TestPlan:
     def test_bits_match_the_general_assembly_at_every_age(self, name):
         model, mesh, grid = ORACLE_MODELS[name], SpatialMesh(nx=9), AgeGrid(na=6, a_max=1.0)
         rng = np.random.default_rng(sorted(ORACLE_MODELS).index(name))
-        slices = [np.zeros(mesh.nx), rng.uniform(0, 2, mesh.nx), rng.uniform(0, 2, (mesh.nx, 3)), -np.zeros(mesh.nx)]
+        slices = [np.zeros(mesh.nx), rng.uniform(0, 2, mesh.nx), *rng.uniform(0, 2, (3, mesh.nx)), -np.zeros(mesh.nx)]
         for _ in range(2):  # the second pass is served from the plan
             for a in grid.ages:
                 for u in slices:
@@ -204,7 +188,7 @@ class TestPlan:
     def test_writing_a_band_leaves_the_next_call_alone(self, name):
         # every call, pure decay included, returns a fresh writable array
         model, mesh = ORACLE_MODELS[name], SpatialMesh(nx=6)
-        for u in (np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 12).reshape(6, 2)):
+        for u in (np.linspace(0.0, 1.0, 6), np.linspace(1.0, 0.0, 6)):
             first = assemble(model, mesh, 0.5, u)
             first[...] = 7.0  # raises on a read-only array
             second = assemble(model, mesh, 0.5, u)
@@ -245,7 +229,7 @@ class TestPlan:
         model, mesh = ORACLE_MODELS[name], SpatialMesh(nx=5)
         gradients = self._count_calls(monkeypatch, "gradient_of_slice")
         before = discretize._plan.cache_info()
-        for u in (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 15).reshape(5, 3)):
+        for u in (np.linspace(0.0, 1.0, 5), np.linspace(1.0, 0.0, 5)):
             assemble(model, mesh, 0.5, u)
         info = discretize._plan.cache_info()
         assert (info.hits, info.misses) == (before.hits, before.misses)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from agequil import evolution, linearized, tridiag
-from agequil.discretize import SpatialMesh
+from agequil.discretize import AssemblyError, SpatialMesh, assemble
 from agequil.evolution import (
     AgeGrid,
     EvolutionError,
@@ -95,20 +95,9 @@ class TestPropagate:
         with pytest.raises(EvolutionError, match="finite"):
             propagate(ev, np.array([1.0, np.nan, 0.0]))
 
-    @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_diffusion.cfg"])
-    def test_a_batched_evolution_is_refused(self, name):
-        # a diagonal batch and a coupled one fail alike, before any step
-        model, mesh, grid = load_problem(name)
-        u = np.random.default_rng(2).uniform(0.0, 1.0, (grid.na + 1, mesh.nx, 3))
-        ev = build_evolution(model, mesh, grid, u)
-        message = "^cannot propagate an evolution batched over 3 frozen fields$"
-        for B in (np.ones(mesh.nx), np.ones((mesh.nx, 3))):
-            with pytest.raises(EvolutionError, match=message):
-                propagate(ev, B)
-
     @pytest.mark.parametrize("shape", [(6,), (6, 3, 2, 1), (5, 3), (6, 4), (6, 4, 2)])
     def test_field_shape_checked(self, shape):
-        # a field is (na+1, nx) or (na+1, nx, k); apply_K0 takes no batch
+        # a field is (na+1, nx)
         mesh = SpatialMesh(nx=3)
         grid = AgeGrid(na=5, a_max=1.0)
         ev = build_evolution(decay_model(), mesh, grid)
@@ -117,7 +106,6 @@ class TestPropagate:
                 frozen(decay_model(), mesh, grid, np.zeros(shape))
         with pytest.raises(EvolutionError, match="does not match the grids"):
             apply_K0(ev, np.zeros(shape))
-        assert build_evolution(decay_model(), mesh, grid, np.zeros((6, 3, 2))).source.shape == (6, 3, 2)
 
     def test_singular_step_reported(self):
         mesh = SpatialMesh(nx=2)
@@ -171,6 +159,31 @@ class TestPropagate:
         np.testing.assert_allclose(combo, parts, atol=1e-13)
 
 
+@pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_decay.cfg", "logistic_diffusion.cfg"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_every_layer_takes_one_field(name, k):
+    # a batch axis, k slices (nx, k), k birth vectors (nx, k) or k fields
+    # (na+1, nx, k), is refused in one line, on a pure-decay model, whose
+    # freeze builds nothing, and on a coupled one; a batch of one is a
+    # batch, not a field to squeeze
+    model, mesh, grid = load_problem(name)
+    message = f"u_slice has shape ({mesh.nx}, {k}), expected ({mesh.nx},)"
+    with pytest.raises(AssemblyError, match=f"^{re.escape(message)}$"):
+        assemble(model, mesh, 0.5, np.zeros((mesh.nx, k)))
+    field = (grid.na + 1, mesh.nx, k)
+    message = f"frozen field of shape {field} does not match the grids"
+    for frozen in (build_evolution, freeze):
+        with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+            frozen(model, mesh, grid, np.zeros(field))
+    message = f"birth vector has shape ({mesh.nx}, {k}), expected ({mesh.nx},)"
+    for ev in (freeze(model, mesh, grid, np.zeros(field[:2])), build_evolution(model, mesh, grid)):
+        with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+            propagate(ev, np.ones((mesh.nx, k)))
+    message = f"source field of shape {field} does not match the grids"
+    with pytest.raises(EvolutionError, match=f"^{re.escape(message)}$"):
+        apply_K0(build_evolution(model, mesh, grid), np.zeros(field))
+
+
 class TestSteps:
     ROBIN = ModelSpec(
         a_max=1.0,
@@ -179,16 +192,16 @@ class TestSteps:
     )
 
     @pytest.mark.parametrize("name", ["logistic_diffusion.cfg", "logistic_decay.cfg", "robin"])
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_factors_have_the_bits_of_the_scaled_oracle_bands(self, name, batched):
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_factors_have_the_bits_of_the_scaled_oracle_bands(self, name, frozen):
         # step k is factor_tridiag(da * lower, 1 + da * diag, da * upper) of
-        # A(u_k, a_{k+1}), on a march or on a frozen field of 3 columns; a
-        # build whose steps are all diagonal keeps only their pivots, row
-        # k + 1 of its divisors
+        # A(u_k, a_{k+1}), on a march or on a frozen field; a build whose
+        # steps are all diagonal keeps only their pivots, row k + 1 of its
+        # divisors
         model = self.ROBIN if name == "robin" else load_problem(name)[0]
         mesh, grid = SpatialMesh(nx=9), AgeGrid(na=8, a_max=model.a_max)
-        if batched:
-            u = np.random.default_rng(5).uniform(0, 2, (grid.na + 1, mesh.nx, 3))
+        if frozen:
+            u = np.random.default_rng(5).uniform(0, 2, (grid.na + 1, mesh.nx))
             ev = build_evolution(model, mesh, grid, u)
         else:
             ev = build_evolution(model, mesh, grid, birth=np.linspace(0.2, 1.0, mesh.nx))
@@ -202,7 +215,7 @@ class TestSteps:
                 assert want.mult is None and same_bits(ev.divisors[k + 1], want.piv)
                 continue
             step = ev.steps[k]
-            assert step.shape == want.shape == ev.source.shape[1:]
+            assert step.shape == want.shape == (mesh.nx,)
             for got_f, want_f in ((step.mult, want.mult), (step.piv, want.piv), (step.upper, want.upper)):
                 assert (got_f is None) == (want_f is None)
                 if want_f is not None:
@@ -290,8 +303,7 @@ class TestFreeze:
     model one evaluation over all ages gives the build's divisors and errors."""
 
     @pytest.mark.parametrize("name", ["shell_decay", "logistic_decay", "pure_decay_of_p", "age_powers"])
-    @pytest.mark.parametrize("batch", [(), (3,)], ids=["single", "batched"])
-    def test_has_the_bits_of_the_build(self, name, batch, monkeypatch):
+    def test_has_the_bits_of_the_build(self, name, monkeypatch):
         if name == "age_powers":
             model, mesh, grid = AGE_POWERS, SpatialMesh(nx=7), AgeGrid(na=60, a_max=1.0)
         else:
@@ -299,7 +311,7 @@ class TestFreeze:
         made, real_init = [], tridiag.FactoredTridiag.__init__
         monkeypatch.setattr(tridiag.FactoredTridiag, "__init__",
                             lambda self, *args: made.append(args[0]) or real_init(self, *args))
-        shape = (grid.na + 1, mesh.nx) + batch
+        shape = (grid.na + 1, mesh.nx)
         rng = np.random.default_rng(6)
         for u in (rng.uniform(0.0, 1.5, shape), np.zeros(shape), -np.zeros(shape), rng.uniform(-0.01, 0.03, shape)):
             made.clear()
@@ -308,7 +320,7 @@ class TestFreeze:
             want = build_evolution(model, mesh, grid, u)
             assert got.source is want.source is u and got.steps == want.steps == []
             assert got.divisors.shape == shape and not got.divisors.flags.writeable
-            assert same_bits(got.divisors, want.divisors) and same_bits(got.divisors[0], np.ones(shape[1:]))
+            assert same_bits(got.divisors, want.divisors) and same_bits(got.divisors[0], np.ones(mesh.nx))
 
     # each age's divisor is (1 - 16 u) da + 1 = 1.125 - 2 u on the rows given, 1.125 elsewhere
     @pytest.mark.parametrize("rows, message", [
@@ -320,20 +332,19 @@ class TestFreeze:
         # the first bad age is named, not a worse later one
         ({4: [0.0, 0.0, 1.0], 6: [0.0, np.nan, 0.0]}, "age index 5: nonpositive pivot -0.875 at row 2"),
     ], ids=["negative", "zero", "nan", "inf", "first"])
-    @pytest.mark.parametrize("batch", [(), (2,)], ids=["single", "batched"])
-    def test_bad_divisors_raise_the_builds_text(self, rows, message, batch):
+    def test_bad_divisors_raise_the_builds_text(self, rows, message):
         mesh, grid = SpatialMesh(nx=3), AgeGrid(na=8, a_max=1.0)
-        u = np.zeros((grid.na + 1, mesh.nx) + batch)
+        u = np.zeros((grid.na + 1, mesh.nx))
         for k, row in rows.items():
-            u[k] = np.reshape(row, (mesh.nx,) + (1,) * len(batch))
+            u[k] = row
         for run in (build_evolution, freeze):
             with np.errstate(all="ignore"), pytest.raises(EvolutionError, match=f"^singular one-step matrix at {message}$"):
                 run(decay_model("1 - 16 * u"), mesh, grid, u)
 
 
 class TestCallsPerBuild:
-    """Every build, marched or frozen, single or batched, calls assemble
-    and factor_tridiag once per age, and build_linearized and
+    """Every build, marched or frozen, calls assemble and factor_tridiag
+    once per age, and build_linearized and
     reformulation_residual each assemble once more per age.  The
     benchmark's tracer counts the work of a run by these calls: assemble
     is na * (builds + build_linearized + reformulation_residual) calls and
@@ -357,7 +368,7 @@ class TestCallsPerBuild:
         return calls
 
     @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_decay.cfg", "logistic_diffusion.cfg"])
-    @pytest.mark.parametrize("kind", ["march", "frozen", "batched"])
+    @pytest.mark.parametrize("kind", ["march", "frozen"])
     def test_one_assemble_and_one_factor_per_age(self, name, kind, monkeypatch):
         model, mesh, grid = load_problem(name)
         calls = self.counted(monkeypatch, (evolution, "assemble"), (evolution, "factor_tridiag"))
@@ -365,8 +376,7 @@ class TestCallsPerBuild:
         if kind == "march":
             build_evolution(model, mesh, grid, birth=rng.uniform(0.5, 1.5, mesh.nx))
         else:
-            shape = (grid.na + 1, mesh.nx) + ((4,) if kind == "batched" else ())
-            build_evolution(model, mesh, grid, rng.uniform(0.0, 1.5, shape))
+            build_evolution(model, mesh, grid, rng.uniform(0.0, 1.5, (grid.na + 1, mesh.nx)))
         assert calls == {"evolution.assemble": grid.na, "evolution.factor_tridiag": grid.na}, (
             f"a build of {grid.na} ages made {calls}; the tracer's identities need one call of each per age")
 
@@ -384,14 +394,13 @@ class TestCallsPerBuild:
         assert calls == {"evolution.assemble": per_age, "evolution.factor_tridiag": per_age}
 
     @pytest.mark.parametrize("name", ["shell_decay.cfg", "logistic_decay.cfg", "logistic_diffusion.cfg"])
-    @pytest.mark.parametrize("batch", [(), (4,)], ids=["single", "batched"])
-    def test_a_freeze_is_a_build_only_on_a_coupled_model(self, name, batch, monkeypatch):
+    def test_a_freeze_is_a_build_only_on_a_coupled_model(self, name, monkeypatch):
         model, mesh, grid = load_problem(name)
         builds, real = [], evolution.build_evolution
         monkeypatch.setattr(evolution, "build_evolution", lambda *args, **kwargs: builds.append(
             (args[:3], args[3] is u, kwargs)) or real(*args, **kwargs))
         calls = self.counted(monkeypatch, (evolution, "assemble"), (evolution, "factor_tridiag"))
-        u = np.random.default_rng(8).uniform(0.0, 1.5, (grid.na + 1, mesh.nx) + batch)
+        u = np.random.default_rng(8).uniform(0.0, 1.5, (grid.na + 1, mesh.nx))
         freeze(model, mesh, grid, u)
         per_age = 0 if model.pure_decay else grid.na
         assert builds == ([] if model.pure_decay else [((model, mesh, grid), True, {})])
@@ -446,8 +455,6 @@ class TestDuhamel:
             build_evolution(model, mesh, grid, birth=np.zeros(3)),
         ):
             assert apply_K0(ev, f).tobytes() == want.tobytes()
-        with pytest.raises(EvolutionError, match="linear evolution"):
-            apply_K0(build_evolution(model, mesh, grid, np.zeros((5, 3, 2))), f)
 
     def test_source_shape_checked(self):
         mesh = SpatialMesh(nx=3)

@@ -159,7 +159,7 @@ class TestShellConditions:
         assert report.min_small_excess < -0.3
 
     @pytest.mark.parametrize("problem", ["shell_problem", "decay_problem"])
-    def test_batched_probes_match_single_probes(self, request, problem):
+    def test_probes_match_single_builds(self, request, problem):
         model, mesh, grid = request.getfixturevalue(problem)
         report = check_shell_conditions(model, mesh, grid, 1e-2, 5.0, seed=3)
         expected = shell_probes_one_by_one(model, mesh, grid, 1e-2, 5.0, seed=3)

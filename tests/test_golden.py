@@ -23,7 +23,7 @@ field by 1.9e-15 relative, and the shell probes kept their bits.  It was
 re-recorded again when Anderson mixing came to that iteration and the
 final march was no longer replayed: 7 iterations instead of 47, B and
 the field moved by 1.8e-14 relative, the residual became the birth
-defect alone (0 here), and the batched shell probes kept their bits.
+defect alone (0 here), and the shell probes kept their bits.
 The two trace cases were re-recorded again when the corrector's
 finite-difference Jacobian gave way to the exact one, marched on the
 march's own factors: each Newton step now lands on slightly different
@@ -41,10 +41,11 @@ print what it measured; no output file and no other stdout moved.
 
 The coupled fixedpoint case (logistic_diffusion at cb = 4.0, at nx 8 and
 na 12) was added later, at the bits it had then.  It is the one golden
-run whose batched shell probes solve on coupled (n, k) factors, through
-the staged system of every matrix of the stack, while its marches and
-the assemble_Q of its result solve on (n,) factors of one matrix; the
-other golden runs pin only the (n,) solves, or no dgttrs call at all.
+run whose shell probes build and solve on coupled factors; the other
+golden runs pin only the solves of marches and of a result's
+assemble_Q, or no dgttrs call at all.  The probes were batched, k
+fields side by side on (n, k) factors, when it was recorded; built one
+field at a time they keep every byte.
 """
 
 import hashlib
@@ -82,8 +83,8 @@ RUNS = {
         },
     ),
     # pure decay: every step is diagonal, so this pins the march's divisions
-    # under Anderson mixing, the diagonal assemble_Q of the batched shell
-    # probes with its closed-form radius, and the _u, _B and report files
+    # under Anderson mixing, the diagonal assemble_Q of the shell probes
+    # with its closed-form radius, and the _u, _B and report files
     "fixedpoint-shell": (
         ["fixedpoint", "--model", str(MODELS / "shell_decay.cfg"), "--seed", "7"],
         {
@@ -93,8 +94,8 @@ RUNS = {
         },
     ),
     # logistic_diffusion at cb = 4.0 (CB): the one fixed point on coupled
-    # steps, so the batched shell probes solve on (n, k) factors beside the
-    # marches' (n,) ones; it converges in 28 iterations
+    # steps, so the shell probes solve on coupled factors beside the
+    # marches'; it converges in 28 iterations
     "fixedpoint-diffusion": (
         ["fixedpoint", "--model", str(MODELS / "logistic_diffusion.cfg"),
          "--nx", "8", "--na", "12", "--tau1", "1", "--seed", "7"],

@@ -309,6 +309,13 @@ class TestParseModel:
         (cfg(mu="u"), "theta(a) = mu(0,a) + h(0,0) must be positive"),
         (cfg(b="0"), "b must be positive on sampled nonnegative densities"),
         (cfg(b="u - 1"), "b must be positive on sampled nonnegative densities"),
+        # ((65536^4)^4)^4 overflows to inf; a non-finite sample is refused
+        # before the sign tests, and a NaN (0 * inf at u = 0) is not a sign fault
+        (cfg(mu="1 + ((65536^4)^4)^4"), "mu is not finite on sampled nonnegative densities"),
+        (cfg(mu="1 + u * ((65536^4)^4)^4"), "mu is not finite on sampled nonnegative densities"),
+        (cfg(b="1 + ((65536^4)^4)^4"), "b is not finite on sampled nonnegative densities"),
+        (cfg(D="1 + a * ((65536^4)^4)^4"), "D is not finite on sampled ages and positions"),
+        (cfg(h="((65536^4)^4)^4"), "theta(a) = mu(0,a) + h(0,0) is not finite on sampled ages"),
         (cfg(D="u"), "coefficient 'd' uses variable 'u'; allowed: a, x"),
         (cfg(mu="1 + x"), "coefficient 'mu' uses variable 'x'; allowed: a, u"),
         (cfg(b="1 + a"), "coefficient 'b' uses variable 'a'; allowed: u"),
@@ -329,6 +336,7 @@ class TestParseModel:
          + str(configparser.MissingSectionHeaderError("<???>", 1, "not an ini file"))),
     ], ids=[
         "a_max", "D-zero", "D-negative", "g00", "mu-negative", "theta", "b-zero", "b-negative",
+        "mu-inf", "mu-nan", "b-inf", "D-nan", "theta-inf",
         "D-reads-u", "mu-reads-x", "b-reads-a", "h-reads-x", "mu-syntax", "D-syntax", "g-unknown-name",
         "missing-D", "missing-mu", "nu0", "nu0-not-a-number", "cb", "unknown-key", "unknown-section",
         "no-coefficients", "syntax",

@@ -99,16 +99,6 @@ class TestAssembleQu:
         manual = grid.weights @ (birth_density(model, u) * field)
         np.testing.assert_allclose(q @ B, manual, rtol=1e-12, atol=1e-14)
 
-    def test_batched_matrices_match_single_builds(self, shell_problem):
-        model, mesh, grid = shell_problem
-        rng = np.random.default_rng(12)
-        u = rng.uniform(0, 1.5, (grid.na + 1, mesh.nx, 4))
-        q = assemble_Q(model, build_evolution(model, mesh, grid, u))
-        assert q.shape == (mesh.nx, mesh.nx, 4)
-        for j in range(4):
-            single = assemble_Q(model, build_evolution(model, mesh, grid, u[:, :, j]))
-            assert np.array_equal(q[:, :, j], single)
-
     def test_zero_field_equals_linear_matrix(self, decay_problem):
         model, mesh, grid = decay_problem
         q0 = assemble_Q(model, build_evolution(model, mesh, grid))

@@ -51,24 +51,19 @@ def m_systems(draw):
     return lower, diag, upper, rhs
 
 
-# M-matrix bands (n,) or (n, k) whose last row couples up to twice as
-# strongly as the off-diagonals drawn, as a Robin closure makes it, and a
-# right-hand side of one or two columns per matrix with no -0.0 in it
+# M-matrix bands (n,) whose last row couples up to twice as strongly as
+# the off-diagonals drawn, as a Robin closure makes it, and a right-hand
+# side of one or two columns with no -0.0 in it
 @st.composite
 def robin_systems(draw):
     n = draw(st.integers(min_value=1, max_value=12))
-    batch = draw(st.sampled_from([(), (1,), (3,)]))
     columns = draw(st.sampled_from([(), (2,)]))
-    size = n * int(np.prod(batch))
-    lower, upper = (
-        -np.array(draw(st.lists(st.floats(0, 5), min_size=size, max_size=size))).reshape(n, *batch)
-        for _ in range(2)
-    )
+    lower, upper = (-np.array(draw(st.lists(st.floats(0, 5), min_size=n, max_size=n))) for _ in range(2))
     lower[-1] *= draw(st.floats(1, 2))
     diag = np.abs(lower) + np.abs(upper) + draw(st.floats(0.01, 3))
-    rhs_size = size * int(np.prod(columns))
+    rhs_size = n * int(np.prod(columns))
     rhs = np.array(draw(st.lists(st.floats(-10, 10), min_size=rhs_size, max_size=rhs_size)))
-    return lower, diag, upper, rhs.reshape(n, *columns, *batch) + 0.0
+    return lower, diag, upper, rhs.reshape(n, *columns) + 0.0
 
 
 # one coupled matrix, so that factor and solve reach the loop and dgttrs
@@ -79,9 +74,9 @@ def bits(x):
     return np.asarray(x).view(np.int64)
 
 
-def unstacked(fac, stacked):
-    # the rows of the k matrices, back in the bands' (n,) or (n, k) layout
-    return stacked[:int(np.prod(fac.shape))].reshape(fac.shape[::-1]).T
+def unpadded(fac, rows):
+    # the matrix's rows, without those that pad it to MIN_ROWS
+    return rows[:fac.shape[0]]
 
 
 def laid_out(b, layout):
@@ -98,7 +93,7 @@ def laid_out(b, layout):
 def multipliers(fac):
     # mult holds the multipliers from row 1 on, as dgttrs's dl; the loop's
     # multiplier of row 0 is +0.0
-    return unstacked(fac, np.concatenate([[0.0], fac.mult]))
+    return unpadded(fac, np.concatenate([[0.0], fac.mult]))
 
 
 class TestFactorSolve:
@@ -116,70 +111,56 @@ class TestFactorSolve:
 
     # the multi-column solve must give the bits of per-column solves; the
     # identity basis of size 48 is what assemble_Q pushes through each
-    # step, and per-column factors (2-D bands, one matrix per column) are
-    # what a batched evolution step holds
-    @pytest.mark.parametrize("n, ncols, identity, per_column", [
-        (1, 3, False, False), (2, 4, False, False), (12, 5, False, False),
-        (48, 48, True, False), (1, 3, False, True), (12, 5, False, True),
-    ])
-    def test_two_dimensional_rhs(self, n, ncols, identity, per_column):
+    # step.  A right-hand side of more than two axes, or of another
+    # length, is refused
+    @pytest.mark.parametrize("n, ncols, identity", [(1, 3, False), (2, 4, False), (12, 5, False), (48, 48, True)])
+    def test_two_dimensional_rhs(self, n, ncols, identity):
         rng = np.random.default_rng(8)
-        shape = (n, ncols) if per_column else (n,)
-        lower = -rng.uniform(0, 1, shape)
-        upper = -rng.uniform(0, 1, shape)
+        lower = -rng.uniform(0, 1, n)
+        upper = -rng.uniform(0, 1, n)
         lower[0] = upper[-1] = 0.0
         diag = np.abs(lower) + np.abs(upper) + 1.0
         fac = factor_tridiag(lower, diag, upper)
         rhs = np.eye(n) if identity else rng.normal(size=(n, ncols))
         out = fac.solve(rhs)
         for j in range(ncols):
-            fac_j = factor_tridiag(lower[:, j], diag[:, j], upper[:, j]) if per_column else fac
-            np.testing.assert_allclose(out[:, j], fac_j.solve(rhs[:, j]), rtol=0, atol=0)
-        with pytest.raises(ValueError):
-            fac.solve(rhs[:, :, None])
-        if per_column:
-            with pytest.raises(ValueError, match="shape"):
-                fac.solve(rhs[:, 0])
-
-    # a batched assemble_Q pushes an (nx, nx, k) basis through (nx, k)
-    # factors: every (row, column, matrix) entry must keep the bits of the
-    # 1-D solve of its column against its own matrix
-    @pytest.mark.parametrize("n, m, k", [(1, 2, 3), (5, 5, 6), (12, 4, 2)])
-    def test_three_dimensional_rhs(self, n, m, k):
-        rng = np.random.default_rng(9)
-        lower = -rng.uniform(0, 1, (n, k))
-        upper = -rng.uniform(0, 1, (n, k))
-        lower[0] = upper[-1] = 0.0
-        diag = np.abs(lower) + np.abs(upper) + 1.0
-        fac = factor_tridiag(lower, diag, upper)
-        rhs = rng.normal(size=(n, m, k))
-        out = fac.solve(rhs)
-        for j in range(k):
-            fac_j = factor_tridiag(lower[:, j], diag[:, j], upper[:, j])
-            for c in range(m):
-                np.testing.assert_array_equal(out[:, c, j], fac_j.solve(rhs[:, c, j]))
-        for bad in (rhs[:, :, :-1], rhs[:-1], rhs[..., None]):
-            with pytest.raises(ValueError, match="shape"):
+            np.testing.assert_array_equal(out[:, j], fac.solve(rhs[:, j]))
+        for bad in (rhs[:, :, None], rhs[:-1], np.ones(())):
+            message = f"^rhs has shape {re.escape(str(bad.shape))}, factors have shape \\({n},\\)$"
+            with pytest.raises(ValueError, match=message):
                 fac.solve(bad)
-        with pytest.raises(ValueError, match="shape"):
-            factor_tridiag(lower[:, 0], diag[:, 0], upper[:, 0]).solve(rhs)
+
+    # the shape check is the one gate of every path: without it a diagonal
+    # solve would broadcast an (n, 1, 1) rhs against its pivots, and
+    # dgttrs would be handed rows it does not have
+    @pytest.mark.parametrize("path, n, coupling", [("divides", 4, 0.0), ("direct", 4, -0.5), ("staged", 2, -0.5)])
+    @pytest.mark.parametrize("bad", [
+        lambda n: (n, 1, 1), lambda n: (n, 2, 3), lambda n: (n + 1,), lambda n: (n - 1, 2), lambda n: (),
+    ], ids=["batch_of_one", "batch", "longer", "shorter", "scalar"])
+    def test_solve_refuses_any_other_rhs_shape(self, path, n, coupling, bad, monkeypatch):
+        monkeypatch.setattr(tridiag, "dgttrs", None)  # a call would raise TypeError
+        fac = factor_tridiag(np.full(n, coupling), np.full(n, 2.0), np.full(n, coupling))
+        assert (fac.mult is None) == (path == "divides") and (fac.piv.size > n) == (path == "staged")
+        rhs = np.ones(bad(n))
+        message = f"rhs has shape {rhs.shape}, factors have shape ({n},)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fac.solve(rhs)
 
     # the LAPACK solve must keep every bit of the Thomas loop, the sign of
     # every zero included, for each right-hand side shape and layout, and
     # leave the caller's right-hand side as it was; n = 1 and 2 are padded
     # to the 3 rows dgttrs takes.  Only a -0.0 in the right-hand side can
     # make the loop give -0.0, and the zero couplings may return +0.0
-    # there, so that case compares values
+    # there, so that case compares values.  48 columns are the basis that
+    # assemble_Q solves at the shell's 48 nodes
     @pytest.mark.parametrize("n", [1, 2, 3, 48])
-    @pytest.mark.parametrize("factors, rhs", [
-        ((), ()), ((), (5,)), ((4,), (4,)), ((4,), (5, 4)),
-    ])
+    @pytest.mark.parametrize("rhs", [(), (1,), (5,), (48,)])
     @pytest.mark.parametrize("layout", ["C", "F", "strided", "int"])
-    def test_bits_of_the_thomas_loop(self, n, factors, rhs, layout):
+    def test_bits_of_the_thomas_loop(self, n, rhs, layout):
         rng = np.random.default_rng(n)
-        lower = -rng.uniform(0, 1, (n, *factors))
-        upper = -rng.uniform(0, 1, (n, *factors))
-        diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 1, (n, *factors))
+        lower = -rng.uniform(0, 1, n)
+        upper = -rng.uniform(0, 1, n)
+        diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 1, n)
         b = rng.normal(size=(n, *rhs))
         b.flat[::3] = 0.0
         b = laid_out(b, layout)
@@ -195,13 +176,13 @@ class TestFactorSolve:
             np.testing.assert_array_equal(fac.solve(b), thomas_solve(lower, diag, upper, b))
             np.testing.assert_array_equal(bits(b), bits(kept))
 
-    # one unpadded matrix hands a float rhs to dgttrs as it is, whatever
+    # an unpadded matrix hands a float rhs to dgttrs as it is, whatever
     # its order, and dgttrs solves a copy it makes, so a 2-D solution comes
-    # back in Fortran order; a stack of matrices, or a system padded to
-    # MIN_ROWS, is staged in a Fortran buffer that dgttrs solves in place
+    # back in Fortran order; a system padded to MIN_ROWS is staged in a
+    # Fortran buffer that dgttrs solves in place
     @pytest.mark.parametrize("shape, rhs, layout", [
         ((3,), (3,), "C"), ((48,), (48,), "C"), ((48,), (48, 5), "C"), ((48,), (48, 5), "F"),
-        ((2,), (2,), "C"), ((2,), (2, 5), "C"), ((48, 4), (48, 4), "C"), ((48, 4), (48, 5, 4), "C"),
+        ((2,), (2,), "C"), ((2,), (2, 5), "C"), ((2,), (2, 5), "F"),
     ])
     def test_one_unpadded_matrix_hands_rhs_to_dgttrs(self, shape, rhs, layout, monkeypatch):
         real, calls = tridiag.dgttrs, []
@@ -217,7 +198,7 @@ class TestFactorSolve:
         b = laid_out(rng.normal(size=rhs), layout)
         out = fac.solve(b)
         (passed, kwargs), = calls
-        direct = len(shape) == 1 and shape[0] >= tridiag.MIN_ROWS
+        direct = shape[0] >= tridiag.MIN_ROWS
         assert (passed is b) == direct
         if direct:
             assert kwargs == {} and (out.ndim == 1 or out.flags.f_contiguous)
@@ -227,7 +208,7 @@ class TestFactorSolve:
 
     # the factors are the Thomas loop's, on Python floats, and the solves
     # keep its bits; bands with no coupling (every draw at n = 1, and zero
-    # draws of either sign) keep the loop's pivots, unstacked, and its
+    # draws of either sign) keep the loop's pivots, unpadded, and its
     # solve; the bands given are never written to
     @settings(max_examples=300, deadline=None)
     @given(robin_systems())
@@ -244,7 +225,7 @@ class TestFactorSolve:
             np.testing.assert_array_equal(bits(fac.piv), bits(piv))
         else:
             np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
-            np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
+            np.testing.assert_array_equal(bits(unpadded(fac, fac.piv)), bits(piv))
         np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
 
     # bands with no coupling skip LAPACK: each solve divides by the
@@ -253,12 +234,10 @@ class TestFactorSolve:
     # nan, inf or nonpositive diagonal entry raises what the banded path
     # raises
     @pytest.mark.parametrize("n", [1, 2, 3, 48])
-    @pytest.mark.parametrize("factors, rhs", [
-        ((), ()), ((), (5,)), ((4,), (4,)), ((4,), (5, 4)),
-    ])
-    def test_uncoupled_bands_divide(self, n, factors, rhs, monkeypatch):
+    @pytest.mark.parametrize("rhs", [(), (1,), (5,), (48,)])
+    def test_uncoupled_bands_divide(self, n, rhs, monkeypatch):
         rng = np.random.default_rng(n)
-        shape = (n, *factors)
+        shape = (n,)
         diag = rng.uniform(0.1, 2, shape)
         zero, minus_zero = np.zeros(shape), np.full(shape, -0.0)
         first, last = np.zeros(shape), np.zeros(shape)
@@ -283,23 +262,22 @@ class TestFactorSolve:
             with pytest.raises(SingularTridiagError, match=f"^{re.escape(str(banded.value))}$"):
                 factor_tridiag(zero, diag_bad, zero)
 
-    # one entry, in a (n,) band or in a column j > 0 of an (n, k) one,
-    # decides the path: a NaN, an infinity, a zero of either sign or a
-    # negative entry on the diagonal raises what the banded path raises; a
-    # subnormal one, or a -0.0 coupling, divides; a subnormal coupling is
-    # a coupling, and goes to the loop
-    @pytest.mark.parametrize("shape, column", [((5,), ()), ((5, 3), (1,)), ((5, 3), (2,))])
-    @pytest.mark.parametrize("last", [False, True])
+    # one entry, first, inside or last in its band, of 5 rows or of the
+    # shell's 48 nodes, decides the path: a NaN, an infinity, a zero of
+    # either sign or a negative entry on the diagonal raises what the
+    # banded path raises; a subnormal one, or a -0.0 coupling, divides; a
+    # subnormal coupling is a coupling, and goes to the loop
+    @pytest.mark.parametrize("n", [5, 48])
+    @pytest.mark.parametrize("at", ["first", "inside", "last"])
     @pytest.mark.parametrize("band, value", [
         *(("diag", value) for value in (np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 5e-324)),
         *((band, value) for band in ("lower", "upper") for value in (-0.0, 5e-324)),
     ])
-    def test_one_entry_anywhere_decides_the_path(self, shape, column, last, band, value, monkeypatch):
-        n = shape[0]
-        bands = {"lower": np.zeros(shape), "diag": np.linspace(0.5, 2.0, np.prod(shape)).reshape(shape),
-                 "upper": np.zeros(shape)}
-        rows = {"lower": (1, n - 1), "diag": (0, n - 1), "upper": (0, n - 2)}[band]
-        bands[band][(rows[last], *column)] = value
+    def test_one_entry_anywhere_decides_the_path(self, n, at, band, value, monkeypatch):
+        bands = {"lower": np.zeros(n), "diag": np.linspace(0.5, 2.0, n), "upper": np.zeros(n)}
+        first, last = {"lower": (1, n - 1), "diag": (0, n - 1), "upper": (0, n - 2)}[band]
+        row = {"first": first, "inside": n // 2, "last": last}[at]
+        bands[band][row] = value
         lower, diag, upper = bands.values()
         if band == "diag" and not 0 < value < np.inf:
             with monkeypatch.context() as patch:
@@ -313,19 +291,18 @@ class TestFactorSolve:
         divides = band == "diag" or value == 0.0
         assert (fac.mult is None) == divides
         mult, piv = thomas_factor(lower, diag, upper)
-        np.testing.assert_array_equal(bits(fac.piv if divides else unstacked(fac, fac.piv)), bits(piv))
+        np.testing.assert_array_equal(bits(fac.piv if divides else unpadded(fac, fac.piv)), bits(piv))
         if not divides:
             np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
-        rhs = np.linspace(-1.0, 1.0, np.prod(shape)).reshape(shape) + 0.25
+        rhs = np.linspace(-1.0, 1.0, n) + 0.25
         with np.errstate(all="ignore"):
             x, loop = fac.solve(rhs), thomas_solve(lower, diag, upper, rhs)
             if band == "diag":
                 # x / 5e-324 overflows: the division keeps the infinity in
                 # its own row, and the loop spreads it as NaN (0 * inf) to
                 # the rows above, which a division solves on their own
-                at, above = (rows[last], *column), (slice(0, rows[last]), *column)
-                assert np.isinf(x[at]) and np.isinf(loop[at]) and np.all(np.isnan(loop[above]))
-                loop[above] = rhs[above] / diag[above]
+                assert np.isinf(x[row]) and np.isinf(loop[row]) and np.all(np.isnan(loop[:row]))
+                loop[:row] = rhs[:row] / diag[:row]
         np.testing.assert_array_equal(bits(x), bits(loop))
 
     # bands on which a pivoting LU would interchange rows keep the loop's
@@ -341,59 +318,50 @@ class TestFactorSolve:
         fac = factor_tridiag(lower, diag, upper)
         mult, piv = thomas_factor(lower, diag, upper)
         np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
-        np.testing.assert_array_equal(bits(unstacked(fac, fac.piv)), bits(piv))
+        np.testing.assert_array_equal(bits(unpadded(fac, fac.piv)), bits(piv))
         rhs = np.arange(float(diag.size))
         np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
 
     # Python's division by zero raises, so the loop gives numpy's quotient
-    # there.  A bad diagonal entry, at a matrix's first row, below a row
-    # it does not couple to or at its last row, is followed by a coupling
-    # of either sign or by a zero of either sign; the inf or nan it leads
-    # to stays in its own matrix, and the error names the pivot that
-    # argmin finds among the pivots of numpy's loop
+    # there.  A bad diagonal entry, at the first row, below a row it does
+    # not couple to or at the last row, is followed by a coupling of either
+    # sign or by a zero of either sign; the error names the pivot that
+    # argmin finds among the pivots of numpy's loop.  At n = 1 and 2 the
+    # padding's pivots, which a bad one makes NaN, are never named
     @pytest.mark.parametrize("bad", [0.0, -0.0, np.nan, np.inf, -1.0])
-    @pytest.mark.parametrize("shape", [(5,), (5, 3)])
-    def test_bad_pivot_is_named_from_numpy_quotients(self, bad, shape):
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_bad_pivot_is_named_from_numpy_quotients(self, bad, n):
         rng = np.random.default_rng(11)
-        for row in (0, 2, 4):
+        for row in sorted({0, n // 2, n - 1}):
             for below in (-1.0, 1.0, 0.0, -0.0):
-                lower = -rng.uniform(0.5, 1, shape)
-                upper = -rng.uniform(0.5, 1, shape)
+                lower = -rng.uniform(0.5, 1, n)
+                upper = -rng.uniform(0.5, 1, n)
                 diag = np.abs(lower) + np.abs(upper) + 0.5
                 lower[row] = 0.0
-                diag[(row,) + (0,) * (len(shape) - 1)] = bad
-                if row + 1 < shape[0]:
+                diag[row] = bad
+                if row + 1 < n:
                     lower[row + 1] = below
                 with np.errstate(all="ignore"):
                     _, piv = thomas_factor(lower, diag, upper)
-                if bad == 0.0 and below and row + 1 < shape[0]:
-                    assert not np.isfinite(piv[row + 1]).all()
-                worst = np.unravel_index(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)), piv.shape)
-                message = f"nonpositive pivot {float(piv[worst])!r} at row {worst[0]}"
+                if bad == 0.0 and below and row + 1 < n:
+                    assert not np.isfinite(piv[row + 1])
+                worst = int(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)))
+                message = f"nonpositive pivot {float(piv[worst])!r} at row {worst}"
                 with pytest.raises(SingularTridiagError, match=f"^{re.escape(message)}$"):
                     factor_tridiag(lower, diag, upper)
 
-    # the zero multiplier of the second matrix's first row (mult[1], as
-    # mult starts at row 1) is +0.0, as in the loop, below a negative
-    # diagonal entry of the matrix above it in the stack
-    def test_first_row_multiplier_is_plus_zero(self):
-        lower = np.array([[0.0, 0.0], [1.0, 1.0]])
-        diag = np.array([[1.0, 1.0], [-1.0, -1.0]])
-        upper = np.array([[-3.0, -3.0], [0.0, 0.0]])
-        fac = factor_tridiag(lower, diag, upper)
-        np.testing.assert_array_equal(bits(fac.mult), bits([1.0, 0.0, 1.0]))
-        np.testing.assert_array_equal(fac.piv, [1.0, 2.0, 1.0, 2.0])
-
-    # the second matrix's pivot of row 1 is 1 - (-0.5)(-8) = -3; the error
-    # names it as the loop does
-    def test_batched_lost_pivot_names_its_row(self):
-        lower = np.array([[0.0, 0.0], [-0.5, -0.5], [-0.5, -0.5]])
-        upper = np.array([[-0.5, -8.0], [-0.5, -0.5], [0.0, 0.0]])
+    # the pivot of row 1 is 1 - (-0.5)(-8) = -3; the error names it as the
+    # loop does
+    def test_lost_pivot_names_its_row(self):
+        lower, upper = np.array([0.0, -0.5, -0.5]), np.array([-8.0, -0.5, 0.0])
         with pytest.raises(SingularTridiagError, match=r"^nonpositive pivot -3\.0 at row 1$"):
-            factor_tridiag(lower, np.ones((3, 2)), upper)
+            factor_tridiag(lower, np.ones(3), upper)
 
-    # on the direct and the staged path alike
-    @pytest.mark.parametrize("bands, rhs", [(COUPLED, (4,)), (np.stack([COUPLED] * 2, axis=-1), (4, 2))])
+    # on the direct and the staged path alike: a padded matrix of two rows
+    # stages its right-hand side
+    @pytest.mark.parametrize("bands, rhs", [
+        (COUPLED, (4,)), ((np.array([0.0, -1.0]), np.full(2, 3.0), np.array([-1.0, 0.0])), (2, 3)),
+    ])
     def test_lapack_error_is_raised(self, bands, rhs, monkeypatch):
         def rejecting(*args, **kwargs):
             return args[5], -6
