@@ -50,7 +50,7 @@ from .fixedpoint import (
 )
 from .linearized import LinearizedError, build_linearized
 from .model import ModelError, ModelSpec, parse_grid, parse_model, serialize_model
-from .reproduction import PowerIterationError, ReproductionError
+from .reproduction import PowerIterationError, ReproductionError, assemble_Q, birth_functional, spectral_radius
 
 # after index, each column is the BranchPoint field of its name
 BRANCH_COLUMNS = (
@@ -241,7 +241,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # the function trace wrote them with, on the evolution frozen at its profile
     profiles = [_read_field_csv(_profile_path(args.branch, idx), mesh, grid) for idx in range(len(table))]
     lin = build_linearized(model, mesh, grid)
-    points = [branch_point(lin, ni, freeze(lin.model, mesh, grid, u)) for ni, u in zip(n, profiles)]
+    evs = [freeze(lin.model, mesh, grid, u) for u in profiles]
+    points = [branch_point(lin, ni, ev) for ni, ev in zip(n, evs)]
     trivial = [idx for idx, p in enumerate(points) if p.trivial]
     nontrivial = [idx for idx, p in enumerate(points) if not p.trivial]
 
@@ -277,11 +278,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # the profile replay rechecks the radius and the reformulation; a
         # stored eps, r_Qu and residual_direct may each be off by
         # REPLAY_ALLOWANCE relative to its scale, as another BLAS may sum a
-        # few ulps apart, and power iteration stop 1e-13 apart
+        # few ulps apart, and power iteration (where B has an entry <= 0)
+        # stop 1e-13 apart
         worst = max(points[idx].identity_residual for idx in nontrivial)
         r_off = max(abs(r_Qu[idx] - points[idx].r_Qu) / points[idx].r_Qu for idx in nontrivial)
         _check("profiles satisfy n r(Q_u) = 1", worst <= TOL_IDENTITY and r_off <= REPLAY_ALLOWANCE,
                f"max residual {worst:.3e}" + (f", r_Qu off by {r_off:.3e}" if r_off > REPLAY_ALLOWANCE else ""),
+               failures)
+        # the replayed r_Qu is the upper end of the bracket [min l/B, max l/B]
+        # of the profile's own birth row, so the radius is checked apart from
+        # it too: the dense r(Q_u) of each frozen profile must meet the
+        # identity and lie in that bracket, widened by REPLAY_ALLOWANCE as
+        # power iteration stops 1e-13 apart (a B with an entry <= 0 has no
+        # bracket; its replayed r_Qu is this dense radius)
+        dense = {idx: spectral_radius(assemble_Q(lin.model, evs[idx]))[0] for idx in nontrivial}
+        worst = max(abs(n[idx] * r - 1.0) for idx, r in dense.items())
+        outside = []
+        for idx, r in dense.items():
+            u = profiles[idx]
+            if np.all(u[0] > 0):
+                ratios = birth_functional(lin.model, grid, u) / u[0]
+                if not ratios.min() * (1.0 - REPLAY_ALLOWANCE) <= r <= ratios.max() * (1.0 + REPLAY_ALLOWANCE):
+                    outside.append(idx)
+        _check("dense radii satisfy n r(Q_u) = 1", worst <= TOL_IDENTITY and not outside,
+               f"max residual {worst:.3e}" + (f", outside the bracket in rows {outside}" if outside else ""),
                failures)
         worst = max(points[idx].reform_residual for idx in nontrivial)
         direct_off = max(abs(direct[idx] - points[idx].residual_direct) for idx in nontrivial)

@@ -61,7 +61,9 @@ class Plane:
 class BranchPoint:
     """One corrected equilibrium with its diagnostics.
 
-    identity_residual is |n * r(Q_u) - 1|, the along-branch identity.
+    identity_residual is |n * r(Q_u) - 1|, the along-branch identity;
+    r_Qu is max l(u)/B, the upper end of r(Q_u)'s bracket, where B > 0,
+    and the dense radius of assemble_Q elsewhere (branch_point).
     residual_direct is the birth residual |B - n l(u)| relative to the
     birth scale (u is the march of B, so it has no field defect);
     reform_residual is the absolute field norm of u - lam L u - H(lam, u)
@@ -211,18 +213,16 @@ def _corrector_jacobian(lin: LinearizedOperators, n: float, ev: EvolutionOperato
     return jac
 
 
-def birth_residual(lin: LinearizedOperators, n: float, u: np.ndarray) -> float:
-    """|B - n l(u)| of a marched field u, relative to its birth vector B = u[0]."""
-    scale = max(float(np.max(np.abs(u[0]))), 1e-300)
-    return float(np.max(np.abs(u[0] - n * birth_functional(lin.model, lin.grid, u)))) / scale
-
-
 def branch_point(lin: LinearizedOperators, n: float, ev: EvolutionOperator) -> BranchPoint:
     """Every column trace writes for the point at n whose field ev is built on.
 
     B is row 0 of ev.source.  The corrector passes the march of B; verify
     passes the freeze of a stored profile, which gives the same bits.
-    A trivial B gives the trivial point, with the zero field.
+    A trivial B gives the trivial point, with the zero field.  u is the
+    march of B, so Q_u B = l(u), and where B > 0 r(Q_u) lies in the
+    Collatz-Wielandt bracket [min l/B, max l/B]; r_Qu is its upper end,
+    the end power iteration returns.  Only a B with an entry <= 0 takes
+    the dense radius of assemble_Q.
     """
     model, mesh, grid, u = lin.model, lin.mesh, lin.grid, ev.source
     if is_trivial(u[0]):
@@ -231,17 +231,18 @@ def branch_point(lin: LinearizedOperators, n: float, ev: EvolutionOperator) -> B
             n=n, u=zero, B=zero[0], eps=0.0, r_Qu=lin.r0, identity_residual=abs(n * lin.r0 - 1.0),
             residual_direct=0.0, reform_residual=0.0, min_u=0.0, trivial=True,
         )
-    # u is the self-consistent field of B, so the birth defect is the whole
-    # residual
-    r, _ = spectral_radius(assemble_Q(model, ev))
+    B, l = u[0], birth_functional(model, grid, u)
+    r = float(np.max(l / B)) if np.all(B > 0) else spectral_radius(assemble_Q(model, ev))[0]
     return BranchPoint(
         n=n,
         u=u,
-        B=u[0],
+        B=B,
         eps=grid.norm(u),
         r_Qu=r,
         identity_residual=abs(n * r - 1.0),
-        residual_direct=birth_residual(lin, n, u),
+        # u is the self-consistent field of B, so the birth defect is the
+        # whole residual, relative to the birth scale
+        residual_direct=float(np.max(np.abs(B - n * l))) / max(float(np.max(np.abs(B))), 1e-300),
         reform_residual=reformulation_residual(lin, n, u),
         min_u=float(np.min(u)),
     )

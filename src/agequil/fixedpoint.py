@@ -157,6 +157,8 @@ def _diagnose(
     ev = march(model, mesh, grid, B)
     u = ev.source
     residual = float(np.max(np.abs(B - birth_functional(model, grid, u))))
+    # the dense radius, not branch_point's bracket: a pure-decay Q_u is diagonal, with a
+    # closed-form radius, and a collapsed B = 0 has no bracket but needs r(Q0) for MAX_RADIUS
     r, _ = spectral_radius(assemble_Q(model, ev))
     if not converged and r > MAX_RADIUS:
         raise FixedPointError(f"iterate fell into the trivial equilibrium, which repels: r(Q0) = {r!r}")

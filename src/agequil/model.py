@@ -218,27 +218,29 @@ def validate_model(spec: ModelSpec) -> None:
     a_s = np.linspace(0.0, spec.a_max, _N_AXIS_SAMPLES)
     x_s = np.linspace(0.0, 1.0, _N_AXIS_SAMPLES)
     aa, xx = np.meshgrid(a_s, x_s)
-    d_vals = _sampled("D", evaluate(spec.D, {"a": aa, "x": xx}), "ages and positions")
-    if not np.all(d_vals > 0):
-        raise ModelError("D must be positive")
+    # an overflowing sample is refused by _sampled, with no numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_vals = _sampled("D", evaluate(spec.D, {"a": aa, "x": xx}), "ages and positions")
+        if not np.all(d_vals > 0):
+            raise ModelError("D must be positive")
 
-    g00 = float(evaluate(spec.g, {"u": 0.0, "p": 0.0}))
-    if abs(g00) > 1e-12:
-        raise ModelError("g(0,0) must vanish")
+        g00 = float(_sampled("g(0,0)", evaluate(spec.g, {"u": 0.0, "p": 0.0}), "zero density and gradient"))
+        if abs(g00) > 1e-12:
+            raise ModelError("g(0,0) must vanish")
 
-    uu, aa2 = np.meshgrid(_U_SAMPLES, a_s)
-    mu_vals = _sampled("mu", evaluate(spec.mu, {"u": uu, "a": aa2}), "nonnegative densities")
-    if not np.all(mu_vals >= 0):
-        raise ModelError("mu must be nonnegative on sampled nonnegative densities")
+        uu, aa2 = np.meshgrid(_U_SAMPLES, a_s)
+        mu_vals = _sampled("mu", evaluate(spec.mu, {"u": uu, "a": aa2}), "nonnegative densities")
+        if not np.all(mu_vals >= 0):
+            raise ModelError("mu must be nonnegative on sampled nonnegative densities")
 
-    h00 = float(evaluate(spec.h, {"u": 0.0, "p": 0.0}))
-    theta = _sampled("theta(a) = mu(0,a) + h(0,0)", evaluate(spec.mu, {"u": 0.0, "a": a_s}) + h00, "ages")
-    if not np.all(theta > 0):
-        raise ModelError("theta(a) = mu(0,a) + h(0,0) must be positive")
+        h00 = float(evaluate(spec.h, {"u": 0.0, "p": 0.0}))
+        theta = _sampled("theta(a) = mu(0,a) + h(0,0)", evaluate(spec.mu, {"u": 0.0, "a": a_s}) + h00, "ages")
+        if not np.all(theta > 0):
+            raise ModelError("theta(a) = mu(0,a) + h(0,0) must be positive")
 
-    b_vals = _sampled("b", evaluate(spec.b, {"u": _U_SAMPLES}), "nonnegative densities")
-    if not np.all(b_vals > 0):
-        raise ModelError("b must be positive on sampled nonnegative densities")
+        b_vals = _sampled("b", evaluate(spec.b, {"u": _U_SAMPLES}), "nonnegative densities")
+        if not np.all(b_vals > 0):
+            raise ModelError("b must be positive on sampled nonnegative densities")
 
 
 def with_cb(spec: ModelSpec, cb: float) -> ModelSpec:

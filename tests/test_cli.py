@@ -182,6 +182,23 @@ class TestVerify:
         out = capsys.readouterr().out
         assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [f"FAIL {failed}"]
 
+    # verify's dense radius is its own, apart from the replay's bracket end:
+    # raised by 1e-9 it leaves each profile's bracket, and that check alone fails
+    def test_dense_radius_check_is_live(self, traced, capsys, monkeypatch):
+        real = cli.spectral_radius
+
+        def raised(matrix):
+            r, v = real(matrix)
+            return r * (1.0 + 1e-9), v
+
+        monkeypatch.setattr(cli, "spectral_radius", raised)
+        assert self.verify(traced) == 1
+        out = capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL dense radii satisfy n r(Q_u) = 1"
+        ]
+        assert "outside the bracket in rows [1, 2, 3]" in out
+
     # the replay skips the trivial row, so its profile must be the zero
     # field and its residual_direct 0; only a failure names them
     @pytest.mark.parametrize("tampered, detail", [

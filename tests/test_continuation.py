@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from agequil import continuation
+from agequil.cli import REPLAY_ALLOWANCE
 from agequil.continuation import (
     ContinuationError,
     Plane,
+    branch_point,
     branch_stats,
     correct,
     first_step,
@@ -17,6 +19,7 @@ from agequil.evolution import AgeGrid, EvolutionError, build_evolution, march, p
 from agequil.expr import evaluate_on
 from agequil.linearized import build_linearized
 from agequil.model import parse_model
+from agequil.reproduction import assemble_Q, birth_functional, spectral_radius
 
 from oracles import (
     corrector_jacobian_cd,
@@ -36,6 +39,12 @@ def jacobian_at(lin, B: np.ndarray, n: float) -> np.ndarray:
     """The corrector's exact Jacobian of G(B, n), without the plane row."""
     ev = march(lin.model, lin.mesh, lin.grid, B)
     return continuation._corrector_jacobian(lin, n, ev, fixed_n(B, n))[:-1]
+
+
+@pytest.fixture(scope="module")
+def default_traces(decay_lin, diffusion_lin):
+    """The default trace of each logistic model, keyed by its problem fixture."""
+    return {"decay_lin": trace_branch(decay_lin), "diffusion_lin": trace_branch(diffusion_lin)}
 
 
 class TestConstraints:
@@ -341,10 +350,46 @@ class TestNewtonSteps:
         assert sum(p.newton_iters for p in branch.points) == 4
 
     @pytest.mark.parametrize("problem, most", [("diffusion_lin", 38), ("decay_lin", 30)])
-    def test_full_default_traces(self, request, problem, most):
-        branch = trace_branch(request.getfixturevalue(problem))
+    def test_full_default_traces(self, default_traces, problem, most):
+        branch = default_traces[problem]
         assert branch.terminated == "max_points reached"
         assert sum(p.newton_iters for p in branch.points) <= most
+
+
+class TestBranchPointRadius:
+    """A corrected u is the march of B, so Q_u B = l(u): where B > 0,
+    r(Q_u) lies in the Collatz-Wielandt bracket [min l/B, max l/B], and
+    branch_point writes its upper end; elsewhere it writes the dense
+    radius of assemble_Q."""
+
+    @pytest.mark.parametrize("problem", ["diffusion_lin", "decay_lin"])
+    def test_upper_end_of_the_bracket_on_default_traces(self, request, default_traces, problem):
+        lin = request.getfixturevalue(problem)
+        for p in default_traces[problem].nontrivial():
+            assert np.all(p.B > 0)
+            ratios = birth_functional(lin.model, lin.grid, p.u) / p.B
+            assert p.r_Qu == float(np.max(ratios))
+            dense, _ = spectral_radius(assemble_Q(lin.model, march(lin.model, lin.mesh, lin.grid, p.B)))
+            assert ratios.min() * (1.0 - REPLAY_ALLOWANCE) <= dense <= ratios.max() * (1.0 + REPLAY_ALLOWANCE)
+
+    def test_positive_B_assembles_no_Q(self, decay_branch, decay_lin, monkeypatch):
+        p = decay_branch.nontrivial()[2]
+
+        def failing(*args):
+            raise AssertionError("assemble_Q called")
+
+        monkeypatch.setattr(continuation, "assemble_Q", failing)
+        again = branch_point(decay_lin, p.n, march(decay_lin.model, decay_lin.mesh, decay_lin.grid, p.B))
+        assert again.r_Qu == p.r_Qu
+
+    def test_dense_radius_where_B_has_a_zero(self, decay_lin):
+        lin = decay_lin
+        B = np.linspace(0.0, 0.02, lin.mesh.nx)
+        ev = march(lin.model, lin.mesh, lin.grid, B)
+        point = branch_point(lin, 1.01, ev)
+        assert not point.trivial
+        assert point.r_Qu == spectral_radius(assemble_Q(lin.model, ev))[0]
+        assert point.identity_residual == abs(1.01 * point.r_Qu - 1.0)
 
 
 class TestSolveAtNorm:

@@ -1,4 +1,5 @@
 import configparser
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -316,6 +317,8 @@ class TestParseModel:
         (cfg(b="1 + ((65536^4)^4)^4"), "b is not finite on sampled nonnegative densities"),
         (cfg(D="1 + a * ((65536^4)^4)^4"), "D is not finite on sampled ages and positions"),
         (cfg(h="((65536^4)^4)^4"), "theta(a) = mu(0,a) + h(0,0) is not finite on sampled ages"),
+        # inf * 0 at p = 0 is NaN, which an abs(g00) > 1e-12 test lets through
+        (cfg(g="((65536^4)^4)^4 * p"), "g(0,0) is not finite on sampled zero density and gradient"),
         (cfg(D="u"), "coefficient 'd' uses variable 'u'; allowed: a, x"),
         (cfg(mu="1 + x"), "coefficient 'mu' uses variable 'x'; allowed: a, u"),
         (cfg(b="1 + a"), "coefficient 'b' uses variable 'a'; allowed: u"),
@@ -336,7 +339,7 @@ class TestParseModel:
          + str(configparser.MissingSectionHeaderError("<???>", 1, "not an ini file"))),
     ], ids=[
         "a_max", "D-zero", "D-negative", "g00", "mu-negative", "theta", "b-zero", "b-negative",
-        "mu-inf", "mu-nan", "b-inf", "D-nan", "theta-inf",
+        "mu-inf", "mu-nan", "b-inf", "D-nan", "theta-inf", "g00-nan",
         "D-reads-u", "mu-reads-x", "b-reads-a", "h-reads-x", "mu-syntax", "D-syntax", "g-unknown-name",
         "missing-D", "missing-mu", "nu0", "nu0-not-a-number", "cb", "unknown-key", "unknown-section",
         "no-coefficients", "syntax",
@@ -345,6 +348,18 @@ class TestParseModel:
         with pytest.raises(ModelError) as err:
             parse_model(text)
         assert str(err.value) == message
+
+    # the overflow is refused as a ModelError alone, with no numpy warning
+    @pytest.mark.parametrize("text", [
+        cfg(mu="1 + ((65536^4)^4)^4"), cfg(mu="1 + u * ((65536^4)^4)^4"), cfg(b="1 + ((65536^4)^4)^4"),
+        cfg(D="1 + a * ((65536^4)^4)^4"), cfg(h="((65536^4)^4)^4"), cfg(g="((65536^4)^4)^4 * p"),
+    ], ids=["mu-inf", "mu-nan", "b-inf", "D-nan", "theta-inf", "g00-nan"])
+    def test_overflow_is_refused_without_warnings(self, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ModelError, match="is not finite on sampled"):
+                parse_model(text)
+        assert [str(w.message) for w in caught] == []
 
     def test_missing_coefficient(self):
         text = "\n".join(
