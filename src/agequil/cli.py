@@ -229,6 +229,12 @@ def _check(label: str, ok: bool, detail: str, failures: list[str]) -> None:
         failures.append(label)
 
 
+def _off(stored: float, replay: float) -> float:
+    """How far a stored value is from its replay, relative to the replay;
+    a zero replay has no scale, so it counts as off."""
+    return abs(stored - replay) / replay if replay else np.inf
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     model, mesh, grid = _load_problem(args.model, args.nx, args.na)
     _, table = _read_table(Path(args.branch), lambda first: tuple(first) == BRANCH_COLUMNS)
@@ -281,7 +287,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # few ulps apart, and power iteration (where B has an entry <= 0)
         # stop 1e-13 apart
         worst = max(points[idx].identity_residual for idx in nontrivial)
-        r_off = max(abs(r_Qu[idx] - points[idx].r_Qu) / points[idx].r_Qu for idx in nontrivial)
+        r_off = max(_off(r_Qu[idx], points[idx].r_Qu) for idx in nontrivial)
         _check("profiles satisfy n r(Q_u) = 1", worst <= TOL_IDENTITY and r_off <= REPLAY_ALLOWANCE,
                f"max residual {worst:.3e}" + (f", r_Qu off by {r_off:.3e}" if r_off > REPLAY_ALLOWANCE else ""),
                failures)
@@ -305,7 +311,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                failures)
         worst = max(points[idx].reform_residual for idx in nontrivial)
         direct_off = max(abs(direct[idx] - points[idx].residual_direct) for idx in nontrivial)
-        eps_off = max(abs(eps[idx] - points[idx].eps) / points[idx].eps for idx in nontrivial)
+        eps_off = max(_off(eps[idx], points[idx].eps) for idx in nontrivial)
         off = [(name, value) for name, value in (("residual_direct", direct_off), ("eps", eps_off))
                if value > REPLAY_ALLOWANCE]
         _check(

@@ -76,12 +76,16 @@ class EvolutionOperator:
 
     A field is one array (na+1, nx) whose row k is the slice at age a_k.
     source is the field the quasilinear coefficients were evaluated on:
-    zero for the linear evolution Pi_0, or march's field.  Where every
-    step is diagonal, as on a pure-decay model, divisors holds them all as
-    one read-only array (na+1, nx), row k + 1 the diagonal of step k and
-    row 0 ones, so np.divide.accumulate(divisors, axis=0) is the
-    diagonal of every Pi(a_k, 0), and steps is empty.  Otherwise divisors
-    is None and steps holds every step's factors, diagonal or not.
+    zero for the linear evolution Pi_0, or march's field.  On a pure-decay
+    model every step is diagonal: divisors holds them all as one read-only
+    array (na+1, nx), row k + 1 the diagonal of step k and row 0 ones, so
+    np.divide.accumulate(divisors, axis=0) is the diagonal of every
+    Pi(a_k, 0), and steps is empty.  On any other model divisors is None
+    and steps holds every step's factors, a step with no coupling too.
+
+    Dividing by divisors has the bits of the Thomas loop on the same
+    steps, except that a quotient that overflows stays in its own row,
+    where the loop spreads it as NaN (0 * inf) to the rows above.
     """
 
     steps: list[FactoredTridiag]
@@ -106,8 +110,10 @@ def build_evolution(
     marched: step k is assembled on row k and solves row k+1, so the
     source is the self-consistent field of that birth vector, and
     propagating the birth vector through its own evolution returns it bit
-    for bit.  Where every step comes out diagonal, the pivots of all ages
-    are stacked once into the evolution's divisors, and no factors are kept.
+    for bit, but for the sign of a zero where B holds a -0.0 on a
+    pure-decay model.  Every step is factored by the Thomas loop; on a
+    pure-decay model the pivots of all ages are stacked once into the
+    evolution's divisors, and no factors are kept.
     """
     if u is not None and birth is not None:
         raise EvolutionError("give a frozen field or a birth vector to march, not both")
@@ -124,9 +130,11 @@ def build_evolution(
         steps.append(step := _factor(k, bands))
         if birth is not None:
             u[k + 1] = step.solve(u[k])
-    if any(step.mult is not None for step in steps):
+    if not model.pure_decay:
         return EvolutionOperator(steps, grid, mesh, u, None)
-    divisors = np.stack([np.ones(mesh.nx), *(step.piv for step in steps)])
+    # the loop's pivots on bands with no coupling are the diagonal to the
+    # bit; [:nx] drops the rows that pad a system below MIN_ROWS
+    divisors = np.stack([np.ones(mesh.nx), *(step.piv[:mesh.nx] for step in steps)])
     divisors.flags.writeable = False
     return EvolutionOperator([], grid, mesh, u, divisors)
 

@@ -2,7 +2,7 @@
 
 Q(u) w = integral of  cb * b(u(a)) * (Pi_u(a,0) w)  over age, by
 trapezoid quadrature on the factored evolution steps: column by column,
-or only the diagonal where every step is diagonal.  Q0 is Q of the
+or only the diagonal on a pure-decay model's divisors.  Q0 is Q of the
 linear evolution, the build on the zero field.  The radius of a diagonal
 Q, as on a pure-decay model, is its largest entry; of any other, power
 iteration from the all-ones vector gives it, handing over to one dense

@@ -11,11 +11,7 @@ The pivots come from the Thomas loop on Python floats, the multipliers
 are its quotients taken again by numpy, and the solve is one call of
 LAPACK's dgttrs on them with identity pivots and a zero second
 superdiagonal, so LAPACK applies them as they are: the loop's forward
-and backward sweeps, in compiled code.  Bands with no coupling (every
-step of a pure-decay model) skip both: where count_nonzero finds none
-and the pivot check passes the diagonal, the loop's multipliers are
-zero and its pivots are the diagonal, so the solve is one division by
-it.
+and backward sweeps, in compiled code.
 
 dgttrs is scipy.linalg.lapack's, from scipy's compiled module
 scipy/linalg/_flapack, which is loaded here from its file: the __init__
@@ -88,11 +84,6 @@ def positive_finite(a: np.ndarray) -> bool:
     return 0 < np.minimum.reduce(a, None) and not np.count_nonzero(np.isinf(a))
 
 
-def _uncoupled(lower, diag, upper) -> bool:
-    # a coupled band, as every diffusion step has, stops at the first test
-    return not (np.count_nonzero(lower[1:]) or np.count_nonzero(upper[:-1])) and positive_finite(diag)
-
-
 def _solved(x: np.ndarray, info: int) -> np.ndarray:
     if info != 0:
         raise RuntimeError(f"dgttrs rejected argument {-info}")
@@ -106,34 +97,25 @@ class FactoredTridiag:
     system of fewer than MIN_ROWS rows is padded with unit rows.  piv holds
     the Thomas loop's pivots on that system, all positive and finite; mult
     and upper are dgttrs's dl and du: the loop's multipliers from row 1 on
-    and the couplings of all rows but the last.  Where lower[1:] and
-    upper[:-1] are zeros of either sign and the diagonal is positive and
-    finite, mult and upper are None and piv, the loop's pivots, is a copy
-    of the diagonal; a solve divides by it.  Every step of a build makes
-    one, so the class has __slots__ and a plain __init__.
+    and the couplings of all rows but the last.  Every step of a build
+    makes one, so the class has __slots__ and a plain __init__.
 
     A solve has the bits of the Thomas loop, except that a -0.0 in rhs may
-    give a zero of either sign, a non-finite entry may spread NaN through
-    the padding of a padded system, and on diagonal factors a quotient
-    that overflows stays in its own row, where the loop spreads it as NaN
-    (0 * inf) to the rows above: the diagonal [2, 2, 5e-324, 2, 2] solves
-    ones to [0.5, 0.5, inf, 0.5, 0.5], the loop to [nan, nan, inf, 0.5,
-    0.5].  It never writes rhs: unpadded factors hand it to dgttrs, which
-    solves a copy, so a 2-D solution is in Fortran order; padded ones
-    stage it in a buffer.
+    give a zero of either sign, and a non-finite entry may spread NaN
+    through the padding of a padded system.  It never writes rhs: unpadded
+    factors hand it to dgttrs, which solves a copy, so a 2-D solution is
+    in Fortran order; padded ones stage it in a buffer.
     """
 
     __slots__ = ("shape", "mult", "piv", "upper")
 
-    def __init__(self, shape: tuple[int], mult: np.ndarray | None, piv: np.ndarray, upper: np.ndarray | None):
+    def __init__(self, shape: tuple[int], mult: np.ndarray, piv: np.ndarray, upper: np.ndarray):
         self.shape, self.mult, self.piv, self.upper = shape, mult, piv, upper
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[:1] != self.shape or rhs.ndim > 2:
             raise ValueError(f"rhs has shape {rhs.shape}, factors have shape {self.shape}")
-        if self.mult is None:
-            return rhs / (self.piv[:, None] if rhs.ndim == 2 else self.piv)
         ipiv, du2 = _no_pivoting(self.piv.size)
         if self.piv.shape == self.shape:  # unpadded
             return _solved(*dgttrs(self.mult, self.piv, self.upper, du2, ipiv, rhs))
@@ -145,9 +127,7 @@ class FactoredTridiag:
 
 def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> FactoredTridiag:
     """Factor bands (n,) once; raises SingularTridiagError on a bad pivot."""
-    diag = np.array(diag, dtype=float)  # a copy: a diagonal's pivots
-    if _uncoupled(lower, diag, upper):
-        return FactoredTridiag(diag.shape, None, diag, None)
+    diag = np.asarray(diag, dtype=float)
     upper = np.array(upper, dtype=float)
     upper[-1] = 0.0
     n, lower, upper = diag.size, _padded(np.asarray(lower, dtype=float), 0.0), _padded(upper, 0.0)

@@ -7,11 +7,18 @@ import pytest
 from agequil.continuation import Branch, trace_branch
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid
+from agequil.expr import Num, parse_expr
 from agequil.linearized import LinearizedOperators, build_linearized
 from agequil.model import ModelSpec, parse_grid, parse_model
 
 REPO = Path(__file__).resolve().parent.parent
 MODELS = REPO / "models"
+
+# diffusion that vanishes at a = 0.5 only: of na = 8 steps, step 3 (to age
+# a_4 = 0.5) has no coupling and every other step has
+MIXED = ModelSpec(
+    a_max=1.0, D=parse_expr("(a - 0.5)^2"), g=Num(0.0), h=Num(0.0), mu=parse_expr("1 + u"), b=Num(1.0),
+)
 
 # one pass/fail line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES: list[str] = []

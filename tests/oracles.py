@@ -13,9 +13,10 @@ Python loops, the reference that the package's factor and solve
 must match bit for bit.  assemble_general assembles every coefficient
 on every call, with no plan, the reference that assemble must match bit
 for bit; like assemble it returns bands (3, nx), rows lower, diag and
-upper.  perturbation_source_per_age forms the
-perturbation source one age at a time on those bands, the reference
-for the product over all ages.  The solvers from operator_matvec on
+upper.  march_by_division divides by 1 + da times its diagonal, age by
+age, the reference for a pure-decay march.  perturbation_source_per_age
+forms the perturbation source one age at a time on those bands, the
+reference for the product over all ages.  The solvers from operator_matvec on
 serve only the tests and, unlike the recursions, reuse the package's
 building blocks: the Thomas solve, power iteration, the linear birth
 functional and solve, the evolution build and propagation, the shell
@@ -29,12 +30,13 @@ apply_K0_by_steps push a dense basis or one vector through every step's
 solve, one age at a time, whether or not the steps are diagonal: the
 references that the diagonal paths of assemble_Q, _corrector_jacobian,
 propagate and apply_K0 must match bit for bit.  On an evolution that
-keeps only its divisors, factored_steps factors each age's row as a
-diagonal matrix, so these still solve one step at a time and never
-divide all ages at once.  power_iteration_loop is power iteration from the
-all-ones vector with its dense fallback on any matrix, the reference
-that the closed form of _power_iteration on a nonnegative diagonal
-matrix must match bit for bit.
+keeps only its divisors, a pure-decay model's, factored_steps factors
+each age's row by the Thomas loop as a matrix with zero couplings, so
+these still solve one step at a time and never divide all ages at once.
+power_iteration_loop is power iteration from the all-ones vector with
+its dense fallback on any matrix, the reference that the closed form of
+_power_iteration on a nonnegative diagonal matrix must match bit for
+bit.
 """
 
 from __future__ import annotations
@@ -223,6 +225,19 @@ def assemble_general(model, mesh, a: float, u_slice: np.ndarray) -> np.ndarray:
     mu_vals = _evaluate_on(model.mu, shape, u=u, a=float(a))
     diag += h_vals + mu_vals
     return np.stack([lower, diag, upper])
+
+
+def march_by_division(model, mesh, grid, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The self-consistent field of B (nx,) on a pure-decay model, one
+    division per age by 1.0 + da * diag of assemble_general's bands, and
+    the divisors it took, (na+1, nx) with row 0 ones: the reference for
+    march on a pure-decay model."""
+    u, divisors = np.empty((grid.na + 1, mesh.nx)), np.ones((grid.na + 1, mesh.nx))
+    u[0] = B
+    for k in range(grid.na):
+        divisors[k + 1] = 1.0 + grid.da * assemble_general(model, mesh, grid.ages[k + 1], u[k])[1]
+        u[k + 1] = u[k] / divisors[k + 1]
+    return u, divisors
 
 
 def operator_matvec(bands: np.ndarray, v: np.ndarray) -> np.ndarray:

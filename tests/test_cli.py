@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis.extra.numpy import arrays
 
-from agequil import cli, continuation, fixedpoint, linearized, reproduction, tridiag
+from agequil import cli, continuation, evolution, fixedpoint, linearized, reproduction
 from agequil.cli import BRANCH_COLUMNS, main
 from agequil.continuation import branch_point
 from agequil.discretize import SpatialMesh
@@ -199,6 +199,31 @@ class TestVerify:
         ]
         assert "outside the bracket in rows [1, 2, 3]" in out
 
+    # a shell profile raised to 1000 or 1e300 makes b = exp(-u) underflow
+    # to 0, so the replayed r_Qu is 0.0: a zero replay counts as off, and
+    # each check fails on its own line, with no division by it
+    @pytest.mark.parametrize("profile, value", [(1, "1000"), (2, "1e300")])
+    def test_zero_replayed_radius_fails_by_name(self, tmp_path, capsys, profile, value):
+        branch = tmp_path / "branch.csv"
+        assert main(["trace", "--model", SHELL, "--out", str(branch), *TRACE_FLAGS]) == 0
+        prof = branch.parent / f"branch_profile_{profile:03d}.csv"
+        lines = prof.read_text().splitlines()
+        for i, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            lines[i] = ",".join([cells[0]] + [value] * (len(cells) - 1))
+        prof.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--model", SHELL, "--nx", "6", "--na", "24", "--branch", str(branch)]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == [
+            "FAIL nonnegative densities", "FAIL profiles satisfy n r(Q_u) = 1",
+            "FAIL dense radii satisfy n r(Q_u) = 1", "FAIL profiles satisfy the reformulation",
+        ]
+        assert failed[1].endswith(", r_Qu off by inf")
+        assert out.splitlines()[-1] == "4 check(s) failed"
+
     # the replay skips the trivial row, so its profile must be the zero
     # field and its residual_direct 0; only a failure names them
     @pytest.mark.parametrize("tampered, detail", [
@@ -369,25 +394,24 @@ def written(argv: list[str], out_dir: Path) -> dict[str, bytes]:
     return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
 
 
-def counted_paths(monkeypatch) -> dict[bool, int]:
-    """Counts of factors that divide by the diagonal (True) and that do not."""
-    paths = {True: 0, False: 0}
-    real = tridiag._uncoupled
+def counted_factors(monkeypatch) -> dict[bool, int]:
+    """Counts of the factors a build makes of bands with no coupling (True)
+    and of coupled bands (False)."""
+    factors, real = {True: 0, False: 0}, evolution.factor_tridiag
 
-    def counting(*bands):
-        uncoupled = bool(real(*bands))
-        paths[uncoupled] += 1
-        return uncoupled
+    def counting(lower, diag, upper):
+        factors[not (np.count_nonzero(lower[1:]) or np.count_nonzero(upper[:-1]))] += 1
+        return real(lower, diag, upper)
 
-    monkeypatch.setattr(tridiag, "_uncoupled", counting)
-    return paths
+    monkeypatch.setattr(evolution, "factor_tridiag", counting)
+    return factors
 
 
 class TestFactorPaths:
     """Every one-step matrix of a pure-decay model is diagonal, and
-    dividing by it, in a factor, in march or in freeze, writes the bytes
-    of the banded path.  fixedpoint marches and freezes only, so it makes
-    no factor at all; trace still factors its linear evolution."""
+    dividing by it, in march or in freeze, writes the bytes of the banded
+    path.  fixedpoint marches and freezes only, so it makes no factor at
+    all; trace still factors its linear evolution, with no coupling."""
 
     @pytest.mark.parametrize("argv, factors", [
         (["fixedpoint", "--model", SHELL], False),
@@ -395,10 +419,9 @@ class TestFactorPaths:
         (["trace", "--model", DECAY, "--max-points", "3"], True),
     ], ids=["fixedpoint", "fixedpoint-wide", "trace"])
     def test_division_writes_the_bytes_of_the_banded_path(self, argv, factors, tmp_path, monkeypatch, capsys):
-        paths = counted_paths(monkeypatch)
+        counts = counted_factors(monkeypatch)
         divided = written(argv, tmp_path / "divided")
-        assert (paths[True] > 0 and paths[False] == 0) if factors else paths == {True: 0, False: 0}
-        monkeypatch.setattr(tridiag, "_uncoupled", lambda *bands: False)
+        assert (counts[True] > 0 and counts[False] == 0) if factors else counts == {True: 0, False: 0}
         for module in (continuation, fixedpoint):  # each march a banded build
             monkeypatch.setattr(module, "march", lambda model, mesh, grid, B: build_evolution(model, mesh, grid, birth=B))
         monkeypatch.setattr(fixedpoint, "freeze", build_evolution)  # and each frozen field

@@ -2,13 +2,13 @@
 and apply_K0 divide by the evolution's divisors, with the bits of the
 column marches in oracles, which factor each age's divisors and solve.
 
-An evolution is diagonal when every step is (mult is None), as on the
-bundled pure-decay models; it keeps the divisors of all ages as one
-array, makes no factors and calls no solve.  A pure-decay model whose h
-reads p still has diagonal steps, and so a diagonal Q, but its Jacobian
-has a gradient term that couples the columns, so it divides a dense
-(nx, nx) tangent.  An evolution with a coupled step keeps every step's
-factors, its uncoupled ones too, and solves on them.
+An evolution is diagonal when its model is pure decay, as the bundled
+shell_decay and logistic_decay are; it keeps the divisors of all ages as
+one array, makes no factors and calls no solve.  A pure-decay model
+whose h reads p still has diagonal steps, and so a diagonal Q, but its
+Jacobian has a gradient term that couples the columns, so it divides a
+dense (nx, nx) tangent.  An evolution of any other model keeps every
+step's factors, those of a step with no coupling too, and solves on them.
 """
 
 import numpy as np
@@ -18,13 +18,12 @@ from agequil import continuation, tridiag
 from agequil.continuation import ContinuationError, Plane, first_step
 from agequil.discretize import SpatialMesh
 from agequil.evolution import AgeGrid, apply_K0, build_evolution, march, propagate
-from agequil.expr import Num, parse_expr
 from agequil.fixedpoint import check_shell_conditions
 from agequil.linearized import build_linearized
-from agequil.model import ModelSpec, parse_model
+from agequil.model import parse_model
 from agequil.reproduction import ReproductionError, assemble_Q, spectral_radius
 
-from conftest import MODELS
+from conftest import MIXED, MODELS
 from oracles import apply_K0_by_steps, assemble_Q_columns, corrector_jacobian_columns, propagate_by_steps
 
 
@@ -140,16 +139,10 @@ class TestDiagonalPaths:
                     spectral_radius(assemble(lin.model, ev))
 
 
-# diffusion that vanishes at a = 0.5 only: of na = 8 steps, step 3 (to age
-# a_4 = 0.5) has no coupling and every other step has
-MIXED = ModelSpec(
-    a_max=1.0, D=parse_expr("(a - 0.5)^2"), g=Num(0.0), h=Num(0.0), mu=parse_expr("1 + u"), b=Num(1.0),
-)
-
-
 class TestMixedEvolution:
     """An evolution with one uncoupled step among coupled ones keeps every
-    step's factors and no divisors, and solves on them."""
+    step's factors and no divisors, and solves on them: the uncoupled
+    step's factors have zero multipliers."""
 
     @pytest.fixture(scope="class")
     def mixed_lin(self):
@@ -161,7 +154,7 @@ class TestMixedEvolution:
         marches = [march(model, mesh, grid, B) for B in births(lin)]
         for ev in (lin.ev0, *marches):
             assert ev.divisors is None and len(ev.steps) == grid.na
-            assert [k for k, step in enumerate(ev.steps) if step.mult is None] == [3]
+            assert [k for k, step in enumerate(ev.steps) if not np.any(step.mult)] == [3]
             assert same_bits(assemble_Q(model, ev), assemble_Q_columns(model, ev))
         f = np.random.default_rng(6).uniform(-1.0, 2.0, lin.ev0.source.shape)
         assert same_bits(apply_K0(lin.ev0, f), apply_K0_by_steps(lin.ev0, f))

@@ -21,8 +21,8 @@ from agequil.linearized import build_linearized, reformulation_residual
 from agequil.model import ModelSpec
 from agequil.tridiag import factor_tridiag
 
-from conftest import load_problem
-from oracles import assemble_general, decay_rows, k0_const_rows, logistic_rows
+from conftest import MIXED, load_problem
+from oracles import assemble_general, decay_rows, k0_const_rows, logistic_rows, march_by_division
 
 
 def decay_model(mu: str = "1") -> ModelSpec:
@@ -191,35 +191,42 @@ class TestSteps:
         mu=parse_expr("1 + a * u^2"), b=Num(1.0), nu0=0.7,
     )
 
-    @pytest.mark.parametrize("name", ["logistic_diffusion.cfg", "logistic_decay.cfg", "robin"])
+    @pytest.mark.parametrize("name", [
+        "logistic_diffusion.cfg", "logistic_decay.cfg", "robin", "shell_decay.cfg", "mixed",
+    ])
     @pytest.mark.parametrize("frozen", [False, True])
     def test_factors_have_the_bits_of_the_scaled_oracle_bands(self, name, frozen):
         # step k is factor_tridiag(da * lower, 1 + da * diag, da * upper) of
-        # A(u_k, a_{k+1}), on a march or on a frozen field; a build whose
-        # steps are all diagonal keeps only their pivots, row k + 1 of its
-        # divisors
-        model = self.ROBIN if name == "robin" else load_problem(name)[0]
+        # A(u_k, a_{k+1}), on a march or on a frozen field.  An evolution
+        # keeps divisors exactly when its model is pure decay, whichever
+        # way it is made: a pure-decay build keeps only its pivots, row
+        # k + 1 of its divisors, the diagonal to the bit with zero
+        # multipliers; any other keeps every step, MIXED's uncoupled one too
+        model = {"robin": self.ROBIN, "mixed": MIXED}.get(name) or load_problem(name)[0]
         mesh, grid = SpatialMesh(nx=9), AgeGrid(na=8, a_max=model.a_max)
         if frozen:
             u = np.random.default_rng(5).uniform(0, 2, (grid.na + 1, mesh.nx))
             ev = build_evolution(model, mesh, grid, u)
+            made = [ev, build_evolution(model, mesh, grid), freeze(model, mesh, grid, u)]
         else:
-            ev = build_evolution(model, mesh, grid, birth=np.linspace(0.2, 1.0, mesh.nx))
+            B = np.linspace(0.2, 1.0, mesh.nx)
+            ev = build_evolution(model, mesh, grid, birth=B)
+            made = [ev, march(model, mesh, grid, B)]
+        for each in made:
+            assert (each.divisors is not None) == model.pure_decay
+            assert len(each.steps) == (0 if model.pure_decay else grid.na)
         da = grid.da
-        assert (ev.divisors is not None) == model.pure_decay
-        assert len(ev.steps) == (0 if model.pure_decay else grid.na)
         for k in range(grid.na):
             lower, diag, upper = assemble_general(model, mesh, grid.ages[k + 1], ev.source[k])
             want = factor_tridiag(da * lower, 1.0 + da * diag, da * upper)
             if ev.divisors is not None:
-                assert want.mult is None and same_bits(ev.divisors[k + 1], want.piv)
+                assert not np.any(want.mult) and same_bits(want.piv, 1.0 + da * diag)
+                assert same_bits(ev.divisors[k + 1], want.piv)
                 continue
             step = ev.steps[k]
             assert step.shape == want.shape == (mesh.nx,)
             for got_f, want_f in ((step.mult, want.mult), (step.piv, want.piv), (step.upper, want.upper)):
-                assert (got_f is None) == (want_f is None)
-                if want_f is not None:
-                    assert np.array_equal(got_f, want_f) and np.array_equal(np.signbit(got_f), np.signbit(want_f))
+                assert same_bits(got_f, want_f)
 
 
 PURE_DECAY_OF_P = ModelSpec(
@@ -240,7 +247,8 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestMarch:
     """march against build_evolution(..., birth=B): on a pure-decay model
-    one division per age gives the build's field, divisors and errors."""
+    one division per age gives the oracle's field and divisors to the bit,
+    the build's divisors and field values, and the build's errors."""
 
     @pytest.mark.parametrize("name", ["shell_decay", "logistic_decay", "pure_decay_of_p", "logistic_diffusion"])
     def test_has_the_bits_of_the_build(self, name, monkeypatch):
@@ -255,21 +263,25 @@ class TestMarch:
             got = march(model, mesh, grid, B)
             marched_factors = len(made)
             want = build_evolution(model, mesh, grid, birth=B)
-            assert same_bits(got.source, want.source)
             if model.pure_decay:
                 # the divisors are one read-only (na+1, nx) array, row 0 ones
-                # and row k + 1 step k's pivots, and the march makes no factors
+                # and row k + 1 step k's pivots, and the march makes no
+                # factors.  The build marches through dgttrs, whose zeros
+                # may take the other sign, so its field matches in value
                 assert marched_factors == 0 and got.steps == want.steps == []
                 for divisors in (got.divisors, want.divisors):
                     assert divisors.shape == (grid.na + 1, mesh.nx) and not divisors.flags.writeable
-                assert same_bits(got.divisors, want.divisors) and same_bits(got.divisors[0], np.ones(mesh.nx))
+                field, divisors = march_by_division(model, mesh, grid, B)
+                assert same_bits(got.source, field) and same_bits(got.divisors, divisors)
+                assert same_bits(got.divisors, want.divisors) and np.array_equal(got.source, want.source)
                 continue
+            assert same_bits(got.source, want.source)
             assert got.divisors is want.divisors is None and marched_factors == grid.na
             assert len(got.steps) == len(want.steps) == grid.na
             for step, built in zip(got.steps, want.steps):
                 assert step.shape == built.shape
                 for got_f, want_f in ((step.mult, built.mult), (step.piv, built.piv), (step.upper, built.upper)):
-                    assert (got_f is None) == (want_f is None) and (want_f is None or same_bits(got_f, want_f))
+                    assert same_bits(got_f, want_f)
 
     @pytest.mark.parametrize("mu, B, message", [
         # every age's divisor is 1 - 200 da, negative

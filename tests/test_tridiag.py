@@ -96,6 +96,15 @@ def multipliers(fac):
     return unpadded(fac, np.concatenate([[0.0], fac.mult]))
 
 
+def named_pivot(lower, diag, upper) -> str:
+    # the error that names the pivot argmin finds among the loop's pivots,
+    # which numpy's quotients give where Python's division by zero raises
+    with np.errstate(all="ignore"):
+        _, piv = thomas_factor(lower, diag, upper)
+    worst = int(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)))
+    return f"^{re.escape(f'nonpositive pivot {float(piv[worst])!r} at row {worst}')}$"
+
+
 class TestFactorSolve:
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(7)
@@ -130,9 +139,10 @@ class TestFactorSolve:
             with pytest.raises(ValueError, match=message):
                 fac.solve(bad)
 
-    # the shape check is the one gate of every path: without it a diagonal
-    # solve would broadcast an (n, 1, 1) rhs against its pivots, and
-    # dgttrs would be handed rows it does not have
+    # the shape check is the one gate of every path: without it dgttrs
+    # would be handed rows it does not have.  Bands with no coupling take
+    # the direct path, on zero multipliers, so the solve divides by the
+    # diagonal
     @pytest.mark.parametrize("path, n, coupling", [("divides", 4, 0.0), ("direct", 4, -0.5), ("staged", 2, -0.5)])
     @pytest.mark.parametrize("bad", [
         lambda n: (n, 1, 1), lambda n: (n, 2, 3), lambda n: (n + 1,), lambda n: (n - 1, 2), lambda n: (),
@@ -140,7 +150,7 @@ class TestFactorSolve:
     def test_solve_refuses_any_other_rhs_shape(self, path, n, coupling, bad, monkeypatch):
         monkeypatch.setattr(tridiag, "dgttrs", None)  # a call would raise TypeError
         fac = factor_tridiag(np.full(n, coupling), np.full(n, 2.0), np.full(n, coupling))
-        assert (fac.mult is None) == (path == "divides") and (fac.piv.size > n) == (path == "staged")
+        assert (not np.any(fac.mult)) == (path == "divides") and (fac.piv.size > n) == (path == "staged")
         rhs = np.ones(bad(n))
         message = f"rhs has shape {rhs.shape}, factors have shape ({n},)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -152,29 +162,31 @@ class TestFactorSolve:
     # to the 3 rows dgttrs takes.  Only a -0.0 in the right-hand side can
     # make the loop give -0.0, and the zero couplings may return +0.0
     # there, so that case compares values.  48 columns are the basis that
-    # assemble_Q solves at the shell's 48 nodes
+    # assemble_Q solves at the shell's 48 nodes.  The same diagonal with
+    # zero couplings, as every step of a pure-decay model has, goes
+    # through the same loop and solve
     @pytest.mark.parametrize("n", [1, 2, 3, 48])
     @pytest.mark.parametrize("rhs", [(), (1,), (5,), (48,)])
     @pytest.mark.parametrize("layout", ["C", "F", "strided", "int"])
     def test_bits_of_the_thomas_loop(self, n, rhs, layout):
         rng = np.random.default_rng(n)
-        lower = -rng.uniform(0, 1, n)
-        upper = -rng.uniform(0, 1, n)
-        diag = np.abs(lower) + np.abs(upper) + rng.uniform(0.1, 1, n)
-        b = rng.normal(size=(n, *rhs))
-        b.flat[::3] = 0.0
-        b = laid_out(b, layout)
-        fac = factor_tridiag(lower, diag, upper)
-        kept = b.copy()
-        out = fac.solve(b)
-        assert out.shape == b.shape
-        np.testing.assert_array_equal(bits(out), bits(thomas_solve(lower, diag, upper, b.astype(float))))
-        np.testing.assert_array_equal(b, kept)
-        if layout != "int":
-            b.flat[::3] = -0.0
+        coupled = (-rng.uniform(0, 1, n), -rng.uniform(0, 1, n))
+        diag = np.abs(coupled[0]) + np.abs(coupled[1]) + rng.uniform(0.1, 1, n)
+        drawn = rng.normal(size=(n, *rhs))
+        drawn.flat[::3] = 0.0
+        for lower, upper in (coupled, (np.zeros(n), np.zeros(n))):
+            b = laid_out(drawn.copy(), layout)
+            fac = factor_tridiag(lower, diag, upper)
             kept = b.copy()
-            np.testing.assert_array_equal(fac.solve(b), thomas_solve(lower, diag, upper, b))
-            np.testing.assert_array_equal(bits(b), bits(kept))
+            out = fac.solve(b)
+            assert out.shape == b.shape
+            np.testing.assert_array_equal(bits(out), bits(thomas_solve(lower, diag, upper, b.astype(float))))
+            np.testing.assert_array_equal(b, kept)
+            if layout != "int":
+                b.flat[::3] = -0.0
+                kept = b.copy()
+                np.testing.assert_array_equal(fac.solve(b), thomas_solve(lower, diag, upper, b))
+                np.testing.assert_array_equal(bits(b), bits(kept))
 
     # an unpadded matrix hands a float rhs to dgttrs as it is, whatever
     # its order, and dgttrs solves a copy it makes, so a 2-D solution comes
@@ -207,9 +219,8 @@ class TestFactorSolve:
             assert not np.shares_memory(passed, b)
 
     # the factors are the Thomas loop's, on Python floats, and the solves
-    # keep its bits; bands with no coupling (every draw at n = 1, and zero
-    # draws of either sign) keep the loop's pivots, unpadded, and its
-    # solve; the bands given are never written to
+    # keep its bits, on bands with no coupling too (every draw at n = 1,
+    # and zero draws of either sign); the bands given are never written to
     @settings(max_examples=300, deadline=None)
     @given(robin_systems())
     def test_factor_has_the_bits_of_the_thomas_loop(self, system):
@@ -219,23 +230,18 @@ class TestFactorSolve:
         for band, kept in zip((lower, diag, upper), bands):
             np.testing.assert_array_equal(bits(band), bits(kept))
         mult, piv = thomas_factor(lower, diag, upper)
-        uncoupled = not lower[1:].any() and not upper[:-1].any()
-        assert (fac.mult is None) == uncoupled
-        if uncoupled:
-            np.testing.assert_array_equal(bits(fac.piv), bits(piv))
-        else:
-            np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
-            np.testing.assert_array_equal(bits(unpadded(fac, fac.piv)), bits(piv))
+        np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
+        np.testing.assert_array_equal(bits(unpadded(fac, fac.piv)), bits(piv))
         np.testing.assert_array_equal(bits(fac.solve(rhs)), bits(thomas_solve(lower, diag, upper, rhs)))
 
-    # bands with no coupling skip LAPACK: each solve divides by the
-    # diagonal, with the bits of the loop for every right-hand side shape;
-    # -0.0 couplings count as zero and lower[0], upper[-1] are ignored.  A
-    # nan, inf or nonpositive diagonal entry raises what the banded path
-    # raises
+    # bands with no coupling, -0.0 couplings and the ignored lower[0] and
+    # upper[-1] included, have zero multipliers and pivots with the bits of
+    # the diagonal, so each solve divides by it, with the bits of the loop,
+    # for every right-hand side shape.  A nan, inf or nonpositive diagonal
+    # entry raises the pivot that the loop names
     @pytest.mark.parametrize("n", [1, 2, 3, 48])
     @pytest.mark.parametrize("rhs", [(), (1,), (5,), (48,)])
-    def test_uncoupled_bands_divide(self, n, rhs, monkeypatch):
+    def test_uncoupled_bands_divide(self, n, rhs):
         rng = np.random.default_rng(n)
         shape = (n,)
         diag = rng.uniform(0.1, 2, shape)
@@ -246,63 +252,54 @@ class TestFactorSolve:
         b.flat[::3] = 0.0
         for lower, upper in ((zero, zero), (minus_zero, minus_zero), (zero, minus_zero), (first, last)):
             fac = factor_tridiag(lower, diag, upper)
-            assert fac.mult is None and fac.shape == shape
-            assert not np.shares_memory(fac.piv, diag)
-            np.testing.assert_array_equal(bits(fac.piv), bits(diag))
+            assert fac.shape == shape and not np.any(fac.mult)
+            np.testing.assert_array_equal(bits(unpadded(fac, fac.piv)), bits(diag))
             out = fac.solve(b)
             assert out.shape == b.shape
+            np.testing.assert_array_equal(bits(out), bits(b / diag.reshape(n, *(1,) * len(rhs))))
             np.testing.assert_array_equal(bits(out), bits(thomas_solve(lower, diag, upper, b)))
         for bad in (np.nan, np.inf, 0.0, -0.0, -1.0):
             diag_bad = diag.copy()
             diag_bad[n // 2] = bad
-            with monkeypatch.context() as patch:
-                patch.setattr(tridiag, "_uncoupled", lambda *bands: False)
-                with pytest.raises(SingularTridiagError) as banded:
-                    factor_tridiag(zero, diag_bad, zero)
-            with pytest.raises(SingularTridiagError, match=f"^{re.escape(str(banded.value))}$"):
+            with pytest.raises(SingularTridiagError, match=named_pivot(zero, diag_bad, zero)):
                 factor_tridiag(zero, diag_bad, zero)
 
     # one entry, first, inside or last in its band, of 5 rows or of the
-    # shell's 48 nodes, decides the path: a NaN, an infinity, a zero of
-    # either sign or a negative entry on the diagonal raises what the
-    # banded path raises; a subnormal one, or a -0.0 coupling, divides; a
-    # subnormal coupling is a coupling, and goes to the loop
+    # shell's 48 nodes, decides what the loop does: a NaN, an infinity, a
+    # zero of either sign or a negative entry on the diagonal raises the
+    # pivot that the loop names; a subnormal one, or a -0.0 coupling,
+    # leaves the multipliers zero and the pivots the diagonal, so the
+    # solve divides; a subnormal coupling is a coupling.  Factors and
+    # solve keep the loop's bits: x / 5e-324 overflows in its own row, and
+    # the loop spreads it as NaN (0 * inf) to the rows above
     @pytest.mark.parametrize("n", [5, 48])
     @pytest.mark.parametrize("at", ["first", "inside", "last"])
     @pytest.mark.parametrize("band, value", [
         *(("diag", value) for value in (np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 5e-324)),
         *((band, value) for band in ("lower", "upper") for value in (-0.0, 5e-324)),
     ])
-    def test_one_entry_anywhere_decides_the_path(self, n, at, band, value, monkeypatch):
+    def test_one_entry_anywhere_decides_the_path(self, n, at, band, value):
         bands = {"lower": np.zeros(n), "diag": np.linspace(0.5, 2.0, n), "upper": np.zeros(n)}
         first, last = {"lower": (1, n - 1), "diag": (0, n - 1), "upper": (0, n - 2)}[band]
         row = {"first": first, "inside": n // 2, "last": last}[at]
         bands[band][row] = value
         lower, diag, upper = bands.values()
         if band == "diag" and not 0 < value < np.inf:
-            with monkeypatch.context() as patch:
-                patch.setattr(tridiag, "_uncoupled", lambda *bands: False)
-                with pytest.raises(SingularTridiagError) as banded:
-                    factor_tridiag(lower, diag, upper)
-            with pytest.raises(SingularTridiagError, match=f"^{re.escape(str(banded.value))}$"):
+            with pytest.raises(SingularTridiagError, match=named_pivot(lower, diag, upper)):
                 factor_tridiag(lower, diag, upper)
             return
         fac = factor_tridiag(lower, diag, upper)
-        divides = band == "diag" or value == 0.0
-        assert (fac.mult is None) == divides
+        if band == "diag" or value == 0.0:
+            assert not np.any(fac.mult)
+            np.testing.assert_array_equal(bits(fac.piv), bits(diag))
         mult, piv = thomas_factor(lower, diag, upper)
-        np.testing.assert_array_equal(bits(fac.piv if divides else unpadded(fac, fac.piv)), bits(piv))
-        if not divides:
-            np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
+        np.testing.assert_array_equal(bits(multipliers(fac)), bits(mult))
+        np.testing.assert_array_equal(bits(fac.piv), bits(piv))
         rhs = np.linspace(-1.0, 1.0, n) + 0.25
         with np.errstate(all="ignore"):
             x, loop = fac.solve(rhs), thomas_solve(lower, diag, upper, rhs)
-            if band == "diag":
-                # x / 5e-324 overflows: the division keeps the infinity in
-                # its own row, and the loop spreads it as NaN (0 * inf) to
-                # the rows above, which a division solves on their own
-                assert np.isinf(x[row]) and np.isinf(loop[row]) and np.all(np.isnan(loop[:row]))
-                loop[:row] = rhs[:row] / diag[:row]
+        if band == "diag":
+            assert np.isinf(x[row]) and np.all(np.isnan(x[:row])) and np.all(np.isfinite(x[row + 1:]))
         np.testing.assert_array_equal(bits(x), bits(loop))
 
     # bands on which a pivoting LU would interchange rows keep the loop's
@@ -341,13 +338,10 @@ class TestFactorSolve:
                 diag[row] = bad
                 if row + 1 < n:
                     lower[row + 1] = below
-                with np.errstate(all="ignore"):
-                    _, piv = thomas_factor(lower, diag, upper)
                 if bad == 0.0 and below and row + 1 < n:
-                    assert not np.isfinite(piv[row + 1])
-                worst = int(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)))
-                message = f"nonpositive pivot {float(piv[worst])!r} at row {worst}"
-                with pytest.raises(SingularTridiagError, match=f"^{re.escape(message)}$"):
+                    with np.errstate(all="ignore"):
+                        assert not np.isfinite(thomas_factor(lower, diag, upper)[1][row + 1])
+                with pytest.raises(SingularTridiagError, match=named_pivot(lower, diag, upper)):
                     factor_tridiag(lower, diag, upper)
 
     # the pivot of row 1 is 1 - (-0.5)(-8) = -3; the error names it as the
