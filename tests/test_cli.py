@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import runpy
 import shutil
 import subprocess
@@ -659,6 +660,30 @@ class TestErrorsAndEntryPoints:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['1']"
+
+    def test_import_loads_every_module_but_cli(self):
+        # the bench's setup_s times this import, so the set it loads is fixed
+        probe = "import sys, agequil; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'agequil'))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        modules = ("continuation", "discretize", "evolution", "expr", "fixedpoint",
+                   "linearized", "model", "reproduction", "tridiag")
+        assert proc.stdout.split() == ["agequil", *(f"agequil.{m}" for m in modules)]
+
+    def test_version_is_the_project_version(self):
+        import tomllib
+
+        import agequil
+
+        with open(MODELS.parent / "pyproject.toml", "rb") as f:
+            assert agequil.__version__ == tomllib.load(f)["project"]["version"]
+
+    def test_readme_layout_names_every_module(self):
+        readme = (MODELS.parent / "README.md").read_text()
+        layout = readme.split("## Library layout", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `agequil\.(\w+)` \|", layout, flags=re.MULTILINE)
+        files = {p.stem for p in (MODELS.parent / "src" / "agequil").glob("*.py")} - {"__init__", "__main__"}
+        assert sorted(rows) == sorted(files)
 
     def test_module_entry_point(self):
         proc = subprocess.run(
