@@ -285,7 +285,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # stored eps, r_Qu and residual_direct may each be off by
         # REPLAY_ALLOWANCE relative to its scale, as another BLAS may sum a
         # few ulps apart, and power iteration (where B has an entry <= 0)
-        # stop 1e-13 apart
+        # stop reproduction.POWER_TOL apart
         worst = max(points[idx].identity_residual for idx in nontrivial)
         r_off = max(_off(r_Qu[idx], points[idx].r_Qu) for idx in nontrivial)
         _check("profiles satisfy n r(Q_u) = 1", worst <= TOL_IDENTITY and r_off <= REPLAY_ALLOWANCE,
@@ -295,7 +295,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # of the profile's own birth row, so the radius is checked apart from
         # it too: the dense r(Q_u) of each frozen profile must meet the
         # identity and lie in that bracket, widened by REPLAY_ALLOWANCE as
-        # power iteration stops 1e-13 apart (a B with an entry <= 0 has no
+        # power iteration stops POWER_TOL apart (a B with an entry <= 0 has no
         # bracket; its replayed r_Qu is this dense radius)
         dense = {idx: spectral_radius(assemble_Q(lin.model, evs[idx]))[0] for idx in nontrivial}
         worst = max(abs(n[idx] * r - 1.0) for idx, r in dense.items())

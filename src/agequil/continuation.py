@@ -38,6 +38,7 @@ from .reproduction import assemble_Q, birth_functional, spectral_radius
 
 TOL_IDENTITY = 1e-6
 TOL_POSITIVITY = 1e-10
+MAX_NEWTON = 30  # correct's cap on Newton steps
 
 
 class ContinuationError(RuntimeError):
@@ -117,7 +118,6 @@ def correct(
     plane: Plane,
     *,
     tol: float = 1e-9,
-    max_iter: int = 30,
 ) -> BranchPoint:
     """Bordered Newton corrector on (B, n) from a birth vector.
 
@@ -145,12 +145,12 @@ def correct(
         return res, ev
 
     res_vec, ev = evaluate(B, n_cur)
-    for iters in range(max_iter + 1):
+    for iters in range(MAX_NEWTON + 1):
         res_norm = float(np.max(np.abs(res_vec)))
         if res_norm <= _scaled_tol(tol, B):
             break
-        if iters == max_iter:
-            raise ContinuationError(f"corrector did not converge within {max_iter} iterations")
+        if iters == MAX_NEWTON:
+            raise ContinuationError(f"corrector did not converge within {MAX_NEWTON} iterations")
         if not np.isfinite(res_norm) or float(np.max(np.abs(B))) > 1e8:
             raise ContinuationError("corrector diverged")
 
@@ -253,14 +253,11 @@ def first_step(lin: LinearizedOperators, eps0: float, *, tol: float = 1e-9) -> B
 
     The predictor is the birth vector eps0 times the Perron vector of
     Q0; the corrector frees n and pins the component of B along that
-    direction, which is the local expansion's parameterization.  eps0 = 0
-    returns the trivial point at n = 1, where lin's normalized Q0 puts the
-    bifurcation.
+    direction, which is the local expansion's parameterization.  eps0
+    must be positive.
     """
-    if eps0 < 0:
-        raise ContinuationError("eps0 must be nonnegative")
-    if eps0 == 0.0:
-        return branch_point(lin, 1.0, lin.ev0)
+    if not eps0 > 0:
+        raise ContinuationError(f"eps0 must be positive, got {eps0!r}")
     B0 = eps0 * lin.perron0
     plane = Plane(
         normal_B=lin.perron0 / float(np.linalg.norm(lin.perron0)),
@@ -306,7 +303,8 @@ def trace_branch(
     """
     check_trace_flags(eps0, step, max_points, n_cap, norm_cap, tol)
     branch = Branch()
-    branch.points.append(first_step(lin, 0.0, tol=tol))
+    # the trivial point at n = 1, where lin's normalized Q0 puts the bifurcation
+    branch.points.append(branch_point(lin, 1.0, lin.ev0))
     p1 = first_step(lin, eps0, tol=tol)
     _require_invariants(p1)
     branch.points.append(p1)

@@ -19,6 +19,9 @@ from .model import ModelSpec, with_cb
 
 # normalize refuses a rescaled model whose |r(Q0) - 1| exceeds NORMALIZE_TOL
 NORMALIZE_TOL = 1e-10
+# the relative tolerance and iteration cap of spectral_radius's power iteration
+POWER_TOL = 1e-13
+POWER_MAX_ITER = 100000
 
 
 class ReproductionError(ValueError):
@@ -126,9 +129,7 @@ def _power_iteration(matrix: np.ndarray, tol: float, max_iter: int) -> tuple[boo
     return False, lam, v
 
 
-def spectral_radius(
-    matrix: np.ndarray, tol: float = 1e-13, max_iter: int = 100000
-) -> tuple[float, np.ndarray]:
+def spectral_radius(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenvalue and normalized eigenvector (max-norm 1).
 
     A nonnegative diagonal matrix gives its largest entry and the indicator
@@ -138,13 +139,11 @@ def spectral_radius(
     if not np.all(np.isfinite(matrix)):
         raise ReproductionError("reproduction matrix has non-finite entries")
     try:
-        ok, lam, v = _power_iteration(matrix, tol, max_iter)
+        ok, lam, v = _power_iteration(matrix, POWER_TOL, POWER_MAX_ITER)
     except np.linalg.LinAlgError as exc:  # from the dense fallback
         raise PowerIterationError(f"dense eigensolve failed: {exc}") from exc
     if not ok:
-        raise PowerIterationError(
-            f"power iteration did not converge within {max_iter} iterations"
-        )
+        raise PowerIterationError(f"power iteration did not converge within {POWER_MAX_ITER} iterations")
     return lam, v
 
 

@@ -141,7 +141,8 @@ def factor_tridiag(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Fa
     if not positive_finite(piv):
         # name the pivot that argmin finds among the matrix's rows
         bad = int(np.argmin(np.where(np.isfinite(piv[:n]), piv[:n], -np.inf)))
-        raise SingularTridiagError(f"nonpositive pivot {float(piv[bad])!r} at row {bad}")
+        kind = "nonpositive" if math.isfinite(piv[bad]) else "non-finite"
+        raise SingularTridiagError(f"{kind} pivot {float(piv[bad])!r} at row {bad}")
     # the loop's multipliers: the quotients it took, now of positive pivots
     return FactoredTridiag(diag.shape, np.divide(lower[1:], piv[:-1]), piv, upper[:-1])
 

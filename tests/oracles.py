@@ -101,13 +101,6 @@ def logistic_n_of_B(B: float, na: int, a_max: float, cb: float = 1.0) -> float:
     return B / logistic_birth(B, na, a_max, cb)
 
 
-def logistic_B_of_n(n: float, na: int, a_max: float, cb: float = 1.0) -> float:
-    return brentq(
-        lambda B: B - n * logistic_birth(B, na, a_max, cb),
-        1e-12, 1e3, xtol=1e-14, rtol=8.9e-16,
-    )
-
-
 def logistic_B_of_amplitude(target: float, na: int, a_max: float) -> float:
     """Birth level whose field has the given age-integrated amplitude."""
     w = trapezoid_weights(na, a_max)

@@ -256,6 +256,15 @@ class TestVerify:
         assert self.verify(traced_tiny) == 0
         assert "all checks passed" in capsys.readouterr().out
 
+    # a mesh of two nodes, below tridiag.MIN_ROWS, solves every step on
+    # factors padded with unit rows, from trace through verify
+    @pytest.mark.parametrize("model", [DIFFUSION, DECAY], ids=["diffusion", "decay"])
+    def test_two_node_mesh_traces_and_verifies(self, model, tmp_path, capsys):
+        branch, grid = str(tmp_path / "branch.csv"), ["--nx", "2", "--na", "8"]
+        assert main(["trace", "--model", model, "--out", branch, *grid]) == 0
+        assert main(["verify", "--model", model, "--branch", branch, *grid]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
     # in one process, trace's columns are branch_point's on verify's
     # freeze of each written profile, bit for bit
     @pytest.mark.parametrize("branch", ["traced", "traced_tiny"])

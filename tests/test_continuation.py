@@ -76,8 +76,16 @@ class TestFirstStep:
         ratio = (p1.n - 1.0) / (p2.n - 1.0)
         assert 1.7 <= ratio <= 2.3
 
-    def test_zero_eps_is_trivial_point(self, decay_lin):
-        p = first_step(decay_lin, 0.0)
+    # first_step only leaves the trivial point; trace_branch writes that
+    # point itself as row 0, the branch point of the linear evolution at n = 1
+    def test_zero_eps_is_trivial_point(self, decay_branch, decay_lin):
+        with pytest.raises(ContinuationError, match=r"^eps0 must be positive, got 0\.0$"):
+            first_step(decay_lin, 0.0)
+        p = decay_branch.points[0]
+        want = branch_point(decay_lin, 1.0, decay_lin.ev0)
+        for f in dataclasses.fields(p):
+            got_f, want_f = getattr(p, f.name), getattr(want, f.name)
+            assert np.asarray(got_f).tobytes() == np.asarray(want_f).tobytes(), f.name
         assert p.trivial
         assert p.n == 1.0
         assert not np.any(p.u)
@@ -85,8 +93,9 @@ class TestFirstStep:
         assert p.r_Qu == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_eps_rejected(self, decay_lin):
-        with pytest.raises(ContinuationError, match="nonnegative"):
-            first_step(decay_lin, -1e-3)
+        for eps0 in (-1e-3, -0.0, np.nan):
+            with pytest.raises(ContinuationError, match=f"^eps0 must be positive, got {eps0!r}$"):
+                first_step(decay_lin, eps0)
 
 
 class TestTraceDecay:
@@ -192,19 +201,21 @@ class TestCorrect:
         assert set(solves) <= {(nx, nx)}
 
     @pytest.mark.parametrize("start", [1.01, 1.1, 1.3])
-    def test_a_budget_of_the_steps_taken_converges(self, decay_branch, decay_lin, start):
+    def test_a_budget_of_the_steps_taken_converges(self, decay_branch, decay_lin, start, monkeypatch):
         # the residual after the last step allowed is checked, not skipped
         p = decay_branch.nontrivial()[4]
         free = correct(decay_lin, p.n, start * p.B, fixed_n(p.B, p.n))
         assert free.newton_iters >= 1
-        tight = correct(decay_lin, p.n, start * p.B, fixed_n(p.B, p.n), max_iter=free.newton_iters)
+        monkeypatch.setattr(continuation, "MAX_NEWTON", free.newton_iters)
+        tight = correct(decay_lin, p.n, start * p.B, fixed_n(p.B, p.n))
         assert tight.newton_iters == free.newton_iters and tight.n == free.n
         assert tight.B.tobytes() == free.B.tobytes() and tight.u.tobytes() == free.u.tobytes()
 
-    def test_iteration_budget_enforced(self, decay_branch, decay_lin):
+    def test_iteration_budget_enforced(self, decay_branch, decay_lin, monkeypatch):
         p = decay_branch.nontrivial()[4]
+        monkeypatch.setattr(continuation, "MAX_NEWTON", 1)
         with pytest.raises(ContinuationError, match="within 1 iterations"):
-            correct(decay_lin, p.n, 1.5 * p.B, fixed_n(p.B, p.n), max_iter=1)
+            correct(decay_lin, p.n, 1.5 * p.B, fixed_n(p.B, p.n))
 
 
 class TestMarch:

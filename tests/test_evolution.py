@@ -121,7 +121,7 @@ class TestPropagate:
     def test_mortality_overflowing_on_the_march_names_the_age(self, birth, pivot):
         model = decay_model(mu="u * exp(1000 * a)")
         mesh, grid = SpatialMesh(nx=3), AgeGrid(na=8, a_max=1.0)
-        message = f"^singular one-step matrix at age index 6: nonpositive pivot {pivot} at row 0$"
+        message = f"^singular one-step matrix at age index 6: non-finite pivot {pivot} at row 0$"
         B = np.full(mesh.nx, birth)
         for run in (lambda: build_evolution(model, mesh, grid, birth=B), lambda: march(model, mesh, grid, B)):
             with np.errstate(all="ignore"), pytest.raises(EvolutionError, match=message):
@@ -287,7 +287,7 @@ class TestMarch:
         # every age's divisor is 1 - 200 da, negative
         ("0 - 200", 1.0, "age index 1: nonpositive pivot -24.0 at row 0"),
         # a divisor of zero in row 1: the Thomas loop names the NaN it makes in row 2
-        ("0 - 8 * u", [0.0, 1.0, 0.0], "age index 1: nonpositive pivot nan at row 2"),
+        ("0 - 8 * u", [0.0, 1.0, 0.0], "age index 1: non-finite pivot nan at row 2"),
         # age 6 has divisor 1 - 9 da; at age 8 a power of a Python float
         # overflows, which np.errstate(over="raise") makes raise
         ("(1.4e154 * a)^2 - (1.4e154 * a)^2 - 9 * (1.3333333333333333 * a)^20", 1.0,
@@ -338,9 +338,9 @@ class TestFreeze:
     @pytest.mark.parametrize("rows, message", [
         ({0: [1.0, 1.0, 1.0]}, "age index 1: nonpositive pivot -0.875 at row 0"),
         # a zero divisor: the Thomas loop names the NaN it makes in the next row
-        ({3: [0.0, 0.5625, 0.0]}, "age index 4: nonpositive pivot nan at row 2"),
-        ({5: [0.0, np.nan, 0.0]}, "age index 6: nonpositive pivot nan at row 1"),
-        ({2: [-np.inf, 0.0, 0.0]}, "age index 3: nonpositive pivot inf at row 0"),
+        ({3: [0.0, 0.5625, 0.0]}, "age index 4: non-finite pivot nan at row 2"),
+        ({5: [0.0, np.nan, 0.0]}, "age index 6: non-finite pivot nan at row 1"),
+        ({2: [-np.inf, 0.0, 0.0]}, "age index 3: non-finite pivot inf at row 0"),
         # the first bad age is named, not a worse later one
         ({4: [0.0, 0.0, 1.0], 6: [0.0, np.nan, 0.0]}, "age index 5: nonpositive pivot -0.875 at row 2"),
     ], ids=["negative", "zero", "nan", "inf", "first"])

@@ -157,11 +157,12 @@ class TestSpectralRadiusEdges:
         r, _ = spectral_radius(np.zeros((3, 3)))
         assert r == 0.0
 
-    def test_rotation_does_not_converge(self):
-        with pytest.raises(PowerIterationError):
-            spectral_radius(np.array([[0.0, -1.0], [1.0, 0.0]]), max_iter=200)
+    def test_rotation_does_not_converge(self, monkeypatch):
+        monkeypatch.setattr(reproduction, "POWER_MAX_ITER", 200)
+        with pytest.raises(PowerIterationError, match="within 200 iterations"):
+            spectral_radius(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
-    def test_near_tie_converges_quickly(self):
+    def test_near_tie_converges_quickly(self, monkeypatch):
         # the shape of a large-density shell probe at nx 48: near-diagonal,
         # top two entries 6e-5 apart relative, so plain power iteration
         # needs ~1/gap iterations; the stagnant bracket must hand over to
@@ -170,7 +171,8 @@ class TestSpectralRadiusEdges:
         diag[-2:] = 0.138452, 0.138461
         coupling = 1e-7 * (np.eye(48, k=1) + np.eye(48, k=-1))
         matrix = np.diag(diag) + coupling
-        r, v = spectral_radius(matrix, max_iter=1000)
+        monkeypatch.setattr(reproduction, "POWER_MAX_ITER", 1000)
+        r, v = spectral_radius(matrix)
         assert r == pytest.approx(dense_radius(matrix), rel=1e-12)
         assert np.max(v) == 1.0 and np.all(v >= 0.0)
         np.testing.assert_allclose(matrix @ v, r * v, rtol=0, atol=1e-14)
@@ -181,10 +183,11 @@ class TestSpectralRadiusEdges:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eig", failing)
+        monkeypatch.setattr(reproduction, "POWER_MAX_ITER", 1000)
         diag = np.linspace(0.02, 0.13, 48)
         diag[-2:] = 0.138452, 0.138461
         with pytest.raises(PowerIterationError, match="dense eigensolve failed") as info:
-            spectral_radius(np.diag(diag) + 1e-7 * (np.eye(48, k=1) + np.eye(48, k=-1)), max_iter=1000)
+            spectral_radius(np.diag(diag) + 1e-7 * (np.eye(48, k=1) + np.eye(48, k=-1)))
         assert not isinstance(info.value, ValueError)
 
     def test_non_finite_rejected(self):

@@ -98,11 +98,13 @@ def multipliers(fac):
 
 def named_pivot(lower, diag, upper) -> str:
     # the error that names the pivot argmin finds among the loop's pivots,
-    # which numpy's quotients give where Python's division by zero raises
+    # which numpy's quotients give where Python's division by zero raises,
+    # and calls it non-finite or nonpositive
     with np.errstate(all="ignore"):
         _, piv = thomas_factor(lower, diag, upper)
     worst = int(np.argmin(np.where(np.isfinite(piv), piv, -np.inf)))
-    return f"^{re.escape(f'nonpositive pivot {float(piv[worst])!r} at row {worst}')}$"
+    kind = "nonpositive" if np.isfinite(piv[worst]) else "non-finite"
+    return f"^{re.escape(f'{kind} pivot {float(piv[worst])!r} at row {worst}')}$"
 
 
 class TestFactorSolve:
@@ -378,9 +380,9 @@ class TestFactorSolve:
             factor_tridiag(
                 np.array([0.0, -2.0]), np.array([1.0, 1.0]), np.array([-2.0, 0.0])
             )
-        with pytest.raises(SingularTridiagError, match=r"^nonpositive pivot nan at row 1$"):
+        with pytest.raises(SingularTridiagError, match=r"^non-finite pivot nan at row 1$"):
             factor_tridiag(np.zeros(2), np.array([1.0, np.nan]), np.zeros(2))
-        with pytest.raises(SingularTridiagError, match=r"^nonpositive pivot inf at row 1$"):
+        with pytest.raises(SingularTridiagError, match=r"^non-finite pivot inf at row 1$"):
             factor_tridiag(np.zeros(2), np.array([1.0, np.inf]), np.zeros(2))
 
     def test_matvec_matches_dense(self):
