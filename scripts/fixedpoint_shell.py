@@ -1,9 +1,9 @@
 """Find the saturating-fertility equilibrium by fixed-point iteration.
 
-Runs the multistart fixed-point solver (the birth map with Anderson
-mixing) on the bundled shell model,
-checks both shell conditions, and writes the field, birth vector and a
-short report under out/.
+Runs `agequil fixedpoint` on the bundled shell model: the birth map
+with Anderson mixing, from the all-ones start and then seeded random
+starts until one does not collapse.  It checks both shell conditions
+and writes the field, birth vector and a short report under out/.
 """
 
 from pathlib import Path

@@ -46,7 +46,7 @@ from .fixedpoint import (
     FixedPointError,
     check_shell_conditions,
     check_solve_flags,
-    multistart_fixedpoint,
+    solve_fixedpoint,
 )
 from .linearized import LinearizedError, build_linearized
 from .model import ModelError, ModelSpec, parse_grid, parse_model, serialize_model
@@ -194,7 +194,7 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
     # seeds its own generator, so the order does not change the numbers
     check_solve_flags(args.damping, args.tol, args.max_iter, args.starts)
     shell = check_shell_conditions(model, mesh, grid, args.tau0, args.tau1, seed=args.seed)
-    result = multistart_fixedpoint(
+    result = solve_fixedpoint(
         model, mesh, grid, damping=args.damping, tol=args.tol, max_iter=args.max_iter,
         starts=args.starts, seed=args.seed,
     )
@@ -369,11 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixedpoint", help="fixed-point run with shell checks")
     add_common(p)
     p.add_argument("--out", required=True, help="output stem or CSV path")
-    p.add_argument("--damping", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--starts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--damping", type=float, default=0.5, help="weight of l(u(B)) in the damped step, in (0, 1]")
+    p.add_argument("--tol", type=float, default=1e-10, help="stop once B changes by at most this")
+    p.add_argument("--max-iter", type=int, default=2000, help="iterations allowed per start")
+    p.add_argument("--starts", type=int, default=3, help="starts tried until one does not collapse")
+    p.add_argument("--seed", type=int, default=42, help="seed of the random starts and shell probes")
     p.add_argument("--tau0", type=float, default=1e-2, help="small-amplitude shell")
     p.add_argument("--tau1", type=float, default=5.0, help="large-amplitude shell")
     p.set_defaults(func=_cmd_fixedpoint)

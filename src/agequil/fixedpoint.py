@@ -8,11 +8,13 @@ functional of its self-consistent field,
 
 the same one-pass march the continuation corrector evaluates; Anderson
 mixing (Walker and Ni, SIAM J. Numer. Anal. 49 (2011) 1715-1735) only
-shortens the path to the fixed point.  When the model satisfies the
-shell conditions (the reproduction operator exceeds the identity at
-small amplitudes and has spectral radius below one at large amplitudes),
-the iteration is pushed away from zero and pulled back from infinity,
-and a nontrivial fixed point exists between the shells.
+shortens the path to the fixed point.  solve_fixedpoint is the route's
+one entry point: it runs the map from each of its starts in turn until
+one does not collapse onto the trivial equilibrium.  When the model
+satisfies the shell conditions (the reproduction operator exceeds the
+identity at small amplitudes and has spectral radius below one at large
+amplitudes), the iteration is pushed away from zero and pulled back from
+infinity, and a nontrivial fixed point exists between the shells.
 check_shell_conditions probes both shells on sampled fields, one field
 at a time: one freeze and one assemble_Q each, which on a pure-decay
 model assemble and factor nothing.
@@ -53,7 +55,6 @@ class FixedPointResult:
     iterations: int
     residual: float
     r_Qu: float
-    last_change: float
 
 
 def check_solve_flags(damping: float, tol: float, max_iter: int, starts: int) -> None:
@@ -69,6 +70,12 @@ def check_solve_flags(damping: float, tol: float, max_iter: int, starts: int) ->
         raise FixedPointError("starts must be at least 1")
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise FixedPointError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def solve_fixedpoint(
     model: ModelSpec,
     mesh: SpatialMesh,
@@ -77,33 +84,50 @@ def solve_fixedpoint(
     damping: float = 0.5,
     tol: float = 1e-10,
     max_iter: int = 2000,
-    B_init: np.ndarray | None = None,
+    starts: int = 3,
+    seed: int = 42,
 ) -> FixedPointResult:
-    """Birth map B <- l(u(B)) from B_init, with Anderson mixing.
+    """First nontrivial fixed point of the birth map over several starts.
 
-    B_init is all ones by default, and u(B) is the field marched from B.
-    Each step corrects the damped update (1 - damping) B + damping l(u(B))
-    by a least-squares fit over the last ANDERSON_DEPTH differences of
-    iterates and residuals l(u(B)) - B; a negative or non-finite result
-    falls back to the damped update and drops the history.  Stops when
-    the change in B drops below tol, or when B collapses below 1e-12 (the
-    trivial equilibrium attracted the iterate; returned with
-    converged=False).  A converged B is polished by the undamped map.
-    Raises FixedPointError for flags check_solve_flags refuses, a negative
-    or misshapen B_init, an unconverged iteration at max_iter, or a
-    collapse onto a trivial equilibrium with r(Q0) > 1, which repels.
+    Start 0 is the all-ones birth vector; start k >= 1 is the k-th draw
+    uniform(0.5, 1.5, nx) of default_rng(seed).  A start that collapses
+    triggers the next; if every start collapses, the last collapsed
+    result is returned, since the trivial equilibrium is then the honest
+    answer.  Raises FixedPointError for flags check_solve_flags refuses, a
+    negative seed, or a start that _run_start refuses.
     """
-    check_solve_flags(damping, tol, max_iter, 1)
-    if B_init is None:
-        B = np.ones(mesh.nx)
-    else:
-        B = np.asarray(B_init, dtype=float).copy()
-        if B.shape != (mesh.nx,):
-            raise FixedPointError(f"B_init must have shape ({mesh.nx},)")
-        if not np.all(np.isfinite(B)) or np.any(B < 0):
-            raise FixedPointError("B_init must be finite and nonnegative")
+    check_solve_flags(damping, tol, max_iter, starts)
+    rng = _rng(seed)
+    for k in range(starts):
+        B = np.ones(mesh.nx) if k == 0 else rng.uniform(0.5, 1.5, mesh.nx)
+        result = _run_start(model, mesh, grid, B, damping, tol, max_iter)
+        if result.converged:
+            break
+    return result
 
-    change = np.inf
+
+def _run_start(
+    model: ModelSpec,
+    mesh: SpatialMesh,
+    grid: AgeGrid,
+    B: np.ndarray,
+    damping: float,
+    tol: float,
+    max_iter: int,
+) -> FixedPointResult:
+    """Birth map B <- l(u(B)) from one start B, with Anderson mixing.
+
+    u(B) is the field marched from B.  Each step corrects the damped
+    update (1 - damping) B + damping l(u(B)) by a least-squares fit over
+    the last ANDERSON_DEPTH differences of iterates and residuals
+    l(u(B)) - B; a negative or non-finite result falls back to the damped
+    update and drops the history.  Stops when B collapses (the trivial
+    equilibrium attracted the iterate; returned with converged=False) or
+    when the change in B reaches tol; then a B that has not collapsed is
+    polished by the undamped map.  Raises FixedPointError for an
+    unconverged iteration at max_iter, or a collapse onto a trivial
+    equilibrium with r(Q0) > 1, which repels.
+    """
     Bs, fs = [], []
     for it in range(1, max_iter + 1):
         u = march(model, mesh, grid, B).source
@@ -122,25 +146,14 @@ def solve_fixedpoint(
                 Bs, fs = [B], [f]
         change = float(np.max(np.abs(B_next - B)))
         B = B_next
-        if is_trivial(B):
-            return _diagnose(model, mesh, grid, B, False, it, change)
-        if change <= tol:
-            return _diagnose(model, mesh, grid, B, True, it, change)
-    raise FixedPointError(f"no convergence in {max_iter} iterations (last change {change:.3e})")
+        if is_trivial(B) or change <= tol:
+            break
+    else:
+        raise FixedPointError(f"no convergence in {max_iter} iterations (last change {change:.3e})")
 
-
-def _diagnose(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
-    B: np.ndarray,
-    converged: bool,
-    iterations: int,
-    change: float,
-) -> FixedPointResult:
     # a few undamped sweeps of the same map tighten B to self-consistency
     # before the residual and the reproduction radius are measured
-    if converged:
+    if not is_trivial(B):
         for _ in range(200):
             u = march(model, mesh, grid, B).source
             B_prop = birth_functional(model, grid, u)
@@ -148,10 +161,9 @@ def _diagnose(
             B = B_prop
             if delta <= 1e-13 * max(1.0, float(np.max(np.abs(B)))):
                 break
-        # a slow slide toward zero can pass the change test well above
-        # the collapse threshold; the polish exposes it
-        if is_trivial(B):
-            converged = False
+    # a slow slide toward zero can pass the change test well above the
+    # collapse threshold; the polish exposes it
+    converged = not is_trivial(B)
     if not converged:
         B = np.zeros(mesh.nx)
     ev = march(model, mesh, grid, B)
@@ -162,48 +174,7 @@ def _diagnose(
     r, _ = spectral_radius(assemble_Q(model, ev))
     if not converged and r > MAX_RADIUS:
         raise FixedPointError(f"iterate fell into the trivial equilibrium, which repels: r(Q0) = {r!r}")
-    return FixedPointResult(
-        u=u, B=B, converged=converged,
-        iterations=iterations, residual=residual, r_Qu=r, last_change=change,
-    )
-
-
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise FixedPointError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.default_rng(seed)
-
-
-def multistart_fixedpoint(
-    model: ModelSpec,
-    mesh: SpatialMesh,
-    grid: AgeGrid,
-    *,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-    starts: int = 3,
-    seed: int = 42,
-) -> FixedPointResult:
-    """First nontrivial fixed point over several starts.
-
-    Start 0 is the all-ones birth vector; later starts draw uniformly
-    from [0.5, 1.5).  A collapsed run triggers the next start; if every
-    start collapses, the last collapsed result is returned, since the
-    trivial equilibrium is then the honest answer.  The flags must pass
-    check_solve_flags, and seed must be nonnegative.
-    """
-    check_solve_flags(damping, tol, max_iter, starts)
-    rng = _rng(seed)
-    result = None
-    for k in range(starts):
-        B0 = np.ones(mesh.nx) if k == 0 else rng.uniform(0.5, 1.5, mesh.nx)
-        result = solve_fixedpoint(
-            model, mesh, grid, damping=damping, tol=tol, max_iter=max_iter, B_init=B0,
-        )
-        if result.converged:
-            return result
-    return result
+    return FixedPointResult(u=u, B=B, converged=converged, iterations=it, residual=residual, r_Qu=r)
 
 
 @dataclass(frozen=True)

@@ -117,18 +117,18 @@ def _get_float(cp: configparser.ConfigParser, section: str, key: str, default=No
 
 
 def _get_expr(cp: configparser.ConfigParser, name: str) -> Expr:
-    key = name.lower()  # the key configparser keeps, which errors name
+    key = name.lower()  # configparser lowercases keys; errors name the coefficient as written
     if not cp.has_option("coefficients", key):
-        raise ModelError(f"missing coefficient {key!r} in section [coefficients]")
+        raise ModelError(f"missing coefficient {name!r} in section [coefficients]")
     try:
         node = parse_expr(cp.get("coefficients", key))
     except ExprError as exc:
-        raise ModelError(f"coefficient {key!r}: {exc}") from exc
+        raise ModelError(f"coefficient {name!r}: {exc}") from exc
     stray = variables(node) - _COEFF_VARS[name]
     if stray:
         allowed = ", ".join(sorted(_COEFF_VARS[name])) or "none"
         raise ModelError(
-            f"coefficient {key!r} uses variable {sorted(stray)[0]!r}; allowed: {allowed}"
+            f"coefficient {name!r} uses variable {sorted(stray)[0]!r}; allowed: {allowed}"
         )
     return node
 
@@ -139,17 +139,15 @@ def parse_model(text: str) -> ModelSpec:
     if not cp.has_section("domain") or not cp.has_section("coefficients"):
         raise ModelError("config requires [domain] and [coefficients] sections")
     a_max = _get_float(cp, "domain", "a_max")
-    pure_decay = False
-    if cp.has_option("domain", "pure_decay"):
-        try:
-            pure_decay = cp.getboolean("domain", "pure_decay")
-        except ValueError as exc:
-            raise ModelError(f"pure_decay must be a boolean: {exc}") from exc
+    try:
+        pure_decay = cp.getboolean("domain", "pure_decay", fallback=False)
+    except ValueError as exc:
+        raise ModelError(f"pure_decay must be a boolean: {exc}") from exc
     spec = ModelSpec(
         a_max=a_max,
         **{name: _get_expr(cp, name) for name in _COEFF_VARS},
-        nu0=_get_float(cp, "boundary", "nu0", 0.0) if cp.has_section("boundary") else 0.0,
-        cb=_get_float(cp, "normalization", "cb", 1.0) if cp.has_section("normalization") else 1.0,
+        nu0=_get_float(cp, "boundary", "nu0", 0.0),
+        cb=_get_float(cp, "normalization", "cb", 1.0),
         pure_decay=pure_decay,
     )
     validate_model(spec)

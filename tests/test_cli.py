@@ -608,13 +608,13 @@ class TestErrorsAndEntryPoints:
 
     def test_shell_flags_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
         calls = []
-        real = fixedpoint.solve_fixedpoint
+        real = cli.solve_fixedpoint
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(fixedpoint, "solve_fixedpoint", counting)
+        monkeypatch.setattr(cli, "solve_fixedpoint", counting)
         argv = ["fixedpoint", "--model", SHELL, "--out", str(tmp_path / "fp"), "--tau1", "inf"]
         assert main(argv) == 1
         assert "tau1" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from agequil.expr import parse_expr
 from agequil.fixedpoint import (
     FixedPointError,
     check_shell_conditions,
-    multistart_fixedpoint,
     solve_fixedpoint,
 )
 
@@ -26,7 +25,6 @@ class TestShellEquilibrium:
     def test_converges_to_nontrivial(self, shell_result):
         assert shell_result.converged
         assert shell_result.iterations > 0
-        assert shell_result.last_change <= 1e-10
 
     def test_unit_reproduction_radius(self, shell_result):
         # a positive equilibrium birth vector is a positive fixed vector
@@ -71,8 +69,8 @@ class TestShellEquilibrium:
 
     def test_multistart_agrees_and_is_deterministic(self, shell_problem, shell_result):
         model, mesh, grid = shell_problem
-        r1 = multistart_fixedpoint(model, mesh, grid)
-        r2 = multistart_fixedpoint(model, mesh, grid)
+        r1 = solve_fixedpoint(model, mesh, grid, starts=3)
+        r2 = solve_fixedpoint(model, mesh, grid, starts=3)
         assert r1.converged
         np.testing.assert_array_equal(r1.B, r2.B)
         np.testing.assert_allclose(r1.B, shell_result.B, rtol=1e-10)
@@ -93,7 +91,7 @@ class TestCollapse:
 
     def test_multistart_reports_last_collapse(self, decay_problem):
         model, mesh, grid = decay_problem
-        result = multistart_fixedpoint(model, mesh, grid, starts=2)
+        result = solve_fixedpoint(model, mesh, grid, starts=2)
         assert not result.converged
 
 
@@ -104,32 +102,18 @@ class TestValidation:
         with pytest.raises(FixedPointError, match="damping"):
             solve_fixedpoint(model, mesh, grid, damping=damping)
 
-    def test_b_init_shape(self, shell_problem):
-        model, mesh, grid = shell_problem
-        with pytest.raises(FixedPointError, match="shape"):
-            solve_fixedpoint(model, mesh, grid, B_init=np.ones(mesh.nx + 1))
-
-    def test_b_init_sign_and_finiteness(self, shell_problem):
-        model, mesh, grid = shell_problem
-        bad = np.ones(mesh.nx)
-        bad[0] = -1.0
-        with pytest.raises(FixedPointError, match="nonnegative"):
-            solve_fixedpoint(model, mesh, grid, B_init=bad)
-        bad[0] = np.nan
-        with pytest.raises(FixedPointError, match="finite"):
-            solve_fixedpoint(model, mesh, grid, B_init=bad)
-
     def test_unbounded_fertility_is_refused(self, shell_problem):
         # b = exp(u) has no positive equilibrium, and r(Q0) is about 1.9:
         # from all ones the mixing falls into the repelling trivial root,
-        # and from this start l(u(B)) overflows, which the march refuses
+        # which stops the run, and from the first seed-42 start l(u(B))
+        # overflows, which the march refuses
         model, mesh, grid = shell_problem
         model = dataclasses.replace(model, b=parse_expr("exp(u)"), cb=3.0)
         with pytest.raises(FixedPointError, match="repels"):
             solve_fixedpoint(model, mesh, grid)
         B0 = np.random.default_rng(42).uniform(0.5, 1.5, mesh.nx)
         with np.errstate(over="ignore"), pytest.raises(EvolutionError, match="non-finite"):
-            solve_fixedpoint(model, mesh, grid, B_init=B0)
+            fixedpoint._run_start(model, mesh, grid, B0, 0.5, 1e-10, 2000)
 
     def test_iteration_budget(self, shell_problem):
         model, mesh, grid = shell_problem
@@ -139,7 +123,63 @@ class TestValidation:
     def test_multistart_requires_starts(self, shell_problem):
         model, mesh, grid = shell_problem
         with pytest.raises(FixedPointError, match="starts"):
-            multistart_fixedpoint(model, mesh, grid, starts=0)
+            solve_fixedpoint(model, mesh, grid, starts=0)
+
+    def test_negative_seed_is_refused(self, shell_problem):
+        model, mesh, grid = shell_problem
+        with pytest.raises(FixedPointError, match="seed"):
+            solve_fixedpoint(model, mesh, grid, seed=-1)
+
+
+class TestStarts:
+    """solve_fixedpoint's start sequence, recorded at the per-start function."""
+
+    @staticmethod
+    def record(monkeypatch, outcomes):
+        # each start returns the next outcome: a result, or an exception it raises
+        begun = []
+
+        def run_start(model, mesh, grid, B, damping, tol, max_iter):
+            begun.append(B.copy())
+            outcome = outcomes[len(begun) - 1]
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(fixedpoint, "_run_start", run_start)
+        return begun
+
+    @staticmethod
+    def result(converged):
+        nothing = np.zeros(1)
+        return fixedpoint.FixedPointResult(
+            u=nothing, B=nothing, converged=converged, iterations=1, residual=0.0, r_Qu=1.0,
+        )
+
+    def test_starts_are_ones_then_seeded_draws(self, shell_problem, monkeypatch):
+        model, mesh, grid = shell_problem
+        collapsed = [self.result(False) for _ in range(4)]
+        begun = self.record(monkeypatch, collapsed)
+        assert solve_fixedpoint(model, mesh, grid, starts=4, seed=7) is collapsed[-1]
+        rng = np.random.default_rng(7)
+        expected = [np.ones(mesh.nx)] + [rng.uniform(0.5, 1.5, mesh.nx) for _ in range(3)]
+        assert len(begun) == 4
+        for got, want in zip(begun, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_collapse_moves_on_and_a_fixed_point_stops(self, shell_problem, monkeypatch):
+        model, mesh, grid = shell_problem
+        found = self.result(True)
+        begun = self.record(monkeypatch, [self.result(False), found, self.result(False)])
+        assert solve_fixedpoint(model, mesh, grid, starts=3) is found
+        assert len(begun) == 2
+
+    def test_a_raise_stops_the_run(self, shell_problem, monkeypatch):
+        model, mesh, grid = shell_problem
+        begun = self.record(monkeypatch, [FixedPointError("repels"), self.result(True)])
+        with pytest.raises(FixedPointError, match="repels"):
+            solve_fixedpoint(model, mesh, grid, starts=2)
+        assert len(begun) == 1
 
 
 class TestShellConditions:

@@ -319,14 +319,14 @@ class TestParseModel:
         (cfg(h="((65536^4)^4)^4"), "theta(a) = mu(0,a) + h(0,0) is not finite on sampled ages"),
         # inf * 0 at p = 0 is NaN, which an abs(g00) > 1e-12 test lets through
         (cfg(g="((65536^4)^4)^4 * p"), "g(0,0) is not finite on sampled zero density and gradient"),
-        (cfg(D="u"), "coefficient 'd' uses variable 'u'; allowed: a, x"),
+        (cfg(D="u"), "coefficient 'D' uses variable 'u'; allowed: a, x"),
         (cfg(mu="1 + x"), "coefficient 'mu' uses variable 'x'; allowed: a, u"),
         (cfg(b="1 + a"), "coefficient 'b' uses variable 'a'; allowed: u"),
         (cfg(h="x"), "coefficient 'h' uses variable 'x'; allowed: p, u"),
         (cfg(mu="1 +"), "coefficient 'mu': unexpected token '' at position 3 in '1 +'"),
-        (cfg(D="1 +"), "coefficient 'd': unexpected token '' at position 3 in '1 +'"),
+        (cfg(D="1 +"), "coefficient 'D': unexpected token '' at position 3 in '1 +'"),
         (cfg(g="y"), "coefficient 'g': unknown name 'y' at position 0 in 'y'"),
-        (BASE_CFG.replace("D = 1\n", ""), "missing coefficient 'd' in section [coefficients]"),
+        (BASE_CFG.replace("D = 1\n", ""), "missing coefficient 'D' in section [coefficients]"),
         (BASE_CFG.replace("mu = 1 + u\n", ""), "missing coefficient 'mu' in section [coefficients]"),
         (BASE_CFG + "\n[boundary]\nnu0 = -1\n", "nu0 must be nonnegative and finite"),
         (BASE_CFG + "\n[boundary]\nnu0 = abc\n",
