@@ -33,7 +33,7 @@ import numpy as np
 from .discretize import AssemblyError, gradient_of_slice, slice_derivative
 from .evolution import EvolutionError, EvolutionOperator, is_trivial, march
 from .expr import diff, evaluate_on
-from .linearized import LinearizedOperators, reformulation_residual
+from .linearized import LinearizedOperators, solve_linear
 from .reproduction import assemble_Q, birth_functional, spectral_radius
 
 TOL_IDENTITY = 1e-6
@@ -67,9 +67,9 @@ class BranchPoint:
     and the dense radius of assemble_Q elsewhere (branch_point).
     residual_direct is the birth residual |B - n l(u)| relative to the
     birth scale (u is the march of B, so it has no field defect);
-    reform_residual is the absolute field norm of u - lam L u - H(lam, u)
-    at lam = n - 1/2.  newton_iters counts the corrector's Newton steps
-    (Jacobian solves).
+    reform_residual is the field norm of u - lam L u - H(lam, u) at
+    lam = n - 1/2, on that march one solve of the birth defect
+    (linearized).  newton_iters counts the corrector's Newton steps.
     """
 
     n: float
@@ -233,6 +233,8 @@ def branch_point(lin: LinearizedOperators, n: float, ev: EvolutionOperator) -> B
         )
     B, l = u[0], birth_functional(model, grid, u)
     r = float(np.max(l / B)) if np.all(B > 0) else spectral_radius(assemble_Q(model, ev))[0]
+    # u is the march of B, so the birth defect is the whole residual
+    defect = B - n * l
     return BranchPoint(
         n=n,
         u=u,
@@ -240,10 +242,8 @@ def branch_point(lin: LinearizedOperators, n: float, ev: EvolutionOperator) -> B
         eps=grid.norm(u),
         r_Qu=r,
         identity_residual=abs(n * r - 1.0),
-        # u is the self-consistent field of B, so the birth defect is the
-        # whole residual, relative to the birth scale
-        residual_direct=float(np.max(np.abs(B - n * l))) / max(float(np.max(np.abs(B))), 1e-300),
-        reform_residual=reformulation_residual(lin, n, u),
+        residual_direct=float(np.max(np.abs(defect))) / max(float(np.max(np.abs(B))), 1e-300),
+        reform_residual=grid.norm(solve_linear(lin, defect)),
         min_u=float(np.min(u)),
     )
 

@@ -1,6 +1,5 @@
-"""Linear solves against the zero-density evolution and the branch
-reformulation built on them.  The linear evolution is build_evolution on
-the zero field.
+"""Linear solves against the zero-density evolution Pi_0, the build on
+the zero field, and the paper's reformulation built on them.
 
 The central solve: given a source field f and birth data c, find the field
 v with
@@ -10,15 +9,21 @@ v with
 
 realized as  v = Pi_0(.,0) w + K0 f  with  w = (I - Q0/2)^{-1} (l0(K0 f)/2 + c).
 build_linearized normalizes the fertility first, so the reproduction
-number is 1 and the factor I - Q0/2 is invertible.  Both building
-blocks reuse the discrete steps of the evolution module, so solutions of
-the stepped equilibrium equations satisfy the reformulated identity
+number is 1 and the factor I - Q0/2 is invertible.
 
-    u = lam * L u + H(lam, u),        lam = n - 1/2,
+The reformulation is  u = lam L u + H(lam, u),  lam = n - 1/2: L u is the
+solve fed by l0(u), and H(lam, u) the solve fed by (lam + 1/2) (l - l0)(u)
+and perturbation_source's f.  The solve is linear in (c, f), so the right
+side is one solve, fed by c = n l(u) - l0(u)/2 and f
+(reformulation_residual).  Where u is the march of its birth row B, each
+step is the stepped equation with exactly this f as source, so
+u = Pi_0 B + K0 f and l0(u) = Q0 B + l0(K0 f).  Then
+w = (I - Q0/2)^{-1} (n l(u) - Q0 B/2): every term in f cancels, and
 
-with L u the solve fed by l0(u) alone and H collecting the nonlinear
-remainders, to solver precision rather than up to a second
-discretization error.
+    u - lam L u - H(lam, u) = Pi_0 (B - w) = Pi_0 (I - Q0/2)^{-1} (B - n l(u)),
+
+the solve of the birth defect that continuation.branch_point writes.
+Both forms run on the evolution's own steps, so they agree to rounding.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .discretize import SpatialMesh, assemble
 from .evolution import AgeGrid, EvolutionOperator, apply_K0, build_evolution, propagate
 from .model import ModelSpec
-from .reproduction import birth_linear, birth_star, normalize
+from .reproduction import birth_functional, birth_linear, normalize
 from .tridiag import tridiag_matvec
 
 
@@ -87,11 +92,6 @@ def solve_linear(
     return propagate(lin.ev0, w) + kf
 
 
-def apply_birth_feedback(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
-    """The compact linear map L: feed l0(u) through the linear solve."""
-    return solve_linear(lin, birth_linear(lin.model, lin.grid, u))
-
-
 def perturbation_source(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
     """Source rows f_k = -(A(u_k, a_{k+1}) - A0(a_{k+1})) u_{k+1}.
 
@@ -107,12 +107,9 @@ def perturbation_source(lin: LinearizedOperators, u: np.ndarray) -> np.ndarray:
     return source
 
 
-def apply_perturbation(lin: LinearizedOperators, lam: float, u: np.ndarray) -> np.ndarray:
-    """The remainder map H(lam, u); identically zero on linear models."""
-    return solve_linear(lin, (lam + 0.5) * birth_star(lin.model, lin.grid, u), perturbation_source(lin, u))
-
-
 def reformulation_residual(lin: LinearizedOperators, n: float, u: np.ndarray) -> float:
-    """Field norm of  u - lam L u - H(lam, u)  at lam = n - 1/2."""
-    lam = n - 0.5
-    return lin.grid.norm(u - lam * apply_birth_feedback(lin, u) - apply_perturbation(lin, lam, u))
+    """Field norm of  u - lam L u - H(lam, u)  at lam = n - 1/2, the long way:
+    one solve fed by n l(u) - l0(u)/2 and perturbation_source's f."""
+    model, grid = lin.model, lin.grid
+    birth = n * birth_functional(model, grid, u) - 0.5 * birth_linear(model, grid, u)
+    return grid.norm(u - solve_linear(lin, birth, perturbation_source(lin, u)))

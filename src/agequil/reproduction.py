@@ -57,13 +57,6 @@ def birth_linear(model: ModelSpec, grid: AgeGrid, values: np.ndarray) -> np.ndar
     return model.cb * b0 * (grid.weights @ values)
 
 
-def birth_star(model: ModelSpec, grid: AgeGrid, values: np.ndarray) -> np.ndarray:
-    """Remainder  l*(u) = integral cb * (b(u(a)) - b(0)) u(a) da."""
-    b0 = float(evaluate(model.b, {"u": 0.0}))
-    dens = birth_density(model, values) - model.cb * b0
-    return grid.weights @ (dens * values)
-
-
 def assemble_Q(model: ModelSpec, ev: EvolutionOperator) -> np.ndarray:
     """Dense (nx, nx) matrix of Q(u), u being the one field ev was frozen at.
 

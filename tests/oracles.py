@@ -51,7 +51,7 @@ from agequil.discretize import AssemblyError, gradient_of_slice, slice_derivativ
 from agequil.evolution import build_evolution, propagate
 from agequil.expr import diff, evaluate, evaluate_on
 from agequil.fixedpoint import _sample_fields
-from agequil.linearized import LinearizedOperators, apply_birth_feedback
+from agequil.linearized import LinearizedOperators, solve_linear
 from agequil.reproduction import (
     ReproductionError,
     _power_iteration,
@@ -368,7 +368,8 @@ def linear_residuals(
 def birth_feedback_eigenvalue(
     lin: LinearizedOperators, tol: float = 1e-10, max_iter: int = 5000
 ) -> float:
-    """Dominant eigenvalue of L by power iteration on fields.
+    """Dominant eigenvalue of L, the linear solve fed by l0(v), by power
+    iteration on fields.
 
     For a normalized model this equals 2: mu is a characteristic value of
     L exactly when mu + 1/2 is one of Q0, and the leading characteristic
@@ -378,7 +379,7 @@ def birth_feedback_eigenvalue(
     v = start / np.linalg.norm(start)
     lam = 0.0
     for _ in range(max_iter):
-        w = apply_birth_feedback(lin, v)
+        w = solve_linear(lin, birth_linear(lin.model, lin.grid, v))
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
             return 0.0

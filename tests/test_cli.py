@@ -152,9 +152,10 @@ class TestVerify:
 
     # row 2's index must be its row number, or the file is malformed; its
     # identity_residual must be |n r_Qu - 1| of its own row to the bit,
-    # its residual_direct, eps and r_Qu those of its profile, and its min_u
-    # the profile's minimum to the bit.  A raised r_Qu comes with the
-    # identity_residual it implies, so only the replay can catch it
+    # its residual_direct, reform_residual, eps and r_Qu those of its
+    # profile, and its min_u the profile's minimum to the bit.  A raised
+    # r_Qu comes with the identity_residual it implies, and a reform_residual
+    # of 9e-6 stays below REFORM_BOUND, so only the replay can catch them
     @pytest.mark.parametrize("column, tamper, failed", [
         ("index", lambda v: 77.0, None),
         ("index", lambda v: v + 0.5, None),
@@ -162,10 +163,13 @@ class TestVerify:
         ("identity_residual", lambda v: np.nextafter(v, 1.0), "columns satisfy n r(Q_u) = 1"),
         ("residual_direct", lambda v: 1000.0, "profiles satisfy the reformulation"),
         ("residual_direct", lambda v: v + 2e-12, "profiles satisfy the reformulation"),
+        ("reform_residual", lambda v: 9e-6, "profiles satisfy the reformulation"),
+        ("reform_residual", lambda v: v + 2e-12, "profiles satisfy the reformulation"),
         ("eps", lambda v: 2.0 * v, "profiles satisfy the reformulation"),
         ("min_u", lambda v: 2.0 * v + 1e-3, "nonnegative densities"),
         ("r_Qu", lambda v: v * (1.0 + 1e-7), "profiles satisfy n r(Q_u) = 1"),
-    ], ids=["index", "index-half", "identity", "identity-ulp", "direct", "direct-2e-12", "eps", "min_u", "r_Qu"])
+    ], ids=["index", "index-half", "identity", "identity-ulp", "direct", "direct-2e-12", "reform", "reform-2e-12",
+            "eps", "min_u", "r_Qu"])
     def test_tampered_column(self, traced, tmp_path, capsys, column, tamper, failed):
         branch = self.copy_run(traced, tmp_path / "run")
         lines = branch.read_text().splitlines()
@@ -226,21 +230,23 @@ class TestVerify:
         assert out.splitlines()[-1] == "4 check(s) failed"
 
     # the replay skips the trivial row, so its profile must be the zero
-    # field and its residual_direct 0; only a failure names them
+    # field and its residual_direct and reform_residual 0; only a failure
+    # names them.  A reform_residual of 9e-6 stays below REFORM_BOUND
     @pytest.mark.parametrize("tampered, detail", [
         ("profile", "nonzero profile in rows [0]"),
         ("residual_direct", "nonzero residual_direct in rows [0]"),
+        ("reform_residual", "nonzero reform_residual in rows [0]"),
     ])
     def test_tampered_trivial_row(self, traced, tmp_path, capsys, tampered, detail):
         branch = self.copy_run(traced, tmp_path / "run")
         path, row, col = (
             (branch.parent / "branch_profile_000.csv", 2, 3) if tampered == "profile"
-            else (branch, 1, BRANCH_COLUMNS.index("residual_direct"))
+            else (branch, 1, BRANCH_COLUMNS.index(tampered))
         )
         lines = path.read_text().splitlines()
         cells = lines[row].split(",")
         assert float(cells[col]) == 0.0
-        cells[col] = "123.0"
+        cells[col] = "9e-06" if tampered == "reform_residual" else "123.0"
         lines[row] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         assert self.verify(branch) == 1

@@ -15,7 +15,6 @@ from agequil.reproduction import (
     birth_density,
     birth_functional,
     birth_linear,
-    birth_star,
     normalize,
     spectral_radius,
 )
@@ -56,19 +55,22 @@ class TestQ0:
 
 
 class TestBirthFunctionals:
+    # l = l0 + l*, with l*(u) the integral of cb (b(u) - b(0)) u, here
+    # b = exp(-u) written out
     def test_split_identity(self, shell_problem):
         model, mesh, grid = shell_problem
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 2, (grid.na + 1, mesh.nx))
         total = birth_functional(model, grid, values)
-        split = birth_linear(model, grid, values) + birth_star(model, grid, values)
-        np.testing.assert_allclose(total, split, rtol=1e-13)
+        star = grid.weights @ (model.cb * (np.exp(-values) - 1.0) * values)
+        np.testing.assert_allclose(total, birth_linear(model, grid, values) + star, rtol=1e-13)
 
     def test_constant_fertility_has_no_star_part(self, decay_problem):
         model, _, grid = decay_problem
         rng = np.random.default_rng(6)
         values = rng.uniform(0, 2, (grid.na + 1, 4))
-        np.testing.assert_array_equal(birth_star(model, grid, values), np.zeros(4))
+        np.testing.assert_allclose(birth_functional(model, grid, values), birth_linear(model, grid, values),
+                                   rtol=1e-15)
 
     def test_birth_density_scales_with_cb(self, shell_problem):
         model, _, grid = shell_problem
