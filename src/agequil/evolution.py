@@ -16,7 +16,11 @@ march(model, mesh, grid, B) runs it in one forward pass for one birth
 vector (nx,); freeze(model, mesh, grid, u) takes one given field
 (na+1, nx), which is not marched.  On a pure-decay model both keep only
 divisors, with no step assembled or factored; on any other both are
-build_evolution.  The linear evolution Pi_0 is the build on the zero field.
+build_evolution.  A pure-decay march divides u_k age by age, but where
+neither h nor mu reads the density, its divisors do not depend on B: it
+evaluates them for all ages at once, as freeze does, and divides B
+through them in one vector pass.  The linear evolution Pi_0 is the build
+on the zero field.
 """
 
 from __future__ import annotations
@@ -159,16 +163,24 @@ def _checked(divisors: np.ndarray) -> np.ndarray:
 
 def march(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, B: np.ndarray) -> EvolutionOperator:
     """The evolution of the self-consistent field of a birth vector B (nx,):
-    build_evolution(..., birth=B), but on a pure-decay model one division
-    of u_k per age by (h + mu)(u_k, a_{k+1}) * da + 1.0, the build's
+    build_evolution(..., birth=B), but on a pure-decay model no step is
+    assembled or factored, and the divisors (h + mu)(u_k, a_{k+1}) * da
+    + 1.0 become the evolution's divisors as they are, the build's
     diagonal to the bit (0.0 + x only changes the sign of a zero, and
-    + 1.0 removes it).  The array of these divisors becomes the
-    evolution's divisors as it is, and no step is factored.  It is checked
-    once: the first bad age raises the build's error, also where a later
-    age raised first."""
+    + 1.0 removes it).  Where neither h nor mu reads u or p, the divisors
+    do not depend on B: they are evaluated for all ages at once, as
+    freeze's are, and B is divided through them by one
+    np.divide.accumulate, as in propagate, which has the bits of one
+    division per age.  Otherwise u_k is divided age by age.  B is checked
+    before any divisor is evaluated, and the divisors once: the first bad
+    age raises the build's error, also where a later age raised first."""
     if not model.pure_decay:
         return build_evolution(model, mesh, grid, birth=B)
     u = _birth_field(B, grid, mesh.nx)
+    if not (variables(model.h) | variables(model.mu)) & {"u", "p"}:
+        divisors = _divisors(model, mesh, grid, u)  # h and mu read no row of the unwritten u
+        u[1:] = divisors[1:]
+        return EvolutionOperator([], grid, mesh, np.divide.accumulate(u, axis=0, out=u), divisors)
     divisors = np.ones(u.shape)  # row 0, and ages an exception leaves unmarched, pass the check
     reads_p, da = "p" in variables(model.h), grid.da
     try:
@@ -187,25 +199,37 @@ def freeze(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: np.ndarray) ->
     divisors (h + mu)(u_k, a_{k+1}) * da + 1.0 of all ages from one
     evaluation on rows 0..na-1 at once, since a frozen field is not
     marched.  They are the build's divisors to the bit, checked once as
-    march's are, and no step is assembled or factored.  A mu that reads a
-    is evaluated age by age on Python floats, as in the build: a power of
-    an array of ages may round otherwise than the same power of a float."""
+    march's are, and no step is assembled or factored."""
     if not model.pure_decay:
         return build_evolution(model, mesh, grid, u)
     u = _frozen_field(u, grid, mesh.nx)
-    rows, divisors = u[:-1], np.ones(u.shape)
+    return EvolutionOperator([], grid, mesh, u, _divisors(model, mesh, grid, u))
+
+
+def _divisors(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: np.ndarray) -> np.ndarray:
+    """The read-only divisors (na+1, nx) of a pure-decay model frozen at a
+    field u: row 0 ones and row k + 1 (h + mu)(u_k, a_{k+1}) * da + 1.0,
+    evaluated on rows 0..na-1 at once.  A mu that reads a is evaluated age
+    by age on Python floats, as in the build: a power of an array of ages
+    may round otherwise than the same power of a float.  Each age's row is
+    filled in full before the next is evaluated, and the rows are checked
+    also where an evaluation raises: the first bad age raises the build's
+    error."""
+    rows, divisors = u[:-1], np.ones(u.shape)  # row 0, and ages an exception leaves unfilled, pass the check
     env = {"u": rows}
     if "p" in variables(model.h):
         env["p"] = gradient_of_slice(rows.T, mesh.dx).T  # along x
-    divisors[1:] = evaluate(model.h, env)
-    if "a" in variables(model.mu):
-        for row, u_k, a in zip(divisors[1:], rows, grid.ages[1:].tolist()):
-            row += evaluate(model.mu, {"u": u_k, "a": a})
-    else:
-        divisors[1:] += evaluate(model.mu, {"u": rows})
-    divisors[1:] *= grid.da
-    divisors[1:] += 1.0
-    return EvolutionOperator([], grid, mesh, u, _checked(divisors))
+    try:
+        h = evaluate(model.h, env)
+        if "a" in variables(model.mu):
+            h = np.broadcast_to(h, rows.shape)
+            for k, (u_k, a) in enumerate(zip(rows, grid.ages[1:].tolist())):
+                divisors[k + 1] = (h[k] + evaluate(model.mu, {"u": u_k, "a": a})) * grid.da + 1.0
+        else:
+            divisors[1:] = (h + evaluate(model.mu, {"u": rows})) * grid.da + 1.0
+    finally:
+        _checked(divisors)
+    return divisors
 
 
 def is_trivial(B: np.ndarray) -> bool:

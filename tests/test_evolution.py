@@ -235,9 +235,19 @@ PURE_DECAY_OF_P = ModelSpec(
 )
 
 
+# density-free: its divisors read a alone, so march takes them for all ages
+# before it divides, and evaluates mu age by age on Python floats
+AGE_ONLY = ModelSpec(
+    a_max=1.0, D=Num(2.0), g=Num(0.0), h=Num(0.0), mu=parse_expr("(1.3 * a)^7 + a^3"), b=Num(1.0),
+    pure_decay=True,
+)
+
+
 def march_problem(name: str) -> tuple[ModelSpec, SpatialMesh, AgeGrid]:
     if name == "pure_decay_of_p":
         return PURE_DECAY_OF_P, SpatialMesh(nx=9), AgeGrid(na=40, a_max=1.0)
+    if name == "age_only":
+        return AGE_ONLY, SpatialMesh(nx=7), AgeGrid(na=60, a_max=1.0)
     return load_problem(f"{name}.cfg")
 
 
@@ -247,10 +257,14 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestMarch:
     """march against build_evolution(..., birth=B): on a pure-decay model
-    one division per age gives the oracle's field and divisors to the bit,
-    the build's divisors and field values, and the build's errors."""
+    it gives the oracle's field and divisors of one division per age to
+    the bit, the build's divisors and field values, and the build's
+    errors, whether its divisors are taken age by age or, on a
+    density-free model, for all ages before one accumulated division."""
 
-    @pytest.mark.parametrize("name", ["shell_decay", "logistic_decay", "pure_decay_of_p", "logistic_diffusion"])
+    @pytest.mark.parametrize("name", [
+        "shell_decay", "logistic_decay", "pure_decay_of_p", "age_only", "logistic_diffusion",
+    ])
     def test_has_the_bits_of_the_build(self, name, monkeypatch):
         model, mesh, grid = march_problem(name)
         made, real_init = [], tridiag.FactoredTridiag.__init__
@@ -301,6 +315,33 @@ class TestMarch:
                     pytest.raises(EvolutionError, match=f"^singular one-step matrix at {message}$"):
                 run()
 
+    @pytest.mark.parametrize("name", ["shell_decay", "age_only"])
+    def test_density_free_divisors_are_evaluated_once_per_coefficient(self, name, monkeypatch):
+        # age by age, h and mu would be evaluated na times each; here h
+        # once, and mu once, or once per age where it reads a
+        model, mesh, grid = march_problem(name)
+        evaluated, real = [], evolution.evaluate
+        monkeypatch.setattr(evolution, "evaluate", lambda node, env: evaluated.append(node) or real(node, env))
+        march(model, mesh, grid, np.linspace(1.5, 0.5, mesh.nx))
+        per_age = grid.na if name == "age_only" else 1
+        assert evaluated == [model.h] + [model.mu] * per_age
+
+    @pytest.mark.parametrize("name", ["shell_decay", "age_only", "logistic_decay", "pure_decay_of_p"])
+    @pytest.mark.parametrize("B, message", [
+        ([1.0] * 4, "birth vector has shape (4,), expected ({nx},)"),
+        ("nan", "birth vector has non-finite entries"),
+    ], ids=["shape", "nan"])
+    def test_a_bad_birth_vector_is_refused_before_any_divisor(self, name, B, message, monkeypatch):
+        model, mesh, grid = march_problem(name)
+        evaluated = []
+        monkeypatch.setattr(evolution, "evaluate", lambda node, env: evaluated.append(node))
+        if B == "nan":
+            B = np.full(mesh.nx, 1.0)
+            B[-1] = np.nan
+        with pytest.raises(EvolutionError, match=f"^{re.escape(message.format(nx=mesh.nx))}$"):
+            march(model, mesh, grid, B)
+        assert evaluated == []
+
 
 # mu reads a through powers of it alone, which a Python float and an
 # array of ages may round apart
@@ -334,24 +375,30 @@ class TestFreeze:
             assert got.divisors.shape == shape and not got.divisors.flags.writeable
             assert same_bits(got.divisors, want.divisors) and same_bits(got.divisors[0], np.ones(mesh.nx))
 
-    # each age's divisor is (1 - 16 u) da + 1 = 1.125 - 2 u on the rows given, 1.125 elsewhere
-    @pytest.mark.parametrize("rows, message", [
-        ({0: [1.0, 1.0, 1.0]}, "age index 1: nonpositive pivot -0.875 at row 0"),
+    # with mu = 1 - 16 u each age's divisor is (1 - 16 u) da + 1 = 1.125 - 2 u
+    # on the rows given, 1.125 elsewhere
+    @pytest.mark.parametrize("mu, rows, message", [
+        ("1 - 16 * u", {0: [1.0, 1.0, 1.0]}, "age index 1: nonpositive pivot -0.875 at row 0"),
         # a zero divisor: the Thomas loop names the NaN it makes in the next row
-        ({3: [0.0, 0.5625, 0.0]}, "age index 4: non-finite pivot nan at row 2"),
-        ({5: [0.0, np.nan, 0.0]}, "age index 6: non-finite pivot nan at row 1"),
-        ({2: [-np.inf, 0.0, 0.0]}, "age index 3: non-finite pivot inf at row 0"),
+        ("1 - 16 * u", {3: [0.0, 0.5625, 0.0]}, "age index 4: non-finite pivot nan at row 2"),
+        ("1 - 16 * u", {5: [0.0, np.nan, 0.0]}, "age index 6: non-finite pivot nan at row 1"),
+        ("1 - 16 * u", {2: [-np.inf, 0.0, 0.0]}, "age index 3: non-finite pivot inf at row 0"),
         # the first bad age is named, not a worse later one
-        ({4: [0.0, 0.0, 1.0], 6: [0.0, np.nan, 0.0]}, "age index 5: nonpositive pivot -0.875 at row 2"),
-    ], ids=["negative", "zero", "nan", "inf", "first"])
-    def test_bad_divisors_raise_the_builds_text(self, rows, message):
+        ("1 - 16 * u", {4: [0.0, 0.0, 1.0], 6: [0.0, np.nan, 0.0]}, "age index 5: nonpositive pivot -0.875 at row 2"),
+        # on an all-ones field age 6 has divisor 1 - 9 da; at age 8 a power
+        # of a Python float overflows, which np.errstate(over="raise") makes raise
+        ("(1.4e154 * a)^2 - (1.4e154 * a)^2 - 9 * (1.3333333333333333 * a)^20", dict.fromkeys(range(9), 1.0),
+         "age index 6: nonpositive pivot -0.125 at row 0"),
+    ], ids=["negative", "zero", "nan", "inf", "first", "raised-later"])
+    def test_bad_divisors_raise_the_builds_text(self, mu, rows, message):
         mesh, grid = SpatialMesh(nx=3), AgeGrid(na=8, a_max=1.0)
         u = np.zeros((grid.na + 1, mesh.nx))
         for k, row in rows.items():
             u[k] = row
         for run in (build_evolution, freeze):
-            with np.errstate(all="ignore"), pytest.raises(EvolutionError, match=f"^singular one-step matrix at {message}$"):
-                run(decay_model("1 - 16 * u"), mesh, grid, u)
+            with np.errstate(all="ignore", over="raise"), \
+                    pytest.raises(EvolutionError, match=f"^singular one-step matrix at {message}$"):
+                run(decay_model(mu), mesh, grid, u)
 
 
 class TestCallsPerBuild:
