@@ -1,6 +1,6 @@
 """Record the benchmark on two commits, in alternating pairs of runs.
 
-    python3 scripts/bench_record.py --pr 39 --base 7696762 --head HEAD --pairs 10 --seconds 5
+    python3 scripts/bench_record.py --pr N --base PARENT --head HEAD --pairs 10 --seconds 35
 
 Extracts clean `git archive` trees of --base and --head, and for each pair
 i and each workload of BENCHMARK.json runs `bench/run.py --trace 0 --seed

@@ -316,9 +316,9 @@ class TestMarch:
                 run()
 
     @pytest.mark.parametrize("name", ["shell_decay", "age_only"])
-    def test_density_free_divisors_are_evaluated_once_per_coefficient(self, name, monkeypatch):
-        # age by age, h and mu would be evaluated na times each; here h
-        # once, and mu once, or once per age where it reads a
+    def test_a_density_free_march_is_not_the_per_age_loop(self, name, monkeypatch):
+        # the per-age loop evaluates h and mu na times each; the vector pass
+        # evaluates h once, and mu once, or once per age where it reads a
         model, mesh, grid = march_problem(name)
         evaluated, real = [], evolution.evaluate
         monkeypatch.setattr(evolution, "evaluate", lambda node, env: evaluated.append(node) or real(node, env))
