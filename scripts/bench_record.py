@@ -1,11 +1,12 @@
 """Record the benchmark on two commits, in alternating pairs of runs.
 
-    python3 scripts/bench_record.py --pr N --base PARENT --head HEAD --pairs 10 --seconds 35
+    python3 scripts/bench_record.py --pr N --base PARENT --head HEAD --pairs 10
 
 Extracts clean `git archive` trees of --base and --head, and for each pair
-i and each workload of BENCHMARK.json runs `bench/run.py --trace 0 --seed
-seed0 + i` as it is, once in each tree, the base first on even pairs and
-the head first on odd ones.  Writes BENCH_<pr>.json at the repository
+i and each workload of the head's BENCHMARK.json runs `bench/run.py
+--seconds run_seconds --trace 0 --seed seed0 + i` as it is, with the
+run_seconds that BENCHMARK.json declares, once in each tree, the base
+first on even pairs and the head first on odd ones.  Writes BENCH_<pr>.json at the repository
 root: for both sides and every end-to-end metric, the median, the
 quartiles and the raw samples, the pairs in which the head is better, and
 each run's correct, attempted and failed counts, with the seeds, the host
@@ -102,27 +103,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", required=True, help="commit measured as the parent")
     parser.add_argument("--head", default="HEAD", help="commit measured as the change")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload")
-    parser.add_argument("--seconds", type=float, default=5.0, help="--seconds of each run")
     parser.add_argument("--seed0", type=int, default=1, help="seed of the first pair; pair i takes seed0 + i")
-    parser.add_argument("--workload", action="append", help="workload to run (default: all)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not args.seconds > 0:
-        parser.error("--pairs must be at least 1 and --seconds positive")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     work = Path(tempfile.mkdtemp(prefix="bench_record_"))
     try:
         trees = {side: work / side for side in SIDES}
         commits = {side: extract(rev, trees[side]) for side, rev in zip(SIDES, (args.base, args.head))}
         declared = json.loads((trees["head"] / "BENCHMARK.json").read_text())
-        workloads = args.workload or [w["name"] for w in declared["workloads"]]
+        seconds = declared["run_seconds"]
         seeds = [args.seed0 + i for i in range(args.pairs)]
-        record = {"pr": args.pr, "commits": commits, "seeds": seeds, "seconds": args.seconds,
+        record = {"pr": args.pr, "commits": commits, "seeds": seeds, "seconds": seconds,
                   "command": "bench/run.py --trace 0", "host": host(), "workloads": {}}
-        for workload in workloads:
+        for workload in (w["name"] for w in declared["workloads"]):
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
             for i, seed in enumerate(seeds):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    runs[side].append(run_bench(trees[side], workload, seed, args.seconds))
+                    runs[side].append(run_bench(trees[side], workload, seed, seconds))
                     print(f"{workload} seed {seed} {side}: {runs[side][-1]['metrics']}", file=sys.stderr)
             environment = runs["head"][0]["environment"]
             record["numba"] = environment["numba"]

@@ -173,14 +173,14 @@ def march(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, B: np.ndarray) -> 
     np.divide.accumulate, as in propagate, which has the bits of one
     division per age.  Otherwise u_k is divided age by age.  B is checked
     before any divisor is evaluated, and the divisors once: the first bad
-    age raises the build's error, also where a later age raised first."""
+    age raises the build's error, also where a later age raised first,
+    wherever the divisors are evaluated age by age (see _divisors)."""
     if not model.pure_decay:
         return build_evolution(model, mesh, grid, birth=B)
     u = _birth_field(B, grid, mesh.nx)
     if not (variables(model.h) | variables(model.mu)) & {"u", "p"}:
         divisors = _divisors(model, mesh, grid, u)  # h and mu read no row of the unwritten u
-        u[1:] = divisors[1:]
-        return EvolutionOperator([], grid, mesh, np.divide.accumulate(u, axis=0, out=u), divisors)
+        return EvolutionOperator([], grid, mesh, _divided(u, divisors), divisors)
     divisors = np.ones(u.shape)  # row 0, and ages an exception leaves unmarched, pass the check
     reads_p, da = "p" in variables(model.h), grid.da
     try:
@@ -211,10 +211,13 @@ def _divisors(model: ModelSpec, mesh: SpatialMesh, grid: AgeGrid, u: np.ndarray)
     field u: row 0 ones and row k + 1 (h + mu)(u_k, a_{k+1}) * da + 1.0,
     evaluated on rows 0..na-1 at once.  A mu that reads a is evaluated age
     by age on Python floats, as in the build: a power of an array of ages
-    may round otherwise than the same power of a float.  Each age's row is
-    filled in full before the next is evaluated, and the rows are checked
-    also where an evaluation raises: the first bad age raises the build's
-    error."""
+    may round otherwise than the same power of a float.  The rows filled
+    are checked also where an evaluation raises, so on that age-by-age
+    branch, which fills each age's row in full before it evaluates the
+    next, the first bad age raises the build's error.  h, and a mu that
+    does not read a, are evaluated on all rows at once: where that
+    evaluation raises, no row is filled, and its error is raised, not the
+    build's."""
     rows, divisors = u[:-1], np.ones(u.shape)  # row 0, and ages an exception leaves unfilled, pass the check
     env = {"u": rows}
     if "p" in variables(model.h):
@@ -261,12 +264,17 @@ def propagate(ev: EvolutionOperator, B: np.ndarray) -> np.ndarray:
     """Field with rows Pi(a_k, 0) B, B (nx,); exactly nonnegative when B is."""
     values = _birth_field(B, ev.grid, ev.mesh.nx)
     if ev.divisors is not None:
-        # B / d_1 / d_2 / ..., the bits of one solve per step
-        values[1:] = ev.divisors[1:]
-        return np.divide.accumulate(values, axis=0, out=values)
+        return _divided(values, ev.divisors)
     for k, step in enumerate(ev.steps):
         values[k + 1] = step.solve(values[k])
     return values
+
+
+def _divided(values: np.ndarray, divisors: np.ndarray) -> np.ndarray:
+    """values, a field whose row 0 is B, overwritten with B / d_1 / d_2 /
+    ... by the rows of divisors: the bits of one solve per step."""
+    values[1:] = divisors[1:]
+    return np.divide.accumulate(values, axis=0, out=values)
 
 
 def apply_K0(ev: EvolutionOperator, f: np.ndarray) -> np.ndarray:
